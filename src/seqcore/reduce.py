@@ -23,12 +23,25 @@ R7  spine concatenation ``(x k1) k2 ~> x (k1 @ k2)`` (likewise on an inner
 Postulate-headed applications are normal forms, not failures; ``Stuck`` is
 reserved for evaluation states no well-typed term reaches (a function applied
 to a projection, pair data against an or-pattern, and similar shape clashes).
+
+``step`` searches from the root on every call and is the reference.
+``normalize`` and ``trace`` take the same steps in one preorder walk
+(refocusing, Danvy & Nielsen, BRICS RS-04-26, 2004).  A rule rewrites only
+the subtree at the redex, and everything left of it is already normal, so
+after a rewrite the walk resumes at the rewritten position.  Only the
+ancestors whose redex status can depend on that position are checked again,
+outermost first.  A node that was not a redex can become one, or stick,
+only through the constructors of its children or, for a binding cut of a
+pair or or-pattern, the body of the thunk it binds.  (A ``let`` of a
+variable substitutes into its whole body, but it always fires or sticks, so
+it is never left behind as an ancestor.)  So the grandparent and the parent
+are checked again, then the new subtree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .diag import SeqcoreError
 from .syntax import (
@@ -254,37 +267,78 @@ def _rebuild(x, i: int, c):
 
 
 def normalize(sig: Sig, t: Term, fuel: int = 10000) -> NormalizeResult:
-    """Iterate ``step`` to a normal form or a stuck state.  Raises
-    FuelExhausted when more than ``fuel`` steps would be needed."""
-    steps = 0
-    while True:
-        r = step(sig, t)
-        match r:
-            case NormalForm():
-                return NormalizeResult(t, steps)
-            case Stuck(reason):
-                return NormalizeResult(t, steps, stuck=reason)
-            case Stepped(t2, _):
-                steps += 1
-                if steps > fuel:
-                    raise FuelExhausted(t, steps - 1)
-                t = t2
+    """Reduce to a normal form or a stuck state, taking the steps ``step``
+    would take.  Raises FuelExhausted when more than ``fuel`` steps would be
+    needed."""
+    return _refocus(sig, t, fuel)
 
 
 def trace(sig: Sig, t: Term, fuel: int = 10000) -> tuple[list[tuple[str, Term]], NormalizeResult]:
     """As ``normalize`` but recording each applied rule and the term after."""
     out: list[tuple[str, Term]] = []
+    res = _refocus(sig, t, fuel, lambda rule, term: out.append((rule, term)))
+    return out, res
+
+
+def _refocus(sig: Sig, t: Term, fuel: int,
+             observe: Optional[Callable[[str, Term], None]] = None
+             ) -> NormalizeResult:
+    """The reduction sequence of ``step``, found in one preorder walk.
+
+    ``focus`` is the next position to search.  Each frame of ``stack`` holds
+    a node above it (rebuilt with its finished children as the walk climbs
+    back through it), that node's children as first seen and the index of
+    the one being searched.  Every node in ``stack`` is not a redex, and
+    every subtree left of the focus is normal.  ``observe`` is called with
+    each rule and the whole term after it."""
+    stack: list[list] = []
+    resume: list[int] = []   # child indices back down to the last rewrite
+    focus = t
     steps = 0
     while True:
-        r = step(sig, t)
-        match r:
-            case NormalForm():
-                return out, NormalizeResult(t, steps)
-            case Stuck(reason):
-                return out, NormalizeResult(t, steps, stuck=reason)
-            case Stepped(t2, rule):
-                steps += 1
-                if steps > fuel:
-                    raise FuelExhausted(t, steps - 1)
-                out.append((rule, t2))
-                t = t2
+        try:
+            hit = _step_root(sig, focus)
+        except _StuckAt as s:
+            return NormalizeResult(_plug(stack, focus), steps, stuck=s.reason)
+        if hit is not None:
+            steps += 1
+            if steps > fuel:
+                raise FuelExhausted(_plug(stack, focus), steps - 1)
+            rule, focus = hit
+            if observe is not None:
+                observe(rule, _plug(stack, focus))
+            # Only the parent and grandparent can have turned into redexes:
+            # search again from the grandparent, then back down the path.
+            resume = []
+            for _ in range(min(2, len(stack))):
+                parent, _, i = stack.pop()
+                focus = _rebuild(parent, i, focus)
+                resume.append(i)
+            continue
+        kids = _children(focus)
+        if resume or kids:
+            i = resume.pop() if resume else 0
+            stack.append([focus, kids, i])
+            focus = kids[i]
+            continue
+        # The focus is normal: climb to the next subtree on its right.
+        while stack:
+            frame = stack[-1]
+            parent, kids, i = frame
+            if focus is not kids[i]:
+                parent = frame[0] = _rebuild(parent, i, focus)
+            if i + 1 < len(kids):
+                frame[2] = i + 1
+                focus = kids[i + 1]
+                break
+            stack.pop()
+            focus = parent
+        else:
+            return NormalizeResult(focus, steps)
+
+
+def _plug(stack: list[list], x):
+    """The whole term: ``x`` put back under every frame of ``stack``."""
+    for parent, _, i in reversed(stack):
+        x = _rebuild(parent, i, x)
+    return x

@@ -31,7 +31,7 @@ all operations in this module are pure functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -320,18 +320,26 @@ class Sig:
 
     atoms: frozenset[Name] = frozenset()
     entries: tuple[SigEntry, ...] = ()
+    # Name -> its last entry in ``entries``; derived from ``entries`` when
+    # not given, never compared, hashed or shown.
+    _index: Optional[dict] = field(default=None, kw_only=True,
+                                   compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self._index is None:
+            object.__setattr__(self, "_index",
+                               {e.name: e for e in self.entries})
 
     def lookup(self, name: Name) -> Optional[SigEntry]:
-        for e in reversed(self.entries):
-            if e.name == name:
-                return e
-        return None
+        return self._index.get(name)
 
     def with_atom(self, name: Name) -> "Sig":
-        return Sig(self.atoms | {name}, self.entries)
+        return Sig(self.atoms | {name}, self.entries, _index=self._index)
 
     def with_entry(self, entry: SigEntry) -> "Sig":
-        return Sig(self.atoms, self.entries + (entry,))
+        index = dict(self._index)
+        index[entry.name] = entry
+        return Sig(self.atoms, self.entries + (entry,), _index=index)
 
 
 Ctx = list  # list[tuple[Pattern, PosType]]; the linear inversion context
@@ -395,10 +403,9 @@ def well_formed_neg(ty: NegType, sig: Sig, mode: Mode,
                 ok = _problem(problems, Diagnostic(
                     "mode", expected="unindexed atom in propositional mode",
                     found=f"{name} with {len(args)} argument(s)"))
-            entry_names = {e.name for e in sig.entries}
             for a in args:
                 for v in free_names(a):
-                    if v not in scope and v not in entry_names:
+                    if v not in scope and v not in sig._index:
                         ok = _problem(problems, Diagnostic(
                             "scope", expected="variable in scope",
                             found=str(v)))

@@ -9,6 +9,7 @@ exercise every reduction rule.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from seqcore.syntax import (
@@ -213,6 +214,15 @@ def generate_corpus(count: int, max_size: int, seed: int = 2024,
                     structural: bool = False):
     """At least ``count`` distinct well-typed (term, goal) pairs of size
     <= max_size over the standard signature."""
+    sig, corpus = _generate_corpus(count, max_size, seed, structural)
+    return sig, list(corpus)
+
+
+@functools.cache
+def _generate_corpus(count: int, max_size: int, seed: int,
+                     structural: bool):
+    # Several test modules sweep the same corpora, and generating one (each
+    # term is typechecked) costs far more than a sweep over it.
     from seqcore.check import check_term
     from seqcore.core_text import print_term
     from seqcore.syntax import size
@@ -237,4 +247,4 @@ def generate_corpus(count: int, max_size: int, seed: int = 2024,
         assert check_term(sig, [], t, goal, structural=structural) is None, \
             f"generator produced ill-typed term: {print_term(t)}"
         corpus.append((t, goal))
-    return sig, corpus
+    return sig, tuple(corpus)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pathlib
 
+from reference import ArgPool, enumerate_data
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.surface import Program, load_program
-from seqcore.syntax import Atom, Down, Imp, Mode, Name, Sig, SigEntry
+from seqcore.syntax import (App, Atom, Cons, Down, Imp, Mode, Name, Nil, Pi,
+                            Sig, SigEntry, subst_data_in_neg)
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
@@ -47,6 +49,26 @@ def check_program(prog: Program, mode: Mode, structural: bool):
         if diag is not None:
             bad.append((str(d.name), diag))
     return bad
+
+
+def entry_applications(prog, mode, depth=2, per_type=1):
+    """CLI-style runs of every definition: (extended sig, term, result goal)."""
+    pool = ArgPool(prog.sig, per_type=per_type)
+    runs = []
+    for d in prog.decls:
+        if d.kind != "def":
+            continue
+        ty = d.type
+        if isinstance(ty, (Imp, Pi)):
+            for arg in enumerate_data(ty.arg, depth, pool):
+                if isinstance(ty, Pi):
+                    goal = subst_data_in_neg(ty.res, ty.binder, arg)
+                else:
+                    goal = ty.res
+                runs.append((App(d.name, Cons(arg, Nil())), goal))
+        else:
+            runs.append((App(d.name, Nil()), ty))
+    return pool.sig, runs
 
 
 def tiny_sig() -> Sig:

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from suite import SUITE, check_program, load, render_program, source
+from suite import (SUITE, check_program, entry_applications, load,
+                   render_program, source)
 from oracle import make_oracle
 from reference import ArgPool, NoMatch, Unrunnable, enumerate_data, make_reference
 from seqcore.check import check_data, check_spine, check_term
@@ -25,26 +26,6 @@ from seqcore.syntax import (
 
 NAT = Atom(Name("ℕ"))
 A = Atom(Name("a"))
-
-
-def _entry_applications(prog, mode, depth=2, per_type=1):
-    """CLI-style runs of every definition: (extended sig, term, result goal)."""
-    pool = ArgPool(prog.sig, per_type=per_type)
-    runs = []
-    for d in prog.decls:
-        if d.kind != "def":
-            continue
-        ty = d.type
-        if isinstance(ty, (Imp, Pi)):
-            for arg in enumerate_data(ty.arg, depth, pool):
-                if isinstance(ty, Pi):
-                    goal = subst_data_in_neg(ty.res, ty.binder, arg)
-                else:
-                    goal = ty.res
-                runs.append((App(d.name, Cons(arg, Nil())), goal))
-        else:
-            runs.append((App(d.name, Nil()), ty))
-    return pool.sig, runs
 
 
 class TestAcceptance:
@@ -128,7 +109,7 @@ class TestAcceptance:
         # The full example suite, including entry-point applications.
         for name, mode, structural in SUITE:
             prog = load(name)
-            run_sig, runs = _entry_applications(prog, mode)
+            run_sig, runs = entry_applications(prog, mode)
             for term, goal in runs:
                 cur = term
                 for _ in range(10000):
@@ -222,7 +203,7 @@ class TestAcceptance:
 
     def test_criterion_7_cut_free_normal_forms(self):
         prog = load("pfree.seq")
-        run_sig, runs = _entry_applications(prog, Mode.PROP, depth=3)
+        run_sig, runs = entry_applications(prog, Mode.PROP, depth=3)
         checked = 0
         for term, _goal in runs:
             res = normalize(run_sig, term, 10000)   # raises if fuel runs out

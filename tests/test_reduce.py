@@ -2,9 +2,11 @@
 
 import pytest
 
+from seqcore import reduce
 from seqcore.check import check_term
-from seqcore.reduce import (FuelExhausted, NormalForm, Stepped, Stuck,
-                            normalize, step, trace)
+from seqcore.reduce import (FuelExhausted, NormalForm, NormalizeResult,
+                            Stepped, Stuck, normalize, step, trace)
+from seqcore.surface import load_program
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
     Kappa, Lam, Name, Nil, Or, Pair, POr, PPair, Prod, Proj1, Proj2, PWild,
@@ -200,3 +202,131 @@ class TestSubjectReductionUnit:
                     pytest.fail(f"stuck on well-typed term: {r.reason}")
                 else:
                     break
+
+
+# ---------------------------------------------------------------------------
+# normalize/trace against the reference: a loop over ``step``
+
+def _step_loop(sig, t, fuel):
+    """The rules, terms and result of iterating ``step``, or the term and
+    step count of the FuelExhausted it raises."""
+    out, steps = [], 0
+    while True:
+        r = step(sig, t)
+        if isinstance(r, NormalForm):
+            return out, NormalizeResult(t, steps)
+        if isinstance(r, Stuck):
+            return out, NormalizeResult(t, steps, stuck=r.reason)
+        steps += 1
+        if steps > fuel:
+            return "fuel", t, steps - 1
+        out.append((r.rule, r.next))
+        t = r.next
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except FuelExhausted as e:
+        return "fuel", e.term, e.steps
+
+
+FUELS = (1, 2, 3, 4, 10000)
+
+
+def _assert_same_as_step(sig, t):
+    for fuel in FUELS:
+        want = _step_loop(sig, t, fuel)
+        assert _outcome(trace, sig, t, fuel) == want
+        assert _outcome(normalize, sig, t, fuel) == (
+            want if want[0] == "fuel" else want[1])
+
+
+class TestRefocusingMatchesStep:
+    # The corpora the subject reduction tests sweep.
+    @pytest.mark.parametrize("count, seed, structural", [
+        (500, 2024, False), (120, 41, False), (150, 5, True), (80, 43, True),
+    ])
+    def test_generated_corpus(self, count, seed, structural):
+        from gen_corpus import generate_corpus
+        sig, corpus = generate_corpus(count, 12, seed=seed,
+                                      structural=structural)
+        for t, _goal in corpus:
+            _assert_same_as_step(sig, t)
+
+    def test_example_suite_entry_applications(self):
+        from suite import SUITE, entry_applications, load
+        for name, mode, _structural in SUITE:
+            run_sig, runs = entry_applications(load(name), mode)
+            for term, _goal in runs:
+                _assert_same_as_step(run_sig, term)
+
+    @pytest.mark.parametrize("t", [
+        # The function position of an application cut rewrites to a
+        # function, under a projection and under an argument.
+        AppCut(AppCut(ID, Nil()), Proj1(Nil())),
+        AppCut(AppCut(AppCut(ID, Nil()), Nil()), Proj1(Nil())),
+        AppCut(AppCut(ID, Nil()), Cons(Thunk(ID2), Nil())),
+        # ... and to an application, under an argument.
+        AppCut(AppCut(AppCut(ID, Cons(Thunk(ID2), Nil())), Nil()),
+               Cons(Thunk(ID), Nil())),
+        # A split in function position is normal while its branches reduce.
+        AppCut(Split(W, AppCut(ID, Nil()), AppCut(ID2, Nil())),
+               Proj1(Nil())),
+        # The thunk scrutinized by a pair or an or-pattern reduces to a
+        # function: the binding cut two levels up sticks.
+        BindCut(PPair(Var(X), Var(Y)), Thunk(AppCut(ID, Nil())),
+                App(X, Nil())),
+        BindCut(POr(W, Var(X), Var(Y)),
+                Thunk(AppCut(AppCut(ID, Nil()), Nil())),
+                Split(W, App(X, Nil()), App(Y, Nil()))),
+        BindCut(PPair(Var(X), Var(Y)),
+                Thunk(AppCut(ID, Cons(Thunk(ID2), Nil()))),
+                App(X, Nil())),
+        # ... and to a postulate application: normal.
+        BindCut(PPair(Var(X), Var(Y)),
+                Thunk(AppCut(Lam(Var(Z), App(Name("c"), Nil())),
+                             Cons(Thunk(ID), Nil()))),
+                App(X, Nil())),
+        # A redex left of a stuck node, and a stuck node left of a redex.
+        Pair(AppCut(ID, Cons(Thunk(ID2), Nil())), AppCut(ID, Proj1(Nil()))),
+        Pair(AppCut(ID, Proj1(Nil())), AppCut(ID, Cons(Thunk(ID2), Nil()))),
+    ])
+    def test_rewrite_below_a_checked_ancestor(self, t):
+        _assert_same_as_step(EMPTY.with_entry(SigEntry(Name("c"), A)), t)
+
+
+def _wide_program(k: int):
+    """``f x = p (g x) ... (g x)`` with ``k`` calls and ``g x = op x``."""
+    source = "".join([
+        "atom a\n",
+        "postulate q : a\n",
+        "postulate op : a -> a\n",
+        "postulate p : " + " -> ".join(["a"] * (k + 1)) + "\n",
+        "g : a -> a\n",
+        "g x = op x\n",
+        "f : a -> a\n",
+        "f x = p" + " (g x)" * k + "\n",
+    ])
+    prog = load_program(source, "wide.seq")
+    return prog.sig, App(Name("f"), Cons(eta(Name("q")), Nil()))
+
+
+class TestRefocusingWork:
+    def test_root_checks_grow_linearly_on_wide(self, monkeypatch):
+        calls = [0]
+        step_root = reduce._step_root
+
+        def counting(sig, x):
+            calls[0] += 1
+            return step_root(sig, x)
+
+        monkeypatch.setattr(reduce, "_step_root", counting)
+        counts = []
+        for k in (100, 200):
+            sig, t = _wide_program(k)
+            calls[0] = 0
+            res = normalize(sig, t)
+            assert res.stuck is None and res.steps == 4 * (k + 1)
+            counts.append(calls[0])
+        assert counts[1] <= 2.2 * counts[0], counts

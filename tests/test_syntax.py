@@ -468,3 +468,49 @@ class TestMisc:
         x = Name("x")
         assert is_cut_free(Lam(Var(x), App(x, Nil())))
         assert not is_cut_free(Lam(Var(x), AppCut(App(x, Nil()), Nil())))
+
+
+class TestSigIndex:
+    C = SigEntry(Name("c"), A)
+
+    def test_duplicate_name_resolves_to_last_entry(self):
+        later = SigEntry(Name("c"), Imp(Down(A), A))
+        sig = sig_with("a").with_entry(self.C).with_entry(later)
+        assert sig.lookup(Name("c")) is later
+        assert Sig(sig.atoms, (self.C, later)).lookup(Name("c")) is later
+
+    def test_direct_construction_indexes_entries(self):
+        f = SigEntry(Name("f"), Imp(Down(A), A))
+        sig = Sig(frozenset({Name("a")}), (self.C, f))
+        assert sig.lookup(Name("c")) is self.C
+        assert sig.lookup(Name("f")) is f
+        assert sig.lookup(Name("g")) is None
+        assert Sig().lookup(Name("c")) is None
+
+    def test_with_atom_and_with_entry_keep_the_index(self):
+        base = sig_with("a").with_entry(self.C)
+        grown = base.with_atom(Name("b"))
+        assert grown.lookup(Name("c")) is self.C
+        d = SigEntry(Name("d"), A)
+        extended = grown.with_entry(d)
+        assert extended.lookup(Name("c")) is self.C
+        assert extended.lookup(Name("d")) is d
+        assert base.lookup(Name("d")) is None    # the parent is unchanged
+
+    def test_index_is_not_part_of_equality(self):
+        built = sig_with("a").with_entry(self.C)
+        direct = Sig(frozenset({Name("a")}), (self.C,))
+        assert built == direct
+        assert hash(built) == hash(direct)
+        assert repr(built) == repr(direct)
+        assert built != sig_with("a")
+
+    def test_entry_names_scope_atom_arguments(self):
+        sig = sig_with("a", "P").with_entry(self.C)
+        assert well_formed_neg(Atom(Name("P"), (eta(Name("c")),)), sig,
+                               Mode.DEP)
+        problems = []
+        assert not well_formed_neg(Atom(Name("P"), (eta(Name("d")),)), sig,
+                                   Mode.DEP, problems=problems)
+        assert [p.rule for p in problems] == ["scope"]
+        assert problems[0].found == "d"
