@@ -432,6 +432,72 @@ def _rename_binders(t, mapping):
     return go(t)
 
 
+def _subterms(t):
+    yield t
+    for f in getattr(t, "__dataclass_fields__", {}):
+        v = getattr(t, f)
+        if hasattr(v, "__dataclass_fields__"):
+            yield from _subterms(v)
+
+
+def _bound_by(p):
+    from seqcore.syntax import pattern_labels
+    return frozenset(pattern_vars(p)) | frozenset(pattern_labels(p))
+
+
+# The corpora the reducer's differential tests sweep, and the alpha test's.
+SCOPING_CORPORA = [(500, 12, 2024, False), (120, 12, 41, False),
+                   (150, 12, 5, True), (80, 12, 43, True), (40, 10, 3, False)]
+
+
+class TestBinderScoping:
+    @pytest.mark.parametrize("count, max_size, seed, structural",
+                             SCOPING_CORPORA)
+    def test_fresh_renaming_maps_free_names_and_inverts(
+            self, count, max_size, seed, structural):
+        from gen_corpus import generate_corpus
+        from seqcore.syntax import free_names
+        _, corpus = generate_corpus(count, max_size, seed=seed,
+                                    structural=structural)
+        for t, _goal in corpus:
+            free = free_names(t)
+            # Bound names are in the mapping too: binders must shadow them.
+            names = free | _binders_of(t)
+            mapping = {n: fresh(n.text) for n in names}
+            out = rename(t, mapping)
+            assert free_names(out) == frozenset(mapping[n] for n in free)
+            assert rename(out, {v: k for k, v in mapping.items()}) == t
+
+    @pytest.mark.parametrize("count, max_size, seed, structural",
+                             SCOPING_CORPORA)
+    def test_bind_cut_data_is_outside_its_pattern(
+            self, count, max_size, seed, structural):
+        # Every binder of the corpus, rebuilt as a binding cut whose data
+        # names each variable and label the pattern binds.
+        from gen_corpus import generate_corpus
+        from seqcore.syntax import free_names
+        _, corpus = generate_corpus(count, max_size, seed=seed,
+                                    structural=structural)
+        cuts = 0
+        for t, _goal in corpus:
+            for sub in _subterms(t):
+                if not isinstance(sub, (Lam, Kappa, BindCut)):
+                    continue
+                bound = _bound_by(sub.pat)
+                d = Thunk(App(Name("unbound"), Nil()))
+                for n in sorted(bound, key=str):
+                    d = DPair(eta(n), d)
+                cut = BindCut(sub.pat, d, sub.body)
+                assert free_names(cut) == (
+                    free_names(d) | (free_names(sub.body) - bound))
+                assert bound <= free_names(cut)
+                mapping = {n: fresh(n.text) for n in bound}
+                assert rename(cut, mapping) == BindCut(
+                    sub.pat, rename(d, mapping), sub.body)
+                cuts += 1
+        assert cuts > 0
+
+
 class TestSelectBranch:
     def test_replaces_matching_splits(self):
         from seqcore.syntax import select_branch
