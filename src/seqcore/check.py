@@ -40,8 +40,8 @@ from .syntax import (
     App, AppCut, BindCut, Cons, Ctx, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, POr, PosType,
     PPair, Prod, Proj1, Proj2, PWild, Sig, Spine, Split, SubstClash, Term,
-    Thunk, Up, Var, With, alpha_eq, free_names, pattern_labels, pattern_vars,
-    select_branch, spine_concat, subst_data_in_term,
+    Thunk, Up, Var, With, alpha_eq, data_shape, free_names, pattern_labels,
+    pattern_vars, select_branch, spine_concat, subst_data_in_term,
 )
 
 __all__ = ["Judgment", "check_term", "check_data", "check_spine",
@@ -274,14 +274,14 @@ def _check_bind_cut(st: _State, p: Pattern, d: DataVal, b: Term,
             _check(st, BindCut(p1, d1, BindCut(p2, d2, b)), goal)
         case PPair(_, _), _:
             raise _fail("bind-cut", expected="pair data",
-                        found=_data_shape(d))
+                        found=data_shape(d))
         case POr(w, p1, _), Inl(e):
             _check(st, BindCut(p1, e, select_branch(w, "left", b)), goal)
         case POr(w, _, p2), Inr(e):
             _check(st, BindCut(p2, e, select_branch(w, "right", b)), goal)
         case POr(_, _, _), _:
             raise _fail("bind-cut", expected="injection data",
-                        found=_data_shape(d))
+                        found=data_shape(d))
         case Var(x), Thunk(u):
             if x in free_names(b):
                 try:
@@ -354,10 +354,6 @@ def _discard_check(st: _State, t: Term) -> None:
     _infer_term(st, t)
 
 
-def _data_shape(d: DataVal) -> str:
-    return {Thunk: "thunk", DPair: "pair", Inl: "inl", Inr: "inr"}[type(d)]
-
-
 def _spine_shape(k: Spine) -> str:
     return {Nil: "[]", Cons: "argument", Proj1: ".1", Proj2: ".2",
             Kappa: "kappa"}[type(k)]
@@ -375,20 +371,20 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
                 _check(st, t, n)
             case Down(_), _:
                 raise _fail("thunk", expected=print_type(goal),
-                            found=_data_shape(d))
+                            found=data_shape(d))
             case Prod(l, r), DPair(a, b):
                 _check_data(st, a, l)
                 _check_data(st, b, r)
             case Prod(_, _), _:
                 raise _fail("prod-right", expected=print_type(goal),
-                            found=_data_shape(d))
+                            found=data_shape(d))
             case Or(l, _), Inl(e):
                 _check_data(st, e, l)
             case Or(_, r), Inr(e):
                 _check_data(st, e, r)
             case Or(_, _), _:
                 raise _fail("or-right", expected=print_type(goal),
-                            found=_data_shape(d))
+                            found=data_shape(d))
             case _:
                 raise _fail("mode", expected="propositional positive type",
                             found=print_type(goal))
@@ -496,14 +492,14 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
                     return _infer_term(st, BindCut(p1, d1, BindCut(p2, d2, b)))
                 case PPair(_, _), _:
                     raise _fail("bind-cut", expected="pair data",
-                                found=_data_shape(d))
+                                found=data_shape(d))
                 case POr(w, p1, _), Inl(e):
                     return _infer_term(st, BindCut(p1, e, select_branch(w, "left", b)))
                 case POr(w, _, p2), Inr(e):
                     return _infer_term(st, BindCut(p2, e, select_branch(w, "right", b)))
                 case POr(_, _, _), _:
                     raise _fail("bind-cut", expected="injection data",
-                                found=_data_shape(d))
+                                found=data_shape(d))
                 case Var(x), Thunk(u):
                     if x in free_names(b):
                         try:

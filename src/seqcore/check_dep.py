@@ -29,12 +29,11 @@ from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .reduce import FuelExhausted, normalize
 from .syntax import (
-    App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
-    Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pi, PosType,
-    PPair, Prod, Proj1, Proj2, Sig, Sigma, Spine, Split, SubstClash, Term,
-    Thunk, Up, Var, With, alpha_eq, eta, free_names, spine_concat,
-    subst_data_in_neg, subst_data_in_pos, subst_data_in_spine,
-    subst_data_in_term,
+    App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
+    Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
+    Sig, Sigma, Spine, Split, SubstClash, Term, Thunk, Up, Var, With,
+    alpha_eq, eta, free_names, rewrite, spine_concat, subst_data_in_neg,
+    subst_data_in_pos, subst_data_in_spine, subst_data_in_term,
 )
 
 __all__ = ["DepCtx", "dep_check_term", "dep_check_spine", "dep_bind_cut",
@@ -118,51 +117,16 @@ class ConversionError(CheckError):
     pass
 
 
-def _normalize_data(sig: Sig, d: DataVal, budget: list[int]) -> DataVal:
-    match d:
-        case Thunk(t):
-            res = normalize(sig, t, budget[0])
+def _normalize(sig: Sig, x, budget: list[int]):
+    """``x`` with the term in each thunk of its data normalized."""
+    def visit(y):
+        if isinstance(y, Thunk):
+            res = normalize(sig, y.body, budget[0])
             budget[0] -= res.steps
             return Thunk(res.term)
-        case DPair(l, r):
-            return DPair(_normalize_data(sig, l, budget),
-                         _normalize_data(sig, r, budget))
-        case Inl(e):
-            return Inl(_normalize_data(sig, e, budget))
-        case Inr(e):
-            return Inr(_normalize_data(sig, e, budget))
-    raise TypeError(d)
+        return None
 
-
-def _normalize_type(sig: Sig, ty, budget: list[int]):
-    match ty:
-        case Atom(n, args):
-            if not args:
-                return ty
-            return Atom(n, tuple(_normalize_data(sig, a, budget) for a in args))
-        case Up(p):
-            return Up(_normalize_type(sig, p, budget))
-        case Imp(a, r):
-            return Imp(_normalize_type(sig, a, budget),
-                       _normalize_type(sig, r, budget))
-        case With(l, r):
-            return With(_normalize_type(sig, l, budget),
-                        _normalize_type(sig, r, budget))
-        case Pi(x, a, r):
-            return Pi(x, _normalize_type(sig, a, budget),
-                      _normalize_type(sig, r, budget))
-        case Down(n):
-            return Down(_normalize_type(sig, n, budget))
-        case Or(l, r):
-            return Or(_normalize_type(sig, l, budget),
-                      _normalize_type(sig, r, budget))
-        case Prod(l, r):
-            return Prod(_normalize_type(sig, l, budget),
-                        _normalize_type(sig, r, budget))
-        case Sigma(x, a, b):
-            return Sigma(x, _normalize_type(sig, a, budget),
-                         _normalize_type(sig, b, budget))
-    raise TypeError(ty)
+    return rewrite(x, visit)
 
 
 def convert(a, b, sig: Optional[Sig] = None, fuel: int = 10000) -> bool:
@@ -173,8 +137,8 @@ def convert(a, b, sig: Optional[Sig] = None, fuel: int = 10000) -> bool:
     sig = sig or Sig()
     budget = [fuel]
     try:
-        na = _normalize_type(sig, a, budget)
-        nb = _normalize_type(sig, b, budget)
+        na = _normalize(sig, a, budget)
+        nb = _normalize(sig, b, budget)
     except FuelExhausted:
         raise ConversionError(Diagnostic(
             "conversion-fuel", expected=f"normalization within {fuel} steps",

@@ -45,10 +45,10 @@ from typing import Callable, Optional
 
 from .diag import SeqcoreError
 from .syntax import (
-    App, AppCut, BindCut, Cons, DataVal, Done, DPair, Inl, Inr, Kappa, Lam,
-    Nil, Pair, PAt, POr, PPair, Proj1, Proj2, PWild, Sig, Spine, Split,
-    SubstClash, Term, Thunk, Var, select_branch, spine_concat,
-    subst_data_in_term,
+    App, AppCut, BindCut, Cons, Done, DPair, Inl, Inr, Kappa, Lam, Nil, Pair,
+    PAt, POr, PPair, Proj1, Proj2, PWild, Sig, Spine, Split, SubstClash,
+    Term, Thunk, Var, children, data_shape, select_branch, spine_concat,
+    subst_data_in_term, with_children,
 )
 
 __all__ = ["StepResult", "Stepped", "NormalForm", "Stuck", "step",
@@ -111,11 +111,12 @@ def _step_any(sig: Sig, x) -> Optional[tuple[str, object]]:
     root = _step_root(sig, x)
     if root is not None:
         return root
-    for i, child in enumerate(_children(x)):
+    kids = children(x)
+    for i, child in enumerate(kids):
         hit = _step_any(sig, child)
         if hit is not None:
             rule, new_child = hit
-            return rule, _rebuild(x, i, new_child)
+            return rule, with_children(x, _put(kids, i, new_child))
     return None
 
 
@@ -172,7 +173,7 @@ def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
                     return None
                 case _:
                     raise _StuckAt(
-                        f"{_pattern_shape(p)} pattern against {_data_shape(d)} data")
+                        f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
         case App(h, k):
             entry = sig.lookup(h)
             if entry is not None and entry.body is not None:
@@ -186,10 +187,6 @@ def _term_shape(t: Term) -> str:
             Split: "split", BindCut: "let", AppCut: "cut"}[type(t)]
 
 
-def _data_shape(d: DataVal) -> str:
-    return {Thunk: "thunk", DPair: "pair", Inl: "inl", Inr: "inr"}[type(d)]
-
-
 def _pattern_shape(p) -> str:
     return {Var: "variable", PPair: "pair", POr: "or", PAt: "contraction",
             PWild: "wildcard"}[type(p)]
@@ -198,72 +195,6 @@ def _pattern_shape(p) -> str:
 def _spine_shape(k: Spine) -> str:
     return {Nil: "empty", Cons: "argument", Proj1: "projection",
             Proj2: "projection", Kappa: "kappa"}[type(k)]
-
-
-def _children(x) -> tuple:
-    match x:
-        case Done(d):
-            return (d,)
-        case Lam(_, b):
-            return (b,)
-        case App(_, k):
-            return (k,)
-        case Pair(l, r) | Split(_, l, r):
-            return (l, r)
-        case BindCut(_, d, b):
-            return (d, b)
-        case AppCut(f, k):
-            return (f, k)
-        case Thunk(t):
-            return (t,)
-        case DPair(l, r):
-            return (l, r)
-        case Inl(d) | Inr(d):
-            return (d,)
-        case Nil():
-            return ()
-        case Cons(d, k):
-            return (d, k)
-        case Proj1(k) | Proj2(k):
-            return (k,)
-        case Kappa(_, b):
-            return (b,)
-    raise TypeError(x)
-
-
-def _rebuild(x, i: int, c):
-    match x:
-        case Done(_):
-            return Done(c)
-        case Lam(p, _):
-            return Lam(p, c)
-        case App(h, _):
-            return App(h, c)
-        case Pair(l, r):
-            return Pair(c, r) if i == 0 else Pair(l, c)
-        case Split(w, l, r):
-            return Split(w, c, r) if i == 0 else Split(w, l, c)
-        case BindCut(p, d, b):
-            return BindCut(p, c, b) if i == 0 else BindCut(p, d, c)
-        case AppCut(f, k):
-            return AppCut(c, k) if i == 0 else AppCut(f, c)
-        case Thunk(_):
-            return Thunk(c)
-        case DPair(l, r):
-            return DPair(c, r) if i == 0 else DPair(l, c)
-        case Inl(_):
-            return Inl(c)
-        case Inr(_):
-            return Inr(c)
-        case Cons(d, k):
-            return Cons(c, k) if i == 0 else Cons(d, c)
-        case Proj1(_):
-            return Proj1(c)
-        case Proj2(_):
-            return Proj2(c)
-        case Kappa(p, _):
-            return Kappa(p, c)
-    raise TypeError(x)
 
 
 def normalize(sig: Sig, t: Term, fuel: int = 10000) -> NormalizeResult:
@@ -286,9 +217,9 @@ def _refocus(sig: Sig, t: Term, fuel: int,
     """The reduction sequence of ``step``, found in one preorder walk.
 
     ``focus`` is the next position to search.  Each frame of ``stack`` holds
-    a node above it (rebuilt with its finished children as the walk climbs
-    back through it), that node's children as first seen and the index of
-    the one being searched.  Every node in ``stack`` is not a redex, and
+    a node above it and that node's children (both rebuilt with its finished
+    children as the walk climbs back through it) and the index of the one
+    being searched.  Every node in ``stack`` is not a redex, and
     every subtree left of the focus is normal.  ``observe`` is called with
     each rule and the whole term after it."""
     stack: list[list] = []
@@ -311,11 +242,11 @@ def _refocus(sig: Sig, t: Term, fuel: int,
             # search again from the grandparent, then back down the path.
             resume = []
             for _ in range(min(2, len(stack))):
-                parent, _, i = stack.pop()
-                focus = _rebuild(parent, i, focus)
+                parent, kids, i = stack.pop()
+                focus = with_children(parent, _put(kids, i, focus))
                 resume.append(i)
             continue
-        kids = _children(focus)
+        kids = children(focus)
         if resume or kids:
             i = resume.pop() if resume else 0
             stack.append([focus, kids, i])
@@ -326,7 +257,8 @@ def _refocus(sig: Sig, t: Term, fuel: int,
             frame = stack[-1]
             parent, kids, i = frame
             if focus is not kids[i]:
-                parent = frame[0] = _rebuild(parent, i, focus)
+                kids = frame[1] = _put(kids, i, focus)
+                parent = frame[0] = with_children(parent, kids)
             if i + 1 < len(kids):
                 frame[2] = i + 1
                 focus = kids[i + 1]
@@ -339,6 +271,10 @@ def _refocus(sig: Sig, t: Term, fuel: int,
 
 def _plug(stack: list[list], x):
     """The whole term: ``x`` put back under every frame of ``stack``."""
-    for parent, _, i in reversed(stack):
-        x = _rebuild(parent, i, x)
+    for parent, kids, i in reversed(stack):
+        x = with_children(parent, _put(kids, i, x))
     return x
+
+
+def _put(kids: tuple, i: int, x) -> tuple:
+    return kids[:i] + (x,) + kids[i + 1:]

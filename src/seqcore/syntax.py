@@ -24,6 +24,16 @@ A deliberate grammar point: spine elements are data values (``Cons`` holds a
 for implication; a surface-level "t::k" spelling would disagree with those
 rules and is not representable here.
 
+Every node class declares its layout once (``Layout``): at most one leading
+field, then its children.  The leading field is a name the node refers to
+(``App.head``, ``Split.label``, ``Atom.name``), a name a pattern binds
+(``Var.name``, ``POr.label``) or a binder: the pattern of ``Lam``,
+``BindCut`` and ``Kappa``, or the bound name of ``Pi`` and ``Sigma``.  A
+binder scopes the node's last child only, so the data of a ``BindCut`` is
+outside its pattern.  Free names, renaming, substitution, branch selection,
+alpha-equivalence, size and the reducer's traversal are derived from the
+layouts; only their real special cases are written out.
+
 Every value is immutable after construction and safe to share across threads;
 all operations in this module are pure functions.
 """
@@ -33,7 +43,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Union
 
 from .diag import Diagnostic
 
@@ -45,10 +56,11 @@ __all__ = [
     "Pattern", "Var", "PPair", "POr", "PAt", "PWild",
     "DataVal", "Thunk", "DPair", "Inl", "Inr",
     "Spine", "Nil", "Cons", "Proj1", "Proj2", "Kappa",
-    "Sig", "SigEntry", "Ctx", "eta",
+    "Sig", "SigEntry", "Ctx", "eta", "data_shape",
+    "children", "with_children", "rewrite",
     "pattern_vars", "pattern_labels", "pattern_linear",
     "well_formed_neg", "well_formed_pos",
-    "free_names", "rename", "freshen_pattern",
+    "free_names", "rename", "freshen_pattern", "subst_data",
     "subst_data_in_term", "subst_data_in_data", "subst_data_in_spine",
     "subst_data_in_neg", "subst_data_in_pos",
     "Match", "MatchFail", "match_pattern",
@@ -83,6 +95,49 @@ class Mode(Enum):
 
 
 # ---------------------------------------------------------------------------
+# Node layouts
+
+class Layout(NamedTuple):
+    """The fields of a node class, in order: at most one leading field
+    (``lead``), then the child fields (``kids``).  The leading field is a
+    name the node refers to (``ref``), a name a pattern binds (``bind``) or
+    the node's ``binder``: a pattern or a name whose scope is the last child.
+    ``spread`` marks a single child field that holds a tuple of children.
+    ``children`` reads the children as a tuple."""
+
+    kids: tuple[str, ...]
+    ref: Optional[str]
+    bind: Optional[str]
+    binder: Optional[str]
+    lead: Optional[str]
+    spread: bool
+    children: Callable[[object], tuple]
+
+
+def _node(*kids: str, ref: Optional[str] = None, bind: Optional[str] = None,
+          binder: Optional[str] = None):
+    """Declare a node class: a frozen dataclass with a ``layout``.  A child
+    field spelled ``*f`` holds a tuple of children."""
+    spread = bool(kids) and kids[0].startswith("*")
+    kids = tuple(k.lstrip("*") for k in kids)
+    # attrgetter returns a bare value for one field, which is not a tuple.
+    if spread or len(kids) > 1:
+        get = attrgetter(*kids)
+    elif kids:
+        one = attrgetter(kids[0])
+        get = lambda x: (one(x),)   # noqa: E731
+    else:
+        get = lambda x: ()   # noqa: E731
+
+    def declare(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls.layout = Layout(kids, ref, bind, binder, ref or bind or binder,
+                            spread, get)
+        return cls
+    return declare
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 class NegType:
@@ -93,54 +148,54 @@ class PosType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node("*args", ref="name")
 class Atom(NegType):
     name: Name
     args: tuple["DataVal", ...] = ()
 
 
-@dataclass(frozen=True)
+@_node("body")
 class Up(NegType):
     body: PosType
 
 
-@dataclass(frozen=True)
+@_node("arg", "res")
 class Imp(NegType):
     arg: PosType
     res: NegType
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class With(NegType):
     left: NegType
     right: NegType
 
 
-@dataclass(frozen=True)
+@_node("arg", "res", binder="binder")
 class Pi(NegType):
     binder: Name
     arg: PosType
     res: NegType
 
 
-@dataclass(frozen=True)
+@_node("body")
 class Down(PosType):
     body: NegType
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class Or(PosType):
     left: PosType
     right: PosType
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class Prod(PosType):
     left: PosType
     right: PosType
 
 
-@dataclass(frozen=True)
+@_node("first", "second", binder="binder")
 class Sigma(PosType):
     binder: Name
     first: PosType
@@ -166,37 +221,37 @@ class Spine:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node("data")
 class Done(Term):
     data: DataVal
 
 
-@dataclass(frozen=True)
+@_node("body", binder="pat")
 class Lam(Term):
     pat: Pattern
     body: Term
 
 
-@dataclass(frozen=True)
+@_node("spine", ref="head")
 class App(Term):
     head: Name
     spine: Spine
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node("left", "right", ref="label")
 class Split(Term):
     label: Name
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node("data", "body", binder="pat")
 class BindCut(Term):
     """The binding cut ``p = d in t``."""
 
@@ -205,7 +260,7 @@ class BindCut(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@_node("fun", "spine")
 class AppCut(Term):
     """The application cut ``t k``."""
 
@@ -213,18 +268,18 @@ class AppCut(Term):
     spine: Spine
 
 
-@dataclass(frozen=True)
+@_node(bind="name")
 class Var(Pattern):
     name: Name
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class PPair(Pattern):
     left: Pattern
     right: Pattern
 
 
-@dataclass(frozen=True)
+@_node("left", "right", bind="label")
 class POr(Pattern):
     """Labeled or-pattern; the label binds the matching ``Split`` nodes."""
 
@@ -233,7 +288,7 @@ class POr(Pattern):
     right: Pattern
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class PAt(Pattern):
     """Contraction pattern ``p @ q``: two copies of one hypothesis."""
 
@@ -241,54 +296,54 @@ class PAt(Pattern):
     right: Pattern
 
 
-@dataclass(frozen=True)
+@_node()
 class PWild(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@_node("body")
 class Thunk(DataVal):
     body: Term
 
 
-@dataclass(frozen=True)
+@_node("left", "right")
 class DPair(DataVal):
     left: DataVal
     right: DataVal
 
 
-@dataclass(frozen=True)
+@_node("body")
 class Inl(DataVal):
     body: DataVal
 
 
-@dataclass(frozen=True)
+@_node("body")
 class Inr(DataVal):
     body: DataVal
 
 
-@dataclass(frozen=True)
+@_node()
 class Nil(Spine):
     pass
 
 
-@dataclass(frozen=True)
+@_node("arg", "rest")
 class Cons(Spine):
     arg: DataVal
     rest: Spine
 
 
-@dataclass(frozen=True)
+@_node("rest")
 class Proj1(Spine):
     rest: Spine
 
 
-@dataclass(frozen=True)
+@_node("rest")
 class Proj2(Spine):
     rest: Spine
 
 
-@dataclass(frozen=True)
+@_node("body", binder="pat")
 class Kappa(Spine):
     """Spine terminator ``kappa p. t``: stops the application and binds the
     focused data to ``p``.  Only legal as the final element of a spine."""
@@ -300,6 +355,11 @@ class Kappa(Spine):
 def eta(x: Name) -> Thunk:
     """Eta-injection of a variable into data position."""
     return Thunk(App(x, Nil()))
+
+
+def data_shape(d: DataVal) -> str:
+    """The constructor of ``d``, as diagnostics name it."""
+    return {Thunk: "thunk", DPair: "pair", Inl: "inl", Inr: "inr"}[type(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,90 +515,115 @@ def well_formed_pos(ty: PosType, sig: Sig, mode: Mode,
 
 
 # ---------------------------------------------------------------------------
+# Walks derived from the layouts
+
+def children(x) -> tuple:
+    """The children of node ``x``, in field order."""
+    return x.layout.children(x)
+
+
+def with_children(x, kids, lead=None):
+    """A node like ``x`` with the children ``kids`` and, when given, the
+    leading field ``lead``."""
+    lay = x.layout
+    if lay.spread:
+        kids = (tuple(kids),)
+    if lay.lead is None:
+        return type(x)(*kids)
+    return type(x)(getattr(x, lay.lead) if lead is None else lead, *kids)
+
+
+def rewrite(x, visit, under=None):
+    """``x`` with each subtree that ``visit`` maps to a node replaced by that
+    node, outermost first; where ``visit`` returns None, the node's children
+    are rewritten in turn.  On a node with a binder, ``under(binder, child)``
+    takes the place of this on the last child and returns the binder and
+    the child.  Subtrees that do not change are returned as they are."""
+    y = visit(x)
+    if y is not None:
+        return y
+    lay = x.layout
+    kids = lay.children(x)
+    scoped = under is not None and lay.binder is not None
+    new = []
+    changed = False
+    for k in kids[:-1] if scoped else kids:
+        k2 = rewrite(k, visit, under)
+        new.append(k2)
+        changed = changed or k2 is not k
+    if not scoped:
+        return with_children(x, new) if changed else x
+    binder = getattr(x, lay.binder)
+    binder2, last = under(binder, kids[-1])
+    new.append(last)
+    if changed or binder2 is not binder or last is not kids[-1]:
+        return with_children(x, new, binder2)
+    return x
+
+
+def _bound(binder) -> set[Name]:
+    """The names a binder binds: a name, or a pattern's variables and
+    labels."""
+    if isinstance(binder, Name):
+        return {binder}
+    return set(pattern_vars(binder)) | set(pattern_labels(binder))
+
+
+def _nodes(x):
+    """Every node of ``x``, binder patterns included."""
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        yield y
+        lay = y.layout
+        todo += lay.children(y)
+        binder = getattr(y, lay.binder) if lay.binder else None
+        if isinstance(binder, Pattern):
+            todo.append(binder)
+
+
+# ---------------------------------------------------------------------------
 # Free names and renaming
 
-def free_names(x: Union[Term, DataVal, Spine]) -> frozenset[Name]:
-    """Free variable and split-label occurrences.  Signature names are not
-    distinguished from variables here; both are free references."""
-    match x:
-        case Done(d):
-            return free_names(d)
-        case Lam(p, b):
-            return free_names(b) - frozenset(pattern_vars(p)) - frozenset(pattern_labels(p))
-        case App(h, k):
-            return free_names(k) | {h}
-        case Pair(l, r) | Split(_, l, r):
-            base = free_names(l) | free_names(r)
-            if isinstance(x, Split):
-                base |= {x.label}
-            return base
-        case BindCut(p, d, b):
-            bound = frozenset(pattern_vars(p)) | frozenset(pattern_labels(p))
-            return free_names(d) | (free_names(b) - bound)
-        case AppCut(f, k):
-            return free_names(f) | free_names(k)
-        case Thunk(t):
-            return free_names(t)
-        case DPair(l, r):
-            return free_names(l) | free_names(r)
-        case Inl(d) | Inr(d):
-            return free_names(d)
-        case Nil():
-            return frozenset()
-        case Cons(d, k):
-            return free_names(d) | free_names(k)
-        case Proj1(k) | Proj2(k):
-            return free_names(k)
-        case Kappa(p, b):
-            return free_names(b) - frozenset(pattern_vars(p)) - frozenset(pattern_labels(p))
-    raise TypeError(x)
+def free_names(x) -> frozenset[Name]:
+    """Free variable, split-label and atom-name occurrences.  Signature names
+    are not distinguished from variables here; both are free references."""
+    out: set[Name] = set()
+    _free(x, frozenset(), out)
+    return frozenset(out)
+
+
+def _free(x, bound, out: set[Name]) -> None:
+    lay = x.layout
+    if lay.ref is not None and getattr(x, lay.ref) not in bound:
+        out.add(getattr(x, lay.ref))
+    kids = lay.children(x)
+    if lay.binder is not None:
+        for k in kids[:-1]:
+            _free(k, bound, out)
+        bound = bound | _bound(getattr(x, lay.binder))
+        kids = kids[-1:]
+    for k in kids:
+        _free(k, bound, out)
 
 
 def rename(x, mapping: dict[Name, Name]):
     """Rename free variable and label occurrences.  Binders shadow."""
     if not mapping:
         return x
-    match x:
-        case Done(d):
-            return Done(rename(d, mapping))
-        case Lam(p, b):
-            inner = _shadow(mapping, p)
-            return Lam(p, rename(b, inner))
-        case App(h, k):
-            return App(mapping.get(h, h), rename(k, mapping))
-        case Pair(l, r):
-            return Pair(rename(l, mapping), rename(r, mapping))
-        case Split(w, l, r):
-            return Split(mapping.get(w, w), rename(l, mapping), rename(r, mapping))
-        case BindCut(p, d, b):
-            inner = _shadow(mapping, p)
-            return BindCut(p, rename(d, mapping), rename(b, inner))
-        case AppCut(f, k):
-            return AppCut(rename(f, mapping), rename(k, mapping))
-        case Thunk(t):
-            return Thunk(rename(t, mapping))
-        case DPair(l, r):
-            return DPair(rename(l, mapping), rename(r, mapping))
-        case Inl(d):
-            return Inl(rename(d, mapping))
-        case Inr(d):
-            return Inr(rename(d, mapping))
-        case Nil():
-            return x
-        case Cons(d, k):
-            return Cons(rename(d, mapping), rename(k, mapping))
-        case Proj1(k):
-            return Proj1(rename(k, mapping))
-        case Proj2(k):
-            return Proj2(rename(k, mapping))
-        case Kappa(p, b):
-            inner = _shadow(mapping, p)
-            return Kappa(p, rename(b, inner))
-    raise TypeError(x)
+
+    def visit(y):
+        ref = y.layout.ref
+        if ref is not None and getattr(y, ref) in mapping:
+            return with_children(y, [rename(k, mapping) for k in children(y)],
+                                 mapping[getattr(y, ref)])
+        return None
+
+    return rewrite(x, visit, lambda b, k: (b, rename(k, _shadow(mapping, b))))
 
 
-def _shadow(mapping: dict[Name, Name], p: Pattern) -> dict[Name, Name]:
-    bound = set(pattern_vars(p)) | set(pattern_labels(p))
+def _shadow(mapping: dict[Name, Name], binder) -> dict[Name, Name]:
+    bound = _bound(binder)
     if not bound & mapping.keys():
         return mapping
     return {k: v for k, v in mapping.items() if k not in bound}
@@ -567,6 +652,14 @@ def freshen_pattern(p: Pattern) -> tuple[Pattern, dict[Name, Name]]:
     return go(p), mapping
 
 
+def _freshen(binder):
+    """``binder`` with every name it binds regenerated, and the renaming."""
+    if isinstance(binder, Name):
+        new = fresh(binder.text)
+        return new, {binder: new}
+    return freshen_pattern(binder)
+
+
 # ---------------------------------------------------------------------------
 # Substitution of data for a variable
 
@@ -579,156 +672,59 @@ class SubstClash(Exception):
         self.reason = reason
 
 
-def subst_data_in_term(t: Term, x: Name, d: DataVal) -> Term:
-    """Capture-avoiding ``t{d/x}``.
+def subst_data(x, v: Name, d: DataVal):
+    """Capture-avoiding ``x{d/v}`` in any sort.
 
-    An application ``App(x, k)`` becomes ``AppCut(u, k{d/x})`` when ``d`` is
-    ``Thunk(u)``.  Eta-injections ``Thunk(App(x, Nil))`` in data position
-    collapse to ``d`` itself, and a ``Split`` labeled ``x`` (a sum-typed
-    variable being scrutinized) selects its branch when ``d`` is an
-    injection."""
-    fvd = free_names(d)
+    An application ``App(v, k)`` becomes ``AppCut(u, k{d/v})`` when ``d`` is
+    ``Thunk(u)``.  Eta-injections ``Thunk(App(v, Nil))`` in data position
+    (atom arguments included) collapse to ``d`` itself, and a ``Split``
+    labeled ``v`` (a sum-typed variable being scrutinized) selects its branch
+    when ``d`` is an injection.  A binder of ``v`` shadows it; binders that
+    would capture a free name of ``d`` are regenerated fresh."""
+    fvd = None   # free_names(d), computed at the first binder
 
-    def go_term(t: Term) -> Term:
-        match t:
-            case Done(e):
-                return Done(go_data(e))
-            case Lam(p, b):
-                p2, b2, descend = _under_binder(p, b)
-                return Lam(p2, go_term(b2)) if descend else Lam(p2, b2)
-            case App(h, k):
-                k2 = go_spine(k)
-                if h == x:
-                    if isinstance(d, Thunk):
-                        return AppCut(d.body, k2)
-                    raise SubstClash(
-                        f"substituting non-thunk data for applied variable {x}")
-                return App(h, k2)
-            case Pair(l, r):
-                return Pair(go_term(l), go_term(r))
-            case Split(w, l, r):
-                if w == x:
-                    # A sum-typed variable under scrutiny: the branches see x
-                    # refined to the payload.
-                    match d:
-                        case Inl(e):
-                            return subst_data_in_term(l, x, e)
-                        case Inr(e):
-                            return subst_data_in_term(r, x, e)
-                        case Thunk(App(y, Nil())):
-                            return Split(y, rename(l, {x: y}), rename(r, {x: y}))
-                        case _:
-                            raise SubstClash(
-                                f"substituting non-injection data for split variable {x}")
-                return Split(w, go_term(l), go_term(r))
-            case BindCut(p, e, b):
-                e2 = go_data(e)
-                p2, b2, descend = _under_binder(p, b)
-                return BindCut(p2, e2, go_term(b2)) if descend else BindCut(p2, e2, b2)
-            case AppCut(f, k):
-                return AppCut(go_term(f), go_spine(k))
-        raise TypeError(t)
-
-    def go_data(e: DataVal) -> DataVal:
-        match e:
-            case Thunk(App(y, Nil())) if y == x:
+    def visit(x):
+        match x:
+            case App(h, k) if h == v:
+                k = rewrite(k, visit, under)
+                if isinstance(d, Thunk):
+                    return AppCut(d.body, k)
+                raise SubstClash(
+                    f"substituting non-thunk data for applied variable {v}")
+            case Split(w, l, r) if w == v:
+                # A sum-typed variable under scrutiny: the branches see v
+                # refined to the payload.
+                match d:
+                    case Inl(e):
+                        return subst_data(l, v, e)
+                    case Inr(e):
+                        return subst_data(r, v, e)
+                    case Thunk(App(y, Nil())):
+                        return Split(y, rename(l, {v: y}), rename(r, {v: y}))
+                raise SubstClash(
+                    f"substituting non-injection data for split variable {v}")
+            case Thunk(App(y, Nil())) if y == v:
                 return d
-            case Thunk(t2):
-                return Thunk(go_term(t2))
-            case DPair(l, r):
-                return DPair(go_data(l), go_data(r))
-            case Inl(e2):
-                return Inl(go_data(e2))
-            case Inr(e2):
-                return Inr(go_data(e2))
-        raise TypeError(e)
+        return None
 
-    def go_spine(k: Spine) -> Spine:
-        match k:
-            case Nil():
-                return k
-            case Cons(e, r):
-                return Cons(go_data(e), go_spine(r))
-            case Proj1(r):
-                return Proj1(go_spine(r))
-            case Proj2(r):
-                return Proj2(go_spine(r))
-            case Kappa(p, b):
-                p2, b2, descend = _under_binder(p, b)
-                return Kappa(p2, go_term(b2)) if descend else Kappa(p2, b2)
-        raise TypeError(k)
-
-    def _under_binder(p: Pattern, body):
-        # Returns (pattern, body, descend?).  A binder for x shadows the
-        # substitution; binders colliding with fv(d) are regenerated fresh.
-        bound = set(pattern_vars(p)) | set(pattern_labels(p))
-        if x in bound:
-            return p, body, False
+    def under(binder, body):
+        nonlocal fvd
+        bound = _bound(binder)
+        if v in bound:
+            return binder, body
+        if fvd is None:
+            fvd = free_names(d)
         if bound & fvd:
-            p2, ren = freshen_pattern(p)
-            return p2, rename(body, ren), True
-        return p, body, True
+            binder, renaming = _freshen(binder)
+            body = rename(body, renaming)
+        return binder, rewrite(body, visit, under)
 
-    return go_term(t)
-
-
-def subst_data_in_data(e: DataVal, x: Name, d: DataVal) -> DataVal:
-    wrapped = subst_data_in_term(Done(e), x, d)
-    assert isinstance(wrapped, Done)
-    return wrapped.data
+    return rewrite(x, visit, under)
 
 
-def subst_data_in_spine(k: Spine, x: Name, d: DataVal) -> Spine:
-    wrapped = subst_data_in_term(App(Name("!subst", -1), k), x, d)
-    assert isinstance(wrapped, App)
-    return wrapped.spine
-
-
-def subst_data_in_neg(ty: NegType, x: Name, d: DataVal) -> NegType:
-    """``ty{d/x}``: replace the variable at every data position (atom
-    arguments), capture-avoiding in ``Pi``/``Sigma`` binders.  Types without
-    data positions are returned unchanged."""
-    match ty:
-        case Atom(name, args):
-            if not args:
-                return ty
-            return Atom(name, tuple(subst_data_in_data(a, x, d) for a in args))
-        case Up(p):
-            return Up(subst_data_in_pos(p, x, d))
-        case Imp(a, r):
-            return Imp(subst_data_in_pos(a, x, d), subst_data_in_neg(r, x, d))
-        case With(l, r):
-            return With(subst_data_in_neg(l, x, d), subst_data_in_neg(r, x, d))
-        case Pi(y, a, r):
-            a2 = subst_data_in_pos(a, x, d)
-            if y == x:
-                return Pi(y, a2, r)
-            if y in free_names(d):
-                y2 = fresh(y.text)
-                r = subst_data_in_neg(r, y, eta(y2))
-                y = y2
-            return Pi(y, a2, subst_data_in_neg(r, x, d))
-    raise TypeError(ty)
-
-
-def subst_data_in_pos(ty: PosType, x: Name, d: DataVal) -> PosType:
-    match ty:
-        case Down(n):
-            return Down(subst_data_in_neg(n, x, d))
-        case Or(l, r):
-            return Or(subst_data_in_pos(l, x, d), subst_data_in_pos(r, x, d))
-        case Prod(l, r):
-            return Prod(subst_data_in_pos(l, x, d), subst_data_in_pos(r, x, d))
-        case Sigma(y, a, b):
-            a2 = subst_data_in_pos(a, x, d)
-            if y == x:
-                return Sigma(y, a2, b)
-            if y in free_names(d):
-                y2 = fresh(y.text)
-                b = subst_data_in_pos(b, y, eta(y2))
-                y = y2
-            return Sigma(y, a2, subst_data_in_pos(b, x, d))
-    raise TypeError(ty)
+# One substitution serves every sort; the names say what the caller holds.
+subst_data_in_term = subst_data_in_data = subst_data_in_spine = subst_data
+subst_data_in_neg = subst_data_in_pos = subst_data
 
 
 # ---------------------------------------------------------------------------
@@ -813,60 +809,17 @@ def select_branch(label: Name, side: str, t: Term) -> Term:
     """Replace every split bound to ``label`` by its chosen branch."""
     assert side in ("left", "right")
 
-    def go(t: Term) -> Term:
-        match t:
-            case Done(d):
-                return Done(go_data(d))
-            case Lam(p, b):
-                if label in pattern_labels(p):
-                    return t
-                return Lam(p, go(b))
-            case App(h, k):
-                return App(h, go_spine(k))
-            case Pair(l, r):
-                return Pair(go(l), go(r))
-            case Split(w, l, r):
-                if w == label:
-                    return go(l if side == "left" else r)
-                return Split(w, go(l), go(r))
-            case BindCut(p, d, b):
-                d2 = go_data(d)
-                if label in pattern_labels(p):
-                    return BindCut(p, d2, b)
-                return BindCut(p, d2, go(b))
-            case AppCut(f, k):
-                return AppCut(go(f), go_spine(k))
-        raise TypeError(t)
+    def visit(x):
+        if type(x) is Split and x.label == label:
+            return rewrite(x.left if side == "left" else x.right, visit, under)
+        return None
 
-    def go_data(d: DataVal) -> DataVal:
-        match d:
-            case Thunk(t2):
-                return Thunk(go(t2))
-            case DPair(l, r):
-                return DPair(go_data(l), go_data(r))
-            case Inl(e):
-                return Inl(go_data(e))
-            case Inr(e):
-                return Inr(go_data(e))
-        raise TypeError(d)
+    def under(binder, body):
+        if label in _bound(binder):
+            return binder, body
+        return binder, rewrite(body, visit, under)
 
-    def go_spine(k: Spine) -> Spine:
-        match k:
-            case Nil():
-                return k
-            case Cons(d, r):
-                return Cons(go_data(d), go_spine(r))
-            case Proj1(r):
-                return Proj1(go_spine(r))
-            case Proj2(r):
-                return Proj2(go_spine(r))
-            case Kappa(p, b):
-                if label in pattern_labels(p):
-                    return k
-                return Kappa(p, go(b))
-        raise TypeError(k)
-
-    return go(t)
+    return rewrite(t, visit, under)
 
 
 # ---------------------------------------------------------------------------
@@ -875,164 +828,64 @@ def select_branch(label: Name, side: str, t: Term) -> Term:
 def alpha_eq(a, b) -> bool:
     """Equality up to consistent renaming of bound variables, or-labels and
     dependent type binders.  Works across all sorts; both arguments must be of
-    the same sort."""
-    return _alpha(a, b, {}, {}, [0])
+    the same sort.  Standalone patterns compare their names as written."""
+    ids = itertools.count(1)
 
-
-def _alpha(a, b, envL: dict, envR: dict, counter: list) -> bool:
-    if type(a) is not type(b):
-        return False
-
-    def bind(ps: Pattern, qs: Pattern, eL, eR) -> bool:
-        if type(ps) is not type(qs):
+    def bind(p, q, envL: dict, envR: dict) -> bool:
+        # Pair the names the binders p and q bind, in order, by shared ids.
+        if type(p) is not type(q):
             return False
-        match ps, qs:
-            case Var(x), Var(y):
-                counter[0] += 1
-                eL[x] = counter[0]
-                eR[y] = counter[0]
-                return True
-            case PWild(), PWild():
-                return True
-            case (PPair(p1, p2), PPair(q1, q2)) | (PAt(p1, p2), PAt(q1, q2)):
-                return bind(p1, q1, eL, eR) and bind(p2, q2, eL, eR)
-            case POr(w1, p1, p2), POr(w2, q1, q2):
-                counter[0] += 1
-                eL[w1] = counter[0]
-                eR[w2] = counter[0]
-                return bind(p1, q1, eL, eR) and bind(p2, q2, eL, eR)
-        raise TypeError(ps)
-
-    def name_eq(x: Name, y: Name) -> bool:
-        if x in envL or y in envR:
-            return envL.get(x) == envR.get(y)
-        return x == y
-
-    def under(p: Pattern, q: Pattern, bodyL, bodyR) -> bool:
-        eL, eR = dict(envL), dict(envR)
-        return bind(p, q, eL, eR) and _alpha(bodyL, bodyR, eL, eR, counter)
-
-    match a, b:
-        # Types
-        case Atom(n1, as1), Atom(n2, as2):
-            return (name_eq(n1, n2) and len(as1) == len(as2)
-                    and all(_alpha(x, y, envL, envR, counter) for x, y in zip(as1, as2)))
-        case Up(p1), Up(p2):
-            return _alpha(p1, p2, envL, envR, counter)
-        case (Imp(a1, r1), Imp(a2, r2)):
-            return _alpha(a1, a2, envL, envR, counter) and _alpha(r1, r2, envL, envR, counter)
-        case (With(l1, r1), With(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (Prod(l1, r1), Prod(l2, r2)):
-            return _alpha(l1, l2, envL, envR, counter) and _alpha(r1, r2, envL, envR, counter)
-        case Pi(x1, a1, r1), Pi(x2, a2, r2):
-            if not _alpha(a1, a2, envL, envR, counter):
-                return False
-            return under(Var(x1), Var(x2), r1, r2)
-        case Sigma(x1, a1, b1), Sigma(x2, a2, b2):
-            if not _alpha(a1, a2, envL, envR, counter):
-                return False
-            return under(Var(x1), Var(x2), b1, b2)
-        case Down(n1), Down(n2):
-            return _alpha(n1, n2, envL, envR, counter)
-        # Terms
-        case Done(d1), Done(d2):
-            return _alpha(d1, d2, envL, envR, counter)
-        case Lam(p1, b1), Lam(p2, b2):
-            return under(p1, p2, b1, b2)
-        case App(h1, k1), App(h2, k2):
-            return name_eq(h1, h2) and _alpha(k1, k2, envL, envR, counter)
-        case (Pair(l1, r1), Pair(l2, r2)):
-            return _alpha(l1, l2, envL, envR, counter) and _alpha(r1, r2, envL, envR, counter)
-        case Split(w1, l1, r1), Split(w2, l2, r2):
-            return (name_eq(w1, w2)
-                    and _alpha(l1, l2, envL, envR, counter)
-                    and _alpha(r1, r2, envL, envR, counter))
-        case BindCut(p1, d1, b1), BindCut(p2, d2, b2):
-            return _alpha(d1, d2, envL, envR, counter) and under(p1, p2, b1, b2)
-        case AppCut(f1, k1), AppCut(f2, k2):
-            return _alpha(f1, f2, envL, envR, counter) and _alpha(k1, k2, envL, envR, counter)
-        # Data
-        case Thunk(t1), Thunk(t2):
-            return _alpha(t1, t2, envL, envR, counter)
-        case (DPair(l1, r1), DPair(l2, r2)):
-            return _alpha(l1, l2, envL, envR, counter) and _alpha(r1, r2, envL, envR, counter)
-        case (Inl(d1), Inl(d2)) | (Inr(d1), Inr(d2)):
-            return _alpha(d1, d2, envL, envR, counter)
-        # Spines
-        case Nil(), Nil():
+        if type(p) is Name:
+            envL[p] = envR[q] = next(ids)
             return True
-        case Cons(d1, k1), Cons(d2, k2):
-            return _alpha(d1, d2, envL, envR, counter) and _alpha(k1, k2, envL, envR, counter)
-        case (Proj1(k1), Proj1(k2)) | (Proj2(k1), Proj2(k2)):
-            return _alpha(k1, k2, envL, envR, counter)
-        case Kappa(p1, b1), Kappa(p2, b2):
-            return under(p1, p2, b1, b2)
-        # Patterns compared standalone (no binding context): structural
-        case (Var(_), Var(_)) | (PWild(), PWild()):
-            return a == b
-        case (PPair(p1, p2), PPair(q1, q2)) | (PAt(p1, p2), PAt(q1, q2)):
-            return _alpha(p1, q1, envL, envR, counter) and _alpha(p2, q2, envL, envR, counter)
-    return False
+        lay = p.layout
+        if lay.bind is not None:
+            envL[getattr(p, lay.bind)] = envR[getattr(q, lay.bind)] = next(ids)
+        for x, y in zip(lay.children(p), lay.children(q)):
+            if not bind(x, y, envL, envR):
+                return False
+        return True
+
+    def eq(a, b, envL: dict, envR: dict) -> bool:
+        if type(a) is not type(b):
+            return False
+        lay = a.layout
+        name = lay.ref or lay.bind
+        if name is not None:
+            x, y = getattr(a, name), getattr(b, name)
+            if x in envL or y in envR:
+                if envL.get(x) != envR.get(y):
+                    return False
+            elif x != y:
+                return False
+        ka, kb = lay.children(a), lay.children(b)
+        if len(ka) != len(kb):
+            return False
+        if lay.binder is not None:
+            for x, y in zip(ka[:-1], kb[:-1]):
+                if not eq(x, y, envL, envR):
+                    return False
+            envL, envR = dict(envL), dict(envR)
+            if not bind(getattr(a, lay.binder), getattr(b, lay.binder),
+                        envL, envR):
+                return False
+            ka, kb = ka[-1:], kb[-1:]
+        for x, y in zip(ka, kb):
+            if not eq(x, y, envL, envR):
+                return False
+        return True
+
+    return eq(a, b, {}, {})
 
 
 # ---------------------------------------------------------------------------
 # Size and shape queries
 
 def size(x) -> int:
-    """Node count across all sorts (names not counted separately)."""
-    match x:
-        case Atom(_, args):
-            return 1 + sum(size(a) for a in args)
-        case Up(p) | Down(p):
-            return 1 + size(p)
-        case Imp(a, r) | Pi(_, a, r):
-            return 1 + size(a) + size(r)
-        case With(l, r) | Or(l, r) | Prod(l, r):
-            return 1 + size(l) + size(r)
-        case Sigma(_, a, b):
-            return 1 + size(a) + size(b)
-        case Done(d) | Thunk(d) | Inl(d) | Inr(d):
-            return 1 + size(d)
-        case Lam(p, b) | Kappa(p, b):
-            return 1 + size(p) + size(b)
-        case App(_, k):
-            return 1 + size(k)
-        case Pair(l, r) | Split(_, l, r) | DPair(l, r):
-            return 1 + size(l) + size(r)
-        case BindCut(p, d, b):
-            return 1 + size(p) + size(d) + size(b)
-        case AppCut(f, k):
-            return 1 + size(f) + size(k)
-        case Var(_) | PWild() | Nil():
-            return 1
-        case PPair(l, r) | PAt(l, r):
-            return 1 + size(l) + size(r)
-        case POr(_, l, r):
-            return 1 + size(l) + size(r)
-        case Cons(d, k):
-            return 1 + size(d) + size(k)
-        case Proj1(k) | Proj2(k):
-            return 1 + size(k)
-    raise TypeError(x)
+    """Node count across all sorts (names not counted)."""
+    return sum(1 for _ in _nodes(x))
 
 
 def is_cut_free(x) -> bool:
     """True iff the tree contains no BindCut/AppCut node in any sort."""
-    match x:
-        case BindCut(_, _, _) | AppCut(_, _):
-            return False
-        case Done(d) | Thunk(d) | Inl(d) | Inr(d):
-            return is_cut_free(d)
-        case Lam(_, b) | Kappa(_, b):
-            return is_cut_free(b)
-        case App(_, k):
-            return is_cut_free(k)
-        case Pair(l, r) | Split(_, l, r) | DPair(l, r):
-            return is_cut_free(l) and is_cut_free(r)
-        case Nil() | Var(_) | PWild():
-            return True
-        case Cons(d, k):
-            return is_cut_free(d) and is_cut_free(k)
-        case Proj1(k) | Proj2(k):
-            return is_cut_free(k)
-        case _:
-            return True
+    return not any(isinstance(y, (BindCut, AppCut)) for y in _nodes(x))

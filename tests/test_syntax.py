@@ -338,7 +338,11 @@ class TestAlphaEq:
         from gen_corpus import generate_corpus
         _, corpus = generate_corpus(40, 10, seed=3)
         terms = [t for t, _ in corpus]
-        for t in terms:
+        # Patterns compared standalone, or-patterns among them.
+        patterns = [POr(Name("w"), Var(Name("a")), Var(Name("b")))] + [
+            sub.pat for t in terms for sub in _subterms(t)
+            if isinstance(sub, (Lam, Kappa, BindCut))]
+        for t in terms + patterns:
             assert alpha_eq(t, t)
         rng = random.Random(1)
         for t in terms[:20]:
@@ -496,6 +500,26 @@ class TestBinderScoping:
                     sub.pat, rename(d, mapping), sub.body)
                 cuts += 1
         assert cuts > 0
+
+
+class TestLayout:
+    def test_every_node_class_lays_out_each_field_once(self):
+        import dataclasses
+        from seqcore import syntax
+        sorts = (syntax.NegType, syntax.PosType, syntax.Term, syntax.Pattern,
+                 syntax.DataVal, syntax.Spine)
+        nodes = [c for c in map(syntax.__dict__.get, syntax.__all__)
+                 if isinstance(c, type) and issubclass(c, sorts)
+                 and c not in sorts]
+        # 9 types, 7 terms, 5 patterns, 4 data and 5 spines.
+        assert len(nodes) == 30
+        for cls in nodes:
+            lay = cls.layout
+            leads = [f for f in (lay.ref, lay.bind, lay.binder) if f]
+            fields = tuple(f.name for f in dataclasses.fields(cls))
+            # Each field once, at most one leading field, and it comes first.
+            assert len(leads) <= 1 and tuple(leads) + lay.kids == fields, cls
+            assert lay.lead == (leads[0] if leads else None), cls
 
 
 class TestSelectBranch:
