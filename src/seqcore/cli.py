@@ -43,8 +43,13 @@ def _error(diag: Diagnostic, file: str) -> None:
 
 
 def _load(cfg: RunConfig) -> Program:
-    with open(cfg.file, "r", encoding="utf-8") as fh:
-        source = fh.read()
+    try:
+        with open(cfg.file, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(Diagnostic(
+            "parse", expected="UTF-8 text",
+            found=f"byte 0x{e.object[e.start]:02x}", note=e.reason)) from None
     mode = Mode.DEP if cfg.dependent else Mode.PROP
     return load_program(source, cfg.file, mode)
 
@@ -173,7 +178,14 @@ def entry(argv: Optional[list[str]] = None) -> int:
     ns = parser.parse_args(argv)
     fuel = ns.fuel
     if fuel is None:
-        fuel = int(os.environ.get("SEQCORE_FUEL", _DEFAULT_FUEL))
+        try:
+            fuel = int(os.environ.get("SEQCORE_FUEL", _DEFAULT_FUEL))
+        except ValueError:
+            fuel = 0
+        if fuel <= 0:
+            print("error: SEQCORE_FUEL must be a positive integer",
+                  file=sys.stderr)
+            return 4
     if fuel <= 0:
         print("error: --fuel must be positive", file=sys.stderr)
         return 4

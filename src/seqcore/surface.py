@@ -32,8 +32,10 @@ goal is wrapped in ``done``, and the kernel never sees an unshifted mix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from itertools import repeat
+from typing import NamedTuple, Optional, Union
 
 from .check_dep import convert
 from .core_text import print_term, print_type
@@ -173,67 +175,71 @@ class SurfaceDecl:
 # Lexer and parser
 
 _KEYWORDS = {"atom", "postulate", "inl", "inr", "Pi", "Sigma"}
-_SYMS2 = ("->", "/\\")
-_SYMS1 = ":()=,@*+._"
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str    # NAME WILD SYM NL EOF
     text: str
-    span: Span
+    line: int
+    col: int
+
+
+# Lexing goes line by line.  Each match is the spaces before one token, then
+# the token: a symbol, a name, a line comment, or a character that starts no
+# token.  Names start with any word character but a decimal digit; ``_lex``
+# rejects the other non-letters among them (``½``, ``²``).
+_TOKEN = re.compile(r"""
+    (\s*)
+    (?: (->|/\\|[:()=,@*+.])
+      | ([^\W\d][\w']*)
+      | (--.*)
+      | (\S) )
+""", re.VERBOSE)
 
 
 def _lex(src: str, file: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-
-    def emit_nl(ln: int, cl: int) -> None:
-        if toks and toks[-1].kind != "NL":
-            toks.append(_Tok("NL", "", Span(file, ln, cl)))
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            emit_nl(line, col)
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if c.isspace():
-            col, i = col + 1, i + 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src[i:i + 2] in _SYMS2:
-            toks.append(_Tok("SYM", src[i:i + 2], Span(file, line, col)))
-            col, i = col + 2, i + 2
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            text = src[i:j]
-            kind = "WILD" if text == "_" else "NAME"
-            toks.append(_Tok(kind, text, Span(file, line, col)))
-            col, i = col + (j - i), j
-            continue
-        if c in _SYMS1:
-            toks.append(_Tok("SYM", c, Span(file, line, col)))
-            col, i = col + 1, i + 1
-            continue
-        raise ParseError(Diagnostic("parse", expected="token", found=repr(c),
-                                    span=Span(file, line, col)))
-    emit_nl(line, col)
-    toks.append(_Tok("EOF", "", Span(file, line, col)))
-    return toks
+    toks: list[tuple] = []
+    nl_due = False            # an NL follows only a token that is not NL
+    for line, text in enumerate(src.split("\n"), 1):
+        # NL, and EOF after the last line, sit past the line's last
+        # character, or where a comment starts.
+        pos, stop = 0, len(text)
+        for space, sym, name, comment, bad in _TOKEN.findall(text):
+            pos += len(space)
+            if sym:
+                toks.append(("SYM", sym, line, pos + 1))
+                pos += len(sym)
+            elif name and (name[0].isalpha() or name[0] == "_"):
+                toks.append(("WILD" if name == "_" else "NAME", name, line,
+                             pos + 1))
+                pos += len(name)
+            elif comment:
+                stop = pos
+                break
+            else:
+                raise ParseError(Diagnostic(
+                    "parse", expected="token", found=repr((bad or name)[0]),
+                    span=Span(file, line, pos + 1)))
+            nl_due = True
+        if nl_due:
+            toks.append(("NL", "", line, stop + 1))
+            nl_due = False
+    toks.append(("EOF", "", line, stop + 1))
+    # One C-level pass turns the plain tuples into _Tok; calling _Tok per
+    # token costs about as much as the scan itself.
+    return list(map(tuple.__new__, repeat(_Tok), toks))
 
 
 class _P:
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, toks: list[_Tok], file: str):
         self.toks = toks
         self.pos = 0
+        self.file = file
+
+    def span(self, t: _Tok) -> Span:
+        # The recursive productions below build their spans inline: a call
+        # here would add a stack level under every nested type.
+        return Span(self.file, t.line, t.col)
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -246,7 +252,8 @@ class _P:
     def fail(self, expected: str) -> ParseError:
         t = self.peek()
         return ParseError(Diagnostic("parse", expected=expected,
-                                     found=t.text or t.kind.lower(), span=t.span))
+                                     found=t.text or t.kind.lower(),
+                                     span=self.span(t)))
 
     def eat_sym(self, text: str) -> _Tok:
         t = self.peek()
@@ -297,10 +304,11 @@ class _P:
             arg = self.type_()
             self.eat_sym(")")
             self.eat_sym(".")
-            return TBind(t.text, var.text, arg, self.type_(), t.span)
+            return TBind(t.text, var.text, arg, self.type_(),
+                         Span(self.file, t.line, t.col))
         if t.kind == "NAME" and t.text not in _KEYWORDS:
             self.next()
-            return TName(t.text, t.span)
+            return TName(t.text, Span(self.file, t.line, t.col))
         if t.text == "(":
             self.next()
             inner = self.type_()
@@ -314,7 +322,7 @@ class _P:
         t = self.peek()
         if t.kind == "WILD":
             self.next()
-            return PWildS(t.span)
+            return PWildS(Span(self.file, t.line, t.col))
         if t.text == "inl":
             self.next()
             return PInlS(self.pattern_atom())
@@ -325,8 +333,9 @@ class _P:
             self.next()
             if self.peek().text == "@":
                 self.next()
-                return PAsS(t.text, self.pattern(), t.span)
-            return PVarS(t.text, t.span)
+                return PAsS(t.text, self.pattern(),
+                            Span(self.file, t.line, t.col))
+            return PVarS(t.text, Span(self.file, t.line, t.col))
         if t.text == "(":
             return self.pattern_atom()
         raise self.fail("pattern")
@@ -356,7 +365,8 @@ class _P:
             args = []
             while self._at_arg():
                 args.append(self.expr_atom())
-            return EApp(t.text, tuple(args), t.span)
+            return EApp(t.text, tuple(args),
+                        Span(self.file, t.line, t.col))
         raise self.fail("expression")
 
     def _at_arg(self) -> bool:
@@ -375,7 +385,7 @@ class _P:
             return EInr(self.expr_atom())
         if t.kind == "NAME" and t.text not in _KEYWORDS:
             self.next()
-            return EApp(t.text, (), t.span)
+            return EApp(t.text, (), Span(self.file, t.line, t.col))
         if t.text == "(":
             self.next()
             e = self.expr()
@@ -396,13 +406,13 @@ def _decl_name(p: _P) -> _Tok:
     if t.text.startswith("_"):
         raise ParseError(Diagnostic(
             "parse", expected="declaration name without leading underscore",
-            found=t.text, span=t.span))
+            found=t.text, span=p.span(t)))
     return t
 
 
 def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     """Parse a surface program into declarations with their clauses."""
-    p = _P(_lex(source, file))
+    p = _P(_lex(source, file), file)
     decls: list[SurfaceDecl] = []
     open_def: Optional[int] = None
 
@@ -413,7 +423,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
             p.next()
             name = _decl_name(p)
             p.eat_nl()
-            decls.append(SurfaceDecl("atom", name.text, name.span))
+            decls.append(SurfaceDecl("atom", name.text, p.span(name)))
             open_def = None
         elif t.text == "postulate":
             p.next()
@@ -421,20 +431,22 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
             p.eat_sym(":")
             ty = p.type_()
             p.eat_nl()
-            decls.append(SurfaceDecl("postulate", name.text, name.span, type=ty))
+            decls.append(SurfaceDecl("postulate", name.text, p.span(name),
+                                     type=ty))
             open_def = None
         elif t.kind == "NAME":
             name = p.eat_name()
+            span = p.span(name)
             if p.peek().text == ":":
                 if name.text.startswith("_"):
                     raise ParseError(Diagnostic(
                         "parse",
                         expected="declaration name without leading underscore",
-                        found=name.text, span=name.span))
+                        found=name.text, span=span))
                 p.next()
                 ty = p.type_()
                 p.eat_nl()
-                decls.append(SurfaceDecl("def", name.text, name.span, type=ty))
+                decls.append(SurfaceDecl("def", name.text, span, type=ty))
                 open_def = len(decls) - 1
             else:
                 pats = []
@@ -446,15 +458,15 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                 if open_def is None or decls[open_def].name != name.text:
                     raise ParseError(Diagnostic(
                         "parse", expected="clause following its declaration",
-                        found=name.text, span=name.span))
+                        found=name.text, span=span))
                 d = decls[open_def]
                 if d.clauses and len(d.clauses[0].lhs) != len(pats):
                     raise ParseError(Diagnostic(
                         "arity", expected=f"{len(d.clauses[0].lhs)} pattern(s)",
-                        found=str(len(pats)), span=name.span))
+                        found=str(len(pats)), span=span))
                 decls[open_def] = SurfaceDecl(
                     d.kind, d.name, d.span, d.type,
-                    d.clauses + (Clause(tuple(pats), rhs, name.span),))
+                    d.clauses + (Clause(tuple(pats), rhs, span),))
         else:
             raise p.fail("declaration")
         p.skip_nls()
@@ -837,7 +849,9 @@ def _build_tree(fz: _Fusion, fused: list[Pattern], live: list[int]) -> CaseTree:
             case _:
                 return walk(rest, live)
 
-    return walk([((i,), f) for i, f in enumerate(fused)], live)
+    tree = walk([((i,), f) for i, f in enumerate(fused)], live)
+    del walk    # it refers to itself: free it, and fz with it, now
+    return tree
 
 
 def _leaf_stats(fz: _Fusion, tree: CaseTree, all_live: list[int]):
@@ -867,6 +881,7 @@ def _leaf_stats(fz: _Fusion, tree: CaseTree, all_live: list[int]):
                 pass
 
     walk(tree, all_live)
+    del walk    # as in _build_tree
     return used, overlap[0]
 
 
@@ -1215,11 +1230,12 @@ def compile_argument(sig: Sig, text: str, ty: PosType,
                      mode: Mode = Mode.PROP) -> DataVal:
     """Parse a closed surface expression and elaborate it as data at ``ty``.
     Heads must be signature names."""
-    p = _P(_lex(text, "<arg>"))
+    p = _P(_lex(text, "<arg>"), "<arg>")
     expr = p.expr()
     if p.peek().kind not in ("EOF", "NL"):
         raise ParseError(Diagnostic("parse", expected="end of argument",
-                                    found=p.peek().text, span=p.peek().span))
+                                    found=p.peek().text,
+                                    span=p.span(p.peek())))
     fz = _Fusion(mode, Span("<arg>", 1, 1))
     fz.binds[0] = {}
     shim = SurfaceDecl("def", "<arg>", Span("<arg>", 1, 1))

@@ -719,7 +719,11 @@ def subst_data(x, v: Name, d: DataVal):
             body = rename(body, renaming)
         return binder, rewrite(body, visit, under)
 
-    return rewrite(x, visit, under)
+    out = rewrite(x, visit, under)
+    # visit and under refer to each other; dropping them here frees them and
+    # the data they hold now, rather than at the next cyclic collection.
+    del visit, under
+    return out
 
 
 # One substitution serves every sort; the names say what the caller holds.
@@ -829,6 +833,15 @@ def alpha_eq(a, b) -> bool:
     """Equality up to consistent renaming of bound variables, or-labels and
     dependent type binders.  Works across all sorts; both arguments must be of
     the same sort.  Standalone patterns compare their names as written."""
+    # Structurally equal trees are alpha-equal.  This holds for whole trees
+    # only: under a binder, equal subtrees may name different binders.  The
+    # generated ``==`` takes three stack levels per tree level and ``eq``
+    # one, so a tree too deep for ``==`` is still compared by ``eq``.
+    try:
+        if a == b:
+            return True
+    except RecursionError:
+        pass
     ids = itertools.count(1)
 
     def bind(p, q, envL: dict, envR: dict) -> bool:

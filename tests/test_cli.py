@@ -44,6 +44,20 @@ class TestCheck:
         assert code == 2
         assert "ERROR parse" in err
 
+    @pytest.mark.parametrize("data, found", [
+        (b"\xff\xfeatom a\n", "byte 0xff (invalid start byte)"),
+        (b"atom a\npostulate c : a\xe2\x82\n",
+         "byte 0xe2 (invalid continuation byte)"),
+    ], ids=["utf16-bom", "truncated-sequence"])
+    def test_non_utf8_source_exit_two(self, capsys, tmp_path, data, found):
+        bad = tmp_path / "bad.seq"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == (f"ERROR parse at {bad}:0:0: expected UTF-8 text, "
+                       f"found {found}\n")
+
     def test_structural_flag(self, capsys):
         path = str(PROGRAMS / "wild.seq")
         code, _, err = run(capsys, "check", path)
@@ -82,6 +96,23 @@ class TestRun:
         code, _, err = run(capsys, "run", str(PROGRAMS / "f_run.seq"),
                            "--entry", "f", "--arg", "inr q")
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
+    def test_env_var_fuel_not_positive_integer(self, capsys, monkeypatch,
+                                               value):
+        monkeypatch.setenv("SEQCORE_FUEL", value)
+        code, out, err = run(capsys, "run", str(PROGRAMS / "f_run.seq"),
+                             "--entry", "f", "--arg", "inr q")
+        assert code == 4
+        assert out == ""
+        assert err == "error: SEQCORE_FUEL must be a positive integer\n"
+
+    def test_fuel_flag_overrides_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEQCORE_FUEL", "abc")
+        code, out, _ = run(capsys, "run", str(PROGRAMS / "f_run.seq"),
+                           "--entry", "f", "--arg", "inr q", "--fuel", "100")
+        assert code == 0
+        assert out.strip() == "q []"
 
     def test_missing_entry_usage_error(self, capsys):
         code, _, err = run(capsys, "run", str(PROGRAMS / "f_run.seq"))

@@ -1,13 +1,16 @@
 """Surface language: parsing, polarization, clause compilation, equations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from suite import SUITE, check_program, load, source
+from lex_reference import reference_lex
+from suite import PROGRAMS, SUITE, check_program, load, source
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.diag import ParseError
 from seqcore.surface import (CompileFail, Fail, Leaf, PairNode, SplitNode,
-                             compile_clauses, load_program, parse, polarize,
+                             _lex,                              compile_clauses, load_program, parse, polarize,
                              pretty_equations, tree_has_fail)
 from seqcore.syntax import (
     App, Atom, Cons, Done, Down, DPair, Imp, Inl, Inr, Lam, Mode, Name, Nil,
@@ -44,6 +47,84 @@ class TestParse:
         decls = parse("atom a\nh : a -> a\nh x = x\n", "prog.seq")
         assert decls[1].span.file == "prog.seq"
         assert decls[1].span.line == 2
+
+
+def _lexed(lex, text: str):
+    """The tokens as ``(kind, text, line, col)``, or the raised diagnostic."""
+    try:
+        return [tuple(t) for t in lex(text, "t.seq")]
+    except ParseError as e:
+        return e.diagnostic
+
+
+# Pieces of every lexical class, and of what the lexer must tell apart
+# around them: letters outside ASCII, spaces that are not ``\n``, comments
+# (which end at the next ``\n`` piece), and ``-`` and ``/`` starting ``--``,
+# ``->`` and ``/\``.
+_PIECES = (
+    "x", "f'", "_", "_w", "a1", "inl", "Pi", "ℕ", "é", "Ωx", "->", "/\\",
+    ":", "(", ")", "=", ",", "@", "*", "+", ".", "--", "-- note", "--->",
+    " ", "  ", "\t", "\r", "\n", "\n\n", "\x85", "\u00a0", "\u2028",
+)
+# Characters that start no token: numeric non-letters (``½`` and ``²`` are
+# word characters but not letters; ``٣`` is a decimal digit), lone ``-``
+# and ``/``, and other symbols.
+_BAD = ("½", "²", "٣", "1", "-", "/", "!", "#")
+_LETTERS_AND_SPACES = st.characters(categories=["L", "Zs"])
+
+
+class TestLexer:
+    """The regex lexer against the character loop it replaced."""
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.seq")),
+                             ids=lambda p: p.name)
+    def test_example_programs(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _lexed(_lex, text) == _lexed(reference_lex, text)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "atom a -- trailing comment",
+        "atom a   -- comment\nb",
+        "atom a\t-- comment\n\n-- more\n",
+        "x\r\ny\r\n",
+        "a  ",
+        "a\n  ",
+        "f x½ = x",
+        "½",
+        "x ²",
+        "a - b",
+        "a / b",
+        "_ _x x_ x' ''",
+    ])
+    def test_pitfalls(self, text):
+        assert _lexed(_lex, text) == _lexed(reference_lex, text)
+
+    def test_column_after_comment(self):
+        toks = _lex("atom a   -- c\n", "t.seq")
+        assert toks[-2] == ("NL", "", 1, 10)
+        toks = _lex("atom a -- c", "t.seq")
+        assert toks[-2:] == [("NL", "", 1, 8), ("EOF", "", 1, 8)]
+
+    def test_numeric_non_letter_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            _lex("f x = ½", "t.seq")
+        d = exc.value.diagnostic
+        assert (d.expected, d.found, str(d.span)) == ("token", "'½'",
+                                                       "t.seq:1:7")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_PIECES), _LETTERS_AND_SPACES),
+                    max_size=40).map("".join))
+    def test_random_text(self, text):
+        assert _lexed(_lex, text) == _lexed(reference_lex, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_PIECES), st.sampled_from(_BAD),
+                              st.characters()),
+                    max_size=40).map("".join))
+    def test_random_text_with_errors(self, text):
+        assert _lexed(_lex, text) == _lexed(reference_lex, text)
 
 
 class TestPolarize:

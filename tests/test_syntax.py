@@ -320,6 +320,27 @@ class TestAlphaEq:
     def test_free_names_matter(self):
         assert not alpha_eq(App(Name("p"), Nil()), App(Name("q"), Nil()))
 
+    def test_equal_subtrees_under_swapped_binders(self):
+        # The bodies are the same tree, but x names the outer binder on the
+        # left and the inner one on the right.
+        x, y = Name("x"), Name("y")
+        body = App(x, Nil())
+        assert not alpha_eq(Lam(Var(x), Lam(Var(y), body)),
+                            Lam(Var(y), Lam(Var(x), body)))
+
+    def test_deeper_than_structural_equality_reaches(self):
+        # On CPython 3.11 the generated == spends three stack levels per tree
+        # level and alpha_eq's own walk one: == on these trees overflows at
+        # the default recursion limit, and alpha_eq must still answer.
+        def nested(depth, leaf):
+            t = Down(leaf)
+            for _ in range(depth):
+                t = Or(Down(A), t)
+            return t
+        a, b = nested(600, A), nested(600, A)
+        assert alpha_eq(a, b)
+        assert not alpha_eq(a, nested(600, NAT))
+
     def test_worked_example_label_renaming(self):
         # Rename-then-compare: the compiled example vs a renamed copy.
         x, y, z, w = Name("x"), Name("y"), Name("z"), Name("w")
