@@ -9,9 +9,9 @@ from seqcore.syntax import (
     App, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr, Kappa, Lam,
     Match, MatchFail, Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod,
     Proj1, Proj2, PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
-    alpha_eq, eta, fresh, is_cut_free, match_pattern, pattern_linear,
-    pattern_vars, rename, size, spine_concat, subst_data_in_neg,
-    well_formed_neg, well_formed_pos,
+    alpha_eq, children, eta, fresh, is_cut_free, match_pattern,
+    pattern_linear, pattern_vars, rename, size, spine_concat,
+    subst_data_in_neg, well_formed_neg, well_formed_pos,
 )
 
 A = Atom(Name("a"))
@@ -61,13 +61,13 @@ class TestWellFormed:
 
         def subtrees(t):
             yield t
-            for field in getattr(t, "__dataclass_fields__", {}):
-                v = getattr(t, field)
-                if hasattr(v, "__dataclass_fields__"):
-                    yield from subtrees(v)
+            for k in children(t):
+                yield from subtrees(k)
 
         from seqcore.syntax import NegType, PosType
-        for sub in subtrees(ty):
+        subs = list(subtrees(ty))
+        assert len(subs) == size(ty) == 17
+        for sub in subs:
             if isinstance(sub, NegType):
                 assert well_formed_neg(sub, sig, Mode.PROP)
             elif isinstance(sub, PosType):
@@ -91,44 +91,24 @@ class TestSubstInTypes:
                 With(Atom(P, (eta(x),)), Atom(P, (eta(Name("y")),))))
 
         def count(t, target):
-            n = 0
+            # Occurrences of ``target`` as a subtree, and the nodes visited.
+            n = visited = 0
             stack = [t]
             while stack:
                 cur = stack.pop()
-                if cur == eta(target):
+                visited += 1
+                if cur == target:
                     n += 1
                     continue
-                for f in getattr(cur, "__dataclass_fields__", {}):
-                    v = getattr(cur, f)
-                    if hasattr(v, "__dataclass_fields__"):
-                        stack.append(v)
-                    elif isinstance(v, tuple):
-                        stack.extend(w for w in v
-                                     if hasattr(w, "__dataclass_fields__"))
-            return n
+                stack.extend(children(cur))
+            return n, visited
 
-        def count_repl(t):
-            n = 0
-            stack = [t]
-            while stack:
-                cur = stack.pop()
-                if cur == replacement:
-                    n += 1
-                    continue
-                for f in getattr(cur, "__dataclass_fields__", {}):
-                    v = getattr(cur, f)
-                    if hasattr(v, "__dataclass_fields__"):
-                        stack.append(v)
-                    elif isinstance(v, tuple):
-                        stack.extend(w for w in v
-                                     if hasattr(w, "__dataclass_fields__"))
-            return n
-
-        before = count(ty, x)
-        assert before == 2
+        before, visited = count(ty, eta(x))
+        assert (before, visited) == (2, size(ty) - 4)
         out = subst_data_in_neg(ty, x, replacement)
-        assert count(out, x) == 0
-        assert count_repl(out) == before
+        # The walk reaches every node the occurrences do not cover.
+        assert count(out, eta(x)) == (0, size(out))
+        assert count(out, replacement) == (before, size(out) - 6)
 
     def test_commutes_with_alpha_renaming(self):
         x, y, P = Name("x"), Name("y"), Name("P")
@@ -392,10 +372,8 @@ def _binders_of(t):
                 go(d)
                 go(b)
             case _:
-                for f in getattr(x, "__dataclass_fields__", {}):
-                    v = getattr(x, f)
-                    if hasattr(v, "__dataclass_fields__"):
-                        go(v)
+                for k in children(x):
+                    go(k)
 
     go(t)
     return out
@@ -459,10 +437,8 @@ def _rename_binders(t, mapping):
 
 def _subterms(t):
     yield t
-    for f in getattr(t, "__dataclass_fields__", {}):
-        v = getattr(t, f)
-        if hasattr(v, "__dataclass_fields__"):
-            yield from _subterms(v)
+    for k in children(t):
+        yield from _subterms(k)
 
 
 def _bound_by(p):
@@ -484,14 +460,18 @@ class TestBinderScoping:
         from seqcore.syntax import free_names
         _, corpus = generate_corpus(count, max_size, seed=seed,
                                     structural=structural)
+        binders = 0
         for t, _goal in corpus:
             free = free_names(t)
             # Bound names are in the mapping too: binders must shadow them.
-            names = free | _binders_of(t)
+            bound = _binders_of(t)
+            binders += len(bound)
+            names = free | bound
             mapping = {n: fresh(n.text) for n in names}
             out = rename(t, mapping)
             assert free_names(out) == frozenset(mapping[n] for n in free)
             assert rename(out, {v: k for k, v in mapping.items()}) == t
+        assert binders > 0
 
     @pytest.mark.parametrize("count, max_size, seed, structural",
                              SCOPING_CORPORA)
@@ -525,7 +505,6 @@ class TestBinderScoping:
 
 class TestLayout:
     def test_every_node_class_lays_out_each_field_once(self):
-        import dataclasses
         from seqcore import syntax
         sorts = (syntax.NegType, syntax.PosType, syntax.Term, syntax.Pattern,
                  syntax.DataVal, syntax.Spine)
@@ -537,7 +516,7 @@ class TestLayout:
         for cls in nodes:
             lay = cls.layout
             leads = [f for f in (lay.ref, lay.bind, lay.binder) if f]
-            fields = tuple(f.name for f in dataclasses.fields(cls))
+            fields = tuple(cls.__annotations__)
             # Each field once, at most one leading field, and it comes first.
             assert len(leads) <= 1 and tuple(leads) + lay.kids == fields, cls
             assert lay.lead == (leads[0] if leads else None), cls
