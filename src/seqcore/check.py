@@ -31,11 +31,11 @@ required to be well-typed whenever its type can be decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core_text import print_pattern, print_term, print_type
 from .diag import CheckError, Diagnostic
+from .record import record
 from .syntax import (
     App, AppCut, BindCut, Cons, Ctx, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, POr, PosType,
@@ -48,7 +48,7 @@ __all__ = ["Judgment", "check_term", "check_data", "check_spine",
            "infer_term", "infer_data", "UNKNOWN"]
 
 
-@dataclass(frozen=True)
+@record
 class Judgment:
     """One of the three judgment forms: inversion (a term against a negative
     goal under a context), right focus (data against a positive type), left
@@ -92,7 +92,7 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-@dataclass(frozen=True)
+@record
 class _State:
     """Checker zones: local stores over the signature, deferred or-pattern
     hypotheses, and undischargeable residual variables."""

@@ -22,11 +22,11 @@ reduct's shape where synthesis cannot decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
+from .record import record
 from .reduce import FuelExhausted, normalize
 from .syntax import (
     App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
@@ -59,7 +59,7 @@ class _Unknown:
 _UNKNOWN = _Unknown()
 
 
-@dataclass(frozen=True)
+@record
 class _State:
     sig: Sig
     fuel: int

@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .check import check_term
 from .check_dep import dep_check_term
 from .core_text import print_term, print_type
 from .diag import Diagnostic, ParseError
+from .record import record
 from .reduce import FuelExhausted, normalize, trace
 from .surface import CompileFail, Program, load_program
 from .syntax import App, Cons, Mode, Nil, Term
@@ -25,7 +25,7 @@ __all__ = ["RunConfig", "main", "entry"]
 _DEFAULT_FUEL = 10000
 
 
-@dataclass
+@record(frozen=False)
 class RunConfig:
     command: str                 # "check" | "run" | "core" | "trace"
     file: str

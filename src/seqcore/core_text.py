@@ -15,9 +15,9 @@ second print round-trip is the identity on the text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .diag import Diagnostic, ParseError, Span
+from .record import record
 from .syntax import (
     App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
@@ -196,7 +196,7 @@ def print_type(ty) -> str:
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass(frozen=True)
+@record
 class _Tok:
     kind: str   # NAME UIDENT WILD PUNCT EOF
     text: str

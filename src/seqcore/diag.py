@@ -8,10 +8,10 @@ judgment, innermost first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     file: str
     line: int
@@ -21,23 +21,25 @@ class Span:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     rule: str
     expected: str = ""
     found: str = ""
     note: str = ""
     span: Span | None = None
-    trail: tuple[str, ...] = field(default_factory=tuple)
+    trail: tuple[str, ...] = ()
 
     def at(self, span: Span | None) -> "Diagnostic":
         """Attach a span if none is recorded yet."""
         if self.span is not None or span is None:
             return self
-        return replace(self, span=span)
+        return Diagnostic(self.rule, self.expected, self.found, self.note,
+                          span, self.trail)
 
     def pushed(self, frame: str) -> "Diagnostic":
-        return replace(self, trail=self.trail + (frame,))
+        return Diagnostic(self.rule, self.expected, self.found, self.note,
+                          self.span, self.trail + (frame,))
 
     def render(self) -> str:
         """Line-oriented text form: ``ERROR <rule> at <file>:<line>:<col>: ...``."""

@@ -40,10 +40,10 @@ are checked again, then the new subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .diag import SeqcoreError
+from .record import record
 from .syntax import (
     App, AppCut, BindCut, Cons, Done, DPair, Inl, Inr, Kappa, Lam, Nil, Pair,
     PAt, POr, PPair, Proj1, Proj2, PWild, Sig, Spine, Split, SubstClash,
@@ -59,23 +59,23 @@ class StepResult:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Stepped(StepResult):
     next: Term
     rule: str
 
 
-@dataclass(frozen=True)
+@record
 class NormalForm(StepResult):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Stuck(StepResult):
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class NormalizeResult:
     term: Term
     steps: int

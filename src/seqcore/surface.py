@@ -33,13 +33,13 @@ goal is wrapped in ``done``, and the kernel never sees an unshifted mix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Optional, Union
 
 from .check_dep import convert
 from .core_text import print_term, print_type
 from .diag import Diagnostic, ParseError, Span
+from .record import factory, record
 from .syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Lam, Mode, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
@@ -62,26 +62,26 @@ class SType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class TName(SType):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class TArrow(SType):
     arg: SType
     res: SType
 
 
-@dataclass(frozen=True)
+@record
 class TBin(SType):
     op: str            # "*" | "+" | "/\\"
     left: SType
     right: SType
 
 
-@dataclass(frozen=True)
+@record
 class TBind(SType):
     head: str          # "Pi" | "Sigma"
     var: str
@@ -94,36 +94,36 @@ class SPat:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class PVarS(SPat):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class PWildS(SPat):
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class PAsS(SPat):
     name: str
     pat: SPat
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class PPairS(SPat):
     left: SPat
     right: SPat
 
 
-@dataclass(frozen=True)
+@record
 class PInlS(SPat):
     pat: SPat
 
 
-@dataclass(frozen=True)
+@record
 class PInrS(SPat):
     pat: SPat
 
@@ -132,37 +132,37 @@ class SExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class EApp(SExpr):
     head: str
     args: tuple["SExpr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class EPair(SExpr):
     left: SExpr
     right: SExpr
 
 
-@dataclass(frozen=True)
+@record
 class EInl(SExpr):
     body: SExpr
 
 
-@dataclass(frozen=True)
+@record
 class EInr(SExpr):
     body: SExpr
 
 
-@dataclass(frozen=True)
+@record
 class Clause:
     lhs: tuple[SPat, ...]
     rhs: SExpr
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceDecl:
     kind: str                   # "atom" | "postulate" | "def"
     name: str
@@ -530,25 +530,25 @@ class CaseTree:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Leaf(CaseTree):
     clause: int
 
 
-@dataclass(frozen=True)
+@record
 class SplitNode(CaseTree):
     path: tuple
     left: CaseTree
     right: CaseTree
 
 
-@dataclass(frozen=True)
+@record
 class PairNode(CaseTree):
     path: tuple
     sub: CaseTree
 
 
-@dataclass(frozen=True)
+@record
 class Fail(CaseTree):
     path: tuple
     side: str
@@ -575,13 +575,13 @@ class CompileFail(Exception):
 # ---------------------------------------------------------------------------
 # Pattern fusion
 
-@dataclass
+@record(frozen=False)
 class _VarB:
     core: Name
     type: NegType
 
 
-@dataclass
+@record(frozen=False)
 class _DataB:
     path: tuple
     type: PosType
@@ -590,18 +590,18 @@ class _DataB:
 _Binding = Union[_VarB, _DataB]
 
 
-@dataclass
+@record(frozen=False)
 class _Fusion:
     """Per-position facts accumulated while fusing the clause matrix."""
 
     mode: Mode
     span: Span
-    pos_types: dict[tuple, PosType] = field(default_factory=dict)
-    labels: dict[tuple, Name] = field(default_factory=dict)     # sum positions
-    var_at: dict[tuple, Name] = field(default_factory=dict)     # thunk positions
-    pos_var: dict[tuple, Name] = field(default_factory=dict)    # dependent scrutinees
-    binds: dict[int, dict[str, _Binding]] = field(default_factory=dict)
-    clause_pat: dict[tuple[int, tuple], SPat] = field(default_factory=dict)
+    pos_types: dict[tuple, PosType] = factory(dict)
+    labels: dict[tuple, Name] = factory(dict)     # sum positions
+    var_at: dict[tuple, Name] = factory(dict)     # thunk positions
+    pos_var: dict[tuple, Name] = factory(dict)    # dependent scrutinees
+    binds: dict[int, dict[str, _Binding]] = factory(dict)
+    clause_pat: dict[tuple[int, tuple], SPat] = factory(dict)
 
     def bind(self, cid: int, name: str, b: _Binding, span: Span) -> None:
         if name in self.binds[cid]:
@@ -1085,7 +1085,7 @@ def _sexpr_span(e: SExpr, default: Span) -> Span:
 # ---------------------------------------------------------------------------
 # Compilation entry point
 
-@dataclass
+@record(frozen=False)
 class CompiledDecl:
     kind: str                       # "atom" | "postulate" | "def"
     name: Name
@@ -1093,7 +1093,7 @@ class CompiledDecl:
     type: Optional[NegType] = None
     term: Optional[Term] = None
     tree: Optional[CaseTree] = None
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = factory(list)
 
 
 def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
@@ -1176,11 +1176,11 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
 # ---------------------------------------------------------------------------
 # Program loading
 
-@dataclass
+@record(frozen=False)
 class Program:
     sig: Sig
     decls: list[CompiledDecl]
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = factory(list)
 
     def find(self, name: str) -> Optional[CompiledDecl]:
         for d in self.decls:
@@ -1261,7 +1261,7 @@ class _Unrenderable(Exception):
     pass
 
 
-@dataclass
+@record(frozen=False)
 class _Hole:
     """A pattern position being rebuilt while walking the body."""
 

@@ -41,12 +41,12 @@ all operations in this module are pure functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .diag import Diagnostic
+from .record import record
 
 __all__ = [
     "Name", "fresh", "Mode",
@@ -72,7 +72,7 @@ __all__ = [
 _fresh_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@record
 class Name:
     """An identifier.  Parsed binders get a globally fresh integer tag so that
     substitution can regenerate binders without capture; hand-built terms may
@@ -116,7 +116,7 @@ class Layout(NamedTuple):
 
 def _node(*kids: str, ref: Optional[str] = None, bind: Optional[str] = None,
           binder: Optional[str] = None):
-    """Declare a node class: a frozen dataclass with a ``layout``.  A child
+    """Declare a node class: a frozen record with a ``layout``.  A child
     field spelled ``*f`` holds a tuple of children."""
     spread = bool(kids) and kids[0].startswith("*")
     kids = tuple(k.lstrip("*") for k in kids)
@@ -130,7 +130,7 @@ def _node(*kids: str, ref: Optional[str] = None, bind: Optional[str] = None,
         get = lambda x: ()   # noqa: E731
 
     def declare(cls):
-        cls = dataclass(frozen=True)(cls)
+        cls = record(cls)
         cls.layout = Layout(kids, ref, bind, binder, ref or bind or binder,
                             spread, get)
         return cls
@@ -365,14 +365,14 @@ def data_shape(d: DataVal) -> str:
 # ---------------------------------------------------------------------------
 # Signatures and inversion contexts
 
-@dataclass(frozen=True)
+@record
 class SigEntry:
     name: Name
     type: NegType
     body: Optional[Term] = None
 
 
-@dataclass(frozen=True)
+@record
 class Sig:
     """The persistent zone: declared atoms plus named entries.  Every entry is
     usable in terms as a variable of the corresponding thunk type; entries
@@ -382,8 +382,7 @@ class Sig:
     entries: tuple[SigEntry, ...] = ()
     # Name -> its last entry in ``entries``; derived from ``entries`` when
     # not given, never compared, hashed or shown.
-    _index: Optional[dict] = field(default=None, kw_only=True,
-                                   compare=False, repr=False)
+    _index: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self._index is None:
@@ -734,7 +733,7 @@ subst_data_in_neg = subst_data_in_pos = subst_data
 # ---------------------------------------------------------------------------
 # Pattern matching (data decomposition)
 
-@dataclass(frozen=True)
+@record
 class Match:
     """Successful decomposition: bindings in pattern order, plus the branch
     each or-label took (needed to resolve the corresponding splits)."""
@@ -743,7 +742,7 @@ class Match:
     branches: tuple[tuple[Name, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class MatchFail:
     reason: str
     pattern: Pattern
