@@ -1,7 +1,8 @@
 """Batch driver: check, core, run and trace over ``.seq`` files.
 
 Exit codes: 0 success, 1 type or coverage error, 2 parse error, 3 fuel
-exhausted, 4 usage error.  Diagnostics go to stderr, results to stdout.
+exhausted, 4 usage error (argparse's included), 5 internal error.
+Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -175,7 +176,13 @@ def entry(argv: Optional[list[str]] = None) -> int:
                         help="reduction step budget (default 10000)")
         sp.add_argument("--trace", action="store_true",
                         help="print each reduction step")
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its usage text; --help still exits 0.
+        if e.code == 0:
+            raise
+        return 4
     fuel = ns.fuel
     if fuel is None:
         try:
@@ -193,7 +200,13 @@ def entry(argv: Optional[list[str]] = None) -> int:
                     arg=ns.arg, dependent=ns.dependent,
                     structural_patterns=ns.structural_patterns, fuel=fuel,
                     show_trace=ns.trace)
-    return main(cfg)
+    try:
+        return main(cfg)
+    except Exception as e:
+        msg = str(e).replace("\n", " ")
+        print(f"error: internal error: {type(e).__name__}: {msg}",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

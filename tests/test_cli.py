@@ -1,6 +1,9 @@
 """CLI: commands, exit codes, output formats."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from seqcore.cli import entry
 from seqcore.core_text import parse_term
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -159,3 +163,76 @@ class TestCore:
         assert out.startswith("atom ℕ")
         assert "postulate add :" in out
         assert "f = \\" in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["compile", "x.seq"], "argument command: invalid choice: 'compile'"),
+        (["check"], "the following arguments are required: file"),
+        (["check", "--fuel", "abc", "x.seq"],
+         "argument --fuel: invalid int value: 'abc'"),
+    ], ids=["no-command", "unknown-command", "missing-file", "fuel-not-int"])
+    def test_argparse_error_exit_four(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("usage: seqcore")
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            entry(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: seqcore")
+
+
+class TestInternalErrors:
+    def test_deep_sum_is_one_line_and_exit_five(self, capsys, tmp_path):
+        ty = "a"
+        for _ in range(600):
+            ty = f"a + ({ty})"
+        deep = tmp_path / "deep.seq"
+        deep.write_text(f"atom a\nf : {ty} -> {ty}\nf v = v\n")
+        code, out, err = run(capsys, "check", str(deep))
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: internal error: RecursionError: ")
+
+    def test_raising_loader_exit_five(self, capsys, monkeypatch):
+        import seqcore.cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("loader broke\nhere")
+
+        monkeypatch.setattr(seqcore.cli, "load_program", boom)
+        code, out, err = run(capsys, "check", str(PROGRAMS / "basics.seq"))
+        assert code == 5
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: loader broke here\n"
+
+
+class TestFreshProcess:
+    """The CLI as a user starts it: a new interpreter for every call."""
+
+    ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def test_same_result_as_in_process(self, capsys):
+        argv = ["check", str(PROGRAMS / "basics.seq")]
+        proc = subprocess.run([sys.executable, "-m", "seqcore.cli", *argv],
+                              env=self.ENV, capture_output=True, text=True,
+                              timeout=60)
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == 0 and out == "ok (8 declarations)\n"
+
+    def test_import_leaves_heavy_stdlib_modules_out(self):
+        code = ("import sys; before = set(sys.modules); import seqcore.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & "
+                "(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=self.ENV,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout == "[]\n"
