@@ -15,7 +15,6 @@ what that module spends per class, and it is not imported (it pulls in
   ``==``, the hash, ``repr`` and ``__match_args__``; such fields come last.
 * A default given as ``factory(make)`` is made by ``make()`` for each
   instance.  A ``__post_init__`` method runs after the fields are set.
-* Methods the class body defines itself are kept.
 """
 
 from __future__ import annotations
@@ -105,13 +104,11 @@ def _declare(cls, frozen: bool):
     if code is None:
         code = _compiled[src] = compile(src, "<record>", "exec")
     exec(code, env)
-    made = {name: env[name] for name in ("__init__", "__eq__", "__repr__")}
+    for name in ("__init__", "__eq__", "__repr__"):
+        setattr(new, name, env[name])
     if frozen:
-        made.update(__hash__=env["__hash__"], __setattr__=_refuse_set,
-                    __delattr__=_refuse_del)
+        new.__hash__ = env["__hash__"]
+        new.__setattr__, new.__delattr__ = _refuse_set, _refuse_del
     else:
-        made["__hash__"] = None
-    for name, fn in made.items():
-        if name not in ns:
-            setattr(new, name, fn)
+        new.__hash__ = None
     return new
