@@ -6,11 +6,14 @@ import random
 import pytest
 
 from oracle import make_oracle
-from seqcore.check import check_data, check_spine, check_term, infer_term
+from seqcore.check import (
+    UNKNOWN, check_data, check_spine, check_term, infer_term,
+)
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
-    Kappa, Lam, Name, Nil, Or, Pair, PAt, POr, PPair, Prod, Proj1, Proj2,
-    PWild, Sig, SigEntry, Split, Thunk, Up, Var, With, alpha_eq, eta, fresh,
+    Kappa, Lam, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1, Proj2,
+    PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With, alpha_eq, eta,
+    fresh,
 )
 
 A = Atom(Name("a"))
@@ -339,3 +342,97 @@ class TestOracleAgreementSmoke:
                 assert lo.inv((), (), t, g) == hi.inv((), (), t, g)
                 checked += 1
         assert checked > 100
+
+
+class TestDiagnosticPin:
+    """Every checker outcome on a small enumerated corpus, hashed.
+
+    The oracle sweeps compare verdicts only; this pins what a failure says:
+    rule, expected, found, note and the judgment trail, plus the type that
+    synthesis returns.  Any change to a diagnostic's text or to the frames
+    pushed on its way out changes the digest."""
+
+    SIZE = 7
+    OUTCOMES = 38569
+    DIGEST = "8a619f70de5453a9f8702465127493926e434c835efd804490f7c2e82a842b52"
+
+    @staticmethod
+    def _dep_sig() -> Sig:
+        # z : a, f : Pi (x : dn a). up (Sigma (y : dn a). dn a)
+        sigma = Sigma(Name("y"), Down(A), Down(A))
+        return Sig(frozenset({Name("a")}),
+                   (SigEntry(Name("z"), A),
+                    SigEntry(Name("f"), Pi(X, Down(A), Up(sigma)))))
+
+    def _outcomes(self):
+        from enum_all import Enumerator
+        from suite import tiny_sig
+        from seqcore.check_dep import dep_bind_cut, dep_check_spine, dep_check_term
+        from seqcore.core_text import print_type
+        from seqcore.diag import CheckError
+
+        def diag(d):
+            if d is None:
+                return "ok"
+            return repr((d.rule, d.expected, d.found, d.note, d.trail))
+
+        def inferred(sig, t, flag):
+            try:
+                ty = infer_term(sig, t, structural=flag)
+            except CheckError as e:
+                return "fail " + diag(e.diagnostic)
+            return "unknown" if ty is UNKNOWN else "type " + print_type(ty)
+
+        sig, dsig = tiny_sig(), self._dep_sig()
+        sigma = Sigma(Name("y"), Down(A), Down(A))
+        term_goals = [A, ID_TY, Up(Or(Down(A), Down(A)))]
+        data_goals = [Down(ID_TY), Or(Down(A), Down(ID_TY)),
+                      Prod(Down(A), Down(A))]
+        spine_goals = [(ID_TY, A), (With(A, Up(Or(Down(A), Down(A)))), A)]
+        dep_goals = [A, Pi(X, Down(A), A), Up(sigma)]
+        dep_spine_goals = [(dsig.lookup(Name("f")).type, A), (Up(sigma), A)]
+        sum_ctx = [(X, Or(Down(A), Down(A)))]
+        for structural in (True, False):
+            en = Enumerator((Name("z"), Name("f")), structural=structural)
+            for t in en.all_terms(self.SIZE):
+                for flag in (False, True):
+                    for g in term_goals:
+                        yield diag(check_term(sig, [], t, g, structural=flag))
+                    yield inferred(sig, t, flag)
+                for g in dep_goals:
+                    yield diag(dep_check_term(dsig, [], t, g))
+            for d in en.all_datas(self.SIZE):
+                for flag in (False, True):
+                    for g in data_goals:
+                        yield diag(check_data(sig, d, g, structural=flag))
+            for k in en.all_spines(self.SIZE):
+                for flag in (False, True):
+                    for focus, g in spine_goals:
+                        yield diag(check_spine(sig, focus, k, g,
+                                               structural=flag))
+                for focus, g in dep_spine_goals:
+                    yield diag(dep_check_spine(dsig, [], focus, k, g))
+            # Open terms over x: a sum hypothesis to split, and binding cuts
+            # of x to every small data value.
+            opens = [t for n in range(1, 5)
+                     for t in en.terms(n, (X,), (X,), 1, 1)]
+            for t in opens:
+                for g in (A, Up(sigma)):
+                    yield diag(dep_check_term(dsig, sum_ctx, t, g))
+            for d in en.all_datas(4):
+                for t in opens:
+                    yield diag(dep_bind_cut(dsig, [], X, d, t, A))
+
+    def test_outcomes_digest(self, monkeypatch):
+        import hashlib
+        import itertools
+        from seqcore import syntax
+        # Substitution may regenerate binders; start their tags at a fixed
+        # point so the digest does not depend on which tests ran first.
+        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
+        h = hashlib.sha256()
+        n = 0
+        for line in self._outcomes():
+            h.update(line.encode("utf-8") + b"\n")
+            n += 1
+        assert (n, h.hexdigest()) == (self.OUTCOMES, self.DIGEST)
