@@ -21,19 +21,26 @@ The strategy is deterministic:
 Cut formulas are not written in terms, so the two cut rules recover them by
 synthesis.  Data built from stores, pairs and thunked applications has a
 unique synthesizable type; where synthesis is impossible (a thunked function,
-an injection's missing side) the cut is checked against the shape of its own
+an injection's missing side) the cut is judged by the shape of its own
 reduct: binding cuts decompose pattern against data, application cuts consume
-the spine structurally.  This keeps every reduction step re-checkable at the
-same goal.  Where a sub-derivation is discarded along the way (a dropped
-injection side, a projected-away pair component) the discarded part is still
-required to be well-typed whenever its type can be decided.
+the spine structurally.  One walk, ``_reducts``, lists the judgments a split
+or a cut reduces to; checking judges each at the goal and synthesis infers
+each, so every rule is written once for both directions and every reduction
+step stays re-checkable at the same goal.  Left focus likewise serves both:
+``_check_spine`` synthesizes when it is given no goal.  Where a
+sub-derivation is discarded along the way (a dropped injection side, a
+projected-away pair component) the discarded part is still required to be
+well-typed whenever its type can be decided.
+
+The failure plumbing (``_Fail``, ``_fail``, ``UNKNOWN``) and the
+reassociation of application cuts are shared with the dependent checker.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .core_text import print_pattern, print_term, print_type
+from .core_text import print_data, print_pattern, print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
 from .syntax import (
@@ -44,33 +51,20 @@ from .syntax import (
     pattern_vars, select_branch, spine_concat, subst_data_in_term,
 )
 
-__all__ = ["Judgment", "check_term", "check_data", "check_spine",
-           "infer_term", "infer_data", "UNKNOWN"]
+__all__ = ["check_term", "check_data", "check_spine", "infer_term",
+           "infer_data", "UNKNOWN"]
 
 
-@record
-class Judgment:
-    """One of the three judgment forms: inversion (a term against a negative
-    goal under a context), right focus (data against a positive type), left
-    focus (a spine consuming a focused negative).  Used to frame
-    diagnostics."""
-
-    kind: str                       # "inversion" | "right-focus" | "left-focus"
-    sig: Sig
-    subject: object                 # Term | DataVal | Spine
-    goal: object                    # NegType | PosType
-    ctx: tuple = ()                 # inversion only
-    focus: Optional[NegType] = None  # left focus only
-
-    def frame(self) -> str:
-        from .core_text import print_data
-        if self.kind == "left-focus":
-            return (f"left-focus [{print_type(self.focus)}] |- spine"
-                    f" : {print_type(self.goal)}")
-        if self.kind == "right-focus":
-            return (f"right-focus |= {_clip(print_data(self.subject))}"
-                    f" : [{print_type(self.goal)}]")
-        return f"check {_clip(print_term(self.subject))} : {print_type(self.goal)}"
+def _frame(kind: str, subject, goal, focus: Optional[NegType] = None) -> str:
+    """The trail line of one judgment: inversion (a term against a negative
+    goal), right focus (data against a positive type) or left focus (a spine
+    consuming the focused negative ``focus``)."""
+    if kind == "left-focus":
+        return f"left-focus [{print_type(focus)}] |- spine : {print_type(goal)}"
+    if kind == "right-focus":
+        return (f"right-focus |= {_clip(print_data(subject))}"
+                f" : [{print_type(goal)}]")
+    return f"check {_clip(print_term(subject))} : {print_type(goal)}"
 
 
 def _clip(s: str, n: int = 60) -> str:
@@ -90,6 +84,10 @@ class _Unknown:
 
 
 UNKNOWN = _Unknown()
+
+
+def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> "_Fail":
+    return _Fail(Diagnostic(rule, expected=expected, found=found, note=note))
 
 
 @record
@@ -132,22 +130,34 @@ class _State:
         entry = self.sig.lookup(x)
         return entry.type if entry else None
 
-    def gamma_discharged(self) -> bool:
-        return not self.pending and not self.residual
+
+def _discharged(st: _State, rule: str) -> None:
+    """Fail ``rule`` unless the inversion context is fully discharged."""
+    if st.pending or st.residual:
+        parts = [f"[{print_pattern(p)}] : {print_type(ty)}"
+                 for p, ty in st.pending]
+        parts += [f"{x} : <positive>" for x in st.residual]
+        raise _fail(rule, expected="empty inversion context",
+                    found="{" + ", ".join(parts) + "}")
 
 
-def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> "_Fail":
-    return _Fail(Diagnostic(rule, expected=expected, found=found, note=note))
+def _structural(st: _State, found: str) -> None:
+    if not st.structural:
+        raise _fail("structural-disabled", expected="structural-patterns flag",
+                    found=found)
+
+
+def _head(st: _State, x: Name) -> NegType:
+    """The type of the applied variable ``x``; the context must be empty."""
+    _discharged(st, "var-app")
+    n = st.lookup(x)
+    if n is None:
+        raise _fail("unbound", expected="declared variable", found=str(x))
+    return n
 
 
 # ---------------------------------------------------------------------------
 # Context inversion
-
-def _invert(st: _State, entries: list[tuple[Pattern, PosType]]) -> _State:
-    for p, ty in entries:
-        st = _invert_one(st, p, ty)
-    return st
-
 
 def _invert_one(st: _State, p: Pattern, ty: PosType) -> _State:
     match p:
@@ -173,16 +183,10 @@ def _invert_one(st: _State, p: Pattern, ty: PosType) -> _State:
                             found=str(w), note="label already bound")
             return st.defer(p, ty)
         case PAt(a, b):
-            if not st.structural:
-                raise _fail("structural-disabled",
-                            expected="structural-patterns flag",
-                            found="contraction pattern p @ q")
+            _structural(st, "contraction pattern p @ q")
             return _invert_one(_invert_one(st, a, ty), b, ty)
         case PWild():
-            if not st.structural:
-                raise _fail("structural-disabled",
-                            expected="structural-patterns flag",
-                            found="wildcard pattern _")
+            _structural(st, "wildcard pattern _")
             return st
     raise TypeError(p)
 
@@ -194,22 +198,11 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
     try:
         _check_subject(st, t, goal)
     except _Fail as f:
-        raise _Fail(f.diagnostic.pushed(
-            Judgment("inversion", st.sig, t, goal,
-                     ctx=st.pending).frame()))
+        raise _Fail(f.diagnostic.pushed(_frame("inversion", t, goal)))
 
 
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
     match t:
-        case Split(w, tl, tr):
-            for i, (p, ty) in enumerate(st.pending):
-                if p.label == w:
-                    base = st.drop_pending(i)
-                    _check(_invert_one(base, p.left, ty.left), tl, goal)
-                    _check(_invert_one(base, p.right, ty.right), tr, goal)
-                    return
-            raise _fail("or-left", expected="pending or-hypothesis",
-                        found=str(w), note="split label not at hand")
         case Lam(p, b):
             if not isinstance(goal, Imp):
                 raise _fail("lambda", expected="implication goal",
@@ -222,136 +215,136 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
             _check(st, l, goal.left)
             _check(st, r, goal.right)
         case Done(d):
-            if not st.gamma_discharged():
-                raise _fail("done", expected="empty inversion context",
-                            found=_gamma_shape(st))
+            _discharged(st, "done")
             if not isinstance(goal, Up):
                 raise _fail("done", expected="shifted positive goal",
                             found=print_type(goal))
             _check_data(st, d, goal.body)
         case App(x, k):
-            if not st.gamma_discharged():
-                raise _fail("var-app", expected="empty inversion context",
-                            found=_gamma_shape(st))
-            n = st.lookup(x)
-            if n is None:
-                raise _fail("unbound", expected="declared variable", found=str(x))
-            _check_spine(st, n, k, goal)
-        case BindCut(p, d, b):
-            _check_bind_cut(st, p, d, b, goal)
-        case AppCut(f, k):
-            _check_app_cut(st, f, k, goal)
+            _check_spine(st, _head(st, x), k, goal)
+        case Split(_, _, _) | BindCut(_, _, _) | AppCut(_, _):
+            for st1, u in _reducts(st, t):
+                _check(st1, u, goal)
         case _:
             raise TypeError(t)
 
 
-def _gamma_shape(st: _State) -> str:
-    parts = [f"[{print_pattern(p)}] : {print_type(ty)}" for p, ty in st.pending]
-    parts += [f"{x} : <positive>" for x in st.residual]
-    return "{" + ", ".join(parts) + "}"
+# ---------------------------------------------------------------------------
+# Splits and cuts: the judgments they reduce to
 
-
-def _check_bind_cut(st: _State, p: Pattern, d: DataVal, b: Term,
-                    goal: NegType) -> None:
-    ty = _infer_data(st.focus_zone(), d)
-    if ty is not UNKNOWN:
-        _check(_invert_one(st, p, ty), b, goal)
-        return
-    match p, d:
-        case PWild(), _:
-            if not st.structural:
-                raise _fail("structural-disabled",
-                            expected="structural-patterns flag",
-                            found="wildcard pattern _")
-            _check(st, b, goal)
-        case PAt(p1, p2), _:
-            if not st.structural:
-                raise _fail("structural-disabled",
-                            expected="structural-patterns flag",
-                            found="contraction pattern p @ q")
-            _check(st, BindCut(p1, d, BindCut(p2, d, b)), goal)
-        case PPair(p1, p2), DPair(d1, d2):
-            _check(st, BindCut(p1, d1, BindCut(p2, d2, b)), goal)
-        case PPair(_, _), _:
-            raise _fail("bind-cut", expected="pair data",
-                        found=data_shape(d))
-        case POr(w, p1, _), Inl(e):
-            _check(st, BindCut(p1, e, select_branch(w, "left", b)), goal)
-        case POr(w, _, p2), Inr(e):
-            _check(st, BindCut(p2, e, select_branch(w, "right", b)), goal)
-        case POr(_, _, _), _:
-            raise _fail("bind-cut", expected="injection data",
-                        found=data_shape(d))
-        case Var(x), Thunk(u):
-            if x in free_names(b):
-                try:
-                    body = subst_data_in_term(b, x, Thunk(u))
-                except SubstClash as e:
-                    raise _fail("bind-cut", expected="well-sorted variable use",
-                                found=str(x), note=e.reason)
-                _check(st, body, goal)
-            else:
-                _check(st, b, goal)
-        case Var(x), _:
-            # Pair or injection data bound to a bare variable: the hypothesis
-            # is positive-composite and can never be discharged.
-            _check(st.leave(x), b, goal)
-        case _:
-            raise TypeError(p)
-
-
-def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
-    if isinstance(k, Nil):
-        _check(st, f, goal)
-        return
-    match f:
-        case App(x, k1):
-            _check(st, App(x, spine_concat(k1, k)), goal)
-        case AppCut(g, k1):
-            _check(st, AppCut(g, spine_concat(k1, k)), goal)
-        case BindCut(p, d, b):
-            _check(st, BindCut(p, d, AppCut(b, k)), goal)
-        case Lam(p, b):
-            if not isinstance(k, Cons):
-                raise _fail("app-cut", expected="argument spine for a function",
-                            found=_spine_shape(k))
-            _check(st, BindCut(p, k.arg, AppCut(b, k.rest)), goal)
-        case Done(d):
-            if not st.gamma_discharged():
-                raise _fail("done", expected="empty inversion context",
-                            found=_gamma_shape(st))
-            if not isinstance(k, Kappa):
-                raise _fail("app-cut", expected="kappa spine for returned data",
-                            found=_spine_shape(k))
-            _check(st, BindCut(k.pat, d, k.body), goal)
-        case Pair(l, r):
-            match k:
-                case Proj1(k2):
-                    _discard_check(st, r)
-                    _check(st, AppCut(l, k2), goal)
-                case Proj2(k2):
-                    _discard_check(st, l)
-                    _check(st, AppCut(r, k2), goal)
-                case _:
-                    raise _fail("app-cut", expected="projection spine for a pair",
-                                found=_spine_shape(k))
+def _reducts(st: _State, t: Term) -> Iterator[tuple[_State, Term]]:
+    """The judgments a split, a binding cut or an application cut reduces
+    to, in order, each at the goal of ``t``: two for a split (one per
+    branch), one for a cut.  Lazy, so a split's right branch is inverted
+    only after the left one has been judged."""
+    match t:
         case Split(w, tl, tr):
             for i, (p, ty) in enumerate(st.pending):
                 if p.label == w:
                     base = st.drop_pending(i)
-                    _check(_invert_one(base, p.left, ty.left), AppCut(tl, k), goal)
-                    _check(_invert_one(base, p.right, ty.right), AppCut(tr, k), goal)
+                    yield _invert_one(base, p.left, ty.left), tl
+                    yield _invert_one(base, p.right, ty.right), tr
                     return
             raise _fail("or-left", expected="pending or-hypothesis",
                         found=str(w), note="split label not at hand")
-        case _:
-            raise TypeError(f)
+        case BindCut(p, d, b):
+            ty = _infer_data(st.focus_zone(), d)
+            if ty is not UNKNOWN:
+                yield _invert_one(st, p, ty), b
+                return
+            yield _bind_cut(st, p, d, b)
+        case AppCut(f, k):
+            u = _reassociated(f, k)
+            if u is not None:
+                yield st, u
+                return
+            match f:
+                case Lam(p, b):
+                    if not isinstance(k, Cons):
+                        raise _fail("app-cut",
+                                    expected="argument spine for a function",
+                                    found=_spine_shape(k))
+                    yield st, BindCut(p, k.arg, AppCut(b, k.rest))
+                case Done(d):
+                    _discharged(st, "done")
+                    if not isinstance(k, Kappa):
+                        raise _fail("app-cut",
+                                    expected="kappa spine for returned data",
+                                    found=_spine_shape(k))
+                    yield st, BindCut(k.pat, d, k.body)
+                case Pair(l, r):
+                    # The projected-away component must still be typeable:
+                    # reject definite failures, accept when undecided.
+                    match k:
+                        case Proj1(k2):
+                            _infer_term(st, r)
+                            yield st, AppCut(l, k2)
+                        case Proj2(k2):
+                            _infer_term(st, l)
+                            yield st, AppCut(r, k2)
+                        case _:
+                            raise _fail("app-cut",
+                                        expected="projection spine for a pair",
+                                        found=_spine_shape(k))
+                case Split(_, _, _):
+                    for st1, u in _reducts(st, f):
+                        yield st1, AppCut(u, k)
+                case _:
+                    raise TypeError(f)
 
 
-def _discard_check(st: _State, t: Term) -> None:
-    """A discarded pair component must still be typeable; reject definite
-    failures, accept when synthesis cannot decide."""
-    _infer_term(st, t)
+def _bind_cut(st: _State, p: Pattern, d: DataVal,
+              b: Term) -> tuple[_State, Term]:
+    """A binding cut whose data has no synthesizable type, decomposed
+    pattern against data as the reduction rule does."""
+    match p, d:
+        case PWild(), _:
+            _structural(st, "wildcard pattern _")
+            return st, b
+        case PAt(p1, p2), _:
+            _structural(st, "contraction pattern p @ q")
+            return st, BindCut(p1, d, BindCut(p2, d, b))
+        case PPair(p1, p2), DPair(d1, d2):
+            return st, BindCut(p1, d1, BindCut(p2, d2, b))
+        case PPair(_, _), _:
+            raise _fail("bind-cut", expected="pair data", found=data_shape(d))
+        case POr(w, p1, _), Inl(e):
+            return st, BindCut(p1, e, select_branch(w, "left", b))
+        case POr(w, _, p2), Inr(e):
+            return st, BindCut(p2, e, select_branch(w, "right", b))
+        case POr(_, _, _), _:
+            raise _fail("bind-cut", expected="injection data",
+                        found=data_shape(d))
+        case Var(x), Thunk(u):
+            if x not in free_names(b):
+                return st, b
+            try:
+                return st, subst_data_in_term(b, x, Thunk(u))
+            except SubstClash as e:
+                raise _fail("bind-cut", expected="well-sorted variable use",
+                            found=str(x), note=e.reason)
+        case Var(x), _:
+            # Pair or injection data bound to a bare variable: the hypothesis
+            # is positive-composite and can never be discharged.
+            return st.leave(x), b
+    raise TypeError(p)
+
+
+def _reassociated(f: Term, k: Spine) -> Optional[Term]:
+    """The application cut ``f k`` rewritten one step towards its redex when
+    that needs no typing: an empty spine drops, an applied variable or a
+    nested application cut absorbs ``k``, and a binding cut commutes.  None
+    for every other ``f``."""
+    if isinstance(k, Nil):
+        return f
+    match f:
+        case App(x, k1):
+            return App(x, spine_concat(k1, k))
+        case AppCut(g, k1):
+            return AppCut(g, spine_concat(k1, k))
+        case BindCut(p, d, b):
+            return BindCut(p, d, AppCut(b, k))
+    return None
 
 
 def _spine_shape(k: Spine) -> str:
@@ -389,18 +382,22 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
                 raise _fail("mode", expected="propositional positive type",
                             found=print_type(goal))
     except _Fail as f:
-        raise _Fail(f.diagnostic.pushed(
-            Judgment("right-focus", st.sig, d, goal).frame()))
+        raise _Fail(f.diagnostic.pushed(_frame("right-focus", d, goal)))
 
 
 # ---------------------------------------------------------------------------
 # Left focus: consume a spine
 
-def _check_spine(st: _State, focus: NegType, k: Spine, goal: NegType) -> None:
+def _check_spine(st: _State, focus: NegType, k: Spine,
+                 goal: Optional[NegType]) -> Union[NegType, _Unknown, None]:
+    """Consume ``k`` against ``focus`` and check the result against
+    ``goal``; with no goal, synthesize the result instead."""
     st = st.focus_zone()
     try:
         match k:
             case Nil():
+                if goal is None:
+                    return focus
                 if not alpha_eq(focus, goal):
                     raise _fail("axiom", expected=print_type(goal),
                                 found=print_type(focus),
@@ -410,27 +407,32 @@ def _check_spine(st: _State, focus: NegType, k: Spine, goal: NegType) -> None:
                     raise _fail("imp-left", expected="implication under focus",
                                 found=print_type(focus))
                 _check_data(st, d, focus.arg)
-                _check_spine(st, focus.res, rest, goal)
+                return _check_spine(st, focus.res, rest, goal)
             case Proj1(rest):
                 if not isinstance(focus, With):
                     raise _fail("with-left-1", expected="conjunction under focus",
                                 found=print_type(focus))
-                _check_spine(st, focus.left, rest, goal)
+                return _check_spine(st, focus.left, rest, goal)
             case Proj2(rest):
                 if not isinstance(focus, With):
                     raise _fail("with-left-2", expected="conjunction under focus",
                                 found=print_type(focus))
-                _check_spine(st, focus.right, rest, goal)
+                return _check_spine(st, focus.right, rest, goal)
             case Kappa(p, t):
                 if not isinstance(focus, Up):
                     raise _fail("kappa", expected="shifted positive under focus",
                                 found=print_type(focus))
-                _check(_invert_one(st, p, focus.body), t, goal)
+                st = _invert_one(st, p, focus.body)
+                if goal is None:
+                    return _infer_term(st, t)
+                _check(st, t, goal)
             case _:
                 raise TypeError(k)
     except _Fail as f:
+        if goal is None:
+            raise
         raise _Fail(f.diagnostic.pushed(
-            Judgment("left-focus", st.sig, k, goal, focus=focus).frame()))
+            _frame("left-focus", k, goal, focus=focus)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +443,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
         case Lam(_, _):
             return UNKNOWN
         case Done(d):
-            if not st.gamma_discharged():
-                raise _fail("done", expected="empty inversion context",
-                            found=_gamma_shape(st))
+            _discharged(st, "done")
             ty = _infer_data(st.focus_zone(), d)
             return UNKNOWN if ty is UNKNOWN else Up(ty)
         case Pair(l, r):
@@ -453,146 +453,15 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
                 return UNKNOWN
             return With(tl, tr)
         case App(x, k):
-            if not st.gamma_discharged():
-                raise _fail("var-app", expected="empty inversion context",
-                            found=_gamma_shape(st))
-            n = st.lookup(x)
-            if n is None:
-                raise _fail("unbound", expected="declared variable", found=str(x))
-            return _infer_spine(st, n, k)
-        case Split(w, tl, tr):
-            for i, (p, ty) in enumerate(st.pending):
-                if p.label == w:
-                    base = st.drop_pending(i)
-                    nl = _infer_term(_invert_one(base, p.left, ty.left), tl)
-                    nr = _infer_term(_invert_one(base, p.right, ty.right), tr)
-                    if nl is UNKNOWN or nr is UNKNOWN or not alpha_eq(nl, nr):
-                        return UNKNOWN
-                    return nl
-            raise _fail("or-left", expected="pending or-hypothesis",
-                        found=str(w), note="split label not at hand")
-        case BindCut(p, d, b):
-            ty = _infer_data(st.focus_zone(), d)
-            if ty is not UNKNOWN:
-                return _infer_term(_invert_one(st, p, ty), b)
-            match p, d:
-                case PWild(), _:
-                    if not st.structural:
-                        raise _fail("structural-disabled",
-                                    expected="structural-patterns flag",
-                                    found="wildcard pattern _")
-                    return _infer_term(st, b)
-                case PAt(p1, p2), _:
-                    if not st.structural:
-                        raise _fail("structural-disabled",
-                                    expected="structural-patterns flag",
-                                    found="contraction pattern p @ q")
-                    return _infer_term(st, BindCut(p1, d, BindCut(p2, d, b)))
-                case PPair(p1, p2), DPair(d1, d2):
-                    return _infer_term(st, BindCut(p1, d1, BindCut(p2, d2, b)))
-                case PPair(_, _), _:
-                    raise _fail("bind-cut", expected="pair data",
-                                found=data_shape(d))
-                case POr(w, p1, _), Inl(e):
-                    return _infer_term(st, BindCut(p1, e, select_branch(w, "left", b)))
-                case POr(w, _, p2), Inr(e):
-                    return _infer_term(st, BindCut(p2, e, select_branch(w, "right", b)))
-                case POr(_, _, _), _:
-                    raise _fail("bind-cut", expected="injection data",
-                                found=data_shape(d))
-                case Var(x), Thunk(u):
-                    if x in free_names(b):
-                        try:
-                            body = subst_data_in_term(b, x, Thunk(u))
-                        except SubstClash as e:
-                            raise _fail("bind-cut",
-                                        expected="well-sorted variable use",
-                                        found=str(x), note=e.reason)
-                        return _infer_term(st, body)
-                    return _infer_term(st, b)
-                case Var(x), _:
-                    return _infer_term(st.leave(x), b)
-            raise TypeError(p)
-        case AppCut(f, k):
-            if isinstance(k, Nil):
-                return _infer_term(st, f)
-            match f:
-                case App(x, k1):
-                    return _infer_term(st, App(x, spine_concat(k1, k)))
-                case AppCut(g, k1):
-                    return _infer_term(st, AppCut(g, spine_concat(k1, k)))
-                case BindCut(p, d, b):
-                    return _infer_term(st, BindCut(p, d, AppCut(b, k)))
-                case Lam(p, b):
-                    if not isinstance(k, Cons):
-                        raise _fail("app-cut",
-                                    expected="argument spine for a function",
-                                    found=_spine_shape(k))
-                    return _infer_term(st, BindCut(p, k.arg, AppCut(b, k.rest)))
-                case Done(d):
-                    if not st.gamma_discharged():
-                        raise _fail("done", expected="empty inversion context",
-                                    found=_gamma_shape(st))
-                    if not isinstance(k, Kappa):
-                        raise _fail("app-cut",
-                                    expected="kappa spine for returned data",
-                                    found=_spine_shape(k))
-                    return _infer_term(st, BindCut(k.pat, d, k.body))
-                case Pair(l, r):
-                    match k:
-                        case Proj1(k2):
-                            _discard_check(st, r)
-                            return _infer_term(st, AppCut(l, k2))
-                        case Proj2(k2):
-                            _discard_check(st, l)
-                            return _infer_term(st, AppCut(r, k2))
-                        case _:
-                            raise _fail("app-cut",
-                                        expected="projection spine for a pair",
-                                        found=_spine_shape(k))
-                case Split(w, tl, tr):
-                    for i, (p, ty) in enumerate(st.pending):
-                        if p.label == w:
-                            base = st.drop_pending(i)
-                            nl = _infer_term(_invert_one(base, p.left, ty.left),
-                                             AppCut(tl, k))
-                            nr = _infer_term(_invert_one(base, p.right, ty.right),
-                                             AppCut(tr, k))
-                            if nl is UNKNOWN or nr is UNKNOWN or not alpha_eq(nl, nr):
-                                return UNKNOWN
-                            return nl
-                    raise _fail("or-left", expected="pending or-hypothesis",
-                                found=str(w), note="split label not at hand")
-            raise TypeError(f)
+            return _check_spine(st, _head(st, x), k, None)
+        case Split(_, _, _) | BindCut(_, _, _) | AppCut(_, _):
+            # The branches of a split must agree on one type.
+            n, *others = [_infer_term(st1, u) for st1, u in _reducts(st, t)]
+            if any(n is UNKNOWN or m is UNKNOWN or not alpha_eq(n, m)
+                   for m in others):
+                return UNKNOWN
+            return n
     raise TypeError(t)
-
-
-def _infer_spine(st: _State, focus: NegType, k: Spine) -> Union[NegType, _Unknown]:
-    match k:
-        case Nil():
-            return focus
-        case Cons(d, rest):
-            if not isinstance(focus, Imp):
-                raise _fail("imp-left", expected="implication under focus",
-                            found=print_type(focus))
-            _check_data(st, d, focus.arg)
-            return _infer_spine(st, focus.res, rest)
-        case Proj1(rest):
-            if not isinstance(focus, With):
-                raise _fail("with-left-1", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _infer_spine(st, focus.left, rest)
-        case Proj2(rest):
-            if not isinstance(focus, With):
-                raise _fail("with-left-2", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _infer_spine(st, focus.right, rest)
-        case Kappa(p, t):
-            if not isinstance(focus, Up):
-                raise _fail("kappa", expected="shifted positive under focus",
-                            found=print_type(focus))
-            return _infer_term(_invert_one(st.focus_zone(), p, focus.body), t)
-    raise TypeError(k)
 
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
@@ -622,7 +491,10 @@ def _entry_state(sig: Sig, ctx: Ctx, structural: bool) -> _State:
     if len(bound) != len(set(bound)):
         raise _Fail(Diagnostic("linear", expected="pairwise distinct context binders",
                                found=", ".join(map(str, bound))))
-    return _invert(_State(sig, structural), list(ctx))
+    st = _State(sig, structural)
+    for p, ty in ctx:
+        st = _invert_one(st, p, ty)
+    return st
 
 
 def check_term(sig: Sig, ctx: Ctx, t: Term, goal: NegType,

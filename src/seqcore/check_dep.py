@@ -17,13 +17,20 @@ forms).  Two term shapes carry the eliminations:
 Type equality is conversion: embedded data is normalized with the evaluator
 under a fuel bound, then compared up to alpha.  Cut formulas are recovered by
 synthesis exactly as in the propositional checker, falling back to the
-reduct's shape where synthesis cannot decide.
+reduct's shape where synthesis cannot decide.  Each cut rule is written once
+for checking and synthesis: ``_var_cut`` gives the judgment a binding cut
+reduces to, ``_reassociated`` (shared with the propositional checker) the
+typing-free rewrites of an application cut, and ``_check_spine`` synthesizes
+when it is given no goal.  Synthesis leaves a lambda, done, pair or split
+under an application cut undecided rather than reject what checking accepts.
+The failure plumbing comes from the propositional checker.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
+from .check import UNKNOWN, _Fail, _Unknown, _fail, _reassociated
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
@@ -32,7 +39,7 @@ from .syntax import (
     App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
     Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
     Sig, Sigma, Spine, Split, SubstClash, Term, Thunk, Up, Var, With,
-    alpha_eq, eta, free_names, rewrite, spine_concat, subst_data_in_neg,
+    alpha_eq, eta, free_names, rewrite, subst_data_in_neg,
     subst_data_in_pos, subst_data_in_spine, subst_data_in_term,
 )
 
@@ -40,23 +47,6 @@ __all__ = ["DepCtx", "dep_check_term", "dep_check_spine", "dep_bind_cut",
            "convert", "ConversionError"]
 
 DepCtx = list  # list[tuple[Name, PosType]]; a telescope
-
-
-class _Fail(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-
-
-def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> _Fail:
-    return _Fail(Diagnostic(rule, expected=expected, found=found, note=note))
-
-
-class _Unknown:
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-_UNKNOWN = _Unknown()
 
 
 @record
@@ -166,6 +156,21 @@ def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma
     return None
 
 
+def _discharged(st: _State, rule: str) -> None:
+    if st.pending:
+        raise _fail(rule, expected="empty inversion context",
+                    found=", ".join(str(x) for x, _ in st.pending))
+
+
+def _head(st: _State, x: Name) -> NegType:
+    """The type of the applied variable ``x``; the context must be empty."""
+    _discharged(st, "var-app")
+    n = st.lookup(x)
+    if n is None:
+        raise _fail("unbound", expected="declared variable", found=str(x))
+    return n
+
+
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
     sigma_let = _is_sigma_let(st, t)
     if sigma_let is not None:
@@ -179,16 +184,8 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
         return
     match t:
         case Split(x, tl, tr):
-            i = st.pending_index(x)
-            if i is None or not isinstance(st.pending[i][1], Or):
-                raise _fail("or-left", expected="sum-typed hypothesis",
-                            found=str(x), note="split variable not at hand")
-            ty = st.pending[i][1]
-            base = st.drop_pending(i)
-            stL = base.subst(x, Inl(eta(x))).extend(x, ty.left)
-            _check(stL, tl, subst_data_in_neg(goal, x, Inl(eta(x))))
-            stR = base.subst(x, Inr(eta(x))).extend(x, ty.right)
-            _check(stR, tr, subst_data_in_neg(goal, x, Inr(eta(x))))
+            for branch in _split(st, x, tl, tr, None, goal):
+                _check(*branch)
         case Lam(p, b):
             if not isinstance(p, Var):
                 raise _fail("dep-pattern", expected="variable binder",
@@ -206,28 +203,19 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
             _check(st, l, goal.left)
             _check(st, r, goal.right)
         case Done(d):
-            if st.pending:
-                raise _fail("done", expected="empty inversion context",
-                            found=", ".join(str(x) for x, _ in st.pending))
+            _discharged(st, "done")
             if not isinstance(goal, Up):
                 raise _fail("done", expected="shifted positive goal",
                             found=print_type(goal))
             _check_data(st, d, goal.body)
         case App(x, k):
-            if st.pending:
-                raise _fail("var-app", expected="empty inversion context",
-                            found=", ".join(str(y) for y, _ in st.pending))
-            n = st.lookup(x)
-            if n is None:
-                raise _fail("unbound", expected="declared variable", found=str(x))
-            _check_spine(st, n, k, goal)
+            _check_spine(st, _head(st, x), k, goal)
         case BindCut(Var(x), d, b):
-            _check_var_cut(st, x, d, b, goal)
-        case BindCut(PPair(Var(_), Var(_)), DPair(d1, d2), b):
+            _check(*_var_cut(st, x, d, b), goal)
+        case BindCut(PPair(Var() as p1, Var() as p2), DPair(d1, d2), b):
             # Reduct of a sigma-let whose scrutinee got instantiated; accept
             # by decomposing, mirroring the reduction rule.
-            p = t.pat
-            _check(st, BindCut(p.left, d1, BindCut(p.right, d2, b)), goal)
+            _check(st, BindCut(p1, d1, BindCut(p2, d2, b)), goal)
         case BindCut(_, _, _):
             raise _fail("dep-pattern", expected="variable binder",
                         found="deep pattern in cut",
@@ -238,43 +226,35 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
             raise TypeError(t)
 
 
-def _check_var_cut(st: _State, x: Name, d: DataVal, b: Term,
-                   goal: NegType) -> None:
+def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
+    """The judgment the binding cut ``x = d in b`` reduces to: ``b`` with
+    ``x`` bound at the type of ``d`` when that synthesizes, else ``b`` with
+    ``d`` substituted for ``x``."""
     ty = _infer_data(st.focus_zone(), d)
-    if ty is not _UNKNOWN:
-        _check(st.extend(x, ty), b, goal)
-        return
-    if x in free_names(b):
-        try:
-            body = subst_data_in_term(b, x, d)
-        except SubstClash as e:
-            raise _fail("bind-cut", expected="well-sorted variable use",
-                        found=str(x), note=e.reason)
-        _check(st, body, goal)
-    else:
-        _check(st, b, goal)
+    if ty is not UNKNOWN:
+        return st.extend(x, ty), b
+    if x not in free_names(b):
+        return st, b
+    try:
+        return st, subst_data_in_term(b, x, d)
+    except SubstClash as e:
+        raise _fail("bind-cut", expected="well-sorted variable use",
+                    found=str(x), note=e.reason)
 
 
 def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
-    if isinstance(k, Nil):
-        _check(st, f, goal)
+    u = _reassociated(f, k)
+    if u is not None:
+        _check(st, u, goal)
         return
     match f:
-        case App(x, k1):
-            _check(st, App(x, spine_concat(k1, k)), goal)
-        case AppCut(g, k1):
-            _check(st, AppCut(g, spine_concat(k1, k)), goal)
-        case BindCut(p, d, b):
-            _check(st, BindCut(p, d, AppCut(b, k)), goal)
         case Lam(Var(x), b):
             if not isinstance(k, Cons):
                 raise _fail("app-cut", expected="argument spine for a function",
                             found=type(k).__name__)
             _check(st, BindCut(Var(x), k.arg, AppCut(b, k.rest)), goal)
         case Done(d):
-            if st.pending:
-                raise _fail("done", expected="empty inversion context",
-                            found=", ".join(str(y) for y, _ in st.pending))
+            _discharged(st, "done")
             if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
                 raise _fail("app-cut", expected="kappa x spine for returned data",
                             found=type(k).__name__)
@@ -291,21 +271,37 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
                     raise _fail("app-cut", expected="projection spine for a pair",
                                 found=type(k).__name__)
         case Split(x, tl, tr):
-            i = st.pending_index(x)
-            if i is None or not isinstance(st.pending[i][1], Or):
-                raise _fail("or-left", expected="sum-typed hypothesis",
-                            found=str(x), note="split variable not at hand")
-            ty = st.pending[i][1]
-            base = st.drop_pending(i)
-            kL = subst_data_in_spine(k, x, Inl(eta(x)))
-            stL = base.subst(x, Inl(eta(x))).extend(x, ty.left)
-            _check(stL, AppCut(tl, kL), subst_data_in_neg(goal, x, Inl(eta(x))))
-            kR = subst_data_in_spine(k, x, Inr(eta(x)))
-            stR = base.subst(x, Inr(eta(x))).extend(x, ty.right)
-            _check(stR, AppCut(tr, kR), subst_data_in_neg(goal, x, Inr(eta(x))))
+            for branch in _split(st, x, tl, tr, k, goal):
+                _check(*branch)
         case _:
             raise _fail("app-cut", expected="applicable term under cut",
                         found=print_term(f))
+
+
+def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
+           goal: NegType) -> Iterator[tuple[_State, Term, NegType]]:
+    """The two judgments of ``split x`` (applied to the spine ``k`` when
+    there is one): each branch re-binds ``x`` at its side of the sum, with
+    the injection substituted for ``x`` in the spine, the later hypotheses
+    and the goal.  Lazy, so the right branch is built only after the left
+    one has been checked."""
+    i = st.pending_index(x)
+    if i is None or not isinstance(st.pending[i][1], Or):
+        raise _fail("or-left", expected="sum-typed hypothesis",
+                    found=str(x), note="split variable not at hand")
+    ty = st.pending[i][1]
+    base = st.drop_pending(i)
+    for inj, side, u in ((Inl, ty.left, tl), (Inr, ty.right, tr)):
+        d = inj(eta(x))
+        try:
+            if k is not None:
+                u = AppCut(u, subst_data_in_spine(k, x, d))
+            st1 = base.subst(x, d).extend(x, side)
+            goal1 = subst_data_in_neg(goal, x, d)
+        except SubstClash as e:
+            raise _fail("or-left", expected="well-sorted use of the split variable",
+                        found=str(x), note=e.reason)
+        yield st1, u, goal1
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +333,15 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
 # ---------------------------------------------------------------------------
 # Left focus
 
-def _check_spine(st: _State, focus: NegType, k: Spine, goal: NegType) -> None:
+def _check_spine(st: _State, focus: NegType, k: Spine,
+                 goal: Optional[NegType]) -> Union[NegType, _Unknown, None]:
+    """Consume ``k`` against ``focus`` and check the result against ``goal``
+    up to conversion; with no goal, synthesize the result instead."""
     st = st.focus_zone()
     match k:
         case Nil():
+            if goal is None:
+                return focus
             if not convert(focus, goal, st.sig, st.fuel):
                 raise _fail("axiom", expected=print_type(goal),
                             found=print_type(focus),
@@ -350,19 +351,21 @@ def _check_spine(st: _State, focus: NegType, k: Spine, goal: NegType) -> None:
                 raise _fail("imp-left", expected="dependent product under focus",
                             found=print_type(focus))
             _check_data(st, d, focus.arg)
-            _check_spine(st, subst_data_in_neg(focus.res, focus.binder, d),
-                         rest, goal)
+            return _check_spine(st, subst_data_in_neg(focus.res, focus.binder, d),
+                                rest, goal)
         case Proj1(rest):
             if not isinstance(focus, With):
                 raise _fail("with-left-1", expected="conjunction under focus",
                             found=print_type(focus))
-            _check_spine(st, focus.left, rest, goal)
+            return _check_spine(st, focus.left, rest, goal)
         case Proj2(rest):
             if not isinstance(focus, With):
                 raise _fail("with-left-2", expected="conjunction under focus",
                             found=print_type(focus))
-            _check_spine(st, focus.right, rest, goal)
+            return _check_spine(st, focus.right, rest, goal)
         case Kappa(p, t):
+            if goal is None and not (isinstance(p, Var) and isinstance(focus, Up)):
+                return UNKNOWN
             if not isinstance(p, Var):
                 raise _fail("dep-pattern", expected="variable binder",
                             found="deep pattern",
@@ -370,7 +373,10 @@ def _check_spine(st: _State, focus: NegType, k: Spine, goal: NegType) -> None:
             if not isinstance(focus, Up):
                 raise _fail("kappa", expected="shifted positive under focus",
                             found=print_type(focus))
-            _check(st.extend(p.name, focus.body), t, goal)
+            st = st.extend(p.name, focus.body)
+            if goal is None:
+                return _infer_term(st, t)
+            _check(st, t, goal)
         case _:
             raise TypeError(k)
 
@@ -379,86 +385,31 @@ def _check_spine(st: _State, focus: NegType, k: Spine, goal: NegType) -> None:
 # Synthesis
 
 def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
-    sigma_let = _is_sigma_let(st, t)
-    if sigma_let is not None:
-        return _UNKNOWN
+    if _is_sigma_let(st, t) is not None:
+        return UNKNOWN
     match t:
-        case Lam(_, _) | Split(_, _, _):
-            return _UNKNOWN
+        case BindCut(Var(x), d, b):
+            return _infer_term(*_var_cut(st, x, d, b))
+        case Lam(_, _) | Split(_, _, _) | BindCut(_, _, _):
+            return UNKNOWN
         case Done(d):
-            if st.pending:
-                raise _fail("done", expected="empty inversion context",
-                            found=", ".join(str(x) for x, _ in st.pending))
+            _discharged(st, "done")
             ty = _infer_data(st.focus_zone(), d)
-            return _UNKNOWN if ty is _UNKNOWN else Up(ty)
+            return UNKNOWN if ty is UNKNOWN else Up(ty)
         case Pair(l, r):
             tl = _infer_term(st, l)
             tr = _infer_term(st, r)
-            if tl is _UNKNOWN or tr is _UNKNOWN:
-                return _UNKNOWN
+            if tl is UNKNOWN or tr is UNKNOWN:
+                return UNKNOWN
             return With(tl, tr)
         case App(x, k):
-            if st.pending:
-                raise _fail("var-app", expected="empty inversion context",
-                            found=", ".join(str(y) for y, _ in st.pending))
-            n = st.lookup(x)
-            if n is None:
-                raise _fail("unbound", expected="declared variable", found=str(x))
-            return _infer_spine(st, n, k)
-        case BindCut(Var(x), d, b):
-            ty = _infer_data(st.focus_zone(), d)
-            if ty is not _UNKNOWN:
-                return _infer_term(st.extend(x, ty), b)
-            if x in free_names(b):
-                try:
-                    return _infer_term(st, subst_data_in_term(b, x, d))
-                except SubstClash as e:
-                    raise _fail("bind-cut", expected="well-sorted variable use",
-                                found=str(x), note=e.reason)
-            return _infer_term(st, b)
-        case BindCut(_, _, _):
-            return _UNKNOWN
+            return _check_spine(st, _head(st, x), k, None)
         case AppCut(f, k):
-            if isinstance(k, Nil):
-                return _infer_term(st, f)
-            match f:
-                case App(x, k1):
-                    return _infer_term(st, App(x, spine_concat(k1, k)))
-                case AppCut(g, k1):
-                    return _infer_term(st, AppCut(g, spine_concat(k1, k)))
-                case BindCut(p, d, b):
-                    return _infer_term(st, BindCut(p, d, AppCut(b, k)))
-                case _:
-                    return _UNKNOWN
+            # A lambda, done, pair or split under the cut is left undecided:
+            # synthesizing through it would reject programs checking accepts.
+            u = _reassociated(f, k)
+            return UNKNOWN if u is None else _infer_term(st, u)
     raise TypeError(t)
-
-
-def _infer_spine(st: _State, focus: NegType, k: Spine) -> Union[NegType, _Unknown]:
-    match k:
-        case Nil():
-            return focus
-        case Cons(d, rest):
-            if not isinstance(focus, Pi):
-                raise _fail("imp-left", expected="dependent product under focus",
-                            found=print_type(focus))
-            _check_data(st, d, focus.arg)
-            return _infer_spine(st, subst_data_in_neg(focus.res, focus.binder, d),
-                                rest)
-        case Proj1(rest):
-            if not isinstance(focus, With):
-                raise _fail("with-left-1", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _infer_spine(st, focus.left, rest)
-        case Proj2(rest):
-            if not isinstance(focus, With):
-                raise _fail("with-left-2", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _infer_spine(st, focus.right, rest)
-        case Kappa(p, t):
-            if not isinstance(p, Var) or not isinstance(focus, Up):
-                return _UNKNOWN
-            return _infer_term(st.focus_zone().extend(p.name, focus.body), t)
-    raise TypeError(k)
 
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
@@ -468,20 +419,19 @@ def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
             return st.pending[st.pending_index(x)][1]
         case Thunk(t):
             n = _infer_term(st.focus_zone(), t)
-            return _UNKNOWN if n is _UNKNOWN else Down(n)
+            return UNKNOWN if n is UNKNOWN else Down(n)
         case DPair(a, b):
             ta = _infer_data(st, a)
-            if ta is _UNKNOWN:
-                return _UNKNOWN
+            if ta is UNKNOWN:
+                return UNKNOWN
             tb = _infer_data(st, b)
-            if tb is _UNKNOWN:
-                return _UNKNOWN
+            if tb is UNKNOWN:
+                return UNKNOWN
             # No dependency is recoverable from the pair alone.
-            x = Name("_", 0)
-            return Sigma(x, ta, tb)
+            return Sigma(Name("_"), ta, tb)
         case Inl(e) | Inr(e):
             _infer_data(st, e)
-            return _UNKNOWN
+            return UNKNOWN
     raise TypeError(d)
 
 
@@ -526,7 +476,7 @@ def dep_bind_cut(sig: Sig, ctx: DepCtx, x: Name, d: DataVal, t: Term,
     """Check the dependent binding cut ``x = d in t`` against ``goal``."""
     try:
         st = _entry_state(sig, ctx, fuel)
-        _check_var_cut(st, x, d, t, goal)
+        _check(*_var_cut(st, x, d, t), goal)
         return None
     except _Fail as f:
         return f.diagnostic

@@ -1,7 +1,8 @@
 """Batch driver: check, core, run and trace over ``.seq`` files.
 
 Exit codes: 0 success, 1 type or coverage error, 2 parse error, 3 fuel
-exhausted, 4 usage error (argparse's included), 5 internal error.
+exhausted, 4 usage error (argparse's included), an unreadable FILE or a
+stdout the reader closed early (with nothing on stderr), 5 internal error.
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -201,7 +202,17 @@ def entry(argv: Optional[list[str]] = None) -> int:
                     structural_patterns=ns.structural_patterns, fuel=fuel,
                     show_trace=ns.trace)
     try:
-        return main(cfg)
+        code = main(cfg)
+        sys.stdout.flush()   # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at
+        # interpreter exit cannot fail again (the note on SIGPIPE in the
+        # ``signal`` docs), and exit 4 as for an unreadable FILE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
     except Exception as e:
         msg = str(e).replace("\n", " ")
         print(f"error: internal error: {type(e).__name__}: {msg}",

@@ -126,6 +126,27 @@ class TestOrLeftMotive:
                     App(Name("h1"), Cons(eta(X), Nil())))
         assert dep_check_term(sig, ctx, bad, goal) is not None
 
+    def test_split_variable_applied_in_the_spine(self):
+        # The spine under a split cut applies the sum-typed x as a function,
+        # so substituting an injection for x clashes.  That is a diagnostic,
+        # when checking and when synthesis reaches it under a binding cut.
+        U, Y, F = Name("u"), Name("y"), Name("f")
+        ctx = [(X, Or(Down(A), Down(A)))]
+        clash = AppCut(Split(X, Done(Inl(eta(X))), Done(Inr(eta(X)))),
+                       Kappa(Var(Y), App(X, Nil())))
+        d = dep_check_term(EMPTY, ctx, clash, A)
+        assert d is not None and d.rule == "or-left" and d.found == "x"
+        sig = EMPTY.with_entry(SigEntry(
+            F, Pi(Name("_"), Down(Pi(X, Or(Down(A), Down(A)), A)), A)))
+        use = App(F, Cons(Thunk(Lam(Var(X), clash)), Nil()))
+        # z is bound to data with no synthesizable type, so synthesis
+        # substitutes it into the body and then meets the split.
+        cut = BindCut(Var(Z), Inl(Thunk(Lam(Var(U), App(U, Nil())))),
+                      Pair(use, Done(eta(Z))))
+        t = AppCut(Pair(App(F, Cons(Thunk(ID), Nil())), cut), Proj1(Nil()))
+        d = dep_check_term(sig, [], t, A)
+        assert d is not None and d.rule == "or-left" and d.found == "x"
+
 
 class TestDependentCut:
     def test_non_dependent_instance(self):

@@ -214,6 +214,53 @@ class TestInternalErrors:
         assert err == "error: internal error: RuntimeError: loader broke here\n"
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (``seqcore core f.seq | head``)
+    gets exit 4 and no stderr line, as for any other unwritable file."""
+
+    def test_in_process(self, capsys, monkeypatch):
+        r, w = os.pipe()
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return w
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        try:
+            code = entry(["core", str(PROGRAMS / "basics.seq")])
+            # The descriptor now points at devnull, so the flush at exit
+            # cannot fail again.
+            assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert code == 4
+        assert capsys.readouterr().err == ""
+
+    def test_fresh_process_closed_early(self, tmp_path):
+        # 10 factors print about 274 KB, more than a pipe buffer holds.
+        ty = " * ".join(["(a + a)"] * 10)
+        prog = tmp_path / "prod10.seq"
+        prog.write_text(f"atom a\nid : {ty} -> {ty}\nid v = v\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqcore.cli", "core", str(prog)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 4
+        assert head == b"atom a\nid "
+        assert err == b""
+
+
 class TestFreshProcess:
     """The CLI as a user starts it: a new interpreter for every call."""
 
