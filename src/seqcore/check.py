@@ -23,17 +23,13 @@ synthesis.  Data built from stores, pairs and thunked applications has a
 unique synthesizable type; where synthesis is impossible (a thunked function,
 an injection's missing side) the cut is judged by the shape of its own
 reduct: binding cuts decompose pattern against data, application cuts consume
-the spine structurally.  One walk, ``_reducts``, lists the judgments a split
-or a cut reduces to; checking judges each at the goal and synthesis infers
-each, so every rule is written once for both directions and every reduction
-step stays re-checkable at the same goal.  Left focus likewise serves both:
-``_check_spine`` synthesizes when it is given no goal.  Where a
-sub-derivation is discarded along the way (a dropped injection side, a
-projected-away pair component) the discarded part is still required to be
-well-typed whenever its type can be decided.
-
-The failure plumbing (``_Fail``, ``_fail``, ``UNKNOWN``) and the
-reassociation of application cuts are shared with the dependent checker.
+the spine structurally.  ``_reducts`` lists those reducts once for both
+directions: checking judges each at the goal, synthesis infers each, just as
+``_check_spine`` synthesizes when it has no goal.  This keeps every reduction
+step re-checkable at the same goal.  Where a sub-derivation is discarded
+along the way (a dropped injection side, a projected-away pair component) the
+discarded part is still required to be well-typed whenever its type can be
+decided.  The dependent checker imports the failure plumbing from here.
 """
 
 from __future__ import annotations

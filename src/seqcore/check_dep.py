@@ -17,13 +17,9 @@ forms).  Two term shapes carry the eliminations:
 Type equality is conversion: embedded data is normalized with the evaluator
 under a fuel bound, then compared up to alpha.  Cut formulas are recovered by
 synthesis exactly as in the propositional checker, falling back to the
-reduct's shape where synthesis cannot decide.  Each cut rule is written once
-for checking and synthesis: ``_var_cut`` gives the judgment a binding cut
-reduces to, ``_reassociated`` (shared with the propositional checker) the
-typing-free rewrites of an application cut, and ``_check_spine`` synthesizes
-when it is given no goal.  Synthesis leaves a lambda, done, pair or split
-under an application cut undecided rather than reject what checking accepts.
-The failure plumbing comes from the propositional checker.
+reduct's shape where synthesis cannot decide.  ``_var_cut`` gives the
+judgment a binding cut reduces to for checking and synthesis alike, and
+``_check_spine`` synthesizes when it has no goal.
 """
 
 from __future__ import annotations
