@@ -1,5 +1,7 @@
 """Surface language: parsing, polarization, clause compilation, equations."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +246,67 @@ class TestCompile:
         with pytest.raises(CompileFail) as exc:
             load_program("atom a\ng : a * a -> a\ng (x, x) = x\n")
         assert exc.value.diagnostic.rule == "linear"
+
+
+def clause_set_variants():
+    """Each example program, with each clause and each pair of clauses
+    dropped, and with each clause moved to the front of its block:
+    ``(label, text)`` pairs.  Dropping clauses yields coverage errors;
+    moving one to the front yields "never used" and overlap warnings."""
+    for path in sorted(PROGRAMS.glob("*.seq")):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        blocks = [[cl.span.line - 1 for cl in d.clauses]
+                  for d in parse("\n".join(lines)) if d.clauses]
+        clauses = [i for block in blocks for i in block]
+        yield path.name, lines
+        for n, i in enumerate(clauses):
+            yield f"{path.name} -{i + 1}", lines[:i] + lines[i + 1:]
+            for j in clauses[n + 1:]:
+                yield (f"{path.name} -{i + 1} -{j + 1}",
+                       [t for k, t in enumerate(lines) if k not in (i, j)])
+        for block in blocks:
+            for i in block[1:]:
+                moved = lines[:block[0]] + [lines[i]] + [
+                    t for k, t in enumerate(lines) if k >= block[0] and k != i]
+                yield f"{path.name} ^{i + 1}", moved
+
+
+class TestCoveragePin:
+    """``check`` and ``core`` on every clause-set variant, hashed.
+
+    Pins the exit code, stdout and stderr of each call: coverage holes,
+    "never used" and overlap warnings, and the compiled terms."""
+
+    CALLS = 1524
+    COVERAGE_ERRORS = 1308
+    DIGEST = "6c34edf0cb23840d360d7d0f233e00ea1aa5d3b6bfa22b1b3d1bccf6884ebd2f"
+
+    @staticmethod
+    def outcomes(capsys, monkeypatch, tmp_path):
+        import itertools
+        from seqcore import syntax
+        from seqcore.cli import entry
+        monkeypatch.chdir(tmp_path)
+        for label, lines in clause_set_variants():
+            pathlib.Path("v.seq").write_text("\n".join(lines), encoding="utf-8")
+            for cmd in ("check", "core"):
+                for flags in ((), ("--dependent",), ("--structural-patterns",)):
+                    monkeypatch.setattr(syntax, "_fresh_counter",
+                                        itertools.count(1))
+                    code = entry([cmd, "v.seq", *flags])
+                    out, err = capsys.readouterr()
+                    yield (label, cmd, flags), code, out, err
+
+    def test_outcomes_digest(self, capsys, monkeypatch, tmp_path):
+        import hashlib
+        h = hashlib.sha256()
+        calls = coverage = 0
+        for _, code, out, err in self.outcomes(capsys, monkeypatch, tmp_path):
+            h.update(repr((code, out, err)).encode("utf-8") + b"\n")
+            calls += 1
+            coverage += "ERROR coverage" in err
+        assert (calls, coverage, h.hexdigest()) == (
+            self.CALLS, self.COVERAGE_ERRORS, self.DIGEST)
 
 
 class TestPrettyEquations:
