@@ -16,11 +16,11 @@ from typing import Optional
 from .check import check_term
 from .check_dep import dep_check_term
 from .core_text import print_term, print_type
-from .diag import Diagnostic, ParseError
+from .diag import Diagnostic, ParseError, Span
 from .record import record
 from .reduce import FuelExhausted, normalize, trace
-from .surface import CompileFail, Program, load_program
-from .syntax import App, Cons, Mode, Nil, Term
+from .surface import CompileFail, Program, compile_argument, load_program
+from .syntax import App, Cons, Imp, Mode, Nil, Pi, Term
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -40,7 +40,6 @@ class RunConfig:
 
 
 def _error(diag: Diagnostic, file: str) -> None:
-    from .diag import Span
     print(diag.at(Span(file, 0, 0)).render(), file=sys.stderr)
 
 
@@ -82,8 +81,6 @@ def _build_entry_term(cfg: RunConfig, prog: Program) -> Term:
                                      found=str(cfg.entry)))
     if cfg.arg is None:
         return App(decl.name, Nil())
-    from .surface import compile_argument
-    from .syntax import Imp, Pi
     ty = decl.type
     if not isinstance(ty, (Imp, Pi)):
         raise CompileFail(Diagnostic("arity", expected="function-typed entry",

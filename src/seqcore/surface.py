@@ -18,12 +18,16 @@ Compilation is type-directed, column by column, leftmost argument first, with
 first-match semantics.  All clause patterns for one argument fuse into a
 single core pattern: every sum position becomes a labeled or-pattern and the
 body the corresponding tree of splits; every product position a pair pattern.
-A clause variable naming a whole sum or product is compiled by eta-expansion,
-its uses replaced by reconstructed data, so every surface program lands in
-the fragment the kernel accepts.  An as-pattern at a thunk type becomes a
-genuine contraction pattern; at composite types the name simply binds the
-reconstruction.  In dependent mode arguments bind bare variables and the same
-tree is emitted as explicit pair-lets and splits instead of deep patterns.
+The walk that builds this case tree also reports coverage and the clause
+warnings: the first sum side no clause reaches is the missing case, and the
+clause each leaf uses, and the other clauses live there, give the "never
+used" and overlap warnings.  A clause variable naming a whole sum or product
+is compiled by eta-expansion, its uses replaced by reconstructed data, so
+every surface program lands in the fragment the kernel accepts.  An
+as-pattern at a thunk type becomes a genuine contraction pattern; at
+composite types the name simply binds the reconstruction.  In dependent mode
+arguments bind bare variables and the same tree is emitted as explicit
+pair-lets and splits instead of deep patterns.
 
 Polarity coercions are inserted here and only here: a thunk-typed variable
 used as an argument becomes ``thunk (x [])``, a right-hand side at a shifted
@@ -50,7 +54,7 @@ from .syntax import (
 
 __all__ = [
     "SurfaceDecl", "Clause", "CaseTree", "Leaf", "SplitNode", "PairNode",
-    "Fail", "CompileFail", "CompiledDecl", "Program",
+    "CompileFail", "CompiledDecl", "Program",
     "parse", "polarize", "compile_clauses", "pretty_equations", "load_program",
 ]
 
@@ -399,10 +403,9 @@ class _P:
         raise self.fail("expression")
 
 
-def _decl_name(p: _P) -> _Tok:
+def _decl_name(p: _P, t: _Tok) -> _Tok:
     # Declared names must not start with an underscore; that prefix belongs
     # to the core syntax for or-pattern labels.
-    t = p.eat_name()
     if t.text.startswith("_"):
         raise ParseError(Diagnostic(
             "parse", expected="declaration name without leading underscore",
@@ -421,13 +424,13 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
         t = p.peek()
         if t.text == "atom":
             p.next()
-            name = _decl_name(p)
+            name = _decl_name(p, p.eat_name())
             p.eat_nl()
             decls.append(SurfaceDecl("atom", name.text, p.span(name)))
             open_def = None
         elif t.text == "postulate":
             p.next()
-            name = _decl_name(p)
+            name = _decl_name(p, p.eat_name())
             p.eat_sym(":")
             ty = p.type_()
             p.eat_nl()
@@ -438,11 +441,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
             name = p.eat_name()
             span = p.span(name)
             if p.peek().text == ":":
-                if name.text.startswith("_"):
-                    raise ParseError(Diagnostic(
-                        "parse",
-                        expected="declaration name without leading underscore",
-                        found=name.text, span=span))
+                _decl_name(p, name)
                 p.next()
                 ty = p.type_()
                 p.eat_nl()
@@ -548,24 +547,6 @@ class PairNode(CaseTree):
     sub: CaseTree
 
 
-@record
-class Fail(CaseTree):
-    path: tuple
-    side: str
-
-
-def tree_has_fail(t: CaseTree) -> bool:
-    match t:
-        case Fail(_, _):
-            return True
-        case SplitNode(_, l, r):
-            return tree_has_fail(l) or tree_has_fail(r)
-        case PairNode(_, s):
-            return tree_has_fail(s)
-        case _:
-            return False
-
-
 class CompileFail(Exception):
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(diagnostic.render())
@@ -598,8 +579,9 @@ class _Fusion:
     span: Span
     pos_types: dict[tuple, PosType] = factory(dict)
     labels: dict[tuple, Name] = factory(dict)     # sum positions
-    var_at: dict[tuple, Name] = factory(dict)     # thunk positions
-    pos_var: dict[tuple, Name] = factory(dict)    # dependent scrutinees
+    # The kernel variable of each thunk position, and in dependent mode of
+    # each scrutinee.
+    pos_var: dict[tuple, Name] = factory(dict)
     binds: dict[int, dict[str, _Binding]] = factory(dict)
     clause_pat: dict[tuple[int, tuple], SPat] = factory(dict)
 
@@ -719,11 +701,7 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled, plain) -> Pattern:
                 break
         slot_texts.append(text or (_pick_text(plain, peeled) + str(i + 1)))
     vars_ = [fresh(t) for t in slot_texts]
-    fz.var_at[path] = vars_[0]
-    if fz.mode is Mode.DEP:
-        fz.pos_var.setdefault(path, vars_[0])
-        fz.var_at[path] = fz.pos_var[path]
-        vars_[0] = fz.pos_var[path]
+    vars_[0] = fz.pos_var.setdefault(path, vars_[0])
     for cid, (names, sp) in peeled.items():
         ordered = [nm for nm in names]
         if isinstance(sp, PVarS):
@@ -819,28 +797,37 @@ def _spat_span(p: SPat, default: Span) -> Span:
 # ---------------------------------------------------------------------------
 # Decision tree
 
-def _build_tree(fz: _Fusion, fused: list[Pattern], live: list[int]) -> CaseTree:
-    def side_of(cid: int, path: tuple) -> Optional[str]:
-        sp = fz.clause_pat.get((cid, path))
-        if isinstance(sp, PInlS):
-            return "left"
-        if isinstance(sp, PInrS):
-            return "right"
-        return None
+def _build_tree(fz: _Fusion, decl: SurfaceDecl,
+                fused: list[Pattern]) -> tuple[CaseTree, list[str]]:
+    """Split the clause matrix into its case tree, left side first, and read
+    coverage and the clause warnings off the same walk: a sum side that no
+    clause reaches is the first missing case, and each leaf uses its first
+    live clause and overlaps when more than one is live there."""
+    used: set[int] = set()
+    overlap = False
 
     def walk(nodes: list[tuple[tuple, Pattern]], live: list[int]) -> CaseTree:
+        nonlocal overlap
         if not nodes:
+            used.add(live[0])
+            overlap = overlap or len(live) > 1
             return Leaf(live[0])
         (path, node), rest = nodes[0], nodes[1:]
         match node:
             case POr(_, a, b):
-                live_l = [c for c in live if side_of(c, path) != "right"]
-                live_r = [c for c in live if side_of(c, path) != "left"]
-                l = walk([(path + ("inl",), a)] + rest, live_l) \
-                    if live_l else Fail(path, "inl")
-                r = walk([(path + ("inr",), b)] + rest, live_r) \
-                    if live_r else Fail(path, "inr")
-                return SplitNode(path, l, r)
+                sides = []
+                for step, sub, other in (("inl", a, PInrS), ("inr", b, PInlS)):
+                    # A clause with the other injection here cannot match.
+                    live_s = [c for c in live if not isinstance(
+                        fz.clause_pat.get((c, path)), other)]
+                    if not live_s:
+                        raise CompileFail(Diagnostic(
+                            "coverage", expected="exhaustive clauses",
+                            found="missing case: " + _missing_case(
+                                decl.name, len(fused), path, step),
+                            span=decl.span))
+                    sides.append(walk([(path + (step,), sub)] + rest, live_s))
+                return SplitNode(path, *sides)
             case PPair(a, b):
                 sub = [(path + ("fst",), a), (path + ("snd",), b)] + rest
                 return PairNode(path, walk(sub, live))
@@ -849,56 +836,18 @@ def _build_tree(fz: _Fusion, fused: list[Pattern], live: list[int]) -> CaseTree:
             case _:
                 return walk(rest, live)
 
-    tree = walk([((i,), f) for i, f in enumerate(fused)], live)
+    tree = walk([((i,), f) for i, f in enumerate(fused)],
+                list(range(len(decl.clauses))))
     del walk    # it refers to itself: free it, and fz with it, now
-    return tree
+    warnings = [f"clause {cid + 1} of {decl.name} is never used"
+                for cid in range(len(decl.clauses)) if cid not in used]
+    if overlap:
+        warnings.append(f"clauses of {decl.name} overlap; first match wins")
+    return tree, warnings
 
 
-def _leaf_stats(fz: _Fusion, tree: CaseTree, all_live: list[int]):
-    used: set[int] = set()
-    overlap = [False]
-
-    def side_of(cid: int, path: tuple) -> Optional[str]:
-        sp = fz.clause_pat.get((cid, path))
-        if isinstance(sp, PInlS):
-            return "left"
-        if isinstance(sp, PInrS):
-            return "right"
-        return None
-
-    def walk(t: CaseTree, live: list[int]) -> None:
-        match t:
-            case Leaf(c):
-                used.add(c)
-                if len(live) > 1:
-                    overlap[0] = True
-            case SplitNode(path, l, r):
-                walk(l, [c for c in live if side_of(c, path) != "right"])
-                walk(r, [c for c in live if side_of(c, path) != "left"])
-            case PairNode(_, s):
-                walk(s, live)
-            case Fail(_, _):
-                pass
-
-    walk(tree, all_live)
-    del walk    # as in _build_tree
-    return used, overlap[0]
-
-
-def _first_missing(name: str, arity: int, tree: CaseTree) -> str:
-    def find(t: CaseTree) -> Optional[tuple[tuple, str]]:
-        match t:
-            case Fail(path, side):
-                return path, side
-            case SplitNode(_, l, r):
-                return find(l) or find(r)
-            case PairNode(_, s):
-                return find(s)
-        return None
-
-    hit = find(tree)
-    assert hit is not None
-    path, side = hit
+def _missing_case(name: str, arity: int, path: tuple, side: str) -> str:
+    """The clause head that would cover ``side`` of the sum at ``path``."""
     hole = f"{side} _"
     for step in reversed(path[1:]):
         if step == "fst":
@@ -906,7 +855,7 @@ def _first_missing(name: str, arity: int, tree: CaseTree) -> str:
         elif step == "snd":
             hole = f"(_, {hole})"
         else:
-            hole = f"{'inl' if step == 'inl' else 'inr'} ({hole})"
+            hole = f"{step} ({hole})"
     pats = ["_"] * arity
     pats[path[0]] = hole
     return f"{name} {' '.join(pats)}"
@@ -954,8 +903,7 @@ class _Emitter:
         ty = self.fz.pos_types[path]
         match ty:
             case Down(_):
-                v = self.fz.pos_var[path] if self.mode is Mode.DEP else self.fz.var_at[path]
-                return eta(v)
+                return eta(self.fz.pos_var[path])
             case Or(_, _):
                 side = self.choices.get(path)
                 if side == "left":
@@ -1041,36 +989,23 @@ class _Emitter:
                         "type", expected=print_type(p), found=print_type(b.type),
                         span=e.span))
                 return self._recon(b.path)
-        match p:
-            case Down(n):
+        match p, e:
+            case Down(n), _:
                 return Thunk(self._rhs_term(cid, e, n))
-            case Or(l, r):
-                match e:
-                    case EInl(x):
-                        return Inl(self._rhs_data(cid, x, l))
-                    case EInr(x):
-                        return Inr(self._rhs_data(cid, x, r))
-                    case _:
-                        raise CompileFail(Diagnostic(
-                            "type", expected=print_type(p),
-                            found=_sexpr_shape(e),
-                            span=_sexpr_span(e, self.decl.span)))
-            case Prod(l, r):
-                if isinstance(e, EPair):
-                    return DPair(self._rhs_data(cid, e.left, l),
-                                 self._rhs_data(cid, e.right, r))
-                raise CompileFail(Diagnostic(
-                    "type", expected=print_type(p), found=_sexpr_shape(e),
-                    span=_sexpr_span(e, self.decl.span)))
-            case Sigma(x, l, r):
-                if isinstance(e, EPair):
-                    da = self._rhs_data(cid, e.left, l)
-                    return DPair(da, self._rhs_data(
-                        cid, e.right, subst_data_in_pos(r, x, da)))
-                raise CompileFail(Diagnostic(
-                    "type", expected=print_type(p), found=_sexpr_shape(e),
-                    span=_sexpr_span(e, self.decl.span)))
-        raise TypeError(p)
+            case Or(l, _), EInl(x):
+                return Inl(self._rhs_data(cid, x, l))
+            case Or(_, r), EInr(x):
+                return Inr(self._rhs_data(cid, x, r))
+            case Prod(l, r), EPair(a, b):
+                return DPair(self._rhs_data(cid, a, l),
+                             self._rhs_data(cid, b, r))
+            case Sigma(x, l, r), EPair(a, b):
+                da = self._rhs_data(cid, a, l)
+                return DPair(da, self._rhs_data(
+                    cid, b, subst_data_in_pos(r, x, da)))
+        raise CompileFail(Diagnostic(
+            "type", expected=print_type(p), found=_sexpr_shape(e),
+            span=_sexpr_span(e, self.decl.span)))
 
 
 def _sexpr_shape(e: SExpr) -> str:
@@ -1113,54 +1048,35 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
                 "arity", expected=f"{arity} pattern(s)",
                 found=str(len(cl.lhs)), span=cl.span))
 
+    fz = _Fusion(mode, decl.clauses[0].span)
+    for cid in range(len(decl.clauses)):
+        fz.binds[cid] = {}
     arg_types: list[PosType] = []
     result = ty
-    for _ in range(arity):
+    for i in range(arity):
         match result:
+            case Pi(x, a, r) if mode is Mode.DEP:
+                # A Pi binder is visible in later argument types; the
+                # scrutinee variable doubles as that binder.
+                v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
+                                    f"a{i + 1}"))
+                fz.pos_var[(i,)] = v
+                result = subst_data_in_neg(r, x, eta(v))
             case Imp(a, r) | Pi(_, a, r):
-                arg_types.append(a)
+                assert mode is Mode.PROP
                 result = r
             case _:
                 raise CompileFail(Diagnostic(
                     "arity", expected="enough arrows in the declared type",
                     found=f"{arity} clause pattern(s)", span=decl.span))
-
-    fz = _Fusion(mode, decl.clauses[0].span)
-    for cid in range(len(decl.clauses)):
-        fz.binds[cid] = {}
-    # In dependent mode a Pi binder is visible in later argument types; the
-    # scrutinee variable doubles as that binder.
-    if mode is Mode.DEP:
-        arg_types = []
-        cur = ty
-        for i in range(arity):
-            assert isinstance(cur, Pi)
-            v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses), f"a{i + 1}"))
-            fz.pos_var[(i,)] = v
-            arg_types.append(cur.arg)
-            cur = subst_data_in_neg(cur.res, cur.binder, eta(v))
-        result = cur
+        arg_types.append(a)
 
     fused: list[Pattern] = []
     for i, p_ty in enumerate(arg_types):
         fused.append(_fuse(fz, (i,), p_ty,
                            {cid: cl.lhs[i] for cid, cl in enumerate(decl.clauses)}))
 
-    tree = _build_tree(fz, fused, list(range(len(decl.clauses))))
-    if tree_has_fail(tree):
-        raise CompileFail(Diagnostic(
-            "coverage", expected="exhaustive clauses",
-            found=f"missing case: {_first_missing(decl.name, arity, tree)}",
-            span=decl.span))
-
-    warnings: list[str] = []
-    used, overlap = _leaf_stats(fz, tree, list(range(len(decl.clauses))))
-    for cid in range(len(decl.clauses)):
-        if cid not in used:
-            warnings.append(f"clause {cid + 1} of {decl.name} is never used")
-    if overlap:
-        warnings.append(f"clauses of {decl.name} overlap; first match wins")
-
+    tree, warnings = _build_tree(fz, decl, fused)
     emitter = _Emitter(sig, mode, fz, decl, result)
     term = emitter.emit(tree)
     if mode is Mode.DEP:

@@ -61,7 +61,7 @@ __all__ = [
     "pattern_vars", "pattern_labels", "pattern_linear",
     "well_formed_neg", "well_formed_pos",
     "free_names", "rename", "freshen_pattern", "subst_data",
-    "subst_data_in_term", "subst_data_in_data", "subst_data_in_spine",
+    "subst_data_in_term", "subst_data_in_spine",
     "subst_data_in_neg", "subst_data_in_pos",
     "Match", "MatchFail", "match_pattern",
     "spine_concat", "select_branch", "alpha_eq", "size", "is_cut_free",
@@ -409,26 +409,12 @@ Ctx = list  # list[tuple[Pattern, PosType]]; the linear inversion context
 
 def pattern_vars(p: Pattern) -> list[Name]:
     """Variables bound by a pattern, in left-to-right order."""
-    match p:
-        case Var(x):
-            return [x]
-        case PPair(a, b) | PAt(a, b):
-            return pattern_vars(a) + pattern_vars(b)
-        case POr(_, a, b):
-            return pattern_vars(a) + pattern_vars(b)
-        case PWild():
-            return []
-    raise TypeError(p)
+    return [q.name for q in _nodes(p) if isinstance(q, Var)]
 
 
 def pattern_labels(p: Pattern) -> list[Name]:
-    match p:
-        case POr(w, a, b):
-            return [w] + pattern_labels(a) + pattern_labels(b)
-        case PPair(a, b) | PAt(a, b):
-            return pattern_labels(a) + pattern_labels(b)
-        case _:
-            return []
+    """Or-pattern labels of a pattern, in left-to-right order."""
+    return [q.label for q in _nodes(p) if isinstance(q, POr)]
 
 
 def pattern_linear(p: Pattern) -> bool:
@@ -569,13 +555,14 @@ def _bound(binder) -> set[Name]:
 
 
 def _nodes(x):
-    """Every node of ``x``, binder patterns included."""
+    """Every node of ``x``, binder patterns included, in preorder from left
+    to right."""
     todo = [x]
     while todo:
         y = todo.pop()
         yield y
         lay = y.layout
-        todo += lay.children(y)
+        todo += reversed(lay.children(y))
         binder = getattr(y, lay.binder) if lay.binder else None
         if isinstance(binder, Pattern):
             todo.append(binder)
@@ -726,7 +713,7 @@ def subst_data(x, v: Name, d: DataVal):
 
 
 # One substitution serves every sort; the names say what the caller holds.
-subst_data_in_term = subst_data_in_data = subst_data_in_spine = subst_data
+subst_data_in_term = subst_data_in_spine = subst_data
 subst_data_in_neg = subst_data_in_pos = subst_data
 
 
