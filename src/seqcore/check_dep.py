@@ -24,6 +24,7 @@ judgment a binding cut reduces to for checking and synthesis alike, and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
 from .check import UNKNOWN, _Fail, _Unknown, _fail, _reassociated
@@ -167,13 +168,24 @@ def _head(st: _State, x: Name) -> NegType:
     return n
 
 
+@contextmanager
+def _clash(rule: str, expected: str, x: Name):
+    """Report a substitution for ``x`` that puts data other than a thunk
+    where ``x`` is applied (a ``SubstClash``) as a ``rule`` failure."""
+    try:
+        yield
+    except SubstClash as e:
+        raise _fail(rule, expected=expected, found=str(x), note=e.reason)
+
+
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
     sigma_let = _is_sigma_let(st, t)
     if sigma_let is not None:
         y, z, x, ty, body = sigma_let
         i = st.pending_index(x)
-        base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
-        goal2 = subst_data_in_neg(goal, x, DPair(eta(y), eta(z)))
+        with _clash("prod-left", "well-sorted use of the pair variable", x):
+            base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
+            goal2 = subst_data_in_neg(goal, x, DPair(eta(y), eta(z)))
         base = base.extend(y, ty.first)
         base = base.extend(z, subst_data_in_pos(ty.second, ty.binder, eta(y)))
         _check(base, body, goal2)
@@ -231,11 +243,8 @@ def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
         return st.extend(x, ty), b
     if x not in free_names(b):
         return st, b
-    try:
+    with _clash("bind-cut", "well-sorted variable use", x):
         return st, subst_data_in_term(b, x, d)
-    except SubstClash as e:
-        raise _fail("bind-cut", expected="well-sorted variable use",
-                    found=str(x), note=e.reason)
 
 
 def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
@@ -289,14 +298,11 @@ def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
     base = st.drop_pending(i)
     for inj, side, u in ((Inl, ty.left, tl), (Inr, ty.right, tr)):
         d = inj(eta(x))
-        try:
+        with _clash("or-left", "well-sorted use of the split variable", x):
             if k is not None:
                 u = AppCut(u, subst_data_in_spine(k, x, d))
             st1 = base.subst(x, d).extend(x, side)
             goal1 = subst_data_in_neg(goal, x, d)
-        except SubstClash as e:
-            raise _fail("or-left", expected="well-sorted use of the split variable",
-                        found=str(x), note=e.reason)
         yield st1, u, goal1
 
 
@@ -312,7 +318,9 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
             raise _fail("thunk", expected=print_type(goal), found="thunk")
         case DPair(a, b), Sigma(x, p, q):
             _check_data(st, a, p)
-            _check_data(st, b, subst_data_in_pos(q, x, a))
+            with _clash("prod-right", "well-sorted use of the Sigma binder", x):
+                q = subst_data_in_pos(q, x, a)
+            _check_data(st, b, q)
         case DPair(_, _), _:
             raise _fail("prod-right", expected=print_type(goal), found="pair")
         case Inl(e), Or(l, _):
@@ -347,8 +355,10 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
                 raise _fail("imp-left", expected="dependent product under focus",
                             found=print_type(focus))
             _check_data(st, d, focus.arg)
-            return _check_spine(st, subst_data_in_neg(focus.res, focus.binder, d),
-                                rest, goal)
+            with _clash("imp-left", "well-sorted use of the Pi binder",
+                        focus.binder):
+                res = subst_data_in_neg(focus.res, focus.binder, d)
+            return _check_spine(st, res, rest, goal)
         case Proj1(rest):
             if not isinstance(focus, With):
                 raise _fail("with-left-1", expected="conjunction under focus",

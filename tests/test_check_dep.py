@@ -148,6 +148,44 @@ class TestOrLeftMotive:
         assert d is not None and d.rule == "or-left" and d.found == "x"
 
 
+class TestSubstClash:
+    """A type index that applies a variable, and data other than a thunk
+    substituted for that variable: a diagnostic at the substitution."""
+
+    P, H, C, S = Name("P"), Name("h"), Name("c"), Name("s")
+
+    def sig(self) -> Sig:
+        return Sig(frozenset({Name("a"), self.P}),
+                   (SigEntry(self.C, A), SigEntry(self.H, A)))
+
+    def applied(self, x: Name) -> Atom:
+        # P (thunk (x .1 []))
+        return Atom(self.P, (Thunk(App(x, Proj1(Nil()))),))
+
+    def test_sigma_let(self):
+        ctx = [(X, Sigma(self.S, Down(A), Down(A)))]
+        t = BindCut(PPair(Var(Y), Var(Z)), eta(X), App(self.H, Nil()))
+        d = dep_check_term(self.sig(), ctx, t, self.applied(X))
+        assert (d.rule, d.found) == ("prod-left", "x")
+        assert "non-thunk" in d.note
+
+    def test_pi_spine_step(self):
+        q = Name("q")
+        focus = Pi(q, Or(Down(A), Down(A)), self.applied(q))
+        k = Cons(Inl(eta(self.C)), Nil())
+        d = dep_check_spine(self.sig(), [], focus, k, A)
+        assert (d.rule, d.found) == ("imp-left", "q")
+        assert "non-thunk" in d.note
+
+    def test_sigma_data_step(self):
+        goal = Up(Sigma(self.S, Or(Down(A), Down(A)),
+                        Down(self.applied(self.S))))
+        t = Done(DPair(Inl(eta(self.C)), eta(self.H)))
+        d = dep_check_term(self.sig(), [], t, goal)
+        assert (d.rule, d.found) == ("prod-right", "s")
+        assert "non-thunk" in d.note
+
+
 class TestDependentCut:
     def test_non_dependent_instance(self):
         sig = EMPTY.with_entry(SigEntry(Z, A))
