@@ -836,9 +836,11 @@ def _build_tree(fz: _Fusion, decl: SurfaceDecl,
             case _:
                 return walk(rest, live)
 
-    tree = walk([((i,), f) for i, f in enumerate(fused)],
-                list(range(len(decl.clauses))))
-    del walk    # it refers to itself: free it, and fz with it, now
+    try:
+        tree = walk([((i,), f) for i, f in enumerate(fused)],
+                    list(range(len(decl.clauses))))
+    finally:
+        del walk    # it refers to itself: free it, and fz with it, now
     warnings = [f"clause {cid + 1} of {decl.name} is never used"
                 for cid in range(len(decl.clauses)) if cid not in used]
     if overlap:

@@ -260,14 +260,15 @@ class TestCompile:
 
 
 def clause_set_variants():
-    """Each example program, with each clause and each pair of clauses
-    dropped, and with each clause moved to the front of its block:
-    ``(label, text)`` pairs.  Dropping clauses yields coverage errors;
+    """Each example program as it is, with each clause and each pair of
+    clauses dropped, and with each clause moved to the front of its block:
+    ``(label, lines)`` pairs.  Dropping clauses yields coverage errors;
     moving one to the front yields "never used" and overlap warnings."""
     for path in sorted(PROGRAMS.glob("*.seq")):
-        lines = path.read_text(encoding="utf-8").split("\n")
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")
         blocks = [[cl.span.line - 1 for cl in d.clauses]
-                  for d in parse("\n".join(lines)) if d.clauses]
+                  for d in parse(text) if d.clauses]
         clauses = [i for block in blocks for i in block]
         yield path.name, lines
         for n, i in enumerate(clauses):
