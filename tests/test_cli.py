@@ -127,6 +127,38 @@ class TestRun:
                            "--entry", "nope")
         assert code == 1
 
+    def test_fuel_flag_not_positive(self, capsys):
+        code, out, err = run(capsys, "run", str(PROGRAMS / "f_run.seq"),
+                             "--entry", "f", "--arg", "inr q", "--fuel", "0")
+        assert code == 4
+        assert out == ""
+        assert err == "error: --fuel must be positive\n"
+
+    def test_structural_program_fails_its_check_before_running(self, capsys):
+        code, out, err = run(capsys, "run", str(PROGRAMS / "wild.seq"),
+                             "--entry", "ignore")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("ERROR structural-disabled at ")
+                   for line in lines)
+
+    def test_argument_to_a_postulate(self, capsys):
+        path = str(PROGRAMS / "basics.seq")
+        code, out, err = run(capsys, "run", path, "--entry", "c", "--arg", "q")
+        assert code == 1
+        assert out == ""
+        assert err == (f"ERROR arity at {path}:0:0: expected function-typed "
+                       "entry, found a\n")
+
+    def test_entry_without_argument(self, capsys):
+        code, out, err = run(capsys, "run", str(PROGRAMS / "basics.seq"),
+                             "--entry", "id")
+        assert code == 0
+        assert out == "\\x. x []\n"
+        assert err == ""
+
 
 class TestTrace:
     def test_trace_lines(self, capsys):

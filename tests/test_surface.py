@@ -11,13 +11,14 @@ from suite import PROGRAMS, SUITE, check_program, load, source
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.diag import ParseError
-from seqcore.surface import (CompileFail, Leaf, PairNode, SplitNode, _lex,
-                             compile_clauses, load_program, parse, polarize,
-                             pretty_equations)
+from seqcore.diag import Span
+from seqcore.surface import (CompileFail, Leaf, PairNode, SplitNode, TArrow,
+                             TBin, TBind, TName, _lex, compile_clauses,
+                             load_program, parse, polarize, pretty_equations)
 from seqcore.syntax import (
     App, Atom, Cons, Done, Down, DPair, Imp, Inl, Inr, Lam, Mode, Name, Nil,
     Or, Pair, POr, PPair, Prod, Sig, SigEntry, Split, Thunk, Up, Var, With,
-    alpha_eq, eta,
+    alpha_eq, eta, well_formed_neg,
 )
 
 NAT = Atom(Name("ℕ"))
@@ -164,6 +165,31 @@ class TestPolarize:
         with pytest.raises(CompileFail) as exc:
             polarize(decls[1].type, self.sig, Mode.PROP)
         assert exc.value.diagnostic.rule == "mode"
+
+    def test_polarized_types_are_well_formed(self):
+        # Every surface type up to depth 2 over a declared atom a and an
+        # undeclared atom b: polarize either rejects it or returns a type
+        # that respects the mode's grammar with every atom declared.
+        span = Span("<type>", 1, 1)
+        leaves = [TName("a", span), TName("b", span)]
+        types = leaves
+        for _ in range(2):
+            types = leaves + [
+                t for l in types for r in types
+                for t in (TArrow(l, r), TBin("*", l, r), TBin("+", l, r),
+                          TBin("/\\", l, r), TBind("Pi", "x", l, r, span),
+                          TBind("Sigma", "x", l, r, span))]
+        sig = Sig(frozenset({Name("a")}))
+        accepted = 0
+        for mode in Mode:
+            for t in types:
+                try:
+                    ty = polarize(t, sig, mode)
+                except CompileFail:
+                    continue
+                accepted += 1
+                assert well_formed_neg(ty, sig, mode), (mode, t)
+        assert (len(types), accepted) == (4058, 396)
 
 
 class TestCompile:
@@ -319,6 +345,116 @@ class TestCoveragePin:
             coverage += "ERROR coverage" in err
         assert (calls, coverage, h.hexdigest()) == (
             self.CALLS, self.COVERAGE_ERRORS, self.DIGEST)
+
+
+# Erroneous programs, one or more per diagnostic the front end reports, and
+# a few accepted ones that pin as-patterns and slot names.
+_HEAD = "atom a\npostulate c : a\npostulate f : a -> a\n"
+SURFACE_ERRORS = [
+    # pattern: a pattern of the wrong shape for its position
+    ("pair at sum", _HEAD + "g : a + a -> a\ng (x, y) = x\n"),
+    ("inl at product", _HEAD + "g : a * a -> a\ng (inl x) = x\n"),
+    ("inr at thunk", _HEAD + "g : a -> a\ng (inr x) = x\n"),
+    ("pair at thunk", _HEAD + "g : a -> a\ng (x, y) = x\n"),
+    ("pair under inl", _HEAD + "g : a + a -> a\ng (inl (x, y)) = x\ng (inr z) = z\n"),
+    ("inl under pair", _HEAD + "g : a * a -> a\ng (inl x, y) = y\n"),
+    ("as over pair at thunk", _HEAD + "g : a -> a\ng v@(x, y) = x\n"),
+    ("wildcard under pair at sum", _HEAD + "g : (a + a) * a -> a\ng (_, y) = y\n"),
+    # type: a right-hand side of the wrong shape or type
+    ("pair at atom", _HEAD + "g : a -> a\ng x = (x, x)\n"),
+    ("inl at atom", _HEAD + "g : a -> a\ng x = inl x\n"),
+    ("inr at product", _HEAD + "g : a -> a * a\ng x = inr x\n"),
+    ("pair at sum", _HEAD + "g : a -> a + a\ng x = (x, x)\n"),
+    ("inl at with", _HEAD + "g : a -> a /\\ a\ng x = inl x\n"),
+    ("application at other atom", _HEAD + "atom b\npostulate k : b\ng : a -> a\ng x = k\n"),
+    ("argument at other atom", _HEAD + "atom b\npostulate k : b\ng : a -> a\ng x = f k\n"),
+    ("sum variable as head", _HEAD + "g : a + a -> a\ng v = v\n"),
+    ("product variable as head", _HEAD + "g : a * a -> a\ng p = p c\n"),
+    ("sum variable at product", _HEAD + "g : a + a -> a * a\ng v = v\n"),
+    ("product as-name as head", _HEAD + "g : a * a -> a\ng p@(x, y) = p\n"),
+    # unbound
+    ("unbound head", _HEAD + "g : a -> a\ng x = y\n"),
+    ("unbound argument", _HEAD + "g : a -> a\ng x = f z\n"),
+    ("clause variable out of its clause", _HEAD + "g : a + a -> a\ng (inl x) = x\ng (inr y) = x\n"),
+    # arity
+    ("clause lengths differ", _HEAD + "g : a -> a -> a\ng x y = x\ng x = x\n"),
+    ("more patterns than arrows", _HEAD + "g : a -> a\ng x y = x\n"),
+    ("more arguments than arrows", _HEAD + "g : a -> a\ng x = f x x\n"),
+    ("variable applied", _HEAD + "g : a -> a\ng x = x x\n"),
+    # mode
+    ("Pi", _HEAD + "g : Pi (x : a). a\ng x = x\n"),
+    ("Sigma", _HEAD + "g : (Sigma (x : a). a) -> a\ng (u, v) = u\n"),
+    ("Pi postulate", _HEAD + "postulate p : Pi (x : a). a\n"),
+    # atom
+    ("undeclared atom", _HEAD + "postulate k : b\n"),
+    ("undeclared atom in def", _HEAD + "g : a -> b\ng x = x\n"),
+    ("undeclared atom under Pi", _HEAD + "g : Pi (x : b). a\ng x = c\n"),
+    # linear
+    ("pair repeats a name", _HEAD + "g : a * a -> a\ng (x, x) = x\n"),
+    ("arguments repeat a name", _HEAD + "g : a + a -> a -> a\ng (inl x) x = x\ng (inr y) z = z\n"),
+    ("as repeats a name", _HEAD + "g : a -> a\ng x@x = x\n"),
+    # scope
+    ("atom twice", "atom a\natom a\n"),
+    ("postulate shadows def", _HEAD + "g : a -> a\ng x = x\npostulate g : a\n"),
+    # coverage
+    ("no clauses", _HEAD + "g : a -> a\n"),
+    ("inr missing", _HEAD + "g : a + a -> a\ng (inl x) = x\n"),
+    ("second argument missing", _HEAD + "g : a -> a + a -> a\ng x (inr y) = y\n"),
+    # parse
+    ("bad character", _HEAD + "g : a -> a\ng x = x $\n"),
+    ("leading underscore", "atom _a\n"),
+    ("clause without declaration", _HEAD + "g x = x\n"),
+    ("missing type", _HEAD + "postulate k :\n"),
+    ("missing pattern", _HEAD + "g : a -> a\ng = = x\n"),
+    # as-patterns at thunk, sum and product types
+    ("as at thunk", _HEAD + "g : a -> a\ng x@y = f y\n"),
+    ("as at sum", _HEAD + "postulate sink : (a + a) -> a\ng : a + a -> a\ng v@(inl x) = sink v\ng (inr y) = y\n"),
+    ("as at product", _HEAD + "postulate two : a * a -> a\ng : a * a -> a\ng p@(x, y) = two p\n"),
+    ("as chain at thunk", _HEAD + "g : a -> a\ng x@y@z = f z\n"),
+    ("as under inl", _HEAD + "g : a + a -> a\ng (inl x@y) = f y\ng (inr z) = z\n"),
+    # slot names: no clause names the slot, or only some clauses do
+    ("wildcard names no slot", _HEAD + "g : a -> a\ng _ = c\n"),
+    ("wildcard beside a name", _HEAD + "g : a + a -> a\ng (inl _) = c\ng (inr y) = y\n"),
+    ("sum under a pair", _HEAD + "g : (a + a) * a -> a\ng (inl x, y) = x\ng (inr x, y) = y\n"),
+]
+
+
+class TestSurfaceDiagnosticPin:
+    """``check`` and ``core`` on each program of ``SURFACE_ERRORS``, hashed.
+
+    Pins the exit code, stdout and stderr of each call in the three flag
+    sets, and checks that the table reaches each rule it is meant to."""
+
+    CALLS = 318
+    RULES = {"pattern", "type", "unbound", "arity", "mode", "atom", "linear",
+             "scope", "coverage", "parse", "dep-pattern",
+             "structural-disabled", "var-app"}
+    DIGEST = "203492daccf266bed2bf43bac8947c4fde4632322cf443f48c25135c3e70e62e"
+
+    def test_outcomes_digest(self, capsys, monkeypatch, tmp_path):
+        import hashlib
+        import itertools
+        import re
+        from seqcore import syntax
+        from seqcore.cli import entry
+        monkeypatch.chdir(tmp_path)
+        h = hashlib.sha256()
+        calls = 0
+        rules = set()
+        for label, text in SURFACE_ERRORS:
+            pathlib.Path("p.seq").write_text(text, encoding="utf-8")
+            for cmd in ("check", "core"):
+                for flags in ((), ("--dependent",), ("--structural-patterns",)):
+                    monkeypatch.setattr(syntax, "_fresh_counter",
+                                        itertools.count(1))
+                    code = entry([cmd, "p.seq", *flags])
+                    out, err = capsys.readouterr()
+                    h.update(repr((label, cmd, flags, code, out, err))
+                             .encode("utf-8") + b"\n")
+                    calls += 1
+                    rules.update(re.findall(r"^ERROR (\S+)", err, re.M))
+        assert rules == self.RULES
+        assert (calls, h.hexdigest()) == (self.CALLS, self.DIGEST)
 
 
 class TestPrettyEquations:

@@ -9,8 +9,8 @@ from seqcore.syntax import (
     App, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr, Kappa, Lam,
     Match, MatchFail, Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod,
     Proj1, Proj2, PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
-    alpha_eq, children, eta, fresh, is_cut_free, match_pattern,
-    pattern_linear, pattern_vars, rename, size, spine_concat,
+    alpha_eq, children, eta, free_names, fresh, is_cut_free, match_pattern,
+    pattern_linear, pattern_vars, rename, size, spine_concat, subst_data,
     subst_data_in_neg, well_formed_neg, well_formed_pos,
 )
 
@@ -118,6 +118,62 @@ class TestSubstInTypes:
                      Atom(P, (eta(Name("y2")),)))
         assert alpha_eq(subst_data_in_neg(ty, x, d),
                         subst_data_in_neg(renamed, x, d))
+
+
+class TestCaptureAvoidance:
+    """Substituting ``eta(y)`` for ``v`` under a binder named ``y`` keeps the
+    substituted ``y`` free: the binder is regenerated and the occurrences it
+    binds are renamed with it."""
+
+    V, Y, Z, W = Name("v"), Name("y"), Name("z"), Name("w")
+
+    def subst(self, x):
+        return subst_data(x, self.V, eta(self.Y))
+
+    def uses(self, head, arg):
+        # ``head (thunk (arg [])) []``: one occurrence of each name.
+        return App(head, Cons(eta(arg), Nil()))
+
+    def test_variable_binder(self):
+        V, Y, Z = self.V, self.Y, self.Z
+        out = self.subst(Lam(Var(Y), self.uses(Y, V)))
+        assert free_names(out) == {Y}
+        assert alpha_eq(out, Lam(Var(Z), self.uses(Z, Y)))
+
+    def test_or_label_binder(self):
+        V, Y, Z, W = self.V, self.Y, self.Z, self.W
+        t = Lam(POr(Y, Var(W), Var(W)),
+                Split(Y, self.uses(W, V), App(W, Nil())))
+        out = self.subst(t)
+        assert free_names(out) == {Y}
+        assert alpha_eq(out, Lam(POr(Z, Var(W), Var(W)),
+                                 Split(Z, self.uses(W, Y), App(W, Nil()))))
+
+    def test_pair_pattern_binder(self):
+        V, Y, Z, W = self.V, self.Y, self.Z, self.W
+        out = self.subst(Lam(PPair(Var(W), Var(Y)), self.uses(Y, V)))
+        assert free_names(out) == {Y}
+        assert alpha_eq(out, Lam(PPair(Var(W), Var(Z)), self.uses(Z, Y)))
+
+    def test_contraction_binder(self):
+        V, Y, Z, W = self.V, self.Y, self.Z, self.W
+        out = self.subst(Lam(PAt(Var(Y), Var(W)), self.uses(Y, V)))
+        assert free_names(out) == {Y}
+        assert alpha_eq(out, Lam(PAt(Var(Z), Var(W)), self.uses(Z, Y)))
+
+    def test_pi_binder(self):
+        V, Y, Z, P = self.V, self.Y, self.Z, Name("P")
+        ty = Pi(Y, Down(A), Atom(P, (eta(Y), eta(V))))
+        out = self.subst(ty)
+        assert free_names(out) == {Y, P, A.name}
+        assert alpha_eq(out, Pi(Z, Down(A), Atom(P, (eta(Z), eta(Y)))))
+
+    def test_split_on_the_variable_renames_it(self):
+        # A split labeled v, with v replaced by another variable, splits on
+        # that variable instead.
+        V, Y, W = self.V, self.Y, self.W
+        out = self.subst(Split(V, self.uses(W, V), App(V, Nil())))
+        assert out == Split(Y, self.uses(W, Y), App(Y, Nil()))
 
 
 class TestMatchPattern:
