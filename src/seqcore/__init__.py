@@ -20,12 +20,12 @@ from .syntax import (
     subst_data_in_term, subst_data_in_neg, subst_data_in_pos,
 )
 from .diag import Diagnostic, Span, CheckError, ParseError
-from .check import check_term, check_data, check_spine, infer_term, infer_data, UNKNOWN
+from .check import check_term, check_data, check_spine, infer_term, UNKNOWN
 from .check_dep import dep_check_term, dep_check_spine, dep_bind_cut, convert, DepCtx
 from .reduce import (step, normalize, trace, StepResult, Stepped, NormalForm,
                      Stuck, NormalizeResult, FuelExhausted)
-from .core_text import (print_term, print_data, print_spine, print_pattern,
-                        parse_term, print_type)
+from .core_text import (print_term, print_data, print_pattern, parse_term,
+                        print_type)
 from .surface import (parse, polarize, compile_clauses, pretty_equations,
                       load_program, Program, CompileFail)
 

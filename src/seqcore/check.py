@@ -48,7 +48,7 @@ from .syntax import (
 )
 
 __all__ = ["check_term", "check_data", "check_spine", "infer_term",
-           "infer_data", "UNKNOWN"]
+           "UNKNOWN"]
 
 
 def _frame(kind: str, subject, goal, focus: Optional[NegType] = None) -> str:
@@ -526,12 +526,5 @@ def infer_term(sig: Sig, t: Term, structural: bool = False):
     CheckError for definite failures."""
     try:
         return _infer_term(_State(sig, structural), t)
-    except _Fail as f:
-        raise CheckError(f.diagnostic) from None
-
-
-def infer_data(sig: Sig, d: DataVal, structural: bool = False):
-    try:
-        return _infer_data(_State(sig, structural), d)
     except _Fail as f:
         raise CheckError(f.diagnostic) from None

@@ -460,9 +460,7 @@ def dep_check_term(sig: Sig, ctx: DepCtx, t: Term, goal: NegType,
     try:
         _check(_entry_state(sig, ctx, fuel), t, goal)
         return None
-    except _Fail as f:
-        return f.diagnostic
-    except ConversionError as e:
+    except (_Fail, ConversionError) as e:
         return e.diagnostic
 
 
@@ -471,9 +469,7 @@ def dep_check_spine(sig: Sig, ctx: DepCtx, focus: NegType, k: Spine,
     try:
         _check_spine(_entry_state(sig, ctx, fuel), focus, k, goal)
         return None
-    except _Fail as f:
-        return f.diagnostic
-    except ConversionError as e:
+    except (_Fail, ConversionError) as e:
         return e.diagnostic
 
 
@@ -484,7 +480,5 @@ def dep_bind_cut(sig: Sig, ctx: DepCtx, x: Name, d: DataVal, t: Term,
         st = _entry_state(sig, ctx, fuel)
         _check(*_var_cut(st, x, d, t), goal)
         return None
-    except _Fail as f:
-        return f.diagnostic
-    except ConversionError as e:
+    except (_Fail, ConversionError) as e:
         return e.diagnostic

@@ -17,100 +17,87 @@ from .check import check_term
 from .check_dep import dep_check_term
 from .core_text import print_term, print_type
 from .diag import Diagnostic, ParseError, Span
-from .record import record
 from .reduce import FuelExhausted, normalize, trace
 from .surface import CompileFail, Program, compile_argument, load_program
 from .syntax import App, Cons, Imp, Mode, Nil, Pi, Term
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 _DEFAULT_FUEL = 10000
-
-
-@record(frozen=False)
-class RunConfig:
-    command: str                 # "check" | "run" | "core" | "trace"
-    file: str
-    entry: Optional[str] = None
-    arg: Optional[str] = None
-    dependent: bool = False
-    structural_patterns: bool = False
-    fuel: int = _DEFAULT_FUEL
-    show_trace: bool = False
 
 
 def _error(diag: Diagnostic, file: str) -> None:
     print(diag.at(Span(file, 0, 0)).render(), file=sys.stderr)
 
 
-def _load(cfg: RunConfig) -> Program:
+def _load(args: argparse.Namespace, mode: Mode) -> Program:
     try:
-        with open(cfg.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8") as fh:
             source = fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(Diagnostic(
             "parse", expected="UTF-8 text",
             found=f"byte 0x{e.object[e.start]:02x}", note=e.reason)) from None
-    mode = Mode.DEP if cfg.dependent else Mode.PROP
-    return load_program(source, cfg.file, mode)
+    return load_program(source, args.file, mode)
 
 
-def _check_all(cfg: RunConfig, prog: Program) -> int:
-    mode = Mode.DEP if cfg.dependent else Mode.PROP
+def _check_all(args: argparse.Namespace, mode: Mode, prog: Program) -> int:
     failures = 0
     for d in prog.decls:
         if d.kind != "def":
             continue
         if mode is Mode.DEP:
-            diag = dep_check_term(prog.sig, [], d.term, d.type, fuel=cfg.fuel)
+            diag = dep_check_term(prog.sig, [], d.term, d.type, fuel=args.fuel)
         else:
             diag = check_term(prog.sig, [], d.term, d.type,
-                              structural=cfg.structural_patterns)
+                              structural=args.structural_patterns)
         if diag is not None:
-            _error(diag.at(d.span), cfg.file)
+            _error(diag.at(d.span), args.file)
             failures += 1
     for w in prog.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return failures
 
 
-def _build_entry_term(cfg: RunConfig, prog: Program) -> Term:
-    decl = prog.find(cfg.entry)
+def _build_entry_term(args: argparse.Namespace, mode: Mode,
+                      prog: Program) -> Term:
+    decl = prog.find(args.entry)
     if decl is None or decl.kind == "atom":
         raise CompileFail(Diagnostic("unbound", expected="declared entry",
-                                     found=str(cfg.entry)))
-    if cfg.arg is None:
+                                     found=str(args.entry)))
+    if args.arg is None:
         return App(decl.name, Nil())
     ty = decl.type
     if not isinstance(ty, (Imp, Pi)):
         raise CompileFail(Diagnostic("arity", expected="function-typed entry",
                                      found=print_type(ty)))
-    mode = Mode.DEP if cfg.dependent else Mode.PROP
-    data = compile_argument(prog.sig, cfg.arg, ty.arg, mode)
+    data = compile_argument(prog.sig, args.arg, ty.arg, mode)
     return App(decl.name, Cons(data, Nil()))
 
 
-def main(cfg: RunConfig) -> int:
+def main(args: argparse.Namespace) -> int:
+    """Run the command of a parsed command line whose ``fuel`` is resolved
+    to a positive count; returns the exit code."""
+    mode = Mode.DEP if args.dependent else Mode.PROP
     try:
-        prog = _load(cfg)
+        prog = _load(args, mode)
     except ParseError as e:
-        _error(e.diagnostic, cfg.file)
+        _error(e.diagnostic, args.file)
         return 2
     except CompileFail as e:
-        _error(e.diagnostic, cfg.file)
+        _error(e.diagnostic, args.file)
         return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
 
-    if cfg.command == "check":
-        failures = _check_all(cfg, prog)
-        if failures:
+    if args.command == "check":
+        if _check_all(args, mode, prog):
             return 1
         print(f"ok ({len(prog.decls)} declarations)")
         return 0
 
-    if cfg.command == "core":
+    if args.command == "core":
         for d in prog.decls:
             if d.kind == "atom":
                 print(f"atom {d.name}")
@@ -121,35 +108,32 @@ def main(cfg: RunConfig) -> int:
                 print(f"{d.name} = {print_term(d.term)}")
         return 0
 
-    if cfg.command in ("run", "trace"):
-        if cfg.entry is None:
-            print("error: run/trace require --entry", file=sys.stderr)
-            return 4
-        if _check_all(cfg, prog):
-            return 1
-        try:
-            t = _build_entry_term(cfg, prog)
-        except (ParseError, CompileFail) as e:
-            _error(e.diagnostic, cfg.file)
-            return 2 if isinstance(e, ParseError) else 1
-        try:
-            if cfg.command == "trace" or cfg.show_trace:
-                steps, res = trace(prog.sig, t, cfg.fuel)
-                for i, (rule, term) in enumerate(steps, start=1):
-                    print(f"{i} {rule} {print_term(term)}")
-            else:
-                res = normalize(prog.sig, t, cfg.fuel)
-        except FuelExhausted as e:
-            print(f"error: fuel exhausted after {e.steps} steps", file=sys.stderr)
-            return 3
-        if res.stuck is not None:
-            print(f"error: stuck: {res.stuck}", file=sys.stderr)
-            return 1
-        print(print_term(res.term))
-        return 0
-
-    print(f"error: unknown command {cfg.command}", file=sys.stderr)
-    return 4
+    # run or trace
+    if args.entry is None:
+        print("error: run/trace require --entry", file=sys.stderr)
+        return 4
+    if _check_all(args, mode, prog):
+        return 1
+    try:
+        t = _build_entry_term(args, mode, prog)
+    except (ParseError, CompileFail) as e:
+        _error(e.diagnostic, args.file)
+        return 2 if isinstance(e, ParseError) else 1
+    try:
+        if args.command == "trace" or args.trace:
+            steps, res = trace(prog.sig, t, args.fuel)
+            for i, (rule, term) in enumerate(steps, start=1):
+                print(f"{i} {rule} {print_term(term)}")
+        else:
+            res = normalize(prog.sig, t, args.fuel)
+    except FuelExhausted as e:
+        print(f"error: fuel exhausted after {e.steps} steps", file=sys.stderr)
+        return 3
+    if res.stuck is not None:
+        print(f"error: stuck: {res.stuck}", file=sys.stderr)
+        return 1
+    print(print_term(res.term))
+    return 0
 
 
 def entry(argv: Optional[list[str]] = None) -> int:
@@ -181,25 +165,20 @@ def entry(argv: Optional[list[str]] = None) -> int:
         if e.code == 0:
             raise
         return 4
-    fuel = ns.fuel
-    if fuel is None:
+    if ns.fuel is None:
         try:
-            fuel = int(os.environ.get("SEQCORE_FUEL", _DEFAULT_FUEL))
+            ns.fuel = int(os.environ.get("SEQCORE_FUEL", _DEFAULT_FUEL))
         except ValueError:
-            fuel = 0
-        if fuel <= 0:
+            ns.fuel = 0
+        if ns.fuel <= 0:
             print("error: SEQCORE_FUEL must be a positive integer",
                   file=sys.stderr)
             return 4
-    if fuel <= 0:
+    if ns.fuel <= 0:
         print("error: --fuel must be positive", file=sys.stderr)
         return 4
-    cfg = RunConfig(command=ns.command, file=ns.file, entry=ns.entry,
-                    arg=ns.arg, dependent=ns.dependent,
-                    structural_patterns=ns.structural_patterns, fuel=fuel,
-                    show_trace=ns.trace)
     try:
-        code = main(cfg)
+        code = main(ns)
         sys.stdout.flush()   # a closed pipe must fail here, not at exit
         return code
     except BrokenPipeError:

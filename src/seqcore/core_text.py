@@ -25,7 +25,7 @@ from .syntax import (
     Thunk, Up, Var, With, free_names, pattern_labels, pattern_vars,
 )
 
-__all__ = ["print_term", "print_data", "print_spine", "print_pattern",
+__all__ = ["print_term", "print_data", "print_pattern",
            "parse_term", "print_neg", "print_pos", "print_type"]
 
 _KEYWORDS = {"done", "thunk", "inl", "inr", "split", "let", "in", "kappa"}
@@ -135,10 +135,6 @@ def print_term(t: Term) -> str:
 
 def print_data(d: DataVal) -> str:
     return _Printer(_reserved_for(d)).data({}, d)
-
-
-def print_spine(k: Spine) -> str:
-    return _Printer(_reserved_for(k)).spine({}, k)
 
 
 def print_pattern(p: Pattern) -> str:

@@ -57,17 +57,17 @@ class SeqcoreError(Exception):
     """Base for all errors raised out of the kernel."""
 
 
-class CheckError(SeqcoreError):
-    """A typechecking failure carrying its Diagnostic."""
+class DiagnosticError(SeqcoreError):
+    """An error carrying its Diagnostic; the message is the rendered text."""
 
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(diagnostic.render())
         self.diagnostic = diagnostic
 
 
-class ParseError(SeqcoreError):
-    """A syntax failure in surface or core text, carrying its Diagnostic."""
+class CheckError(DiagnosticError):
+    """A typechecking failure."""
 
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
+
+class ParseError(DiagnosticError):
+    """A syntax failure in surface or core text."""

@@ -29,9 +29,14 @@ composite types the name simply binds the reconstruction.  In dependent mode
 arguments bind bare variables and the same tree is emitted as explicit
 pair-lets and splits instead of deep patterns.
 
-Polarity coercions are inserted here and only here: a thunk-typed variable
-used as an argument becomes ``thunk (x [])``, a right-hand side at a shifted
-goal is wrapped in ``done``, and the kernel never sees an unshifted mix.
+Polarization is the one check of a declared type: ``polarize`` rejects an
+undeclared atom and a connective of the other mode, and builds only the
+connectives of its own (``->`` and ``*`` in propositional mode, ``Pi`` and
+``Sigma`` in dependent mode), so what it returns is well formed and the
+compiler relies on it.  Polarity coercions are inserted here and only here:
+a thunk-typed variable used as an argument becomes ``thunk (x [])``, a
+right-hand side at a shifted goal is wrapped in ``done``, and the kernel
+never sees an unshifted mix.
 """
 
 from __future__ import annotations
@@ -42,14 +47,14 @@ from typing import NamedTuple, Optional, Union
 
 from .check_dep import convert
 from .core_text import print_term, print_type
-from .diag import Diagnostic, ParseError, Span
+from .diag import Diagnostic, DiagnosticError, ParseError, Span
 from .record import factory, record
 from .syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Lam, Mode, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
     PosType, PPair, Prod, PWild, Sig, SigEntry, Sigma, Spine, Split, Term,
     Thunk, Up, Var, With, alpha_eq, eta, fresh, subst_data_in_neg,
-    subst_data_in_pos, well_formed_neg,
+    subst_data_in_pos,
 )
 
 __all__ = [
@@ -547,10 +552,8 @@ class PairNode(CaseTree):
     sub: CaseTree
 
 
-class CompileFail(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
+class CompileFail(DiagnosticError):
+    """A declaration the front end cannot compile."""
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +597,15 @@ class _Fusion:
 
 
 def _peel_as(sp: Optional[SPat]) -> tuple[list[tuple[str, Span]], Optional[SPat]]:
+    """The names a clause binds at this position, with their spans: the
+    as-names outermost first, then the variable under them if there is one.
+    Also the pattern under the as-names."""
     names: list[tuple[str, Span]] = []
     while isinstance(sp, PAsS):
         names.append((sp.name, sp.span))
         sp = sp.pat
+    if isinstance(sp, PVarS):
+        names.append((sp.name, sp.span))
     return names, sp
 
 
@@ -617,7 +625,7 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
 
     match ty:
         case Down(n):
-            return _fuse_down(fz, path, n, peeled, plain)
+            return _fuse_down(fz, path, n, peeled)
         case Or(pl, pr):
             if fz.mode is Mode.DEP and path not in fz.pos_var:
                 fz.pos_var[path] = fresh("s")
@@ -644,9 +652,9 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
                 fz.pos_var[path + ("inr",)] = fz.pos_var[path]
             fl = _fuse(fz, path + ("inl",), pl, left)
             fr = _fuse(fz, path + ("inr",), pr, right)
-            _bind_composites(fz, path, ty, peeled, plain)
+            _bind_composites(fz, path, ty, peeled)
             return POr(w, fl, fr)
-        case Prod(_, _) | Sigma(_, _, _):
+        case Prod(fst_ty, snd_ty) | Sigma(_, fst_ty, snd_ty):
             lefts: dict[int, Optional[SPat]] = {}
             rights: dict[int, Optional[SPat]] = {}
             for cid, sp in plain.items():
@@ -667,47 +675,39 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
                     _var_text(lefts.values(), base.text + "1"))
                 fz.pos_var[path + ("snd",)] = fresh(
                     _var_text(rights.values(), base.text + "2"))
-            fl = _fuse(fz, path + ("fst",), _fst_type(ty), lefts)
-            snd_ty = _snd_type(fz, path, ty, fl)
+            fl = _fuse(fz, path + ("fst",), fst_ty, lefts)
+            if isinstance(ty, Sigma):
+                # Only a dependent type has a Sigma: the first component's
+                # scrutinee variable stands for its binder.
+                snd_ty = subst_data_in_pos(
+                    snd_ty, ty.binder, eta(fz.pos_var[path + ("fst",)]))
             fr = _fuse(fz, path + ("snd",), snd_ty, rights)
-            _bind_composites(fz, path, ty, peeled, plain)
+            _bind_composites(fz, path, ty, peeled)
             return PPair(fl, fr)
     raise CompileFail(Diagnostic("pattern", expected="positive argument type",
                                  found=print_type(ty), span=fz.span))
 
 
-def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled, plain) -> Pattern:
+def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
     # Every name any clause binds here shares the stored hypothesis; an
     # as-chain needs one extra kernel variable per extra name (contraction).
     width = 0
-    for cid, (names, sp) in peeled.items():
-        here = len(names) + (1 if isinstance(sp, PVarS) else 0)
-        width = max(width, here)
+    for names, sp in peeled.values():
         if sp is not None and not isinstance(sp, (PVarS, PWildS)):
             raise CompileFail(Diagnostic(
                 "pattern", expected="variable at a thunk type",
                 found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
-    # Kernel variables take the source names slot by slot so equations print
-    # back with the names the program used.
-    slot_texts: list[str] = []
-    for i in range(max(width, 1)):
-        text = None
-        for cid, (names, sp) in peeled.items():
-            ordered = [nm for nm, _ in names]
-            if isinstance(sp, PVarS):
-                ordered.append(sp.name)
-            if i < len(ordered):
-                text = ordered[i]
-                break
-        slot_texts.append(text or (_pick_text(plain, peeled) + str(i + 1)))
-    vars_ = [fresh(t) for t in slot_texts]
+        width = max(width, len(names))
+    # Kernel variables take the source names slot by slot, from the first
+    # clause that names the slot, so equations print back with the names the
+    # program used.  Only a lone slot can go unnamed.
+    vars_ = [fresh(next((names[i][0] for names, _ in peeled.values()
+                         if i < len(names)), "v1"))
+             for i in range(max(width, 1))]
     vars_[0] = fz.pos_var.setdefault(path, vars_[0])
-    for cid, (names, sp) in peeled.items():
-        ordered = [nm for nm in names]
-        if isinstance(sp, PVarS):
-            ordered.append((sp.name, sp.span))
-        for i, (nm, spn) in enumerate(ordered):
-            fz.bind(cid, nm, _VarB(vars_[min(i, len(vars_) - 1)], n), spn)
+    for cid, (names, _) in peeled.items():
+        for v, (nm, spn) in zip(vars_, names):
+            fz.bind(cid, nm, _VarB(v, n), spn)
     if width > 1:
         if fz.mode is Mode.DEP:
             raise CompileFail(Diagnostic(
@@ -720,42 +720,10 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled, plain) -> Pattern:
     return Var(vars_[0])
 
 
-def _bind_composites(fz: _Fusion, path: tuple, ty: PosType, peeled, plain) -> None:
-    for cid, (names, sp) in peeled.items():
+def _bind_composites(fz: _Fusion, path: tuple, ty: PosType, peeled) -> None:
+    for cid, (names, _) in peeled.items():
         for nm, spn in names:
             fz.bind(cid, nm, _DataB(path, ty), spn)
-        if isinstance(sp, PVarS):
-            fz.bind(cid, sp.name, _DataB(path, ty), sp.span)
-
-
-def _fst_type(ty: PosType) -> PosType:
-    return ty.left if isinstance(ty, Prod) else ty.first
-
-
-def _snd_type(fz: _Fusion, path: tuple, ty: PosType, first_fused: Pattern) -> PosType:
-    if isinstance(ty, Prod):
-        return ty.right
-    assert isinstance(ty, Sigma)
-    if fz.mode is Mode.DEP:
-        witness = eta(fz.pos_var[path + ("fst",)])
-    else:
-        witness = _recon_static(first_fused)
-    return subst_data_in_pos(ty.second, ty.binder, witness)
-
-
-def _recon_static(p: Pattern) -> DataVal:
-    match p:
-        case Var(x):
-            return eta(x)
-        case PPair(a, b):
-            return DPair(_recon_static(a), _recon_static(b))
-        case PAt(a, _):
-            return _recon_static(a)
-        case _:
-            raise CompileFail(Diagnostic(
-                "pattern",
-                expected="thunk or pair first component under a dependent pair",
-                found="sum pattern"))
 
 
 def _var_text(pats, default: str) -> str:
@@ -765,16 +733,6 @@ def _var_text(pats, default: str) -> str:
         if isinstance(sp, PVarS):
             return sp.name
     return default
-
-
-def _pick_text(plain, peeled) -> str:
-    for cid, sp in plain.items():
-        if isinstance(sp, PVarS):
-            return sp.name
-    for names, _ in peeled.values():
-        if names:
-            return names[0][0]
-    return "v"
 
 
 def _spat_shape(p: SPat) -> str:
@@ -1033,12 +991,13 @@ class CompiledDecl:
     warnings: list[str] = factory(list)
 
 
-def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
-                    declared: Optional[NegType] = None) -> CompiledDecl:
-    """Compile a definition's clause set into one core term via its splitting
-    tree.  Raises CompileFail on coverage or elaboration errors."""
+def compile_clauses(decl: SurfaceDecl, sig: Sig,
+                    mode: Mode = Mode.PROP) -> CompiledDecl:
+    """Polarize a definition's declared type and compile its clause set into
+    one core term via its splitting tree.  Raises CompileFail on type,
+    coverage or elaboration errors."""
     assert decl.kind == "def"
-    ty = declared if declared is not None else polarize(decl.type, sig, mode)
+    ty = polarize(decl.type, sig, mode)
     if not decl.clauses:
         raise CompileFail(Diagnostic(
             "coverage", expected="at least one clause", found="none",
@@ -1057,15 +1016,14 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
     result = ty
     for i in range(arity):
         match result:
-            case Pi(x, a, r) if mode is Mode.DEP:
+            case Pi(x, a, r):
                 # A Pi binder is visible in later argument types; the
                 # scrutinee variable doubles as that binder.
                 v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
                                     f"a{i + 1}"))
                 fz.pos_var[(i,)] = v
                 result = subst_data_in_neg(r, x, eta(v))
-            case Imp(a, r) | Pi(_, a, r):
-                assert mode is Mode.PROP
+            case Imp(a, r):
                 result = r
             case _:
                 raise CompileFail(Diagnostic(
@@ -1126,17 +1084,15 @@ def load_program(source: str, file: str = "<surface>",
             sig = sig.with_atom(Name(d.name))
             out.append(CompiledDecl("atom", Name(d.name), d.span))
             continue
-        ty = polarize(d.type, sig, mode)
-        problems: list[Diagnostic] = []
-        if not well_formed_neg(ty, sig, mode, problems=problems):
-            raise CompileFail(problems[0].at(d.span))
         if d.kind == "postulate":
+            ty = polarize(d.type, sig, mode)
             sig = sig.with_entry(SigEntry(Name(d.name), ty))
             out.append(CompiledDecl("postulate", Name(d.name), d.span, ty))
             continue
-        compiled = compile_clauses(d, sig, mode, declared=ty)
+        compiled = compile_clauses(d, sig, mode)
         warnings.extend(compiled.warnings)
-        sig = sig.with_entry(SigEntry(Name(d.name), ty, compiled.term))
+        sig = sig.with_entry(SigEntry(compiled.name, compiled.type,
+                                      compiled.term))
         out.append(compiled)
     return Program(sig, out, warnings)
 

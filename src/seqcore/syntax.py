@@ -616,26 +616,20 @@ def _shadow(mapping: dict[Name, Name], binder) -> dict[Name, Name]:
 
 
 def freshen_pattern(p: Pattern) -> tuple[Pattern, dict[Name, Name]]:
-    """Regenerate every binder in ``p`` with a fresh tag."""
+    """Regenerate every binder in ``p`` with a fresh tag, outermost and then
+    left to right, and return the renaming too."""
     mapping: dict[Name, Name] = {}
 
-    def go(q: Pattern) -> Pattern:
-        match q:
-            case Var(x):
-                mapping[x] = fresh(x.text)
-                return Var(mapping[x])
-            case PPair(a, b):
-                return PPair(go(a), go(b))
-            case PAt(a, b):
-                return PAt(go(a), go(b))
-            case POr(w, a, b):
-                mapping[w] = fresh(w.text)
-                return POr(mapping[w], go(a), go(b))
-            case PWild():
-                return q
-        raise TypeError(q)
+    def visit(q):
+        bind = q.layout.bind
+        if bind is None:
+            return None
+        name = getattr(q, bind)
+        mapping[name] = fresh(name.text)
+        return with_children(q, [rewrite(k, visit) for k in children(q)],
+                             mapping[name])
 
-    return go(p), mapping
+    return rewrite(p, visit), mapping
 
 
 def _freshen(binder):
@@ -738,41 +732,30 @@ class MatchFail:
 
 def match_pattern(pat: Pattern, data: DataVal) -> Union[Match, MatchFail]:
     """Decompose ``data`` according to the shape of ``pat``."""
+    branches: tuple[tuple[Name, str], ...] = ()
     match pat, data:
         case Var(x), d:
             return Match(((x, d),))
         case PWild(), _:
             return Match(())
         case PAt(p, q), d:
-            left = match_pattern(p, d)
-            if isinstance(left, MatchFail):
-                return left
-            right = match_pattern(q, d)
-            if isinstance(right, MatchFail):
-                return right
-            return Match(left.bindings + right.bindings,
-                         left.branches + right.branches)
+            parts = ((p, d), (q, d))
         case PPair(p, q), DPair(d, e):
-            left = match_pattern(p, d)
-            if isinstance(left, MatchFail):
-                return left
-            right = match_pattern(q, e)
-            if isinstance(right, MatchFail):
-                return right
-            return Match(left.bindings + right.bindings,
-                         left.branches + right.branches)
+            parts = ((p, d), (q, e))
         case POr(w, p, _), Inl(d):
-            sub = match_pattern(p, d)
-            if isinstance(sub, MatchFail):
-                return sub
-            return Match(sub.bindings, ((w, "left"),) + sub.branches)
+            parts, branches = ((p, d),), ((w, "left"),)
         case POr(w, _, q), Inr(d):
-            sub = match_pattern(q, d)
-            if isinstance(sub, MatchFail):
-                return sub
-            return Match(sub.bindings, ((w, "right"),) + sub.branches)
+            parts, branches = ((q, d),), ((w, "right"),)
         case _:
             return MatchFail("constructor does not fit pattern shape", pat, data)
+    bindings: tuple[tuple[Name, DataVal], ...] = ()
+    for p, d in parts:
+        sub = match_pattern(p, d)
+        if isinstance(sub, MatchFail):
+            return sub
+        bindings += sub.bindings
+        branches += sub.branches
+    return Match(bindings, branches)
 
 
 # ---------------------------------------------------------------------------
