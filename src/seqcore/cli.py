@@ -4,11 +4,18 @@ Exit codes: 0 success, 1 type or coverage error, 2 parse error, 3 fuel
 exhausted, 4 usage error (argparse's included), an unreadable FILE or a
 stdout the reader closed early (with nothing on stderr), 5 internal error.
 Diagnostics go to stderr, results to stdout.
+
+``entry`` pauses Python's cyclic collector while ``main`` runs.  Kernel
+values are immutable trees built bottom-up, and the kernel's walks free
+their recursive closures when they return, so ``main`` leaves no reference
+cycles for the collector to find; the tests check this on every example
+program.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Optional
@@ -177,6 +184,8 @@ def entry(argv: Optional[list[str]] = None) -> int:
     if ns.fuel <= 0:
         print("error: --fuel must be positive", file=sys.stderr)
         return 4
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = main(ns)
         sys.stdout.flush()   # a closed pipe must fail here, not at exit
@@ -194,6 +203,9 @@ def entry(argv: Optional[list[str]] = None) -> int:
         print(f"error: internal error: {type(e).__name__}: {msg}",
               file=sys.stderr)
         return 5
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -621,6 +621,11 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
     all_wild = pats and all(isinstance(sp, PWildS) for sp in plain.values()) \
         and not any(names for names, _ in peeled.values())
     if all_wild:
+        if fz.mode is Mode.DEP and not isinstance(ty, Down):
+            # A dependent scrutinee must be bound by a variable.
+            raise CompileFail(Diagnostic(
+                "dep-pattern", expected="variable binder",
+                found="wildcard pattern _", span=fz.span))
         return PWild()
 
     match ty:
@@ -736,8 +741,7 @@ def _var_text(pats, default: str) -> str:
 
 
 def _spat_shape(p: SPat) -> str:
-    return {PVarS: "variable", PWildS: "wildcard", PAsS: "as-pattern",
-            PPairS: "pair pattern", PInlS: "inl pattern",
+    return {PPairS: "pair pattern", PInlS: "inl pattern",
             PInrS: "inr pattern"}[type(p)]
 
 

@@ -629,7 +629,10 @@ def freshen_pattern(p: Pattern) -> tuple[Pattern, dict[Name, Name]]:
         return with_children(q, [rewrite(k, visit) for k in children(q)],
                              mapping[name])
 
-    return rewrite(p, visit), mapping
+    try:
+        return rewrite(p, visit), mapping
+    finally:
+        del visit    # it refers to itself: free it now
 
 
 def _freshen(binder):
@@ -699,11 +702,10 @@ def subst_data(x, v: Name, d: DataVal):
             body = rename(body, renaming)
         return binder, rewrite(body, visit, under)
 
-    out = rewrite(x, visit, under)
-    # visit and under refer to each other; dropping them here frees them and
-    # the data they hold now, rather than at the next cyclic collection.
-    del visit, under
-    return out
+    try:
+        return rewrite(x, visit, under)
+    finally:
+        del visit, under    # they refer to each other: free them now
 
 
 # One substitution serves every sort; the names say what the caller holds.
@@ -792,7 +794,10 @@ def select_branch(label: Name, side: str, t: Term) -> Term:
             return binder, body
         return binder, rewrite(body, visit, under)
 
-    return rewrite(t, visit, under)
+    try:
+        return rewrite(t, visit, under)
+    finally:
+        del visit, under    # they refer to each other: free them now
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +862,10 @@ def alpha_eq(a, b) -> bool:
                 return False
         return True
 
-    return eq(a, b, {}, {})
+    try:
+        return eq(a, b, {}, {})
+    finally:
+        del bind, eq    # they refer to themselves: free them now
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import pathlib
 
 from reference import ArgPool, enumerate_data
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
-from seqcore.surface import Program, load_program
+from seqcore.surface import Program, load_program, parse
 from seqcore.syntax import (App, Atom, Cons, Down, Imp, Mode, Name, Nil, Pi,
                             Sig, SigEntry, subst_data_in_neg)
 
@@ -49,6 +50,48 @@ def check_program(prog: Program, mode: Mode, structural: bool):
         if diag is not None:
             bad.append((str(d.name), diag))
     return bad
+
+
+def clause_set_variants():
+    """Each example program as it is, with each clause and each pair of
+    clauses dropped, and with each clause moved to the front of its block:
+    ``(label, lines)`` pairs.  Dropping clauses yields coverage errors;
+    moving one to the front yields "never used" and overlap warnings."""
+    for path in sorted(PROGRAMS.glob("*.seq")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")
+        blocks = [[cl.span.line - 1 for cl in d.clauses]
+                  for d in parse(text) if d.clauses]
+        clauses = [i for block in blocks for i in block]
+        yield path.name, lines
+        for n, i in enumerate(clauses):
+            yield f"{path.name} -{i + 1}", lines[:i] + lines[i + 1:]
+            for j in clauses[n + 1:]:
+                yield (f"{path.name} -{i + 1} -{j + 1}",
+                       [t for k, t in enumerate(lines) if k not in (i, j)])
+        for block in blocks:
+            for i in block[1:]:
+                moved = lines[:block[0]] + [lines[i]] + [
+                    t for k, t in enumerate(lines) if k >= block[0] and k != i]
+                yield f"{path.name} ^{i + 1}", moved
+
+
+def cyclic_garbage(fn, *args, raises=()) -> int:
+    """The number of objects the cyclic collector finds after ``fn(*args)``
+    runs with the collector paused.  ``fn`` must raise ``raises`` when it is
+    given, and must return otherwise."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            fn(*args)
+            raised = False
+        except raises:
+            raised = True
+        assert raised == bool(raises)
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def entry_applications(prog, mode, depth=2, per_type=1):

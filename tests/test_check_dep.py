@@ -52,6 +52,14 @@ class TestSigmaLet:
                       Done(DPair(eta(v), eta(u))))
         assert dep_check_term(sig, ctx, bad, goal) is not None
 
+    def test_undischarged_sum_component_rejected(self):
+        # The sum-typed first component stays pending when y is applied.
+        s, u = Name("s"), Name("u")
+        t = Lam(Var(s), BindCut(PPair(Var(u), Var(Y)), eta(s), App(Y, Nil())))
+        goal = Pi(s, Sigma(Name("p"), Or(Down(A), Down(A)), Down(A)), A)
+        d = dep_check_term(EMPTY, [], t, goal)
+        assert (d.rule, d.found) == ("var-app", "u")
+
     def test_deep_patterns_rejected(self):
         ctx = [(W, Or(Down(A), Down(A)))]
         t = Lam(PPair(Var(X), Var(Y)), App(X, Nil()))

@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, output formats."""
 
+import gc
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-from seqcore.cli import entry
+from suite import clause_set_variants, cyclic_garbage
+from seqcore.cli import entry, main
 from seqcore.core_text import parse_term
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -18,6 +20,33 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = entry(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def deep_sum(tmp_path, depth: int = 600) -> str:
+    """A program whose type nests ``a + (a + ...)`` ``depth`` levels deep."""
+    ty = "a"
+    for _ in range(depth):
+        ty = f"a + ({ty})"
+    deep = tmp_path / "deep.seq"
+    deep.write_text(f"atom a\nf : {ty} -> {ty}\nf v = v\n")
+    return str(deep)
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    ``fd`` is the descriptor ``entry`` points at devnull."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
 
 
 class TestCheck:
@@ -74,6 +103,24 @@ class TestCheck:
         code, out, _ = run(capsys, "check", path, "--dependent")
         assert code == 0
         assert "declarations" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--structural-patterns"]],
+                             ids=["plain", "structural"])
+    @pytest.mark.parametrize("decl, error", [
+        ("g : (a + a) * a -> a\ng (_, y) = y\n", True),
+        ("g : a + a -> a\ng _ = c\n", True),
+        ("g : a -> a -> a\ng x _ = x\n", False),
+    ], ids=["under-pair-at-sum", "at-sum", "at-thunk"])
+    def test_dependent_wildcard(self, capsys, tmp_path, decl, error, flags):
+        # A dependent scrutinee needs a variable binder; a thunk does not.
+        path = tmp_path / "w.seq"
+        path.write_text("atom a\npostulate c : a\n" + decl)
+        got = run(capsys, "check", str(path), "--dependent", *flags)
+        if error:
+            assert got == (1, "", f"ERROR dep-pattern at {path}:4:1: expected "
+                                  "variable binder, found wildcard pattern _\n")
+        else:
+            assert got == (0, "ok (3 declarations)\n", "")
 
 
 class TestRun:
@@ -222,12 +269,7 @@ class TestUsageErrors:
 
 class TestInternalErrors:
     def test_deep_sum_is_one_line_and_exit_five(self, capsys, tmp_path):
-        ty = "a"
-        for _ in range(600):
-            ty = f"a + ({ty})"
-        deep = tmp_path / "deep.seq"
-        deep.write_text(f"atom a\nf : {ty} -> {ty}\nf v = v\n")
-        code, out, err = run(capsys, "check", str(deep))
+        code, out, err = run(capsys, "check", deep_sum(tmp_path))
         assert code == 5
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -252,18 +294,7 @@ class TestClosedStdout:
 
     def test_in_process(self, capsys, monkeypatch):
         r, w = os.pipe()
-
-        class Closed:
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-            def flush(self):
-                pass
-
-            def fileno(self):
-                return w
-
-        monkeypatch.setattr(sys, "stdout", Closed())
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(w))
         try:
             code = entry(["core", str(PROGRAMS / "basics.seq")])
             # The descriptor now points at devnull, so the flush at exit
@@ -315,3 +346,100 @@ class TestFreshProcess:
                               capture_output=True, text=True, timeout=60,
                               check=True)
         assert proc.stdout == "[]\n"
+
+
+class TestCollectorPause:
+    """``entry`` runs ``main`` with the cyclic collector paused.  So ``main``
+    must leave no reference cycles behind, and ``entry`` must hand back the
+    collector state it found on every exit."""
+
+    FLAGS = ((), ("--dependent",), ("--structural-patterns",))
+
+    def sweep(self, tmp_path):
+        """``check`` and ``core`` in each flag set on every example program
+        and every variant of it with one clause dropped, and ``run`` and
+        ``trace`` of the worked example on both injections."""
+        for n, (label, lines) in enumerate(clause_set_variants()):
+            if " ^" in label or label.count(" -") > 1:
+                continue
+            path = tmp_path / f"v{n}.seq"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            for cmd in ("check", "core"):
+                for flags in self.FLAGS:
+                    yield [cmd, str(path), *flags]
+        for arg in ("inr q", "inl (q, r)"):
+            for cmd in ("run", "trace"):
+                for flags in self.FLAGS:
+                    yield [cmd, str(PROGRAMS / "f_run.seq"), "--entry", "f",
+                           "--arg", arg, *flags]
+
+    def test_main_leaves_no_cyclic_garbage(self, capsys, monkeypatch,
+                                           tmp_path):
+        import seqcore.cli
+        parsed = []
+        monkeypatch.setattr(seqcore.cli, "main", parsed.append)
+        calls = []
+        for argv in self.sweep(tmp_path):
+            entry(argv)
+            calls.append((argv, parsed.pop()))
+        capsys.readouterr()
+        # Freeze what exists now: each collection below then scans only
+        # what main allocates, and stays cheap.
+        gc.collect()
+        gc.freeze()
+        try:
+            leaks = []
+            for argv, ns in calls:
+                found = cyclic_garbage(main, ns)
+                capsys.readouterr()
+                if found:
+                    leaks.append((argv, found))
+        finally:
+            gc.unfreeze()
+        assert leaks == []
+
+    F_RUN = ["run", str(PROGRAMS / "f_run.seq"), "--entry", "f"]
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("type-error", 1), ("parse-error", 2), ("fuel", 3),
+        ("usage", 4), ("bad-env-fuel", 4), ("fuel-not-positive", 4),
+        ("missing-entry", 4), ("unreadable", 4), ("closed-stdout", 4),
+        ("deep-sum", 5), ("help", "SystemExit(0)")])
+    def test_entry_restores_collector_state(self, capsys, monkeypatch,
+                                            tmp_path, case, code, enabled):
+        bad = tmp_path / "bad.seq"
+        bad.write_text("atom a\ng : a -> a\ng x = x $\n")
+        argv = {
+            "ok": ["check", str(PROGRAMS / "basics.seq")],
+            "type-error": ["check", str(PROGRAMS / "wild.seq")],
+            "parse-error": ["check", str(bad)],
+            "fuel": [*self.F_RUN, "--arg", "inr q", "--fuel", "1"],
+            "usage": ["compile", str(bad)],
+            "bad-env-fuel": self.F_RUN,
+            "fuel-not-positive": [*self.F_RUN, "--fuel", "0"],
+            "missing-entry": ["run", str(PROGRAMS / "f_run.seq")],
+            "unreadable": ["check", str(tmp_path / "missing.seq")],
+            "closed-stdout": ["core", str(PROGRAMS / "basics.seq")],
+            "deep-sum": ["check", deep_sum(tmp_path)],
+            "help": ["--help"],
+        }[case]
+        if case == "bad-env-fuel":
+            monkeypatch.setenv("SEQCORE_FUEL", "abc")
+        r, w = os.pipe()
+        if case == "closed-stdout":
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(w))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                got = entry(argv)
+            except SystemExit as e:
+                got = f"SystemExit({e.code})"
+            state = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+            os.close(r)
+            os.close(w)
+        assert (got, state) == (code, enabled)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lex_reference import reference_lex
-from suite import PROGRAMS, SUITE, check_program, load, source
+from suite import (PROGRAMS, SUITE, check_program, clause_set_variants,
+                   load, source)
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.diag import ParseError
@@ -285,30 +286,6 @@ class TestCompile:
         assert exc.value.diagnostic.rule == "linear"
 
 
-def clause_set_variants():
-    """Each example program as it is, with each clause and each pair of
-    clauses dropped, and with each clause moved to the front of its block:
-    ``(label, lines)`` pairs.  Dropping clauses yields coverage errors;
-    moving one to the front yields "never used" and overlap warnings."""
-    for path in sorted(PROGRAMS.glob("*.seq")):
-        text = path.read_text(encoding="utf-8")
-        lines = text.split("\n")
-        blocks = [[cl.span.line - 1 for cl in d.clauses]
-                  for d in parse(text) if d.clauses]
-        clauses = [i for block in blocks for i in block]
-        yield path.name, lines
-        for n, i in enumerate(clauses):
-            yield f"{path.name} -{i + 1}", lines[:i] + lines[i + 1:]
-            for j in clauses[n + 1:]:
-                yield (f"{path.name} -{i + 1} -{j + 1}",
-                       [t for k, t in enumerate(lines) if k not in (i, j)])
-        for block in blocks:
-            for i in block[1:]:
-                moved = lines[:block[0]] + [lines[i]] + [
-                    t for k, t in enumerate(lines) if k >= block[0] and k != i]
-                yield f"{path.name} ^{i + 1}", moved
-
-
 class TestCoveragePin:
     """``check`` and ``core`` on every clause-set variant, hashed.
 
@@ -428,8 +405,8 @@ class TestSurfaceDiagnosticPin:
     CALLS = 318
     RULES = {"pattern", "type", "unbound", "arity", "mode", "atom", "linear",
              "scope", "coverage", "parse", "dep-pattern",
-             "structural-disabled", "var-app"}
-    DIGEST = "203492daccf266bed2bf43bac8947c4fde4632322cf443f48c25135c3e70e62e"
+             "structural-disabled"}
+    DIGEST = "abe3c248d26b69430f19a7f63e8806038ee5b27d0720792d767c96970914d27a"
 
     def test_outcomes_digest(self, capsys, monkeypatch, tmp_path):
         import hashlib

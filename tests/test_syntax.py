@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from suite import cyclic_garbage
 from seqcore.core_text import print_term
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr, Kappa, Lam,
@@ -660,3 +661,52 @@ class TestSigIndex:
                                    Mode.DEP, problems=problems)
         assert [p.rule for p in problems] == ["scope"]
         assert problems[0].found == "d"
+
+
+class TestAcyclic:
+    """The kernel's walks leave no reference cycles: run with the cyclic
+    collector paused, as ``seqcore.cli.entry`` runs them, they leave nothing
+    for it to find, also when they raise."""
+
+    X, Y, H, W = Name("x"), Name("y"), Name("h"), Name("w")
+
+    def test_alpha_eq_past_structural_equality(self):
+        x, y, h = self.X, self.Y, self.H
+        a = Lam(Var(x), App(h, Cons(eta(x), Nil())))
+        b = Lam(Var(y), App(h, Cons(eta(y), Nil())))
+        assert a != b and alpha_eq(a, b)
+        assert cyclic_garbage(alpha_eq, a, b) == 0
+
+    def test_select_branch(self):
+        from seqcore.syntax import select_branch
+        t = Split(self.W, App(self.X, Nil()), App(self.Y, Nil()))
+        assert cyclic_garbage(select_branch, self.W, "left", t) == 0
+
+    def test_subst_data_returns(self):
+        t = Lam(Var(self.Y), App(self.X, Cons(eta(self.Y), Nil())))
+        assert cyclic_garbage(subst_data, t, self.X,
+                              Thunk(App(self.H, Nil()))) == 0
+
+    def test_subst_data_raises_clash(self):
+        from seqcore.syntax import SubstClash
+        t = Lam(Var(self.Y), App(self.X, Nil()))
+        assert cyclic_garbage(subst_data, t, self.X, Inl(eta(self.Y)),
+                              raises=SubstClash) == 0
+
+    def test_subst_data_freshens_a_capturing_pattern(self):
+        # The pair pattern binds y, free in the data: it is regenerated.
+        t = Lam(PPair(Var(self.Y), Var(self.H)), App(self.X, Nil()))
+        assert cyclic_garbage(subst_data, t, self.X,
+                              Thunk(App(self.Y, Nil()))) == 0
+
+    def test_case_tree_coverage_error(self):
+        from seqcore.surface import CompileFail, load_program
+        src = "atom a\ng : a + a -> a\ng (inl x) = x\n"
+        assert cyclic_garbage(load_program, src,
+                              raises=CompileFail) == 0
+
+    def test_convert_alpha_equal_types(self):
+        from seqcore.check_dep import convert
+        a = Pi(self.X, Down(A), A)
+        b = Pi(self.Y, Down(A), A)
+        assert cyclic_garbage(convert, a, b) == 0
