@@ -24,7 +24,6 @@ judgment a binding cut reduces to for checking and synthesis alike, and
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
 from .check import UNKNOWN, _Fail, _Unknown, _fail, _reassociated
@@ -168,14 +167,22 @@ def _head(st: _State, x: Name) -> NegType:
     return n
 
 
-@contextmanager
-def _clash(rule: str, expected: str, x: Name):
+class _clash:
     """Report a substitution for ``x`` that puts data other than a thunk
     where ``x`` is applied (a ``SubstClash``) as a ``rule`` failure."""
-    try:
-        yield
-    except SubstClash as e:
-        raise _fail(rule, expected=expected, found=str(x), note=e.reason)
+
+    __slots__ = ("rule", "expected", "x")
+
+    def __init__(self, rule: str, expected: str, x: Name):
+        self.rule, self.expected, self.x = rule, expected, x
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, SubstClash):
+            raise _fail(self.rule, expected=self.expected, found=str(self.x),
+                        note=exc.reason)
 
 
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:

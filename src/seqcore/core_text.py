@@ -10,7 +10,10 @@ printed after the head), ``<t, u>``, ``split x { inl -> t ; inr -> u }``,
 The printer renames binders where display texts would collide (or shadow a
 free name), so printed output of a closed term always re-parses; parsing
 yields tag-0 names, hence print-then-parse returns an alpha-equal term and a
-second print round-trip is the identity on the text.
+second print round-trip is the identity on the text.  The free names to keep
+clear of are found while printing: a term is printed once with none
+reserved, and again with its free names reserved only when a binder weighed
+a display text that one of them has.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .syntax import (
     App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
     PosType, PPair, Prod, Proj1, Proj2, PWild, Sigma, Spine, Split, Term,
-    Thunk, Up, Var, With, free_names, pattern_labels, pattern_vars,
+    Thunk, Up, Var, With, pattern_labels, pattern_vars,
 )
 
 __all__ = ["print_term", "print_data", "print_pattern",
@@ -37,17 +40,20 @@ _KEYWORDS = {"done", "thunk", "inl", "inr", "split", "let", "in", "kappa"}
 class _Printer:
     def __init__(self, reserved: set[str]):
         self.reserved = set(reserved) | _KEYWORDS
+        self.free: set[str] = set()     # texts of the free names printed
+        self.tried: set[str] = set()    # display texts weighed for binders
 
     def _pick(self, scope: dict[Name, str], name: Name) -> str:
         # Leading underscores are label/wildcard syntax, never display names.
         taken = self.reserved | set(scope.values())
         base = name.text.lstrip("_") or "v"
-        if base not in taken:
-            return base
-        i = 2
-        while f"{base}_{i}" in taken:
+        text, i = base, 1
+        while True:
+            self.tried.add(text)
+            if text not in taken:
+                return text
             i += 1
-        return f"{base}_{i}"
+            text = f"{base}_{i}"
 
     def bind_pattern(self, scope: dict[Name, str], p: Pattern) -> dict[Name, str]:
         scope = dict(scope)
@@ -58,6 +64,7 @@ class _Printer:
     def name(self, scope: dict[Name, str], n: Name) -> str:
         if n in scope:
             return scope[n]
+        self.free.add(n.text)
         return n.text if n.tag == 0 else f"{n.text}#{n.tag}"
 
     def pattern(self, scope: dict[Name, str], p: Pattern, atom: bool = False) -> str:
@@ -125,16 +132,22 @@ class _Printer:
         raise TypeError(k)
 
 
-def _reserved_for(x) -> set[str]:
-    return {n.text for n in free_names(x)}
+def _print(method, x) -> str:
+    # With no free text among the texts the binders weighed, each binder
+    # picks what it would pick with the free texts reserved.
+    pr = _Printer(set())
+    s = method(pr, {}, x)
+    if pr.free & pr.tried:
+        s = method(_Printer(pr.free), {}, x)
+    return s
 
 
 def print_term(t: Term) -> str:
-    return _Printer(_reserved_for(t)).term({}, t)
+    return _print(_Printer.term, t)
 
 
 def print_data(d: DataVal) -> str:
-    return _Printer(_reserved_for(d)).data({}, d)
+    return _print(_Printer.data, d)
 
 
 def print_pattern(p: Pattern) -> str:

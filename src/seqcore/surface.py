@@ -625,7 +625,8 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
             # A dependent scrutinee must be bound by a variable.
             raise CompileFail(Diagnostic(
                 "dep-pattern", expected="variable binder",
-                found="wildcard pattern _", span=fz.span))
+                found="wildcard pattern _",
+                span=next(iter(plain.values())).span))
         return PWild()
 
     match ty:
@@ -715,9 +716,12 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
             fz.bind(cid, nm, _VarB(v, n), spn)
     if width > 1:
         if fz.mode is Mode.DEP:
+            # The first name that would need an extra kernel variable.
             raise CompileFail(Diagnostic(
                 "dep-pattern", expected="variable binder",
-                found="as-pattern", span=fz.span))
+                found="as-pattern", span=next(
+                    names[1][1] for names, _ in peeled.values()
+                    if len(names) > 1)))
         pat: Pattern = Var(vars_[-1])
         for v in reversed(vars_[:-1]):
             pat = PAt(Var(v), pat)
@@ -837,6 +841,14 @@ class _Emitter:
         self.decl = decl
         self.result = result
         self.choices: dict[tuple, str] = {}
+        # Pairs of types already found to match, keyed by the ids of both.
+        # Every leaf of the case tree compares the same binding type with the
+        # same goal, so each pair is compared once per declaration.  Types
+        # are immutable and the comparison is pure for a fixed sig, so a
+        # remembered answer is the recomputed one.  The entry holds both
+        # types, so neither id can be reused while the emitter lives.  Only
+        # matches are kept: a mismatch is reported where it occurs.
+        self.matched: dict[tuple[int, int], tuple] = {}
 
     def emit(self, tree: CaseTree) -> Term:
         match tree:
@@ -896,9 +908,16 @@ class _Emitter:
             found=head, span=span))
 
     def _types_match(self, a, b) -> bool:
+        key = (id(a), id(b))
+        if key in self.matched:
+            return True
         if self.mode is Mode.DEP:
-            return convert(a, b, self.sig)
-        return alpha_eq(a, b)
+            ok = convert(a, b, self.sig)
+        else:
+            ok = alpha_eq(a, b)
+        if ok:
+            self.matched[key] = (a, b)
+        return ok
 
     def _rhs_term(self, cid: int, e: SExpr, goal: NegType) -> Term:
         match goal:

@@ -811,6 +811,8 @@ def alpha_eq(a, b) -> bool:
     # only: under a binder, equal subtrees may name different binders.  The
     # generated ``==`` takes three stack levels per tree level and ``eq``
     # one, so a tree too deep for ``==`` is still compared by ``eq``.
+    if a is b:
+        return True
     try:
         if a == b:
             return True

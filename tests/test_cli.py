@@ -13,6 +13,7 @@ from seqcore.cli import entry, main
 from seqcore.core_text import parse_term
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
@@ -107,20 +108,35 @@ class TestCheck:
     @pytest.mark.parametrize("flags", [[], ["--structural-patterns"]],
                              ids=["plain", "structural"])
     @pytest.mark.parametrize("decl, error", [
-        ("g : (a + a) * a -> a\ng (_, y) = y\n", True),
-        ("g : a + a -> a\ng _ = c\n", True),
-        ("g : a -> a -> a\ng x _ = x\n", False),
+        ("g : (a + a) * a -> a\ng (_, y) = y\n", "4:4"),
+        ("g : a + a -> a\ng _ = c\n", "4:3"),
+        ("g : a -> a -> a\ng x _ = x\n", None),
     ], ids=["under-pair-at-sum", "at-sum", "at-thunk"])
     def test_dependent_wildcard(self, capsys, tmp_path, decl, error, flags):
         # A dependent scrutinee needs a variable binder; a thunk does not.
+        # The error points at the wildcard.
         path = tmp_path / "w.seq"
         path.write_text("atom a\npostulate c : a\n" + decl)
         got = run(capsys, "check", str(path), "--dependent", *flags)
         if error:
-            assert got == (1, "", f"ERROR dep-pattern at {path}:4:1: expected "
-                                  "variable binder, found wildcard pattern _\n")
+            assert got == (1, "", f"ERROR dep-pattern at {path}:{error}: "
+                                  "expected variable binder, found wildcard "
+                                  "pattern _\n")
         else:
             assert got == (0, "ok (3 declarations)\n", "")
+
+    def test_dependent_as_pattern_points_at_the_extra_name(self, capsys,
+                                                           tmp_path):
+        # The as-pattern is in the second clause; its second name z would
+        # need a second kernel variable for one scrutinee.
+        path = tmp_path / "s.seq"
+        path.write_text("atom a\npostulate c : a\ng : a + a -> a -> a\n"
+                        "g (inl x) y = y\ng (inr x) y@z = z\n")
+        assert run(capsys, "check", str(path), "--dependent") == (
+            1, "", f"ERROR dep-pattern at {path}:5:13: expected variable "
+                   "binder, found as-pattern\n")
+        assert run(capsys, "check", str(path), "--structural-patterns") == (
+            0, "ok (3 declarations)\n", "")
 
 
 class TestRun:
@@ -219,6 +235,17 @@ class TestTrace:
                    for i, line in enumerate(steps))
         rules = [line.split()[1] for line in steps]
         assert "R1" in rules and rules[0] == "R7"
+
+    @pytest.mark.parametrize("arg, golden", [
+        ("inr q", "f_run-inr-q.trace"),
+        ("inl (q, r)", "f_run-inl-q-r.trace"),
+    ], ids=["inr", "inl"])
+    def test_golden_trace(self, capsys, arg, golden):
+        # The whole trace, every step printed, byte for byte.
+        code, out, err = run(capsys, "trace", str(PROGRAMS / "f_run.seq"),
+                             "--entry", "f", "--arg", arg)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_run_dash_dash_trace(self, capsys):
         code, out, _ = run(capsys, "run", str(PROGRAMS / "f_run.seq"),

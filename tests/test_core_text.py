@@ -1,13 +1,25 @@
 """Canonical core text: printing, parsing, round trips."""
 
+import collections
+import hashlib
+import importlib.util
+import itertools
+import pathlib
+import sys
+
 import pytest
 
-from seqcore.core_text import parse_term, print_term, print_type
+from print_reference import (free_texts, print_with, reference_print_data,
+                             reference_print_term)
+from suite import PROGRAMS, clause_set_variants
+from seqcore import core_text, syntax
+from seqcore.cli import entry
+from seqcore.core_text import parse_term, print_data, print_term, print_type
 from seqcore.diag import ParseError
 from seqcore.syntax import (
-    App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
-    Kappa, Lam, Name, Nil, Or, Pair, PAt, POr, PPair, Prod, Proj1, Proj2,
-    PWild, Split, Thunk, Up, Var, With, alpha_eq, fresh,
+    App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
+    Inr, Kappa, Lam, Name, Nil, Or, Pair, PAt, POr, PPair, Prod, Proj1,
+    Proj2, PWild, Split, Term, Thunk, Up, Var, With, alpha_eq, fresh,
 )
 
 A = Atom(Name("a"))
@@ -110,3 +122,135 @@ class TestParseErrors:
             parse_term(src)
         assert exc.value.diagnostic.rule == "parse"
         assert exc.value.diagnostic.span is not None
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, the generator of the benchmark programs."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOneWalkPrinter:
+    """The printer finds free names while it prints, and prints again with
+    them reserved only on a collision.  Its text equals the two-walk
+    reference (``print_reference``) on every term the CLI prints."""
+
+    @pytest.fixture
+    def prints(self, monkeypatch):
+        """Compare every ``print_term``/``print_data`` with the reference,
+        and the free texts the first print finds with those of
+        ``free_names``; count prints and reprints."""
+        counts = collections.Counter()
+        printers = []
+        one_walk = core_text._print
+
+        def checked(method, x):
+            printers.clear()
+            s = one_walk(method, x)
+            assert s == print_with(method, x)
+            assert printers[0].free == free_texts(x)
+            counts["prints"] += 1
+            return s
+
+        class Counting(core_text._Printer):
+            def __init__(self, reserved):
+                super().__init__(reserved)
+                printers.append(self)
+                # Only a reprint reserves any free text.
+                counts["reprints"] += bool(reserved)
+
+        monkeypatch.setattr(core_text, "_print", checked)
+        monkeypatch.setattr(core_text, "_Printer", Counting)
+        return counts
+
+    def test_cli_calls_on_programs_and_variants(self, prints, capsys,
+                                                 monkeypatch, tmp_path):
+        # check and core, in both modes and with structural patterns, on
+        # every example program and clause-set variant: compiled terms and
+        # the terms in diagnostics and their trails.
+        monkeypatch.chdir(tmp_path)
+        calls = 0
+        for _, lines in clause_set_variants():
+            pathlib.Path("v.seq").write_text("\n".join(lines),
+                                             encoding="utf-8")
+            for cmd in ("check", "core"):
+                for flags in ((), ("--dependent",),
+                              ("--structural-patterns",)):
+                    monkeypatch.setattr(syntax, "_fresh_counter",
+                                        itertools.count(1))
+                    entry([cmd, "v.seq", *flags])
+                    calls += 1
+        capsys.readouterr()
+        assert calls == 1524
+        assert prints["prints"] > 400
+
+    @pytest.mark.parametrize("arg", ["inr q", "inl (q, r)"])
+    def test_trace_steps(self, prints, capsys, arg):
+        code = entry(["trace", str(PROGRAMS / "f_run.seq"), "--entry", "f",
+                      "--arg", arg])
+        steps = capsys.readouterr().out.count("\n") - 1
+        assert code == 0 and steps > 0
+        assert prints["prints"] >= steps
+
+    def test_generated_corpus(self, prints):
+        # Each term, and each data node in it on its own, so that the names
+        # its binders bind are free there.
+        from gen_corpus import generate_corpus
+        for seed in (17, 2024):
+            _, corpus = generate_corpus(120, 12, seed=seed, structural=True)
+            for t, _ in corpus:
+                print_term(t)
+                for d in syntax._nodes(t):
+                    if isinstance(d, DataVal):
+                        print_data(d)
+        assert prints["prints"] >= 240
+
+    @pytest.mark.parametrize("x, text", [
+        # A binder whose text is a free name's text.
+        (Lam(Var(Name("x", 1)), App(Name("x", 1), Cons(Thunk(
+            App(Name("x"), Nil())), Nil()))),
+         "\\x_2. x_2 (thunk (x []) :: [])"),
+        # A free x_2 beside a binder x whose x is already taken.
+        (Lam(Var(Name("x", 1)), Done(Thunk(Lam(Var(Name("x", 2)), App(
+            Name("x", 2), Cons(Thunk(App(Name("x_2"), Nil())), Nil())))))),
+         "\\x. done thunk (\\x_3. x_3 (thunk (x_2 []) :: []))"),
+        # A free name with a tag other than 0 reserves its text.
+        (Lam(Var(Name("y", 1)), App(Name("y", 3), Nil())),
+         "\\y_2. y#3 []"),
+        # Data: a let binder and a free name of the same text.
+        (Thunk(BindCut(Var(Name("z", 1)), Thunk(App(Name("z"), Nil())),
+                       App(Name("z", 1), Nil()))),
+         "thunk (let z_2 = thunk (z []) in z_2 [])"),
+    ], ids=["binder-is-free", "free-x_2", "free-tagged", "data"])
+    def test_collisions_reprint(self, prints, x, text):
+        if isinstance(x, Term):
+            assert print_term(x) == reference_print_term(x) == text
+        else:
+            assert print_data(x) == reference_print_data(x) == text
+        assert (prints["prints"], prints["reprints"]) == (1, 1)
+
+    def test_no_collision_prints_once(self, prints):
+        t = Lam(Var(Name("x", 1)), App(Name("f"), Cons(
+            Thunk(App(Name("x", 1), Nil())), Nil())))
+        assert print_term(t) == "\\x. f (thunk (x []) :: [])"
+        assert (prints["prints"], prints["reprints"]) == (1, 0)
+
+    def test_benchmark_programs_never_reprint(self, prints, capsys, tmp_path):
+        workloads = _bench_workloads()
+        calls = [call for w in workloads.WORKLOADS
+                 for call in workloads.build(w, 2024, tmp_path / w)
+                 if not call.probe]
+        for call in calls:
+            code = entry(list(call.argv))
+            out = capsys.readouterr().out
+            assert code == 0
+            if call.sha256 is not None:
+                assert hashlib.sha256(out.encode()).hexdigest() == call.sha256
+            else:
+                assert out == call.stdout
+        assert len(calls) == 14 and prints["prints"] > 500
+        assert prints["reprints"] == 0

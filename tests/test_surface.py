@@ -1,5 +1,6 @@
 """Surface language: parsing, polarization, clause compilation, equations."""
 
+import collections
 import pathlib
 
 import pytest
@@ -286,6 +287,79 @@ class TestCompile:
         assert exc.value.diagnostic.rule == "linear"
 
 
+def _leaves(tree) -> int:
+    todo, n = [tree], 0
+    while todo:
+        t = todo.pop()
+        match t:
+            case Leaf(_):
+                n += 1
+            case SplitNode(_, l, r):
+                todo += [l, r]
+            case PairNode(_, sub):
+                todo.append(sub)
+    return n
+
+
+class TestCompareOnce:
+    """The clause compiler compares each binding type with each goal once
+    per declaration, not at every case-tree leaf that rebuilds the binding
+    as data."""
+
+    @staticmethod
+    def deep_sum(depth: int) -> str:
+        ty = "a"
+        for _ in range(depth):
+            ty = f"a + ({ty})"
+        return f"atom a\nf : {ty} -> {ty}\nf v = v\n"
+
+    @pytest.fixture
+    def comparisons(self, monkeypatch):
+        """Calls of the two comparisons the compiler makes, by name."""
+        from seqcore import surface
+        counts = collections.Counter()
+        for name in ("alpha_eq", "convert"):
+            def counted(*args, _name=name, _real=getattr(surface, name)):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(surface, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("depth", [40, 80])
+    def test_deep_sum(self, comparisons, depth):
+        prog = load_program(self.deep_sum(depth))
+        f = prog.find("f")
+        assert _leaves(f.tree) == depth + 1
+        assert comparisons == {"alpha_eq": 1}
+        assert check_term(prog.sig, [], f.term, f.type) is None
+
+    @pytest.mark.parametrize("depth", [40, 80])
+    def test_deep_sum_dependent(self, comparisons, depth):
+        prog = load_program(self.deep_sum(depth), mode=Mode.DEP)
+        f = prog.find("f")
+        assert _leaves(f.tree) == depth + 1
+        assert comparisons == {"convert": 1}
+        assert dep_check_term(prog.sig, [], f.term, f.type) is None
+
+    def test_product_of_sums(self, comparisons):
+        ty = " * ".join(["(a + a)"] * 10)
+        prog = load_program(f"atom a\nid : {ty} -> {ty}\nid v = v\n")
+        assert _leaves(prog.find("id").tree) == 1024
+        assert comparisons == {"alpha_eq": 1}
+
+    def test_mismatch_reported_at_its_leaf(self, comparisons):
+        # Clause 1 rebuilds v at both of its leaves and matches once;
+        # clause 2's w is a product where a sum is due.
+        src = ("atom a\ng : (a + a) + (a * a) -> a + a\n"
+               "g (inl v) = v\ng (inr w) = w\n")
+        with pytest.raises(CompileFail) as exc:
+            load_program(src, "m.seq")
+        d = exc.value.diagnostic
+        assert (d.rule, d.span.line, d.span.col) == ("type", 4, 13)
+        assert (d.expected, d.found) == ("(dn a) + dn a", "(dn a) * dn a")
+        assert comparisons == {"alpha_eq": 2}
+
+
 class TestCoveragePin:
     """``check`` and ``core`` on every clause-set variant, hashed.
 
@@ -294,7 +368,7 @@ class TestCoveragePin:
 
     CALLS = 1524
     COVERAGE_ERRORS = 1308
-    DIGEST = "6c34edf0cb23840d360d7d0f233e00ea1aa5d3b6bfa22b1b3d1bccf6884ebd2f"
+    DIGEST = "58b07faf0818daf4924af856287cf4192001d7fb76a9fdf83023d26d28fe26a2"
 
     @staticmethod
     def outcomes(capsys, monkeypatch, tmp_path):
@@ -406,7 +480,7 @@ class TestSurfaceDiagnosticPin:
     RULES = {"pattern", "type", "unbound", "arity", "mode", "atom", "linear",
              "scope", "coverage", "parse", "dep-pattern",
              "structural-disabled"}
-    DIGEST = "abe3c248d26b69430f19a7f63e8806038ee5b27d0720792d767c96970914d27a"
+    DIGEST = "c45bb58ae3f731c983d2992ad2b5b5a587afaeb5a2f9412c8a77757fca3ad348"
 
     def test_outcomes_digest(self, capsys, monkeypatch, tmp_path):
         import hashlib
