@@ -157,30 +157,30 @@ def _head(st: _State, x: Name) -> NegType:
 
 def _invert_one(st: _State, p: Pattern, ty: PosType) -> _State:
     match p:
-        case Var(x):
+        case Var():
             if isinstance(ty, Down):
-                return st.store(x, ty.body)
+                return st.store(p.name, ty.body)
             # No rule consumes a variable at a composite positive type; the
             # hypothesis can never be discharged.
-            return st.leave(x)
-        case PPair(a, b):
+            return st.leave(p.name)
+        case PPair():
             if not isinstance(ty, Prod):
                 raise _fail("prod-left", expected="positive product",
                             found=print_type(ty),
                             note=f"pair pattern {print_pattern(p)}")
-            return _invert_one(_invert_one(st, a, ty.left), b, ty.right)
-        case POr(w, _, _):
+            return _invert_one(_invert_one(st, p.left, ty.left), p.right, ty.right)
+        case POr():
             if not isinstance(ty, Or):
                 raise _fail("or-left", expected="sum type",
                             found=print_type(ty),
-                            note=f"or-pattern labeled {w}")
-            if any(q.label == w for q, _ in st.pending):
+                            note=f"or-pattern labeled {p.label}")
+            if any(q.label == p.label for q, _ in st.pending):
                 raise _fail("or-left", expected="unique split label",
-                            found=str(w), note="label already bound")
+                            found=str(p.label), note="label already bound")
             return st.defer(p, ty)
-        case PAt(a, b):
+        case PAt():
             _structural(st, "contraction pattern p @ q")
-            return _invert_one(_invert_one(st, a, ty), b, ty)
+            return _invert_one(_invert_one(st, p.left, ty), p.right, ty)
         case PWild():
             _structural(st, "wildcard pattern _")
             return st
@@ -199,26 +199,26 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
 
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
     match t:
-        case Lam(p, b):
+        case Lam():
             if not isinstance(goal, Imp):
                 raise _fail("lambda", expected="implication goal",
                             found=print_type(goal))
-            _check(_invert_one(st, p, goal.arg), b, goal.res)
-        case Pair(l, r):
+            _check(_invert_one(st, t.pat, goal.arg), t.body, goal.res)
+        case Pair():
             if not isinstance(goal, With):
                 raise _fail("with-right", expected="conjunction goal",
                             found=print_type(goal))
-            _check(st, l, goal.left)
-            _check(st, r, goal.right)
-        case Done(d):
+            _check(st, t.left, goal.left)
+            _check(st, t.right, goal.right)
+        case Done():
             _discharged(st, "done")
             if not isinstance(goal, Up):
                 raise _fail("done", expected="shifted positive goal",
                             found=print_type(goal))
-            _check_data(st, d, goal.body)
-        case App(x, k):
-            _check_spine(st, _head(st, x), k, goal)
-        case Split(_, _, _) | BindCut(_, _, _) | AppCut(_, _):
+            _check_data(st, t.data, goal.body)
+        case App():
+            _check_spine(st, _head(st, t.head), t.spine, goal)
+        case Split() | BindCut() | AppCut():
             for st1, u in _reducts(st, t):
                 _check(st1, u, goal)
         case _:
@@ -234,55 +234,56 @@ def _reducts(st: _State, t: Term) -> Iterator[tuple[_State, Term]]:
     branch), one for a cut.  Lazy, so a split's right branch is inverted
     only after the left one has been judged."""
     match t:
-        case Split(w, tl, tr):
+        case Split():
             for i, (p, ty) in enumerate(st.pending):
-                if p.label == w:
+                if p.label == t.label:
                     base = st.drop_pending(i)
-                    yield _invert_one(base, p.left, ty.left), tl
-                    yield _invert_one(base, p.right, ty.right), tr
+                    yield _invert_one(base, p.left, ty.left), t.left
+                    yield _invert_one(base, p.right, ty.right), t.right
                     return
             raise _fail("or-left", expected="pending or-hypothesis",
-                        found=str(w), note="split label not at hand")
-        case BindCut(p, d, b):
-            ty = _infer_data(st.focus_zone(), d)
+                        found=str(t.label), note="split label not at hand")
+        case BindCut():
+            ty = _infer_data(st.focus_zone(), t.data)
             if ty is not UNKNOWN:
-                yield _invert_one(st, p, ty), b
+                yield _invert_one(st, t.pat, ty), t.body
                 return
-            yield _bind_cut(st, p, d, b)
-        case AppCut(f, k):
+            yield _bind_cut(st, t.pat, t.data, t.body)
+        case AppCut():
+            f, k = t.fun, t.spine
             u = _reassociated(f, k)
             if u is not None:
                 yield st, u
                 return
             match f:
-                case Lam(p, b):
+                case Lam():
                     if not isinstance(k, Cons):
                         raise _fail("app-cut",
                                     expected="argument spine for a function",
                                     found=_spine_shape(k))
-                    yield st, BindCut(p, k.arg, AppCut(b, k.rest))
-                case Done(d):
+                    yield st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest))
+                case Done():
                     _discharged(st, "done")
                     if not isinstance(k, Kappa):
                         raise _fail("app-cut",
                                     expected="kappa spine for returned data",
                                     found=_spine_shape(k))
-                    yield st, BindCut(k.pat, d, k.body)
-                case Pair(l, r):
+                    yield st, BindCut(k.pat, f.data, k.body)
+                case Pair():
                     # The projected-away component must still be typeable:
                     # reject definite failures, accept when undecided.
                     match k:
-                        case Proj1(k2):
-                            _infer_term(st, r)
-                            yield st, AppCut(l, k2)
-                        case Proj2(k2):
-                            _infer_term(st, l)
-                            yield st, AppCut(r, k2)
+                        case Proj1():
+                            _infer_term(st, f.right)
+                            yield st, AppCut(f.left, k.rest)
+                        case Proj2():
+                            _infer_term(st, f.left)
+                            yield st, AppCut(f.right, k.rest)
                         case _:
                             raise _fail("app-cut",
                                         expected="projection spine for a pair",
                                         found=_spine_shape(k))
-                case Split(_, _, _):
+                case Split():
                     for st1, u in _reducts(st, f):
                         yield st1, AppCut(u, k)
                 case _:
@@ -293,36 +294,36 @@ def _bind_cut(st: _State, p: Pattern, d: DataVal,
               b: Term) -> tuple[_State, Term]:
     """A binding cut whose data has no synthesizable type, decomposed
     pattern against data as the reduction rule does."""
-    match p, d:
-        case PWild(), _:
+    match p:
+        case PWild():
             _structural(st, "wildcard pattern _")
             return st, b
-        case PAt(p1, p2), _:
+        case PAt():
             _structural(st, "contraction pattern p @ q")
-            return st, BindCut(p1, d, BindCut(p2, d, b))
-        case PPair(p1, p2), DPair(d1, d2):
-            return st, BindCut(p1, d1, BindCut(p2, d2, b))
-        case PPair(_, _), _:
+            return st, BindCut(p.left, d, BindCut(p.right, d, b))
+        case PPair() if isinstance(d, DPair):
+            return st, BindCut(p.left, d.left, BindCut(p.right, d.right, b))
+        case PPair():
             raise _fail("bind-cut", expected="pair data", found=data_shape(d))
-        case POr(w, p1, _), Inl(e):
-            return st, BindCut(p1, e, select_branch(w, "left", b))
-        case POr(w, _, p2), Inr(e):
-            return st, BindCut(p2, e, select_branch(w, "right", b))
-        case POr(_, _, _), _:
+        case POr() if isinstance(d, Inl):
+            return st, BindCut(p.left, d.body, select_branch(p.label, "left", b))
+        case POr() if isinstance(d, Inr):
+            return st, BindCut(p.right, d.body, select_branch(p.label, "right", b))
+        case POr():
             raise _fail("bind-cut", expected="injection data",
                         found=data_shape(d))
-        case Var(x), Thunk(u):
-            if x not in free_names(b):
+        case Var() if isinstance(d, Thunk):
+            if p.name not in free_names(b):
                 return st, b
             try:
-                return st, subst_data_in_term(b, x, Thunk(u))
+                return st, subst_data_in_term(b, p.name, d)
             except SubstClash as e:
                 raise _fail("bind-cut", expected="well-sorted variable use",
-                            found=str(x), note=e.reason)
-        case Var(x), _:
+                            found=str(p.name), note=e.reason)
+        case Var():
             # Pair or injection data bound to a bare variable: the hypothesis
             # is positive-composite and can never be discharged.
-            return st.leave(x), b
+            return st.leave(p.name), b
     raise TypeError(p)
 
 
@@ -334,12 +335,12 @@ def _reassociated(f: Term, k: Spine) -> Optional[Term]:
     if isinstance(k, Nil):
         return f
     match f:
-        case App(x, k1):
-            return App(x, spine_concat(k1, k))
-        case AppCut(g, k1):
-            return AppCut(g, spine_concat(k1, k))
-        case BindCut(p, d, b):
-            return BindCut(p, d, AppCut(b, k))
+        case App():
+            return App(f.head, spine_concat(f.spine, k))
+        case AppCut():
+            return AppCut(f.fun, spine_concat(f.spine, k))
+        case BindCut():
+            return BindCut(f.pat, f.data, AppCut(f.body, k))
     return None
 
 
@@ -355,23 +356,23 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
     st = st.focus_zone()
     try:
         # Mismatches are named after the rule the goal demands.
-        match goal, d:
-            case Down(n), Thunk(t):
-                _check(st, t, n)
-            case Down(_), _:
+        match goal:
+            case Down() if isinstance(d, Thunk):
+                _check(st, d.body, goal.body)
+            case Down():
                 raise _fail("thunk", expected=print_type(goal),
                             found=data_shape(d))
-            case Prod(l, r), DPair(a, b):
-                _check_data(st, a, l)
-                _check_data(st, b, r)
-            case Prod(_, _), _:
+            case Prod() if isinstance(d, DPair):
+                _check_data(st, d.left, goal.left)
+                _check_data(st, d.right, goal.right)
+            case Prod():
                 raise _fail("prod-right", expected=print_type(goal),
                             found=data_shape(d))
-            case Or(l, _), Inl(e):
-                _check_data(st, e, l)
-            case Or(_, r), Inr(e):
-                _check_data(st, e, r)
-            case Or(_, _), _:
+            case Or() if isinstance(d, Inl):
+                _check_data(st, d.body, goal.left)
+            case Or() if isinstance(d, Inr):
+                _check_data(st, d.body, goal.right)
+            case Or():
                 raise _fail("or-right", expected=print_type(goal),
                             found=data_shape(d))
             case _:
@@ -398,30 +399,30 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
                     raise _fail("axiom", expected=print_type(goal),
                                 found=print_type(focus),
                                 note="unfinished spine")
-            case Cons(d, rest):
+            case Cons():
                 if not isinstance(focus, Imp):
                     raise _fail("imp-left", expected="implication under focus",
                                 found=print_type(focus))
-                _check_data(st, d, focus.arg)
-                return _check_spine(st, focus.res, rest, goal)
-            case Proj1(rest):
+                _check_data(st, k.arg, focus.arg)
+                return _check_spine(st, focus.res, k.rest, goal)
+            case Proj1():
                 if not isinstance(focus, With):
                     raise _fail("with-left-1", expected="conjunction under focus",
                                 found=print_type(focus))
-                return _check_spine(st, focus.left, rest, goal)
-            case Proj2(rest):
+                return _check_spine(st, focus.left, k.rest, goal)
+            case Proj2():
                 if not isinstance(focus, With):
                     raise _fail("with-left-2", expected="conjunction under focus",
                                 found=print_type(focus))
-                return _check_spine(st, focus.right, rest, goal)
-            case Kappa(p, t):
+                return _check_spine(st, focus.right, k.rest, goal)
+            case Kappa():
                 if not isinstance(focus, Up):
                     raise _fail("kappa", expected="shifted positive under focus",
                                 found=print_type(focus))
-                st = _invert_one(st, p, focus.body)
+                st = _invert_one(st, k.pat, focus.body)
                 if goal is None:
-                    return _infer_term(st, t)
-                _check(st, t, goal)
+                    return _infer_term(st, k.body)
+                _check(st, k.body, goal)
             case _:
                 raise TypeError(k)
     except _Fail as f:
@@ -436,21 +437,21 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
 
 def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     match t:
-        case Lam(_, _):
+        case Lam():
             return UNKNOWN
-        case Done(d):
+        case Done():
             _discharged(st, "done")
-            ty = _infer_data(st.focus_zone(), d)
+            ty = _infer_data(st.focus_zone(), t.data)
             return UNKNOWN if ty is UNKNOWN else Up(ty)
-        case Pair(l, r):
-            tl = _infer_term(st, l)
-            tr = _infer_term(st, r)
+        case Pair():
+            tl = _infer_term(st, t.left)
+            tr = _infer_term(st, t.right)
             if tl is UNKNOWN or tr is UNKNOWN:
                 return UNKNOWN
             return With(tl, tr)
-        case App(x, k):
-            return _check_spine(st, _head(st, x), k, None)
-        case Split(_, _, _) | BindCut(_, _, _) | AppCut(_, _):
+        case App():
+            return _check_spine(st, _head(st, t.head), t.spine, None)
+        case Split() | BindCut() | AppCut():
             # The branches of a split must agree on one type.
             n, *others = [_infer_term(st1, u) for st1, u in _reducts(st, t)]
             if any(n is UNKNOWN or m is UNKNOWN or not alpha_eq(n, m)
@@ -462,17 +463,17 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
     match d:
-        case Thunk(t):
-            n = _infer_term(st.focus_zone(), t)
+        case Thunk():
+            n = _infer_term(st.focus_zone(), d.body)
             return UNKNOWN if n is UNKNOWN else Down(n)
-        case DPair(a, b):
-            ta = _infer_data(st, a)
-            tb = _infer_data(st, b)
+        case DPair():
+            ta = _infer_data(st, d.left)
+            tb = _infer_data(st, d.right)
             if ta is UNKNOWN or tb is UNKNOWN:
                 return UNKNOWN
             return Prod(ta, tb)
-        case Inl(e) | Inr(e):
-            _infer_data(st, e)   # propagate definite failures
+        case Inl() | Inr():
+            _infer_data(st, d.body)   # propagate definite failures
             return UNKNOWN
     raise TypeError(d)
 

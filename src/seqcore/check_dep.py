@@ -72,13 +72,13 @@ class _State:
 
     def extend(self, x: Name, ty: PosType) -> "_State":
         match ty:
-            case Down(n):
-                return _State(self.sig, self.fuel, self.stores + ((x, n),),
+            case Down():
+                return _State(self.sig, self.fuel, self.stores + ((x, ty.body),),
                               self.pending)
-            case Or(_, _) | Sigma(_, _, _):
+            case Or() | Sigma():
                 return _State(self.sig, self.fuel, self.stores,
                               self.pending + ((x, ty),))
-            case Prod(_, _):
+            case Prod():
                 raise _fail("mode", expected="Sigma in dependent mode",
                             found=print_type(ty))
         raise TypeError(ty)
@@ -145,10 +145,12 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
 
 def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma, Term]]:
     match t:
-        case BindCut(PPair(Var(y), Var(z)), Thunk(App(x, Nil())), body):
-            i = st.pending_index(x)
+        case BindCut() if (isinstance(p := t.pat, PPair) and isinstance(p.left, Var)
+                           and isinstance(p.right, Var) and isinstance(d := t.data, Thunk)
+                           and isinstance(d.body, App) and isinstance(d.body.spine, Nil)):
+            i = st.pending_index(x := d.body.head)
             if i is not None and isinstance(st.pending[i][1], Sigma):
-                return y, z, x, st.pending[i][1], body
+                return p.left.name, p.right.name, x, st.pending[i][1], t.body
     return None
 
 
@@ -198,45 +200,46 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
         _check(base, body, goal2)
         return
     match t:
-        case Split(x, tl, tr):
-            for branch in _split(st, x, tl, tr, None, goal):
+        case Split():
+            for branch in _split(st, t.label, t.left, t.right, None, goal):
                 _check(*branch)
-        case Lam(p, b):
-            if not isinstance(p, Var):
+        case Lam():
+            if not isinstance(t.pat, Var):
                 raise _fail("dep-pattern", expected="variable binder",
                             found="deep pattern",
                             note="dependent mode binds variables only")
             if not isinstance(goal, Pi):
                 raise _fail("lambda", expected="dependent product goal",
                             found=print_type(goal))
-            body_goal = subst_data_in_neg(goal.res, goal.binder, eta(p.name))
-            _check(st.extend(p.name, goal.arg), b, body_goal)
-        case Pair(l, r):
+            body_goal = subst_data_in_neg(goal.res, goal.binder, eta(t.pat.name))
+            _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
+        case Pair():
             if not isinstance(goal, With):
                 raise _fail("with-right", expected="conjunction goal",
                             found=print_type(goal))
-            _check(st, l, goal.left)
-            _check(st, r, goal.right)
-        case Done(d):
+            _check(st, t.left, goal.left)
+            _check(st, t.right, goal.right)
+        case Done():
             _discharged(st, "done")
             if not isinstance(goal, Up):
                 raise _fail("done", expected="shifted positive goal",
                             found=print_type(goal))
-            _check_data(st, d, goal.body)
-        case App(x, k):
-            _check_spine(st, _head(st, x), k, goal)
-        case BindCut(Var(x), d, b):
-            _check(*_var_cut(st, x, d, b), goal)
-        case BindCut(PPair(Var() as p1, Var() as p2), DPair(d1, d2), b):
+            _check_data(st, t.data, goal.body)
+        case App():
+            _check_spine(st, _head(st, t.head), t.spine, goal)
+        case BindCut() if isinstance(t.pat, Var):
+            _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
+        case BindCut() if (isinstance(p := t.pat, PPair) and isinstance(p.left, Var)
+                           and isinstance(p.right, Var) and isinstance(d := t.data, DPair)):
             # Reduct of a sigma-let whose scrutinee got instantiated; accept
             # by decomposing, mirroring the reduction rule.
-            _check(st, BindCut(p1, d1, BindCut(p2, d2, b)), goal)
-        case BindCut(_, _, _):
+            _check(st, BindCut(p.left, d.left, BindCut(p.right, d.right, t.body)), goal)
+        case BindCut():
             raise _fail("dep-pattern", expected="variable binder",
                         found="deep pattern in cut",
                         note="dependent mode binds variables only")
-        case AppCut(f, k):
-            _check_app_cut(st, f, k, goal)
+        case AppCut():
+            _check_app_cut(st, t.fun, t.spine, goal)
         case _:
             raise TypeError(t)
 
@@ -260,30 +263,30 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
         _check(st, u, goal)
         return
     match f:
-        case Lam(Var(x), b):
+        case Lam() if isinstance(f.pat, Var):
             if not isinstance(k, Cons):
                 raise _fail("app-cut", expected="argument spine for a function",
                             found=type(k).__name__)
-            _check(st, BindCut(Var(x), k.arg, AppCut(b, k.rest)), goal)
-        case Done(d):
+            _check(st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest)), goal)
+        case Done():
             _discharged(st, "done")
             if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
                 raise _fail("app-cut", expected="kappa x spine for returned data",
                             found=type(k).__name__)
-            _check(st, BindCut(k.pat, d, k.body), goal)
-        case Pair(l, r):
+            _check(st, BindCut(k.pat, f.data, k.body), goal)
+        case Pair():
             match k:
-                case Proj1(k2):
-                    _infer_term(st, r)
-                    _check(st, AppCut(l, k2), goal)
-                case Proj2(k2):
-                    _infer_term(st, l)
-                    _check(st, AppCut(r, k2), goal)
+                case Proj1():
+                    _infer_term(st, f.right)
+                    _check(st, AppCut(f.left, k.rest), goal)
+                case Proj2():
+                    _infer_term(st, f.left)
+                    _check(st, AppCut(f.right, k.rest), goal)
                 case _:
                     raise _fail("app-cut", expected="projection spine for a pair",
                                 found=type(k).__name__)
-        case Split(x, tl, tr):
-            for branch in _split(st, x, tl, tr, k, goal):
+        case Split():
+            for branch in _split(st, f.label, f.left, f.right, k, goal):
                 _check(*branch)
         case _:
             raise _fail("app-cut", expected="applicable term under cut",
@@ -318,23 +321,23 @@ def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
 
 def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
     st = st.focus_zone()
-    match d, goal:
-        case Thunk(t), Down(n):
-            _check(st, t, n)
-        case Thunk(_), _:
+    match d:
+        case Thunk() if isinstance(goal, Down):
+            _check(st, d.body, goal.body)
+        case Thunk():
             raise _fail("thunk", expected=print_type(goal), found="thunk")
-        case DPair(a, b), Sigma(x, p, q):
-            _check_data(st, a, p)
-            with _clash("prod-right", "well-sorted use of the Sigma binder", x):
-                q = subst_data_in_pos(q, x, a)
-            _check_data(st, b, q)
-        case DPair(_, _), _:
+        case DPair() if isinstance(goal, Sigma):
+            _check_data(st, d.left, goal.first)
+            with _clash("prod-right", "well-sorted use of the Sigma binder", goal.binder):
+                q = subst_data_in_pos(goal.second, goal.binder, d.left)
+            _check_data(st, d.right, q)
+        case DPair():
             raise _fail("prod-right", expected=print_type(goal), found="pair")
-        case Inl(e), Or(l, _):
-            _check_data(st, e, l)
-        case Inr(e), Or(_, r):
-            _check_data(st, e, r)
-        case (Inl(_), _) | (Inr(_), _):
+        case Inl() if isinstance(goal, Or):
+            _check_data(st, d.body, goal.left)
+        case Inr() if isinstance(goal, Or):
+            _check_data(st, d.body, goal.right)
+        case Inl() | Inr():
             raise _fail("or-right", expected=print_type(goal),
                         found=type(d).__name__.lower())
         case _:
@@ -357,39 +360,39 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
                 raise _fail("axiom", expected=print_type(goal),
                             found=print_type(focus),
                             note="types are not convertible")
-        case Cons(d, rest):
+        case Cons():
             if not isinstance(focus, Pi):
                 raise _fail("imp-left", expected="dependent product under focus",
                             found=print_type(focus))
-            _check_data(st, d, focus.arg)
+            _check_data(st, k.arg, focus.arg)
             with _clash("imp-left", "well-sorted use of the Pi binder",
                         focus.binder):
-                res = subst_data_in_neg(focus.res, focus.binder, d)
-            return _check_spine(st, res, rest, goal)
-        case Proj1(rest):
+                res = subst_data_in_neg(focus.res, focus.binder, k.arg)
+            return _check_spine(st, res, k.rest, goal)
+        case Proj1():
             if not isinstance(focus, With):
                 raise _fail("with-left-1", expected="conjunction under focus",
                             found=print_type(focus))
-            return _check_spine(st, focus.left, rest, goal)
-        case Proj2(rest):
+            return _check_spine(st, focus.left, k.rest, goal)
+        case Proj2():
             if not isinstance(focus, With):
                 raise _fail("with-left-2", expected="conjunction under focus",
                             found=print_type(focus))
-            return _check_spine(st, focus.right, rest, goal)
-        case Kappa(p, t):
-            if goal is None and not (isinstance(p, Var) and isinstance(focus, Up)):
+            return _check_spine(st, focus.right, k.rest, goal)
+        case Kappa():
+            if goal is None and not (isinstance(k.pat, Var) and isinstance(focus, Up)):
                 return UNKNOWN
-            if not isinstance(p, Var):
+            if not isinstance(k.pat, Var):
                 raise _fail("dep-pattern", expected="variable binder",
                             found="deep pattern",
                             note="dependent mode binds variables only")
             if not isinstance(focus, Up):
                 raise _fail("kappa", expected="shifted positive under focus",
                             found=print_type(focus))
-            st = st.extend(p.name, focus.body)
+            st = st.extend(k.pat.name, focus.body)
             if goal is None:
-                return _infer_term(st, t)
-            _check(st, t, goal)
+                return _infer_term(st, k.body)
+            _check(st, k.body, goal)
         case _:
             raise TypeError(k)
 
@@ -401,49 +404,50 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     if _is_sigma_let(st, t) is not None:
         return UNKNOWN
     match t:
-        case BindCut(Var(x), d, b):
-            return _infer_term(*_var_cut(st, x, d, b))
-        case Lam(_, _) | Split(_, _, _) | BindCut(_, _, _):
+        case BindCut() if isinstance(t.pat, Var):
+            return _infer_term(*_var_cut(st, t.pat.name, t.data, t.body))
+        case Lam() | Split() | BindCut():
             return UNKNOWN
-        case Done(d):
+        case Done():
             _discharged(st, "done")
-            ty = _infer_data(st.focus_zone(), d)
+            ty = _infer_data(st.focus_zone(), t.data)
             return UNKNOWN if ty is UNKNOWN else Up(ty)
-        case Pair(l, r):
-            tl = _infer_term(st, l)
-            tr = _infer_term(st, r)
+        case Pair():
+            tl = _infer_term(st, t.left)
+            tr = _infer_term(st, t.right)
             if tl is UNKNOWN or tr is UNKNOWN:
                 return UNKNOWN
             return With(tl, tr)
-        case App(x, k):
-            return _check_spine(st, _head(st, x), k, None)
-        case AppCut(f, k):
+        case App():
+            return _check_spine(st, _head(st, t.head), t.spine, None)
+        case AppCut():
             # A lambda, done, pair or split under the cut is left undecided:
             # synthesizing through it would reject programs checking accepts.
-            u = _reassociated(f, k)
+            u = _reassociated(t.fun, t.spine)
             return UNKNOWN if u is None else _infer_term(st, u)
     raise TypeError(t)
 
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
     match d:
-        case Thunk(App(x, Nil())) if st.pending_index(x) is not None:
+        case Thunk() if (isinstance(d.body, App) and isinstance(d.body.spine, Nil)
+                         and st.pending_index(d.body.head) is not None):
             # Eta-injected positive hypothesis: typed by its entry.
-            return st.pending[st.pending_index(x)][1]
-        case Thunk(t):
-            n = _infer_term(st.focus_zone(), t)
+            return st.pending[st.pending_index(d.body.head)][1]
+        case Thunk():
+            n = _infer_term(st.focus_zone(), d.body)
             return UNKNOWN if n is UNKNOWN else Down(n)
-        case DPair(a, b):
-            ta = _infer_data(st, a)
+        case DPair():
+            ta = _infer_data(st, d.left)
             if ta is UNKNOWN:
                 return UNKNOWN
-            tb = _infer_data(st, b)
+            tb = _infer_data(st, d.right)
             if tb is UNKNOWN:
                 return UNKNOWN
             # No dependency is recoverable from the pair alone.
             return Sigma(Name("_"), ta, tb)
-        case Inl(e) | Inr(e):
-            _infer_data(st, e)
+        case Inl() | Inr():
+            _infer_data(st, d.body)
             return UNKNOWN
     raise TypeError(d)
 

@@ -69,66 +69,66 @@ class _Printer:
 
     def pattern(self, scope: dict[Name, str], p: Pattern, atom: bool = False) -> str:
         match p:
-            case Var(x):
-                return self.name(scope, x)
+            case Var():
+                return self.name(scope, p.name)
             case PWild():
                 return "_"
-            case PPair(a, b):
-                return f"({self.pattern(scope, a)}, {self.pattern(scope, b)})"
-            case POr(w, a, b):
-                return f"[{self.pattern(scope, a)}|{self.pattern(scope, b)}]_{self.name(scope, w)}"
-            case PAt(a, b):
-                s = f"{self.pattern(scope, a, atom=True)} @ {self.pattern(scope, b, atom=True)}"
+            case PPair():
+                return f"({self.pattern(scope, p.left)}, {self.pattern(scope, p.right)})"
+            case POr():
+                return f"[{self.pattern(scope, p.left)}|{self.pattern(scope, p.right)}]_{self.name(scope, p.label)}"
+            case PAt():
+                s = f"{self.pattern(scope, p.left, atom=True)} @ {self.pattern(scope, p.right, atom=True)}"
                 return f"({s})" if atom else s
         raise TypeError(p)
 
     def term(self, scope: dict[Name, str], t: Term) -> str:
         match t:
-            case Done(d):
-                return f"done {self.data(scope, d)}"
-            case Lam(p, b):
-                inner = self.bind_pattern(scope, p)
-                return f"\\{self.pattern(inner, p)}. {self.term(inner, b)}"
-            case App(h, k):
-                return f"{self.name(scope, h)} {self.spine(scope, k)}"
-            case Pair(l, r):
-                return f"<{self.term(scope, l)}, {self.term(scope, r)}>"
-            case Split(w, l, r):
-                return (f"split {self.name(scope, w)} {{ inl -> {self.term(scope, l)}"
-                        f" ; inr -> {self.term(scope, r)} }}")
-            case BindCut(p, d, b):
-                inner = self.bind_pattern(scope, p)
-                return (f"let {self.pattern(inner, p)} = {self.data(scope, d)}"
-                        f" in {self.term(inner, b)}")
-            case AppCut(f, k):
-                return f"({self.term(scope, f)}) {self.spine(scope, k)}"
+            case Done():
+                return f"done {self.data(scope, t.data)}"
+            case Lam():
+                inner = self.bind_pattern(scope, t.pat)
+                return f"\\{self.pattern(inner, t.pat)}. {self.term(inner, t.body)}"
+            case App():
+                return f"{self.name(scope, t.head)} {self.spine(scope, t.spine)}"
+            case Pair():
+                return f"<{self.term(scope, t.left)}, {self.term(scope, t.right)}>"
+            case Split():
+                return (f"split {self.name(scope, t.label)} {{ inl -> {self.term(scope, t.left)}"
+                        f" ; inr -> {self.term(scope, t.right)} }}")
+            case BindCut():
+                inner = self.bind_pattern(scope, t.pat)
+                return (f"let {self.pattern(inner, t.pat)} = {self.data(scope, t.data)}"
+                        f" in {self.term(inner, t.body)}")
+            case AppCut():
+                return f"({self.term(scope, t.fun)}) {self.spine(scope, t.spine)}"
         raise TypeError(t)
 
     def data(self, scope: dict[Name, str], d: DataVal) -> str:
         match d:
-            case Thunk(t):
-                return f"thunk ({self.term(scope, t)})"
-            case DPair(l, r):
-                return f"({self.data(scope, l)}, {self.data(scope, r)})"
-            case Inl(e):
-                return f"inl {self.data(scope, e)}"
-            case Inr(e):
-                return f"inr {self.data(scope, e)}"
+            case Thunk():
+                return f"thunk ({self.term(scope, d.body)})"
+            case DPair():
+                return f"({self.data(scope, d.left)}, {self.data(scope, d.right)})"
+            case Inl():
+                return f"inl {self.data(scope, d.body)}"
+            case Inr():
+                return f"inr {self.data(scope, d.body)}"
         raise TypeError(d)
 
     def spine(self, scope: dict[Name, str], k: Spine) -> str:
         match k:
             case Nil():
                 return "[]"
-            case Cons(d, r):
-                return f"({self.data(scope, d)} :: {self.spine(scope, r)})"
-            case Proj1(r):
-                return f".1 {self.spine(scope, r)}"
-            case Proj2(r):
-                return f".2 {self.spine(scope, r)}"
-            case Kappa(p, b):
-                inner = self.bind_pattern(scope, p)
-                return f"kappa {self.pattern(inner, p)}. {self.term(inner, b)}"
+            case Cons():
+                return f"({self.data(scope, k.arg)} :: {self.spine(scope, k.rest)})"
+            case Proj1():
+                return f".1 {self.spine(scope, k.rest)}"
+            case Proj2():
+                return f".2 {self.spine(scope, k.rest)}"
+            case Kappa():
+                inner = self.bind_pattern(scope, k.pat)
+                return f"kappa {self.pattern(inner, k.pat)}. {self.term(inner, k.body)}"
         raise TypeError(k)
 
 
@@ -160,40 +160,40 @@ def print_pattern(p: Pattern) -> str:
 
 def print_neg(ty: NegType, prec: int = 0) -> str:
     match ty:
-        case Atom(n, args):
-            if not args:
-                return str(n)
-            body = " ".join(f"({print_data(a)})" for a in args)
-            s = f"{n} {body}"
+        case Atom():
+            if not ty.args:
+                return str(ty.name)
+            body = " ".join(f"({print_data(a)})" for a in ty.args)
+            s = f"{ty.name} {body}"
             return f"({s})" if prec > 2 else s
-        case Up(p):
-            s = f"up {print_pos(p, 3)}"
+        case Up():
+            s = f"up {print_pos(ty.body, 3)}"
             return f"({s})" if prec > 2 else s
-        case Imp(a, r):
-            s = f"{print_pos(a, 2)} -> {print_neg(r, 1)}"
+        case Imp():
+            s = f"{print_pos(ty.arg, 2)} -> {print_neg(ty.res, 1)}"
             return f"({s})" if prec > 1 else s
-        case With(l, r):
-            s = f"{print_neg(l, 3)} /\\ {print_neg(r, 2)}"
+        case With():
+            s = f"{print_neg(ty.left, 3)} /\\ {print_neg(ty.right, 2)}"
             return f"({s})" if prec > 2 else s
-        case Pi(x, a, r):
-            s = f"Pi ({x} : {print_pos(a)}). {print_neg(r, 1)}"
+        case Pi():
+            s = f"Pi ({ty.binder} : {print_pos(ty.arg)}). {print_neg(ty.res, 1)}"
             return f"({s})" if prec > 1 else s
     raise TypeError(ty)
 
 
 def print_pos(ty: PosType, prec: int = 0) -> str:
     match ty:
-        case Down(n):
-            s = f"dn {print_neg(n, 3)}"
+        case Down():
+            s = f"dn {print_neg(ty.body, 3)}"
             return f"({s})" if prec > 2 else s
-        case Or(l, r):
-            s = f"{print_pos(l, 3)} + {print_pos(r, 2)}"
+        case Or():
+            s = f"{print_pos(ty.left, 3)} + {print_pos(ty.right, 2)}"
             return f"({s})" if prec > 2 else s
-        case Prod(l, r):
-            s = f"{print_pos(l, 3)} * {print_pos(r, 2)}"
+        case Prod():
+            s = f"{print_pos(ty.left, 3)} * {print_pos(ty.right, 2)}"
             return f"({s})" if prec > 2 else s
-        case Sigma(x, a, b):
-            s = f"Sigma ({x} : {print_pos(a)}). {print_pos(b, 1)}"
+        case Sigma():
+            s = f"Sigma ({ty.binder} : {print_pos(ty.first)}). {print_pos(ty.second, 1)}"
             return f"({s})" if prec > 1 else s
     raise TypeError(ty)
 

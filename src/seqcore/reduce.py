@@ -122,62 +122,64 @@ def _step_any(sig: Sig, x) -> Optional[tuple[str, object]]:
 
 def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
     match x:
-        case AppCut(f, k):
+        case AppCut():
+            f, k = x.fun, x.spine
             if isinstance(k, Nil):
                 return "R4", f
-            match f, k:
-                case Lam(p, b), Cons(d, rest):
-                    return "R1", AppCut(BindCut(p, d, b), rest)
-                case Done(d), Kappa(p, b):
-                    return "R2", BindCut(p, d, b)
-                case Pair(l, _), Proj1(rest):
-                    return "R3", AppCut(l, rest)
-                case Pair(_, r), Proj2(rest):
-                    return "R3", AppCut(r, rest)
-                case App(h, k1), _:
-                    return "R7", App(h, spine_concat(k1, k))
-                case AppCut(g, k1), _:
-                    return "R7", AppCut(g, spine_concat(k1, k))
-                case BindCut(p, d, b), _:
-                    return "R7", BindCut(p, d, AppCut(b, k))
-                case (Lam(_, _), _) | (Done(_), _) | (Pair(_, _), _):
+            match f:
+                case Lam() if isinstance(k, Cons):
+                    return "R1", AppCut(BindCut(f.pat, k.arg, f.body), k.rest)
+                case Done() if isinstance(k, Kappa):
+                    return "R2", BindCut(k.pat, f.data, k.body)
+                case Pair() if isinstance(k, Proj1):
+                    return "R3", AppCut(f.left, k.rest)
+                case Pair() if isinstance(k, Proj2):
+                    return "R3", AppCut(f.right, k.rest)
+                case App():
+                    return "R7", App(f.head, spine_concat(f.spine, k))
+                case AppCut():
+                    return "R7", AppCut(f.fun, spine_concat(f.spine, k))
+                case BindCut():
+                    return "R7", BindCut(f.pat, f.data, AppCut(f.body, k))
+                case Lam() | Done() | Pair():
                     raise _StuckAt(
                         f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
-                case Split(_, _, _), _:
+                case Split():
                     return None   # resolved by an enclosing or-binding
             return None
-        case BindCut(p, d, b):
-            match p, d:
-                case PPair(p1, p2), DPair(d1, d2):
-                    return "R5", BindCut(p1, d1, BindCut(p2, d2, b))
-                case POr(w, p1, _), Inl(e):
-                    return "R5", BindCut(p1, e, select_branch(w, "left", b))
-                case POr(w, _, p2), Inr(e):
-                    return "R5", BindCut(p2, e, select_branch(w, "right", b))
-                case PAt(p1, p2), _:
-                    return "R5", BindCut(p1, d, BindCut(p2, d, b))
-                case PWild(), _:
+        case BindCut():
+            p, d, b = x.pat, x.data, x.body
+            match p:
+                case PPair() if isinstance(d, DPair):
+                    return "R5", BindCut(p.left, d.left, BindCut(p.right, d.right, b))
+                case POr() if isinstance(d, Inl):
+                    return "R5", BindCut(p.left, d.body, select_branch(p.label, "left", b))
+                case POr() if isinstance(d, Inr):
+                    return "R5", BindCut(p.right, d.body, select_branch(p.label, "right", b))
+                case PAt():
+                    return "R5", BindCut(p.left, d, BindCut(p.right, d, b))
+                case PWild():
                     return "R5", b
-                case Var(y), _:
+                case Var():
                     try:
-                        return "R6", subst_data_in_term(b, y, d)
+                        return "R6", subst_data_in_term(b, p.name, d)
                     except SubstClash as e:
                         raise _StuckAt(e.reason)
-                case (PPair(_, _), Thunk(t2)) | (POr(_, _, _), Thunk(t2)):
+                case PPair() | POr() if isinstance(d, Thunk):
                     # A thunk scrutinized by a decomposing pattern is normal
                     # while its head may still compute (sigma-style lets on a
                     # variable); it is a definite clash otherwise.
-                    if isinstance(t2, (Lam, Done, Pair, Split)):
+                    if isinstance(d.body, (Lam, Done, Pair, Split)):
                         raise _StuckAt(
                             f"{_pattern_shape(p)} pattern against thunk data")
                     return None
                 case _:
                     raise _StuckAt(
                         f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
-        case App(h, k):
-            entry = sig.lookup(h)
+        case App():
+            entry = sig.lookup(x.head)
             if entry is not None and entry.body is not None:
-                return "R7", AppCut(entry.body, k)
+                return "R7", AppCut(entry.body, x.spine)
             return None
     return None
 

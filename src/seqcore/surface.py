@@ -53,7 +53,7 @@ from .syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Lam, Mode, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
     PosType, PPair, Prod, PWild, Sig, SigEntry, Sigma, Spine, Split, Term,
-    Thunk, Up, Var, With, alpha_eq, eta, fresh, subst_data_in_neg,
+    Thunk, Up, Var, With, alpha_eq, children, eta, fresh, subst_data_in_neg,
     subst_data_in_pos,
 )
 
@@ -489,40 +489,40 @@ def polarize(ty: SType, sig: Sig, mode: Mode = Mode.PROP) -> NegType:
 
 def _neg_of(ty: SType, sig: Sig, mode: Mode) -> NegType:
     match ty:
-        case TName(n, span):
-            if Name(n) not in sig.atoms:
+        case TName():
+            if Name(ty.name) not in sig.atoms:
                 raise CompileFail(Diagnostic("atom", expected="declared atom",
-                                             found=n, span=span))
-            return Atom(Name(n))
-        case TArrow(a, r):
-            arg = _pos_of(a, sig, mode)
+                                             found=ty.name, span=ty.span))
+            return Atom(Name(ty.name))
+        case TArrow():
+            arg = _pos_of(ty.arg, sig, mode)
             if mode is Mode.DEP:
-                return Pi(fresh("_"), arg, _neg_of(r, sig, mode))
-            return Imp(arg, _neg_of(r, sig, mode))
-        case TBin("/\\", l, r):
-            return With(_neg_of(l, sig, mode), _neg_of(r, sig, mode))
-        case TBin(_, _, _) | TBind("Sigma", _, _, _, _):
+                return Pi(fresh("_"), arg, _neg_of(ty.res, sig, mode))
+            return Imp(arg, _neg_of(ty.res, sig, mode))
+        case TBin() if ty.op == "/\\":
+            return With(_neg_of(ty.left, sig, mode), _neg_of(ty.right, sig, mode))
+        case TBin() | TBind() if isinstance(ty, TBin) or ty.head == "Sigma":
             return Up(_pos_of(ty, sig, mode))
-        case TBind("Pi", x, a, b, span):
+        case TBind() if ty.head == "Pi":
             if mode is not Mode.DEP:
                 raise CompileFail(Diagnostic("mode", expected="propositional type",
-                                             found="Pi", span=span))
-            return Pi(fresh(x), _pos_of(a, sig, mode), _neg_of(b, sig, mode))
+                                             found="Pi", span=ty.span))
+            return Pi(fresh(ty.var), _pos_of(ty.arg, sig, mode), _neg_of(ty.body, sig, mode))
     raise TypeError(ty)
 
 
 def _pos_of(ty: SType, sig: Sig, mode: Mode) -> PosType:
     match ty:
-        case TBin("+", l, r):
-            return Or(_pos_of(l, sig, mode), _pos_of(r, sig, mode))
-        case TBin("*", l, r):
-            pl, pr = _pos_of(l, sig, mode), _pos_of(r, sig, mode)
+        case TBin() if ty.op == "+":
+            return Or(_pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode))
+        case TBin() if ty.op == "*":
+            pl, pr = _pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode)
             return Sigma(fresh("_"), pl, pr) if mode is Mode.DEP else Prod(pl, pr)
-        case TBind("Sigma", x, a, b, span):
+        case TBind() if ty.head == "Sigma":
             if mode is not Mode.DEP:
                 raise CompileFail(Diagnostic("mode", expected="propositional type",
-                                             found="Sigma", span=span))
-            return Sigma(fresh(x), _pos_of(a, sig, mode), _pos_of(b, sig, mode))
+                                             found="Sigma", span=ty.span))
+            return Sigma(fresh(ty.var), _pos_of(ty.arg, sig, mode), _pos_of(ty.body, sig, mode))
         case _:
             return Down(_neg_of(ty, sig, mode))
 
@@ -630,9 +630,9 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
         return PWild()
 
     match ty:
-        case Down(n):
-            return _fuse_down(fz, path, n, peeled)
-        case Or(pl, pr):
+        case Down():
+            return _fuse_down(fz, path, ty.body, peeled)
+        case Or():
             if fz.mode is Mode.DEP and path not in fz.pos_var:
                 fz.pos_var[path] = fresh("s")
             w = fresh("w")
@@ -641,11 +641,11 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
             right: dict[int, Optional[SPat]] = {}
             for cid, sp in plain.items():
                 match sp:
-                    case PInlS(q):
-                        left[cid] = q
-                    case PInrS(q):
-                        right[cid] = q
-                    case None | PVarS(_, _) | PWildS(_):
+                    case PInlS():
+                        left[cid] = sp.pat
+                    case PInrS():
+                        right[cid] = sp.pat
+                    case None | PVarS() | PWildS():
                         left[cid] = None
                         right[cid] = None
                     case _:
@@ -656,19 +656,20 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
                 # Branches rebind the scrutinee at the refined type.
                 fz.pos_var[path + ("inl",)] = fz.pos_var[path]
                 fz.pos_var[path + ("inr",)] = fz.pos_var[path]
-            fl = _fuse(fz, path + ("inl",), pl, left)
-            fr = _fuse(fz, path + ("inr",), pr, right)
+            fl = _fuse(fz, path + ("inl",), ty.left, left)
+            fr = _fuse(fz, path + ("inr",), ty.right, right)
             _bind_composites(fz, path, ty, peeled)
             return POr(w, fl, fr)
-        case Prod(fst_ty, snd_ty) | Sigma(_, fst_ty, snd_ty):
+        case Prod() | Sigma():
+            fst_ty, snd_ty = children(ty)
             lefts: dict[int, Optional[SPat]] = {}
             rights: dict[int, Optional[SPat]] = {}
             for cid, sp in plain.items():
                 match sp:
-                    case PPairS(a, b):
-                        lefts[cid] = a
-                        rights[cid] = b
-                    case None | PVarS(_, _) | PWildS(_):
+                    case PPairS():
+                        lefts[cid] = sp.left
+                        rights[cid] = sp.right
+                    case None | PVarS() | PWildS():
                         lefts[cid] = None
                         rights[cid] = None
                     case _:
@@ -751,12 +752,12 @@ def _spat_shape(p: SPat) -> str:
 
 def _spat_span(p: SPat, default: Span) -> Span:
     match p:
-        case PVarS(_, s) | PWildS(s) | PAsS(_, _, s):
-            return s
-        case PPairS(l, _):
-            return _spat_span(l, default)
-        case PInlS(q) | PInrS(q):
-            return _spat_span(q, default)
+        case PVarS() | PWildS() | PAsS():
+            return p.span
+        case PPairS():
+            return _spat_span(p.left, default)
+        case PInlS() | PInrS():
+            return _spat_span(p.pat, default)
     return default
 
 
@@ -780,9 +781,9 @@ def _build_tree(fz: _Fusion, decl: SurfaceDecl,
             return Leaf(live[0])
         (path, node), rest = nodes[0], nodes[1:]
         match node:
-            case POr(_, a, b):
+            case POr():
                 sides = []
-                for step, sub, other in (("inl", a, PInrS), ("inr", b, PInlS)):
+                for step, sub, other in (("inl", node.left, PInrS), ("inr", node.right, PInlS)):
                     # A clause with the other injection here cannot match.
                     live_s = [c for c in live if not isinstance(
                         fz.clause_pat.get((c, path)), other)]
@@ -794,11 +795,11 @@ def _build_tree(fz: _Fusion, decl: SurfaceDecl,
                             span=decl.span))
                     sides.append(walk([(path + (step,), sub)] + rest, live_s))
                 return SplitNode(path, *sides)
-            case PPair(a, b):
-                sub = [(path + ("fst",), a), (path + ("snd",), b)] + rest
+            case PPair():
+                sub = [(path + ("fst",), node.left), (path + ("snd",), node.right)] + rest
                 return PairNode(path, walk(sub, live))
-            case PAt(_, b):
-                return walk([(path, b)] + rest, live)
+            case PAt():
+                return walk([(path, node.right)] + rest, live)
             case _:
                 return walk(rest, live)
 
@@ -841,30 +842,32 @@ class _Emitter:
         self.decl = decl
         self.result = result
         self.choices: dict[tuple, str] = {}
-        # Pairs of types already found to match, keyed by the ids of both.
-        # Every leaf of the case tree compares the same binding type with the
-        # same goal, so each pair is compared once per declaration.  Types
-        # are immutable and the comparison is pure for a fixed sig, so a
-        # remembered answer is the recomputed one.  The entry holds both
-        # types, so neither id can be reused while the emitter lives.  Only
+        # Types of composite bindings found to match a goal, keyed by the ids
+        # of both types.  Every leaf below a binding rebuilds it at the same
+        # goal, so each pair is compared once per declaration; other
+        # comparisons rarely repeat and are not remembered.  Types are
+        # immutable and the comparison is pure for a fixed sig.  The entry
+        # holds both types, so no id is reused while the emitter lives.  Only
         # matches are kept: a mismatch is reported where it occurs.
         self.matched: dict[tuple[int, int], tuple] = {}
 
     def emit(self, tree: CaseTree) -> Term:
         match tree:
-            case Leaf(cid):
-                return self._rhs_term(cid, self.decl.clauses[cid].rhs, self.result)
-            case SplitNode(path, l, r):
+            case Leaf():
+                return self._rhs_term(tree.clause, self.decl.clauses[tree.clause].rhs, self.result)
+            case SplitNode():
+                path = tree.path
                 self.choices[path] = "left"
-                tl = self.emit(l)
+                tl = self.emit(tree.left)
                 self.choices[path] = "right"
-                tr = self.emit(r)
+                tr = self.emit(tree.right)
                 del self.choices[path]
                 if self.mode is Mode.DEP:
                     return Split(self.fz.pos_var[path], tl, tr)
                 return Split(self.fz.labels[path], tl, tr)
-            case PairNode(path, s):
-                sub = self.emit(s)
+            case PairNode():
+                path = tree.path
+                sub = self.emit(tree.sub)
                 if self.mode is Mode.DEP:
                     y = self.fz.pos_var[path + ("fst",)]
                     z = self.fz.pos_var[path + ("snd",)]
@@ -878,9 +881,9 @@ class _Emitter:
     def _recon(self, path: tuple) -> DataVal:
         ty = self.fz.pos_types[path]
         match ty:
-            case Down(_):
+            case Down():
                 return eta(self.fz.pos_var[path])
-            case Or(_, _):
+            case Or():
                 side = self.choices.get(path)
                 if side == "left":
                     return Inl(self._recon(path + ("inl",)))
@@ -889,7 +892,7 @@ class _Emitter:
                 raise CompileFail(Diagnostic(
                     "pattern", expected="resolved sum position",
                     found="unresolved or-position", span=self.decl.span))
-            case Prod(_, _) | Sigma(_, _, _):
+            case Prod() | Sigma():
                 return DPair(self._recon(path + ("fst",)),
                              self._recon(path + ("snd",)))
         raise TypeError(ty)
@@ -908,24 +911,17 @@ class _Emitter:
             found=head, span=span))
 
     def _types_match(self, a, b) -> bool:
-        key = (id(a), id(b))
-        if key in self.matched:
-            return True
         if self.mode is Mode.DEP:
-            ok = convert(a, b, self.sig)
-        else:
-            ok = alpha_eq(a, b)
-        if ok:
-            self.matched[key] = (a, b)
-        return ok
+            return convert(a, b, self.sig)
+        return alpha_eq(a, b)
 
     def _rhs_term(self, cid: int, e: SExpr, goal: NegType) -> Term:
         match goal:
-            case Up(p):
-                return Done(self._rhs_data(cid, e, p))
-            case With(l, r) if isinstance(e, EPair):
-                return Pair(self._rhs_term(cid, e.left, l),
-                            self._rhs_term(cid, e.right, r))
+            case Up():
+                return Done(self._rhs_data(cid, e, goal.body))
+            case With() if isinstance(e, EPair):
+                return Pair(self._rhs_term(cid, e.left, goal.left),
+                            self._rhs_term(cid, e.right, goal.right))
             case _:
                 return self._app_term(cid, e, goal)
 
@@ -943,13 +939,13 @@ class _Emitter:
         parts: list[DataVal] = []
         for arg in e.args:
             match cur:
-                case Imp(p, r):
-                    parts.append(self._rhs_data(cid, arg, p))
-                    cur = r
-                case Pi(x, p, r):
-                    d = self._rhs_data(cid, arg, p)
+                case Imp():
+                    parts.append(self._rhs_data(cid, arg, cur.arg))
+                    cur = cur.res
+                case Pi():
+                    d = self._rhs_data(cid, arg, cur.arg)
                     parts.append(d)
-                    cur = subst_data_in_neg(r, x, d)
+                    cur = subst_data_in_neg(cur.res, cur.binder, d)
                 case _:
                     raise CompileFail(Diagnostic(
                         "arity", expected="function taking more arguments",
@@ -967,25 +963,27 @@ class _Emitter:
         if isinstance(e, EApp) and not e.args:
             b = self.fz.binds[cid].get(e.head)
             if isinstance(b, _DataB):
-                if not self._types_match(b.type, p):
-                    raise CompileFail(Diagnostic(
-                        "type", expected=print_type(p), found=print_type(b.type),
-                        span=e.span))
+                if (id(b.type), id(p)) not in self.matched:
+                    if not self._types_match(b.type, p):
+                        raise CompileFail(Diagnostic(
+                            "type", expected=print_type(p), found=print_type(b.type),
+                            span=e.span))
+                    self.matched[id(b.type), id(p)] = (b.type, p)
                 return self._recon(b.path)
-        match p, e:
-            case Down(n), _:
-                return Thunk(self._rhs_term(cid, e, n))
-            case Or(l, _), EInl(x):
-                return Inl(self._rhs_data(cid, x, l))
-            case Or(_, r), EInr(x):
-                return Inr(self._rhs_data(cid, x, r))
-            case Prod(l, r), EPair(a, b):
-                return DPair(self._rhs_data(cid, a, l),
-                             self._rhs_data(cid, b, r))
-            case Sigma(x, l, r), EPair(a, b):
-                da = self._rhs_data(cid, a, l)
+        match p:
+            case Down():
+                return Thunk(self._rhs_term(cid, e, p.body))
+            case Or() if isinstance(e, EInl):
+                return Inl(self._rhs_data(cid, e.body, p.left))
+            case Or() if isinstance(e, EInr):
+                return Inr(self._rhs_data(cid, e.body, p.right))
+            case Prod() if isinstance(e, EPair):
+                return DPair(self._rhs_data(cid, e.left, p.left),
+                             self._rhs_data(cid, e.right, p.right))
+            case Sigma() if isinstance(e, EPair):
+                da = self._rhs_data(cid, e.left, p.first)
                 return DPair(da, self._rhs_data(
-                    cid, b, subst_data_in_pos(r, x, da)))
+                    cid, e.right, subst_data_in_pos(p.second, p.binder, da)))
         raise CompileFail(Diagnostic(
             "type", expected=print_type(p), found=_sexpr_shape(e),
             span=_sexpr_span(e, self.decl.span)))
@@ -1039,15 +1037,16 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
     result = ty
     for i in range(arity):
         match result:
-            case Pi(x, a, r):
+            case Pi():
                 # A Pi binder is visible in later argument types; the
                 # scrutinee variable doubles as that binder.
                 v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
                                     f"a{i + 1}"))
                 fz.pos_var[(i,)] = v
-                result = subst_data_in_neg(r, x, eta(v))
-            case Imp(a, r):
-                result = r
+                a = result.arg
+                result = subst_data_in_neg(result.res, result.binder, eta(v))
+            case Imp():
+                a, result = result.arg, result.res
             case _:
                 raise CompileFail(Diagnostic(
                     "arity", expected="enough arrows in the declared type",
@@ -1093,7 +1092,10 @@ def load_program(source: str, file: str = "<surface>",
     """Parse and compile a whole program, building its signature in file
     order.  Typechecking of compiled bodies is the caller's concern."""
     decls = parse(source, file)
-    sig = Sig()
+    # One index grows in place, so each declaration sees the entries before
+    # it without a copy; names are unique, so it holds them in file order.
+    index: dict[Name, SigEntry] = {}
+    sig = Sig(_index=index)
     out: list[CompiledDecl] = []
     warnings: list[str] = []
     seen: set[str] = set()
@@ -1109,15 +1111,13 @@ def load_program(source: str, file: str = "<surface>",
             continue
         if d.kind == "postulate":
             ty = polarize(d.type, sig, mode)
-            sig = sig.with_entry(SigEntry(Name(d.name), ty))
             out.append(CompiledDecl("postulate", Name(d.name), d.span, ty))
-            continue
-        compiled = compile_clauses(d, sig, mode)
-        warnings.extend(compiled.warnings)
-        sig = sig.with_entry(SigEntry(compiled.name, compiled.type,
-                                      compiled.term))
-        out.append(compiled)
-    return Program(sig, out, warnings)
+        else:
+            out.append(compile_clauses(d, sig, mode))
+            warnings.extend(out[-1].warnings)
+        c = out[-1]
+        index[c.name] = SigEntry(c.name, c.type, c.term)
+    return Program(Sig(sig.atoms, tuple(index.values()), _index=index), out, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,22 +1217,22 @@ class _Pretty:
 
     def _pattern_hole(self, p: Pattern) -> _Hole:
         match p:
-            case Var(x):
-                h = _Hole("var", x)
-                self.holes[x] = h
+            case Var():
+                h = _Hole("var", p.name)
+                self.holes[p.name] = h
                 return h
             case PWild():
                 return _Hole("wild")
-            case PPair(a, b):
-                return _Hole("pair", subs=(self._pattern_hole(a),
-                                           self._pattern_hole(b)))
-            case POr(w, a, b):
-                h = _Hole("or", w, (self._pattern_hole(a), self._pattern_hole(b)))
-                self.holes[w] = h
+            case PPair():
+                return _Hole("pair", subs=(self._pattern_hole(p.left),
+                                           self._pattern_hole(p.right)))
+            case POr():
+                h = _Hole("or", p.label, (self._pattern_hole(p.left), self._pattern_hole(p.right)))
+                self.holes[p.label] = h
                 return h
-            case PAt(Var(x), b):
-                h = _Hole("at", x, (self._pattern_hole(b),))
-                self.holes[x] = h
+            case PAt() if isinstance(p.left, Var):
+                h = _Hole("at", p.left.name, (self._pattern_hole(p.right),))
+                self.holes[p.left.name] = h
                 return h
         raise _Unrenderable()
 
@@ -1243,36 +1243,41 @@ class _Pretty:
 
     def _walk(self, t: Term, rows: list[str]) -> None:
         match t:
-            case Split(w, l, r) if w in self.holes and self.holes[w].kind == "or":
-                hole = self.holes[w]
+            case Split() if t.label in self.holes and self.holes[t.label].kind == "or":
+                hole = self.holes[t.label]
                 saved = (hole.kind, hole.name, hole.subs)
                 hole.kind, subs = "inl", hole.subs
                 hole.subs = (subs[0],)
-                self._walk(l, rows)
+                self._walk(t.left, rows)
                 hole.kind = "inr"
                 hole.subs = (subs[1],)
-                self._walk(r, rows)
+                self._walk(t.right, rows)
                 hole.kind, hole.name, hole.subs = saved
-            case Split(x, l, r) if x in self.holes and self.holes[x].kind == "var":
+            case Split() if t.label in self.holes and self.holes[t.label].kind == "var":
+                x = t.label
                 hole = self.holes[x]
                 sub = _Hole("var", x)
                 saved = (hole.kind, hole.name, hole.subs)
                 hole.kind, hole.name, hole.subs = "inl", None, (sub,)
                 self.holes[x] = sub
-                self._walk(l, rows)
+                self._walk(t.left, rows)
                 hole.kind = "inr"
-                self._walk(r, rows)
+                self._walk(t.right, rows)
                 hole.kind, hole.name, hole.subs = saved
                 self.holes[x] = hole
-            case BindCut(PPair(Var(y), Var(z)), Thunk(App(x, Nil())), sub) \
-                    if x in self.holes and self.holes[x].kind == "var":
-                hole = self.holes[x]
+            case BindCut() if (
+                    isinstance(p := t.pat, PPair) and isinstance(p.left, Var)
+                    and isinstance(p.right, Var) and isinstance(d := t.data, Thunk)
+                    and isinstance(d.body, App) and isinstance(d.body.spine, Nil)
+                    and d.body.head in self.holes and self.holes[d.body.head].kind == "var"):
+                hole = self.holes[d.body.head]
+                y, z = p.left.name, p.right.name
                 hy, hz = _Hole("var", y), _Hole("var", z)
                 saved = (hole.kind, hole.name, hole.subs)
                 hole.kind, hole.name, hole.subs = "pair", None, (hy, hz)
                 self.holes[y] = hy
                 self.holes[z] = hz
-                self._walk(sub, rows)
+                self._walk(t.body, rows)
                 hole.kind, hole.name, hole.subs = saved
             case _:
                 lhs = " ".join(h.render(self.disp, atom=True)
@@ -1283,36 +1288,36 @@ class _Pretty:
 
     def _expr(self, t: Term) -> str:
         match t:
-            case App(x, Nil()):
-                return self.disp(x)
-            case App(x, k):
-                parts = []
+            case App() if isinstance(t.spine, Nil):
+                return self.disp(t.head)
+            case App():
+                parts, k = [], t.spine
                 while isinstance(k, Cons):
                     parts.append(self._data(k.arg, atom=True))
                     k = k.rest
                 if not isinstance(k, Nil):
                     raise _Unrenderable()
-                return " ".join([self.disp(x)] + parts)
-            case Done(d):
-                return self._data(d)
-            case Pair(l, r):
-                return f"({self._expr(l)}, {self._expr(r)})"
+                return " ".join([self.disp(t.head)] + parts)
+            case Done():
+                return self._data(t.data)
+            case Pair():
+                return f"({self._expr(t.left)}, {self._expr(t.right)})"
             case _:
                 raise _Unrenderable()
 
     def _data(self, d: DataVal, atom: bool = False) -> str:
         match d:
-            case Thunk(App(x, Nil())):
-                return self.disp(x)
-            case Thunk(t):
-                s = self._expr(t)
+            case Thunk() if isinstance(d.body, App) and isinstance(d.body.spine, Nil):
+                return self.disp(d.body.head)
+            case Thunk():
+                s = self._expr(d.body)
                 return f"({s})" if (atom and " " in s) else s
-            case DPair(l, r):
-                return f"({self._data(l)}, {self._data(r)})"
-            case Inl(e):
-                s = f"inl {self._data(e, atom=True)}"
+            case DPair():
+                return f"({self._data(d.left)}, {self._data(d.right)})"
+            case Inl():
+                s = f"inl {self._data(d.body, atom=True)}"
                 return f"({s})" if atom else s
-            case Inr(e):
-                s = f"inr {self._data(e, atom=True)}"
+            case Inr():
+                s = f"inr {self._data(d.body, atom=True)}"
                 return f"({s})" if atom else s
         raise _Unrenderable()

@@ -439,39 +439,39 @@ def well_formed_neg(ty: NegType, sig: Sig, mode: Mode,
     all data arguments are well-scoped.  Total; failures are appended to
     ``problems`` when a list is supplied."""
     match ty:
-        case Atom(name, args):
+        case Atom():
             ok = True
-            if name not in sig.atoms:
+            if ty.name not in sig.atoms:
                 ok = _problem(problems, Diagnostic(
-                    "atom", expected="declared atom", found=str(name)))
-            if args and mode is Mode.PROP:
+                    "atom", expected="declared atom", found=str(ty.name)))
+            if ty.args and mode is Mode.PROP:
                 ok = _problem(problems, Diagnostic(
                     "mode", expected="unindexed atom in propositional mode",
-                    found=f"{name} with {len(args)} argument(s)"))
-            for a in args:
+                    found=f"{ty.name} with {len(ty.args)} argument(s)"))
+            for a in ty.args:
                 for v in free_names(a):
                     if v not in scope and v not in sig._index:
                         ok = _problem(problems, Diagnostic(
                             "scope", expected="variable in scope",
                             found=str(v)))
             return ok
-        case Up(p):
-            return well_formed_pos(p, sig, mode, scope, problems)
-        case Imp(a, r):
+        case Up():
+            return well_formed_pos(ty.body, sig, mode, scope, problems)
+        case Imp():
             if mode is not Mode.PROP:
                 return _problem(problems, Diagnostic(
                     "mode", expected="Pi in dependent mode", found="->"))
-            left = well_formed_pos(a, sig, mode, scope, problems)
-            return well_formed_neg(r, sig, mode, scope, problems) and left
-        case With(l, r):
-            left = well_formed_neg(l, sig, mode, scope, problems)
-            return well_formed_neg(r, sig, mode, scope, problems) and left
-        case Pi(x, a, r):
+            left = well_formed_pos(ty.arg, sig, mode, scope, problems)
+            return well_formed_neg(ty.res, sig, mode, scope, problems) and left
+        case With():
+            left = well_formed_neg(ty.left, sig, mode, scope, problems)
+            return well_formed_neg(ty.right, sig, mode, scope, problems) and left
+        case Pi():
             if mode is not Mode.DEP:
                 return _problem(problems, Diagnostic(
                     "mode", expected="-> in propositional mode", found="Pi"))
-            left = well_formed_pos(a, sig, mode, scope, problems)
-            return well_formed_neg(r, sig, mode, scope | {x}, problems) and left
+            left = well_formed_pos(ty.arg, sig, mode, scope, problems)
+            return well_formed_neg(ty.res, sig, mode, scope | {ty.binder}, problems) and left
     raise TypeError(ty)
 
 
@@ -479,23 +479,23 @@ def well_formed_pos(ty: PosType, sig: Sig, mode: Mode,
                     scope: frozenset[Name] = frozenset(),
                     problems: Optional[list] = None) -> bool:
     match ty:
-        case Down(n):
-            return well_formed_neg(n, sig, mode, scope, problems)
-        case Or(l, r):
-            left = well_formed_pos(l, sig, mode, scope, problems)
-            return well_formed_pos(r, sig, mode, scope, problems) and left
-        case Prod(l, r):
+        case Down():
+            return well_formed_neg(ty.body, sig, mode, scope, problems)
+        case Or():
+            left = well_formed_pos(ty.left, sig, mode, scope, problems)
+            return well_formed_pos(ty.right, sig, mode, scope, problems) and left
+        case Prod():
             if mode is not Mode.PROP:
                 return _problem(problems, Diagnostic(
                     "mode", expected="Sigma in dependent mode", found="*"))
-            left = well_formed_pos(l, sig, mode, scope, problems)
-            return well_formed_pos(r, sig, mode, scope, problems) and left
-        case Sigma(x, a, b):
+            left = well_formed_pos(ty.left, sig, mode, scope, problems)
+            return well_formed_pos(ty.right, sig, mode, scope, problems) and left
+        case Sigma():
             if mode is not Mode.DEP:
                 return _problem(problems, Diagnostic(
                     "mode", expected="* in propositional mode", found="Sigma"))
-            left = well_formed_pos(a, sig, mode, scope, problems)
-            return well_formed_pos(b, sig, mode, scope | {x}, problems) and left
+            left = well_formed_pos(ty.first, sig, mode, scope, problems)
+            return well_formed_pos(ty.second, sig, mode, scope | {ty.binder}, problems) and left
     raise TypeError(ty)
 
 
@@ -668,25 +668,27 @@ def subst_data(x, v: Name, d: DataVal):
 
     def visit(x):
         match x:
-            case App(h, k) if h == v:
-                k = rewrite(k, visit, under)
+            case App() if x.head == v:
+                k = rewrite(x.spine, visit, under)
                 if isinstance(d, Thunk):
                     return AppCut(d.body, k)
                 raise SubstClash(
                     f"substituting non-thunk data for applied variable {v}")
-            case Split(w, l, r) if w == v:
+            case Split() if x.label == v:
                 # A sum-typed variable under scrutiny: the branches see v
                 # refined to the payload.
                 match d:
-                    case Inl(e):
-                        return subst_data(l, v, e)
-                    case Inr(e):
-                        return subst_data(r, v, e)
-                    case Thunk(App(y, Nil())):
-                        return Split(y, rename(l, {v: y}), rename(r, {v: y}))
+                    case Inl():
+                        return subst_data(x.left, v, d.body)
+                    case Inr():
+                        return subst_data(x.right, v, d.body)
+                    case Thunk() if isinstance(d.body, App) and isinstance(d.body.spine, Nil):
+                        y = d.body.head
+                        return Split(y, rename(x.left, {v: y}), rename(x.right, {v: y}))
                 raise SubstClash(
                     f"substituting non-injection data for split variable {v}")
-            case Thunk(App(y, Nil())) if y == v:
+            case Thunk() if (isinstance(x.body, App) and isinstance(x.body.spine, Nil)
+                             and x.body.head == v):
                 return d
         return None
 
@@ -735,19 +737,19 @@ class MatchFail:
 def match_pattern(pat: Pattern, data: DataVal) -> Union[Match, MatchFail]:
     """Decompose ``data`` according to the shape of ``pat``."""
     branches: tuple[tuple[Name, str], ...] = ()
-    match pat, data:
-        case Var(x), d:
-            return Match(((x, d),))
-        case PWild(), _:
+    match pat:
+        case Var():
+            return Match(((pat.name, data),))
+        case PWild():
             return Match(())
-        case PAt(p, q), d:
-            parts = ((p, d), (q, d))
-        case PPair(p, q), DPair(d, e):
-            parts = ((p, d), (q, e))
-        case POr(w, p, _), Inl(d):
-            parts, branches = ((p, d),), ((w, "left"),)
-        case POr(w, _, q), Inr(d):
-            parts, branches = ((q, d),), ((w, "right"),)
+        case PAt():
+            parts = ((pat.left, data), (pat.right, data))
+        case PPair() if isinstance(data, DPair):
+            parts = ((pat.left, data.left), (pat.right, data.right))
+        case POr() if isinstance(data, Inl):
+            parts, branches = ((pat.left, data.body),), ((pat.label, "left"),)
+        case POr() if isinstance(data, Inr):
+            parts, branches = ((pat.right, data.body),), ((pat.label, "right"),)
         case _:
             return MatchFail("constructor does not fit pattern shape", pat, data)
     bindings: tuple[tuple[Name, DataVal], ...] = ()
@@ -769,14 +771,14 @@ def spine_concat(front: Spine, back: Spine) -> Spine:
     match front:
         case Nil():
             return back
-        case Cons(d, r):
-            return Cons(d, spine_concat(r, back))
-        case Proj1(r):
-            return Proj1(spine_concat(r, back))
-        case Proj2(r):
-            return Proj2(spine_concat(r, back))
-        case Kappa(p, t):
-            return Kappa(p, AppCut(t, back))
+        case Cons():
+            return Cons(front.arg, spine_concat(front.rest, back))
+        case Proj1():
+            return Proj1(spine_concat(front.rest, back))
+        case Proj2():
+            return Proj2(spine_concat(front.rest, back))
+        case Kappa():
+            return Kappa(front.pat, AppCut(front.body, back))
     raise TypeError(front)
 
 

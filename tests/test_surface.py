@@ -360,6 +360,31 @@ class TestCompareOnce:
         assert comparisons == {"alpha_eq": 2}
 
 
+class TestLoadOrder:
+    """``load_program`` grows one signature index in place, and each
+    declaration still sees only the declarations before it."""
+
+    SRC = ("atom a\npostulate c : a\nf : a -> a\nf x = g x\n"
+           "g : a -> a\ng x = x\n")
+
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP])
+    def test_later_name_unbound_in_earlier_body(self, mode):
+        with pytest.raises(CompileFail) as exc:
+            load_program(self.SRC, "o.seq", mode)
+        d = exc.value.diagnostic
+        assert (d.rule, d.found, d.span.line, d.span.col) == ("unbound", "g",
+                                                            4, 7)
+
+    def test_signature_in_file_order(self):
+        prog = load_program(self.SRC.replace("f x = g x", "f x = c"))
+        entries = prog.sig.entries
+        assert [e.name.text for e in entries] == ["c", "f", "g"]
+        assert [e.body is None for e in entries] == [True, False, False]
+        assert prog.sig == Sig(prog.sig.atoms, entries)
+        for e in entries:
+            assert prog.sig.lookup(e.name) is e
+
+
 class TestCoveragePin:
     """``check`` and ``core`` on every clause-set variant, hashed.
 

@@ -1,10 +1,13 @@
 """Kernel syntax: well-formedness, substitution, matching, spines, alpha."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
 from suite import cyclic_garbage
+import seqcore
 from seqcore.core_text import print_term
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr, Kappa, Lam,
@@ -661,6 +664,37 @@ class TestSigIndex:
                                    Mode.DEP, problems=problems)
         assert [p.rule for p in problems] == ["scope"]
         assert problems[0].found == "d"
+
+
+class TestMatchPatterns:
+    """Every ``match`` in ``src/seqcore`` has one subject, and its class
+    patterns capture nothing: a case names the class, a guard tests any
+    other value's class, and the code reads fields by name.  On CPython a
+    class pattern with sub-patterns looks up ``__match_args__`` and fetches
+    each field on every match, several times the cost of ``isinstance``
+    and an attribute read, and the kernel's walks match once per node."""
+
+    SOURCES = sorted(pathlib.Path(seqcore.__file__).parent.glob("*.py"))
+
+    @staticmethod
+    def offenders(test) -> list[str]:
+        return [f"{path.name}:{node.lineno}"
+                for path in TestMatchPatterns.SOURCES
+                for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                if test(node)]
+
+    def test_sources_found(self):
+        assert {p.name for p in self.SOURCES} >= {
+            "check.py", "check_dep.py", "core_text.py", "reduce.py",
+            "surface.py", "syntax.py"}
+
+    def test_class_patterns_capture_nothing(self):
+        assert self.offenders(lambda n: isinstance(n, ast.MatchClass)
+                              and (n.patterns or n.kwd_patterns)) == []
+
+    def test_one_subject(self):
+        assert self.offenders(lambda n: isinstance(n, ast.Match)
+                              and isinstance(n.subject, ast.Tuple)) == []
 
 
 class TestAcyclic:
