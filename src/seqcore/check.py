@@ -156,34 +156,34 @@ def _head(st: _State, x: Name) -> NegType:
 # Context inversion
 
 def _invert_one(st: _State, p: Pattern, ty: PosType) -> _State:
-    match p:
-        case Var():
-            if isinstance(ty, Down):
-                return st.store(p.name, ty.body)
-            # No rule consumes a variable at a composite positive type; the
-            # hypothesis can never be discharged.
-            return st.leave(p.name)
-        case PPair():
-            if not isinstance(ty, Prod):
-                raise _fail("prod-left", expected="positive product",
-                            found=print_type(ty),
-                            note=f"pair pattern {print_pattern(p)}")
-            return _invert_one(_invert_one(st, p.left, ty.left), p.right, ty.right)
-        case POr():
-            if not isinstance(ty, Or):
-                raise _fail("or-left", expected="sum type",
-                            found=print_type(ty),
-                            note=f"or-pattern labeled {p.label}")
-            if any(q.label == p.label for q, _ in st.pending):
-                raise _fail("or-left", expected="unique split label",
-                            found=str(p.label), note="label already bound")
-            return st.defer(p, ty)
-        case PAt():
-            _structural(st, "contraction pattern p @ q")
-            return _invert_one(_invert_one(st, p.left, ty), p.right, ty)
-        case PWild():
-            _structural(st, "wildcard pattern _")
-            return st
+    c = type(p)
+    if c is Var:
+        if isinstance(ty, Down):
+            return st.store(p.name, ty.body)
+        # No rule consumes a variable at a composite positive type; the
+        # hypothesis can never be discharged.
+        return st.leave(p.name)
+    elif c is PPair:
+        if not isinstance(ty, Prod):
+            raise _fail("prod-left", expected="positive product",
+                        found=print_type(ty),
+                        note=f"pair pattern {print_pattern(p)}")
+        return _invert_one(_invert_one(st, p.left, ty.left), p.right, ty.right)
+    elif c is POr:
+        if not isinstance(ty, Or):
+            raise _fail("or-left", expected="sum type",
+                        found=print_type(ty),
+                        note=f"or-pattern labeled {p.label}")
+        if any(q.label == p.label for q, _ in st.pending):
+            raise _fail("or-left", expected="unique split label",
+                        found=str(p.label), note="label already bound")
+        return st.defer(p, ty)
+    elif c is PAt:
+        _structural(st, "contraction pattern p @ q")
+        return _invert_one(_invert_one(st, p.left, ty), p.right, ty)
+    elif c is PWild:
+        _structural(st, "wildcard pattern _")
+        return st
     raise TypeError(p)
 
 
@@ -198,31 +198,31 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
 
 
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
-    match t:
-        case Lam():
-            if not isinstance(goal, Imp):
-                raise _fail("lambda", expected="implication goal",
-                            found=print_type(goal))
-            _check(_invert_one(st, t.pat, goal.arg), t.body, goal.res)
-        case Pair():
-            if not isinstance(goal, With):
-                raise _fail("with-right", expected="conjunction goal",
-                            found=print_type(goal))
-            _check(st, t.left, goal.left)
-            _check(st, t.right, goal.right)
-        case Done():
-            _discharged(st, "done")
-            if not isinstance(goal, Up):
-                raise _fail("done", expected="shifted positive goal",
-                            found=print_type(goal))
-            _check_data(st, t.data, goal.body)
-        case App():
-            _check_spine(st, _head(st, t.head), t.spine, goal)
-        case Split() | BindCut() | AppCut():
-            for st1, u in _reducts(st, t):
-                _check(st1, u, goal)
-        case _:
-            raise TypeError(t)
+    c = type(t)
+    if c is Lam:
+        if not isinstance(goal, Imp):
+            raise _fail("lambda", expected="implication goal",
+                        found=print_type(goal))
+        _check(_invert_one(st, t.pat, goal.arg), t.body, goal.res)
+    elif c is Pair:
+        if not isinstance(goal, With):
+            raise _fail("with-right", expected="conjunction goal",
+                        found=print_type(goal))
+        _check(st, t.left, goal.left)
+        _check(st, t.right, goal.right)
+    elif c is Done:
+        _discharged(st, "done")
+        if not isinstance(goal, Up):
+            raise _fail("done", expected="shifted positive goal",
+                        found=print_type(goal))
+        _check_data(st, t.data, goal.body)
+    elif c is App:
+        _check_spine(st, _head(st, t.head), t.spine, goal)
+    elif c is Split or c is BindCut or c is AppCut:
+        for st1, u in _reducts(st, t):
+            _check(st1, u, goal)
+    else:
+        raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,97 +233,97 @@ def _reducts(st: _State, t: Term) -> Iterator[tuple[_State, Term]]:
     to, in order, each at the goal of ``t``: two for a split (one per
     branch), one for a cut.  Lazy, so a split's right branch is inverted
     only after the left one has been judged."""
-    match t:
-        case Split():
-            for i, (p, ty) in enumerate(st.pending):
-                if p.label == t.label:
-                    base = st.drop_pending(i)
-                    yield _invert_one(base, p.left, ty.left), t.left
-                    yield _invert_one(base, p.right, ty.right), t.right
-                    return
-            raise _fail("or-left", expected="pending or-hypothesis",
-                        found=str(t.label), note="split label not at hand")
-        case BindCut():
-            ty = _infer_data(st.focus_zone(), t.data)
-            if ty is not UNKNOWN:
-                yield _invert_one(st, t.pat, ty), t.body
+    c = type(t)
+    if c is Split:
+        for i, (p, ty) in enumerate(st.pending):
+            if p.label == t.label:
+                base = st.drop_pending(i)
+                yield _invert_one(base, p.left, ty.left), t.left
+                yield _invert_one(base, p.right, ty.right), t.right
                 return
-            yield _bind_cut(st, t.pat, t.data, t.body)
-        case AppCut():
-            f, k = t.fun, t.spine
-            u = _reassociated(f, k)
-            if u is not None:
-                yield st, u
-                return
-            match f:
-                case Lam():
-                    if not isinstance(k, Cons):
-                        raise _fail("app-cut",
-                                    expected="argument spine for a function",
-                                    found=_spine_shape(k))
-                    yield st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest))
-                case Done():
-                    _discharged(st, "done")
-                    if not isinstance(k, Kappa):
-                        raise _fail("app-cut",
-                                    expected="kappa spine for returned data",
-                                    found=_spine_shape(k))
-                    yield st, BindCut(k.pat, f.data, k.body)
-                case Pair():
-                    # The projected-away component must still be typeable:
-                    # reject definite failures, accept when undecided.
-                    match k:
-                        case Proj1():
-                            _infer_term(st, f.right)
-                            yield st, AppCut(f.left, k.rest)
-                        case Proj2():
-                            _infer_term(st, f.left)
-                            yield st, AppCut(f.right, k.rest)
-                        case _:
-                            raise _fail("app-cut",
-                                        expected="projection spine for a pair",
-                                        found=_spine_shape(k))
-                case Split():
-                    for st1, u in _reducts(st, f):
-                        yield st1, AppCut(u, k)
-                case _:
-                    raise TypeError(f)
+        raise _fail("or-left", expected="pending or-hypothesis",
+                    found=str(t.label), note="split label not at hand")
+    elif c is BindCut:
+        ty = _infer_data(st.focus_zone(), t.data)
+        if ty is not UNKNOWN:
+            yield _invert_one(st, t.pat, ty), t.body
+            return
+        yield _bind_cut(st, t.pat, t.data, t.body)
+    elif c is AppCut:
+        f, k = t.fun, t.spine
+        u = _reassociated(f, k)
+        if u is not None:
+            yield st, u
+            return
+        cf = type(f)
+        if cf is Lam:
+            if not isinstance(k, Cons):
+                raise _fail("app-cut",
+                            expected="argument spine for a function",
+                            found=_spine_shape(k))
+            yield st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest))
+        elif cf is Done:
+            _discharged(st, "done")
+            if not isinstance(k, Kappa):
+                raise _fail("app-cut",
+                            expected="kappa spine for returned data",
+                            found=_spine_shape(k))
+            yield st, BindCut(k.pat, f.data, k.body)
+        elif cf is Pair:
+            # The projected-away component must still be typeable:
+            # reject definite failures, accept when undecided.
+            ck = type(k)
+            if ck is Proj1:
+                _infer_term(st, f.right)
+                yield st, AppCut(f.left, k.rest)
+            elif ck is Proj2:
+                _infer_term(st, f.left)
+                yield st, AppCut(f.right, k.rest)
+            else:
+                raise _fail("app-cut",
+                            expected="projection spine for a pair",
+                            found=_spine_shape(k))
+        elif cf is Split:
+            for st1, u in _reducts(st, f):
+                yield st1, AppCut(u, k)
+        else:
+            raise TypeError(f)
 
 
 def _bind_cut(st: _State, p: Pattern, d: DataVal,
               b: Term) -> tuple[_State, Term]:
     """A binding cut whose data has no synthesizable type, decomposed
     pattern against data as the reduction rule does."""
-    match p:
-        case PWild():
-            _structural(st, "wildcard pattern _")
+    c, cd = type(p), type(d)
+    if c is PWild:
+        _structural(st, "wildcard pattern _")
+        return st, b
+    elif c is PAt:
+        _structural(st, "contraction pattern p @ q")
+        return st, BindCut(p.left, d, BindCut(p.right, d, b))
+    elif c is PPair and cd is DPair:
+        return st, BindCut(p.left, d.left, BindCut(p.right, d.right, b))
+    elif c is PPair:
+        raise _fail("bind-cut", expected="pair data", found=data_shape(d))
+    elif c is POr and cd is Inl:
+        return st, BindCut(p.left, d.body, select_branch(p.label, "left", b))
+    elif c is POr and cd is Inr:
+        return st, BindCut(p.right, d.body, select_branch(p.label, "right", b))
+    elif c is POr:
+        raise _fail("bind-cut", expected="injection data",
+                    found=data_shape(d))
+    elif c is Var and cd is Thunk:
+        if p.name not in free_names(b):
             return st, b
-        case PAt():
-            _structural(st, "contraction pattern p @ q")
-            return st, BindCut(p.left, d, BindCut(p.right, d, b))
-        case PPair() if isinstance(d, DPair):
-            return st, BindCut(p.left, d.left, BindCut(p.right, d.right, b))
-        case PPair():
-            raise _fail("bind-cut", expected="pair data", found=data_shape(d))
-        case POr() if isinstance(d, Inl):
-            return st, BindCut(p.left, d.body, select_branch(p.label, "left", b))
-        case POr() if isinstance(d, Inr):
-            return st, BindCut(p.right, d.body, select_branch(p.label, "right", b))
-        case POr():
-            raise _fail("bind-cut", expected="injection data",
-                        found=data_shape(d))
-        case Var() if isinstance(d, Thunk):
-            if p.name not in free_names(b):
-                return st, b
-            try:
-                return st, subst_data_in_term(b, p.name, d)
-            except SubstClash as e:
-                raise _fail("bind-cut", expected="well-sorted variable use",
-                            found=str(p.name), note=e.reason)
-        case Var():
-            # Pair or injection data bound to a bare variable: the hypothesis
-            # is positive-composite and can never be discharged.
-            return st.leave(p.name), b
+        try:
+            return st, subst_data_in_term(b, p.name, d)
+        except SubstClash as e:
+            raise _fail("bind-cut", expected="well-sorted variable use",
+                        found=str(p.name), note=e.reason)
+    elif c is Var:
+        # Pair or injection data bound to a bare variable: the hypothesis
+        # is positive-composite and can never be discharged.
+        return st.leave(p.name), b
     raise TypeError(p)
 
 
@@ -334,13 +334,13 @@ def _reassociated(f: Term, k: Spine) -> Optional[Term]:
     for every other ``f``."""
     if isinstance(k, Nil):
         return f
-    match f:
-        case App():
-            return App(f.head, spine_concat(f.spine, k))
-        case AppCut():
-            return AppCut(f.fun, spine_concat(f.spine, k))
-        case BindCut():
-            return BindCut(f.pat, f.data, AppCut(f.body, k))
+    c = type(f)
+    if c is App:
+        return App(f.head, spine_concat(f.spine, k))
+    elif c is AppCut:
+        return AppCut(f.fun, spine_concat(f.spine, k))
+    elif c is BindCut:
+        return BindCut(f.pat, f.data, AppCut(f.body, k))
     return None
 
 
@@ -356,28 +356,28 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
     st = st.focus_zone()
     try:
         # Mismatches are named after the rule the goal demands.
-        match goal:
-            case Down() if isinstance(d, Thunk):
-                _check(st, d.body, goal.body)
-            case Down():
-                raise _fail("thunk", expected=print_type(goal),
-                            found=data_shape(d))
-            case Prod() if isinstance(d, DPair):
-                _check_data(st, d.left, goal.left)
-                _check_data(st, d.right, goal.right)
-            case Prod():
-                raise _fail("prod-right", expected=print_type(goal),
-                            found=data_shape(d))
-            case Or() if isinstance(d, Inl):
-                _check_data(st, d.body, goal.left)
-            case Or() if isinstance(d, Inr):
-                _check_data(st, d.body, goal.right)
-            case Or():
-                raise _fail("or-right", expected=print_type(goal),
-                            found=data_shape(d))
-            case _:
-                raise _fail("mode", expected="propositional positive type",
-                            found=print_type(goal))
+        c, cd = type(goal), type(d)
+        if c is Down and cd is Thunk:
+            _check(st, d.body, goal.body)
+        elif c is Down:
+            raise _fail("thunk", expected=print_type(goal),
+                        found=data_shape(d))
+        elif c is Prod and cd is DPair:
+            _check_data(st, d.left, goal.left)
+            _check_data(st, d.right, goal.right)
+        elif c is Prod:
+            raise _fail("prod-right", expected=print_type(goal),
+                        found=data_shape(d))
+        elif c is Or and cd is Inl:
+            _check_data(st, d.body, goal.left)
+        elif c is Or and cd is Inr:
+            _check_data(st, d.body, goal.right)
+        elif c is Or:
+            raise _fail("or-right", expected=print_type(goal),
+                        found=data_shape(d))
+        else:
+            raise _fail("mode", expected="propositional positive type",
+                        found=print_type(goal))
     except _Fail as f:
         raise _Fail(f.diagnostic.pushed(_frame("right-focus", d, goal)))
 
@@ -391,40 +391,40 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
     ``goal``; with no goal, synthesize the result instead."""
     st = st.focus_zone()
     try:
-        match k:
-            case Nil():
-                if goal is None:
-                    return focus
-                if not alpha_eq(focus, goal):
-                    raise _fail("axiom", expected=print_type(goal),
-                                found=print_type(focus),
-                                note="unfinished spine")
-            case Cons():
-                if not isinstance(focus, Imp):
-                    raise _fail("imp-left", expected="implication under focus",
-                                found=print_type(focus))
-                _check_data(st, k.arg, focus.arg)
-                return _check_spine(st, focus.res, k.rest, goal)
-            case Proj1():
-                if not isinstance(focus, With):
-                    raise _fail("with-left-1", expected="conjunction under focus",
-                                found=print_type(focus))
-                return _check_spine(st, focus.left, k.rest, goal)
-            case Proj2():
-                if not isinstance(focus, With):
-                    raise _fail("with-left-2", expected="conjunction under focus",
-                                found=print_type(focus))
-                return _check_spine(st, focus.right, k.rest, goal)
-            case Kappa():
-                if not isinstance(focus, Up):
-                    raise _fail("kappa", expected="shifted positive under focus",
-                                found=print_type(focus))
-                st = _invert_one(st, k.pat, focus.body)
-                if goal is None:
-                    return _infer_term(st, k.body)
-                _check(st, k.body, goal)
-            case _:
-                raise TypeError(k)
+        c = type(k)
+        if c is Nil:
+            if goal is None:
+                return focus
+            if not alpha_eq(focus, goal):
+                raise _fail("axiom", expected=print_type(goal),
+                            found=print_type(focus),
+                            note="unfinished spine")
+        elif c is Cons:
+            if not isinstance(focus, Imp):
+                raise _fail("imp-left", expected="implication under focus",
+                            found=print_type(focus))
+            _check_data(st, k.arg, focus.arg)
+            return _check_spine(st, focus.res, k.rest, goal)
+        elif c is Proj1:
+            if not isinstance(focus, With):
+                raise _fail("with-left-1", expected="conjunction under focus",
+                            found=print_type(focus))
+            return _check_spine(st, focus.left, k.rest, goal)
+        elif c is Proj2:
+            if not isinstance(focus, With):
+                raise _fail("with-left-2", expected="conjunction under focus",
+                            found=print_type(focus))
+            return _check_spine(st, focus.right, k.rest, goal)
+        elif c is Kappa:
+            if not isinstance(focus, Up):
+                raise _fail("kappa", expected="shifted positive under focus",
+                            found=print_type(focus))
+            st = _invert_one(st, k.pat, focus.body)
+            if goal is None:
+                return _infer_term(st, k.body)
+            _check(st, k.body, goal)
+        else:
+            raise TypeError(k)
     except _Fail as f:
         if goal is None:
             raise
@@ -436,45 +436,45 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
 # Synthesis (three-valued: type, UNKNOWN, or failure)
 
 def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
-    match t:
-        case Lam():
+    c = type(t)
+    if c is Lam:
+        return UNKNOWN
+    elif c is Done:
+        _discharged(st, "done")
+        ty = _infer_data(st.focus_zone(), t.data)
+        return UNKNOWN if ty is UNKNOWN else Up(ty)
+    elif c is Pair:
+        tl = _infer_term(st, t.left)
+        tr = _infer_term(st, t.right)
+        if tl is UNKNOWN or tr is UNKNOWN:
             return UNKNOWN
-        case Done():
-            _discharged(st, "done")
-            ty = _infer_data(st.focus_zone(), t.data)
-            return UNKNOWN if ty is UNKNOWN else Up(ty)
-        case Pair():
-            tl = _infer_term(st, t.left)
-            tr = _infer_term(st, t.right)
-            if tl is UNKNOWN or tr is UNKNOWN:
-                return UNKNOWN
-            return With(tl, tr)
-        case App():
-            return _check_spine(st, _head(st, t.head), t.spine, None)
-        case Split() | BindCut() | AppCut():
-            # The branches of a split must agree on one type.
-            n, *others = [_infer_term(st1, u) for st1, u in _reducts(st, t)]
-            if any(n is UNKNOWN or m is UNKNOWN or not alpha_eq(n, m)
-                   for m in others):
-                return UNKNOWN
-            return n
+        return With(tl, tr)
+    elif c is App:
+        return _check_spine(st, _head(st, t.head), t.spine, None)
+    elif c is Split or c is BindCut or c is AppCut:
+        # The branches of a split must agree on one type.
+        n, *others = [_infer_term(st1, u) for st1, u in _reducts(st, t)]
+        if any(n is UNKNOWN or m is UNKNOWN or not alpha_eq(n, m)
+               for m in others):
+            return UNKNOWN
+        return n
     raise TypeError(t)
 
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
-    match d:
-        case Thunk():
-            n = _infer_term(st.focus_zone(), d.body)
-            return UNKNOWN if n is UNKNOWN else Down(n)
-        case DPair():
-            ta = _infer_data(st, d.left)
-            tb = _infer_data(st, d.right)
-            if ta is UNKNOWN or tb is UNKNOWN:
-                return UNKNOWN
-            return Prod(ta, tb)
-        case Inl() | Inr():
-            _infer_data(st, d.body)   # propagate definite failures
+    c = type(d)
+    if c is Thunk:
+        n = _infer_term(st.focus_zone(), d.body)
+        return UNKNOWN if n is UNKNOWN else Down(n)
+    elif c is DPair:
+        ta = _infer_data(st, d.left)
+        tb = _infer_data(st, d.right)
+        if ta is UNKNOWN or tb is UNKNOWN:
             return UNKNOWN
+        return Prod(ta, tb)
+    elif c is Inl or c is Inr:
+        _infer_data(st, d.body)   # propagate definite failures
+        return UNKNOWN
     raise TypeError(d)
 
 

@@ -71,16 +71,16 @@ class _State:
         return _State(self.sig, self.fuel, self.stores, ())
 
     def extend(self, x: Name, ty: PosType) -> "_State":
-        match ty:
-            case Down():
-                return _State(self.sig, self.fuel, self.stores + ((x, ty.body),),
-                              self.pending)
-            case Or() | Sigma():
-                return _State(self.sig, self.fuel, self.stores,
-                              self.pending + ((x, ty),))
-            case Prod():
-                raise _fail("mode", expected="Sigma in dependent mode",
-                            found=print_type(ty))
+        c = type(ty)
+        if c is Down:
+            return _State(self.sig, self.fuel, self.stores + ((x, ty.body),),
+                          self.pending)
+        elif c is Or or c is Sigma:
+            return _State(self.sig, self.fuel, self.stores,
+                          self.pending + ((x, ty),))
+        elif c is Prod:
+            raise _fail("mode", expected="Sigma in dependent mode",
+                        found=print_type(ty))
         raise TypeError(ty)
 
     def subst(self, x: Name, d: DataVal) -> "_State":
@@ -144,13 +144,12 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
 
 
 def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma, Term]]:
-    match t:
-        case BindCut() if (isinstance(p := t.pat, PPair) and isinstance(p.left, Var)
-                           and isinstance(p.right, Var) and isinstance(d := t.data, Thunk)
-                           and isinstance(d.body, App) and isinstance(d.body.spine, Nil)):
-            i = st.pending_index(x := d.body.head)
-            if i is not None and isinstance(st.pending[i][1], Sigma):
-                return p.left.name, p.right.name, x, st.pending[i][1], t.body
+    if (type(t) is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
+            and type(p.right) is Var and type(d := t.data) is Thunk
+            and type(d.body) is App and type(d.body.spine) is Nil):
+        i = st.pending_index(x := d.body.head)
+        if i is not None and isinstance(st.pending[i][1], Sigma):
+            return p.left.name, p.right.name, x, st.pending[i][1], t.body
     return None
 
 
@@ -199,49 +198,49 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
         base = base.extend(z, subst_data_in_pos(ty.second, ty.binder, eta(y)))
         _check(base, body, goal2)
         return
-    match t:
-        case Split():
-            for branch in _split(st, t.label, t.left, t.right, None, goal):
-                _check(*branch)
-        case Lam():
-            if not isinstance(t.pat, Var):
-                raise _fail("dep-pattern", expected="variable binder",
-                            found="deep pattern",
-                            note="dependent mode binds variables only")
-            if not isinstance(goal, Pi):
-                raise _fail("lambda", expected="dependent product goal",
-                            found=print_type(goal))
-            body_goal = subst_data_in_neg(goal.res, goal.binder, eta(t.pat.name))
-            _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
-        case Pair():
-            if not isinstance(goal, With):
-                raise _fail("with-right", expected="conjunction goal",
-                            found=print_type(goal))
-            _check(st, t.left, goal.left)
-            _check(st, t.right, goal.right)
-        case Done():
-            _discharged(st, "done")
-            if not isinstance(goal, Up):
-                raise _fail("done", expected="shifted positive goal",
-                            found=print_type(goal))
-            _check_data(st, t.data, goal.body)
-        case App():
-            _check_spine(st, _head(st, t.head), t.spine, goal)
-        case BindCut() if isinstance(t.pat, Var):
-            _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
-        case BindCut() if (isinstance(p := t.pat, PPair) and isinstance(p.left, Var)
-                           and isinstance(p.right, Var) and isinstance(d := t.data, DPair)):
-            # Reduct of a sigma-let whose scrutinee got instantiated; accept
-            # by decomposing, mirroring the reduction rule.
-            _check(st, BindCut(p.left, d.left, BindCut(p.right, d.right, t.body)), goal)
-        case BindCut():
+    c = type(t)
+    if c is Split:
+        for branch in _split(st, t.label, t.left, t.right, None, goal):
+            _check(*branch)
+    elif c is Lam:
+        if not isinstance(t.pat, Var):
             raise _fail("dep-pattern", expected="variable binder",
-                        found="deep pattern in cut",
+                        found="deep pattern",
                         note="dependent mode binds variables only")
-        case AppCut():
-            _check_app_cut(st, t.fun, t.spine, goal)
-        case _:
-            raise TypeError(t)
+        if not isinstance(goal, Pi):
+            raise _fail("lambda", expected="dependent product goal",
+                        found=print_type(goal))
+        body_goal = subst_data_in_neg(goal.res, goal.binder, eta(t.pat.name))
+        _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
+    elif c is Pair:
+        if not isinstance(goal, With):
+            raise _fail("with-right", expected="conjunction goal",
+                        found=print_type(goal))
+        _check(st, t.left, goal.left)
+        _check(st, t.right, goal.right)
+    elif c is Done:
+        _discharged(st, "done")
+        if not isinstance(goal, Up):
+            raise _fail("done", expected="shifted positive goal",
+                        found=print_type(goal))
+        _check_data(st, t.data, goal.body)
+    elif c is App:
+        _check_spine(st, _head(st, t.head), t.spine, goal)
+    elif c is BindCut and type(t.pat) is Var:
+        _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
+    elif (c is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
+          and type(p.right) is Var and type(d := t.data) is DPair):
+        # Reduct of a sigma-let whose scrutinee got instantiated; accept
+        # by decomposing, mirroring the reduction rule.
+        _check(st, BindCut(p.left, d.left, BindCut(p.right, d.right, t.body)), goal)
+    elif c is BindCut:
+        raise _fail("dep-pattern", expected="variable binder",
+                    found="deep pattern in cut",
+                    note="dependent mode binds variables only")
+    elif c is AppCut:
+        _check_app_cut(st, t.fun, t.spine, goal)
+    else:
+        raise TypeError(t)
 
 
 def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
@@ -262,35 +261,35 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
     if u is not None:
         _check(st, u, goal)
         return
-    match f:
-        case Lam() if isinstance(f.pat, Var):
-            if not isinstance(k, Cons):
-                raise _fail("app-cut", expected="argument spine for a function",
-                            found=type(k).__name__)
-            _check(st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest)), goal)
-        case Done():
-            _discharged(st, "done")
-            if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
-                raise _fail("app-cut", expected="kappa x spine for returned data",
-                            found=type(k).__name__)
-            _check(st, BindCut(k.pat, f.data, k.body), goal)
-        case Pair():
-            match k:
-                case Proj1():
-                    _infer_term(st, f.right)
-                    _check(st, AppCut(f.left, k.rest), goal)
-                case Proj2():
-                    _infer_term(st, f.left)
-                    _check(st, AppCut(f.right, k.rest), goal)
-                case _:
-                    raise _fail("app-cut", expected="projection spine for a pair",
-                                found=type(k).__name__)
-        case Split():
-            for branch in _split(st, f.label, f.left, f.right, k, goal):
-                _check(*branch)
-        case _:
-            raise _fail("app-cut", expected="applicable term under cut",
-                        found=print_term(f))
+    c = type(f)
+    if c is Lam and type(f.pat) is Var:
+        if not isinstance(k, Cons):
+            raise _fail("app-cut", expected="argument spine for a function",
+                        found=type(k).__name__)
+        _check(st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest)), goal)
+    elif c is Done:
+        _discharged(st, "done")
+        if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
+            raise _fail("app-cut", expected="kappa x spine for returned data",
+                        found=type(k).__name__)
+        _check(st, BindCut(k.pat, f.data, k.body), goal)
+    elif c is Pair:
+        ck = type(k)
+        if ck is Proj1:
+            _infer_term(st, f.right)
+            _check(st, AppCut(f.left, k.rest), goal)
+        elif ck is Proj2:
+            _infer_term(st, f.left)
+            _check(st, AppCut(f.right, k.rest), goal)
+        else:
+            raise _fail("app-cut", expected="projection spine for a pair",
+                        found=type(k).__name__)
+    elif c is Split:
+        for branch in _split(st, f.label, f.left, f.right, k, goal):
+            _check(*branch)
+    else:
+        raise _fail("app-cut", expected="applicable term under cut",
+                    found=print_term(f))
 
 
 def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
@@ -321,27 +320,27 @@ def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
 
 def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
     st = st.focus_zone()
-    match d:
-        case Thunk() if isinstance(goal, Down):
-            _check(st, d.body, goal.body)
-        case Thunk():
-            raise _fail("thunk", expected=print_type(goal), found="thunk")
-        case DPair() if isinstance(goal, Sigma):
-            _check_data(st, d.left, goal.first)
-            with _clash("prod-right", "well-sorted use of the Sigma binder", goal.binder):
-                q = subst_data_in_pos(goal.second, goal.binder, d.left)
-            _check_data(st, d.right, q)
-        case DPair():
-            raise _fail("prod-right", expected=print_type(goal), found="pair")
-        case Inl() if isinstance(goal, Or):
-            _check_data(st, d.body, goal.left)
-        case Inr() if isinstance(goal, Or):
-            _check_data(st, d.body, goal.right)
-        case Inl() | Inr():
-            raise _fail("or-right", expected=print_type(goal),
-                        found=type(d).__name__.lower())
-        case _:
-            raise TypeError(d)
+    c, cg = type(d), type(goal)
+    if c is Thunk and cg is Down:
+        _check(st, d.body, goal.body)
+    elif c is Thunk:
+        raise _fail("thunk", expected=print_type(goal), found="thunk")
+    elif c is DPair and cg is Sigma:
+        _check_data(st, d.left, goal.first)
+        with _clash("prod-right", "well-sorted use of the Sigma binder", goal.binder):
+            q = subst_data_in_pos(goal.second, goal.binder, d.left)
+        _check_data(st, d.right, q)
+    elif c is DPair:
+        raise _fail("prod-right", expected=print_type(goal), found="pair")
+    elif c is Inl and cg is Or:
+        _check_data(st, d.body, goal.left)
+    elif c is Inr and cg is Or:
+        _check_data(st, d.body, goal.right)
+    elif c is Inl or c is Inr:
+        raise _fail("or-right", expected=print_type(goal),
+                    found=type(d).__name__.lower())
+    else:
+        raise TypeError(d)
 
 
 # ---------------------------------------------------------------------------
@@ -352,49 +351,49 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
     """Consume ``k`` against ``focus`` and check the result against ``goal``
     up to conversion; with no goal, synthesize the result instead."""
     st = st.focus_zone()
-    match k:
-        case Nil():
-            if goal is None:
-                return focus
-            if not convert(focus, goal, st.sig, st.fuel):
-                raise _fail("axiom", expected=print_type(goal),
-                            found=print_type(focus),
-                            note="types are not convertible")
-        case Cons():
-            if not isinstance(focus, Pi):
-                raise _fail("imp-left", expected="dependent product under focus",
-                            found=print_type(focus))
-            _check_data(st, k.arg, focus.arg)
-            with _clash("imp-left", "well-sorted use of the Pi binder",
-                        focus.binder):
-                res = subst_data_in_neg(focus.res, focus.binder, k.arg)
-            return _check_spine(st, res, k.rest, goal)
-        case Proj1():
-            if not isinstance(focus, With):
-                raise _fail("with-left-1", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _check_spine(st, focus.left, k.rest, goal)
-        case Proj2():
-            if not isinstance(focus, With):
-                raise _fail("with-left-2", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _check_spine(st, focus.right, k.rest, goal)
-        case Kappa():
-            if goal is None and not (isinstance(k.pat, Var) and isinstance(focus, Up)):
-                return UNKNOWN
-            if not isinstance(k.pat, Var):
-                raise _fail("dep-pattern", expected="variable binder",
-                            found="deep pattern",
-                            note="dependent mode binds variables only")
-            if not isinstance(focus, Up):
-                raise _fail("kappa", expected="shifted positive under focus",
-                            found=print_type(focus))
-            st = st.extend(k.pat.name, focus.body)
-            if goal is None:
-                return _infer_term(st, k.body)
-            _check(st, k.body, goal)
-        case _:
-            raise TypeError(k)
+    c = type(k)
+    if c is Nil:
+        if goal is None:
+            return focus
+        if not convert(focus, goal, st.sig, st.fuel):
+            raise _fail("axiom", expected=print_type(goal),
+                        found=print_type(focus),
+                        note="types are not convertible")
+    elif c is Cons:
+        if not isinstance(focus, Pi):
+            raise _fail("imp-left", expected="dependent product under focus",
+                        found=print_type(focus))
+        _check_data(st, k.arg, focus.arg)
+        with _clash("imp-left", "well-sorted use of the Pi binder",
+                    focus.binder):
+            res = subst_data_in_neg(focus.res, focus.binder, k.arg)
+        return _check_spine(st, res, k.rest, goal)
+    elif c is Proj1:
+        if not isinstance(focus, With):
+            raise _fail("with-left-1", expected="conjunction under focus",
+                        found=print_type(focus))
+        return _check_spine(st, focus.left, k.rest, goal)
+    elif c is Proj2:
+        if not isinstance(focus, With):
+            raise _fail("with-left-2", expected="conjunction under focus",
+                        found=print_type(focus))
+        return _check_spine(st, focus.right, k.rest, goal)
+    elif c is Kappa:
+        if goal is None and not (isinstance(k.pat, Var) and isinstance(focus, Up)):
+            return UNKNOWN
+        if not isinstance(k.pat, Var):
+            raise _fail("dep-pattern", expected="variable binder",
+                        found="deep pattern",
+                        note="dependent mode binds variables only")
+        if not isinstance(focus, Up):
+            raise _fail("kappa", expected="shifted positive under focus",
+                        found=print_type(focus))
+        st = st.extend(k.pat.name, focus.body)
+        if goal is None:
+            return _infer_term(st, k.body)
+        _check(st, k.body, goal)
+    else:
+        raise TypeError(k)
 
 
 # ---------------------------------------------------------------------------
@@ -403,52 +402,52 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
 def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     if _is_sigma_let(st, t) is not None:
         return UNKNOWN
-    match t:
-        case BindCut() if isinstance(t.pat, Var):
-            return _infer_term(*_var_cut(st, t.pat.name, t.data, t.body))
-        case Lam() | Split() | BindCut():
+    c = type(t)
+    if c is BindCut and type(t.pat) is Var:
+        return _infer_term(*_var_cut(st, t.pat.name, t.data, t.body))
+    elif c is Lam or c is Split or c is BindCut:
+        return UNKNOWN
+    elif c is Done:
+        _discharged(st, "done")
+        ty = _infer_data(st.focus_zone(), t.data)
+        return UNKNOWN if ty is UNKNOWN else Up(ty)
+    elif c is Pair:
+        tl = _infer_term(st, t.left)
+        tr = _infer_term(st, t.right)
+        if tl is UNKNOWN or tr is UNKNOWN:
             return UNKNOWN
-        case Done():
-            _discharged(st, "done")
-            ty = _infer_data(st.focus_zone(), t.data)
-            return UNKNOWN if ty is UNKNOWN else Up(ty)
-        case Pair():
-            tl = _infer_term(st, t.left)
-            tr = _infer_term(st, t.right)
-            if tl is UNKNOWN or tr is UNKNOWN:
-                return UNKNOWN
-            return With(tl, tr)
-        case App():
-            return _check_spine(st, _head(st, t.head), t.spine, None)
-        case AppCut():
-            # A lambda, done, pair or split under the cut is left undecided:
-            # synthesizing through it would reject programs checking accepts.
-            u = _reassociated(t.fun, t.spine)
-            return UNKNOWN if u is None else _infer_term(st, u)
+        return With(tl, tr)
+    elif c is App:
+        return _check_spine(st, _head(st, t.head), t.spine, None)
+    elif c is AppCut:
+        # A lambda, done, pair or split under the cut is left undecided:
+        # synthesizing through it would reject programs checking accepts.
+        u = _reassociated(t.fun, t.spine)
+        return UNKNOWN if u is None else _infer_term(st, u)
     raise TypeError(t)
 
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
-    match d:
-        case Thunk() if (isinstance(d.body, App) and isinstance(d.body.spine, Nil)
-                         and st.pending_index(d.body.head) is not None):
-            # Eta-injected positive hypothesis: typed by its entry.
-            return st.pending[st.pending_index(d.body.head)][1]
-        case Thunk():
-            n = _infer_term(st.focus_zone(), d.body)
-            return UNKNOWN if n is UNKNOWN else Down(n)
-        case DPair():
-            ta = _infer_data(st, d.left)
-            if ta is UNKNOWN:
-                return UNKNOWN
-            tb = _infer_data(st, d.right)
-            if tb is UNKNOWN:
-                return UNKNOWN
-            # No dependency is recoverable from the pair alone.
-            return Sigma(Name("_"), ta, tb)
-        case Inl() | Inr():
-            _infer_data(st, d.body)
+    c = type(d)
+    if (c is Thunk and type(d.body) is App and type(d.body.spine) is Nil
+            and st.pending_index(d.body.head) is not None):
+        # Eta-injected positive hypothesis: typed by its entry.
+        return st.pending[st.pending_index(d.body.head)][1]
+    elif c is Thunk:
+        n = _infer_term(st.focus_zone(), d.body)
+        return UNKNOWN if n is UNKNOWN else Down(n)
+    elif c is DPair:
+        ta = _infer_data(st, d.left)
+        if ta is UNKNOWN:
             return UNKNOWN
+        tb = _infer_data(st, d.right)
+        if tb is UNKNOWN:
+            return UNKNOWN
+        # No dependency is recoverable from the pair alone.
+        return Sigma(Name("_"), ta, tb)
+    elif c is Inl or c is Inr:
+        _infer_data(st, d.body)
+        return UNKNOWN
     raise TypeError(d)
 
 

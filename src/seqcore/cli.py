@@ -39,7 +39,7 @@ def _error(diag: Diagnostic, file: str) -> None:
 
 def _load(args: argparse.Namespace, mode: Mode) -> Program:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             source = fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(Diagnostic(

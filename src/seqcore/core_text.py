@@ -68,67 +68,67 @@ class _Printer:
         return n.text if n.tag == 0 else f"{n.text}#{n.tag}"
 
     def pattern(self, scope: dict[Name, str], p: Pattern, atom: bool = False) -> str:
-        match p:
-            case Var():
-                return self.name(scope, p.name)
-            case PWild():
-                return "_"
-            case PPair():
-                return f"({self.pattern(scope, p.left)}, {self.pattern(scope, p.right)})"
-            case POr():
-                return f"[{self.pattern(scope, p.left)}|{self.pattern(scope, p.right)}]_{self.name(scope, p.label)}"
-            case PAt():
-                s = f"{self.pattern(scope, p.left, atom=True)} @ {self.pattern(scope, p.right, atom=True)}"
-                return f"({s})" if atom else s
+        c = type(p)
+        if c is Var:
+            return self.name(scope, p.name)
+        elif c is PWild:
+            return "_"
+        elif c is PPair:
+            return f"({self.pattern(scope, p.left)}, {self.pattern(scope, p.right)})"
+        elif c is POr:
+            return f"[{self.pattern(scope, p.left)}|{self.pattern(scope, p.right)}]_{self.name(scope, p.label)}"
+        elif c is PAt:
+            s = f"{self.pattern(scope, p.left, atom=True)} @ {self.pattern(scope, p.right, atom=True)}"
+            return f"({s})" if atom else s
         raise TypeError(p)
 
     def term(self, scope: dict[Name, str], t: Term) -> str:
-        match t:
-            case Done():
-                return f"done {self.data(scope, t.data)}"
-            case Lam():
-                inner = self.bind_pattern(scope, t.pat)
-                return f"\\{self.pattern(inner, t.pat)}. {self.term(inner, t.body)}"
-            case App():
-                return f"{self.name(scope, t.head)} {self.spine(scope, t.spine)}"
-            case Pair():
-                return f"<{self.term(scope, t.left)}, {self.term(scope, t.right)}>"
-            case Split():
-                return (f"split {self.name(scope, t.label)} {{ inl -> {self.term(scope, t.left)}"
-                        f" ; inr -> {self.term(scope, t.right)} }}")
-            case BindCut():
-                inner = self.bind_pattern(scope, t.pat)
-                return (f"let {self.pattern(inner, t.pat)} = {self.data(scope, t.data)}"
-                        f" in {self.term(inner, t.body)}")
-            case AppCut():
-                return f"({self.term(scope, t.fun)}) {self.spine(scope, t.spine)}"
+        c = type(t)
+        if c is Done:
+            return f"done {self.data(scope, t.data)}"
+        elif c is Lam:
+            inner = self.bind_pattern(scope, t.pat)
+            return f"\\{self.pattern(inner, t.pat)}. {self.term(inner, t.body)}"
+        elif c is App:
+            return f"{self.name(scope, t.head)} {self.spine(scope, t.spine)}"
+        elif c is Pair:
+            return f"<{self.term(scope, t.left)}, {self.term(scope, t.right)}>"
+        elif c is Split:
+            return (f"split {self.name(scope, t.label)} {{ inl -> {self.term(scope, t.left)}"
+                    f" ; inr -> {self.term(scope, t.right)} }}")
+        elif c is BindCut:
+            inner = self.bind_pattern(scope, t.pat)
+            return (f"let {self.pattern(inner, t.pat)} = {self.data(scope, t.data)}"
+                    f" in {self.term(inner, t.body)}")
+        elif c is AppCut:
+            return f"({self.term(scope, t.fun)}) {self.spine(scope, t.spine)}"
         raise TypeError(t)
 
     def data(self, scope: dict[Name, str], d: DataVal) -> str:
-        match d:
-            case Thunk():
-                return f"thunk ({self.term(scope, d.body)})"
-            case DPair():
-                return f"({self.data(scope, d.left)}, {self.data(scope, d.right)})"
-            case Inl():
-                return f"inl {self.data(scope, d.body)}"
-            case Inr():
-                return f"inr {self.data(scope, d.body)}"
+        c = type(d)
+        if c is Thunk:
+            return f"thunk ({self.term(scope, d.body)})"
+        elif c is DPair:
+            return f"({self.data(scope, d.left)}, {self.data(scope, d.right)})"
+        elif c is Inl:
+            return f"inl {self.data(scope, d.body)}"
+        elif c is Inr:
+            return f"inr {self.data(scope, d.body)}"
         raise TypeError(d)
 
     def spine(self, scope: dict[Name, str], k: Spine) -> str:
-        match k:
-            case Nil():
-                return "[]"
-            case Cons():
-                return f"({self.data(scope, k.arg)} :: {self.spine(scope, k.rest)})"
-            case Proj1():
-                return f".1 {self.spine(scope, k.rest)}"
-            case Proj2():
-                return f".2 {self.spine(scope, k.rest)}"
-            case Kappa():
-                inner = self.bind_pattern(scope, k.pat)
-                return f"kappa {self.pattern(inner, k.pat)}. {self.term(inner, k.body)}"
+        c = type(k)
+        if c is Nil:
+            return "[]"
+        elif c is Cons:
+            return f"({self.data(scope, k.arg)} :: {self.spine(scope, k.rest)})"
+        elif c is Proj1:
+            return f".1 {self.spine(scope, k.rest)}"
+        elif c is Proj2:
+            return f".2 {self.spine(scope, k.rest)}"
+        elif c is Kappa:
+            inner = self.bind_pattern(scope, k.pat)
+            return f"kappa {self.pattern(inner, k.pat)}. {self.term(inner, k.body)}"
         raise TypeError(k)
 
 
@@ -159,42 +159,42 @@ def print_pattern(p: Pattern) -> str:
 # Type printing (diagnostics and `core` output; not parsed back)
 
 def print_neg(ty: NegType, prec: int = 0) -> str:
-    match ty:
-        case Atom():
-            if not ty.args:
-                return str(ty.name)
-            body = " ".join(f"({print_data(a)})" for a in ty.args)
-            s = f"{ty.name} {body}"
-            return f"({s})" if prec > 2 else s
-        case Up():
-            s = f"up {print_pos(ty.body, 3)}"
-            return f"({s})" if prec > 2 else s
-        case Imp():
-            s = f"{print_pos(ty.arg, 2)} -> {print_neg(ty.res, 1)}"
-            return f"({s})" if prec > 1 else s
-        case With():
-            s = f"{print_neg(ty.left, 3)} /\\ {print_neg(ty.right, 2)}"
-            return f"({s})" if prec > 2 else s
-        case Pi():
-            s = f"Pi ({ty.binder} : {print_pos(ty.arg)}). {print_neg(ty.res, 1)}"
-            return f"({s})" if prec > 1 else s
+    c = type(ty)
+    if c is Atom:
+        if not ty.args:
+            return str(ty.name)
+        body = " ".join(f"({print_data(a)})" for a in ty.args)
+        s = f"{ty.name} {body}"
+        return f"({s})" if prec > 2 else s
+    elif c is Up:
+        s = f"up {print_pos(ty.body, 3)}"
+        return f"({s})" if prec > 2 else s
+    elif c is Imp:
+        s = f"{print_pos(ty.arg, 2)} -> {print_neg(ty.res, 1)}"
+        return f"({s})" if prec > 1 else s
+    elif c is With:
+        s = f"{print_neg(ty.left, 3)} /\\ {print_neg(ty.right, 2)}"
+        return f"({s})" if prec > 2 else s
+    elif c is Pi:
+        s = f"Pi ({ty.binder} : {print_pos(ty.arg)}). {print_neg(ty.res, 1)}"
+        return f"({s})" if prec > 1 else s
     raise TypeError(ty)
 
 
 def print_pos(ty: PosType, prec: int = 0) -> str:
-    match ty:
-        case Down():
-            s = f"dn {print_neg(ty.body, 3)}"
-            return f"({s})" if prec > 2 else s
-        case Or():
-            s = f"{print_pos(ty.left, 3)} + {print_pos(ty.right, 2)}"
-            return f"({s})" if prec > 2 else s
-        case Prod():
-            s = f"{print_pos(ty.left, 3)} * {print_pos(ty.right, 2)}"
-            return f"({s})" if prec > 2 else s
-        case Sigma():
-            s = f"Sigma ({ty.binder} : {print_pos(ty.first)}). {print_pos(ty.second, 1)}"
-            return f"({s})" if prec > 1 else s
+    c = type(ty)
+    if c is Down:
+        s = f"dn {print_neg(ty.body, 3)}"
+        return f"({s})" if prec > 2 else s
+    elif c is Or:
+        s = f"{print_pos(ty.left, 3)} + {print_pos(ty.right, 2)}"
+        return f"({s})" if prec > 2 else s
+    elif c is Prod:
+        s = f"{print_pos(ty.left, 3)} * {print_pos(ty.right, 2)}"
+        return f"({s})" if prec > 2 else s
+    elif c is Sigma:
+        s = f"Sigma ({ty.binder} : {print_pos(ty.first)}). {print_pos(ty.second, 1)}"
+        return f"({s})" if prec > 1 else s
     raise TypeError(ty)
 
 

@@ -121,66 +121,67 @@ def _step_any(sig: Sig, x) -> Optional[tuple[str, object]]:
 
 
 def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
-    match x:
-        case AppCut():
-            f, k = x.fun, x.spine
-            if isinstance(k, Nil):
-                return "R4", f
-            match f:
-                case Lam() if isinstance(k, Cons):
-                    return "R1", AppCut(BindCut(f.pat, k.arg, f.body), k.rest)
-                case Done() if isinstance(k, Kappa):
-                    return "R2", BindCut(k.pat, f.data, k.body)
-                case Pair() if isinstance(k, Proj1):
-                    return "R3", AppCut(f.left, k.rest)
-                case Pair() if isinstance(k, Proj2):
-                    return "R3", AppCut(f.right, k.rest)
-                case App():
-                    return "R7", App(f.head, spine_concat(f.spine, k))
-                case AppCut():
-                    return "R7", AppCut(f.fun, spine_concat(f.spine, k))
-                case BindCut():
-                    return "R7", BindCut(f.pat, f.data, AppCut(f.body, k))
-                case Lam() | Done() | Pair():
-                    raise _StuckAt(
-                        f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
-                case Split():
-                    return None   # resolved by an enclosing or-binding
+    c = type(x)
+    if c is AppCut:
+        f, k = x.fun, x.spine
+        ck = type(k)
+        if ck is Nil:
+            return "R4", f
+        cf = type(f)
+        if cf is Lam and ck is Cons:
+            return "R1", AppCut(BindCut(f.pat, k.arg, f.body), k.rest)
+        elif cf is Done and ck is Kappa:
+            return "R2", BindCut(k.pat, f.data, k.body)
+        elif cf is Pair and ck is Proj1:
+            return "R3", AppCut(f.left, k.rest)
+        elif cf is Pair and ck is Proj2:
+            return "R3", AppCut(f.right, k.rest)
+        elif cf is App:
+            return "R7", App(f.head, spine_concat(f.spine, k))
+        elif cf is AppCut:
+            return "R7", AppCut(f.fun, spine_concat(f.spine, k))
+        elif cf is BindCut:
+            return "R7", BindCut(f.pat, f.data, AppCut(f.body, k))
+        elif cf is Lam or cf is Done or cf is Pair:
+            raise _StuckAt(
+                f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
+        elif cf is Split:
+            return None   # resolved by an enclosing or-binding
+        return None
+    elif c is BindCut:
+        p, d, b = x.pat, x.data, x.body
+        cp, cd = type(p), type(d)
+        if cp is PPair and cd is DPair:
+            return "R5", BindCut(p.left, d.left, BindCut(p.right, d.right, b))
+        elif cp is POr and cd is Inl:
+            return "R5", BindCut(p.left, d.body, select_branch(p.label, "left", b))
+        elif cp is POr and cd is Inr:
+            return "R5", BindCut(p.right, d.body, select_branch(p.label, "right", b))
+        elif cp is PAt:
+            return "R5", BindCut(p.left, d, BindCut(p.right, d, b))
+        elif cp is PWild:
+            return "R5", b
+        elif cp is Var:
+            try:
+                return "R6", subst_data_in_term(b, p.name, d)
+            except SubstClash as e:
+                raise _StuckAt(e.reason)
+        elif (cp is PPair or cp is POr) and cd is Thunk:
+            # A thunk scrutinized by a decomposing pattern is normal
+            # while its head may still compute (sigma-style lets on a
+            # variable); it is a definite clash otherwise.
+            if isinstance(d.body, (Lam, Done, Pair, Split)):
+                raise _StuckAt(
+                    f"{_pattern_shape(p)} pattern against thunk data")
             return None
-        case BindCut():
-            p, d, b = x.pat, x.data, x.body
-            match p:
-                case PPair() if isinstance(d, DPair):
-                    return "R5", BindCut(p.left, d.left, BindCut(p.right, d.right, b))
-                case POr() if isinstance(d, Inl):
-                    return "R5", BindCut(p.left, d.body, select_branch(p.label, "left", b))
-                case POr() if isinstance(d, Inr):
-                    return "R5", BindCut(p.right, d.body, select_branch(p.label, "right", b))
-                case PAt():
-                    return "R5", BindCut(p.left, d, BindCut(p.right, d, b))
-                case PWild():
-                    return "R5", b
-                case Var():
-                    try:
-                        return "R6", subst_data_in_term(b, p.name, d)
-                    except SubstClash as e:
-                        raise _StuckAt(e.reason)
-                case PPair() | POr() if isinstance(d, Thunk):
-                    # A thunk scrutinized by a decomposing pattern is normal
-                    # while its head may still compute (sigma-style lets on a
-                    # variable); it is a definite clash otherwise.
-                    if isinstance(d.body, (Lam, Done, Pair, Split)):
-                        raise _StuckAt(
-                            f"{_pattern_shape(p)} pattern against thunk data")
-                    return None
-                case _:
-                    raise _StuckAt(
-                        f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
-        case App():
-            entry = sig.lookup(x.head)
-            if entry is not None and entry.body is not None:
-                return "R7", AppCut(entry.body, x.spine)
-            return None
+        else:
+            raise _StuckAt(
+                f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
+    elif c is App:
+        entry = sig.lookup(x.head)
+        if entry is not None and entry.body is not None:
+            return "R7", AppCut(entry.body, x.spine)
+        return None
     return None
 
 

@@ -488,43 +488,43 @@ def polarize(ty: SType, sig: Sig, mode: Mode = Mode.PROP) -> NegType:
 
 
 def _neg_of(ty: SType, sig: Sig, mode: Mode) -> NegType:
-    match ty:
-        case TName():
-            if Name(ty.name) not in sig.atoms:
-                raise CompileFail(Diagnostic("atom", expected="declared atom",
-                                             found=ty.name, span=ty.span))
-            return Atom(Name(ty.name))
-        case TArrow():
-            arg = _pos_of(ty.arg, sig, mode)
-            if mode is Mode.DEP:
-                return Pi(fresh("_"), arg, _neg_of(ty.res, sig, mode))
-            return Imp(arg, _neg_of(ty.res, sig, mode))
-        case TBin() if ty.op == "/\\":
-            return With(_neg_of(ty.left, sig, mode), _neg_of(ty.right, sig, mode))
-        case TBin() | TBind() if isinstance(ty, TBin) or ty.head == "Sigma":
-            return Up(_pos_of(ty, sig, mode))
-        case TBind() if ty.head == "Pi":
-            if mode is not Mode.DEP:
-                raise CompileFail(Diagnostic("mode", expected="propositional type",
-                                             found="Pi", span=ty.span))
-            return Pi(fresh(ty.var), _pos_of(ty.arg, sig, mode), _neg_of(ty.body, sig, mode))
+    c = type(ty)
+    if c is TName:
+        if Name(ty.name) not in sig.atoms:
+            raise CompileFail(Diagnostic("atom", expected="declared atom",
+                                         found=ty.name, span=ty.span))
+        return Atom(Name(ty.name))
+    elif c is TArrow:
+        arg = _pos_of(ty.arg, sig, mode)
+        if mode is Mode.DEP:
+            return Pi(fresh("_"), arg, _neg_of(ty.res, sig, mode))
+        return Imp(arg, _neg_of(ty.res, sig, mode))
+    elif c is TBin and ty.op == "/\\":
+        return With(_neg_of(ty.left, sig, mode), _neg_of(ty.right, sig, mode))
+    elif c is TBin or (c is TBind and ty.head == "Sigma"):
+        return Up(_pos_of(ty, sig, mode))
+    elif c is TBind and ty.head == "Pi":
+        if mode is not Mode.DEP:
+            raise CompileFail(Diagnostic("mode", expected="propositional type",
+                                         found="Pi", span=ty.span))
+        return Pi(fresh(ty.var), _pos_of(ty.arg, sig, mode), _neg_of(ty.body, sig, mode))
     raise TypeError(ty)
 
 
 def _pos_of(ty: SType, sig: Sig, mode: Mode) -> PosType:
-    match ty:
-        case TBin() if ty.op == "+":
-            return Or(_pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode))
-        case TBin() if ty.op == "*":
-            pl, pr = _pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode)
-            return Sigma(fresh("_"), pl, pr) if mode is Mode.DEP else Prod(pl, pr)
-        case TBind() if ty.head == "Sigma":
-            if mode is not Mode.DEP:
-                raise CompileFail(Diagnostic("mode", expected="propositional type",
-                                             found="Sigma", span=ty.span))
-            return Sigma(fresh(ty.var), _pos_of(ty.arg, sig, mode), _pos_of(ty.body, sig, mode))
-        case _:
-            return Down(_neg_of(ty, sig, mode))
+    c = type(ty)
+    if c is TBin and ty.op == "+":
+        return Or(_pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode))
+    elif c is TBin and ty.op == "*":
+        pl, pr = _pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode)
+        return Sigma(fresh("_"), pl, pr) if mode is Mode.DEP else Prod(pl, pr)
+    elif c is TBind and ty.head == "Sigma":
+        if mode is not Mode.DEP:
+            raise CompileFail(Diagnostic("mode", expected="propositional type",
+                                         found="Sigma", span=ty.span))
+        return Sigma(fresh(ty.var), _pos_of(ty.arg, sig, mode), _pos_of(ty.body, sig, mode))
+    else:
+        return Down(_neg_of(ty, sig, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -629,68 +629,68 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
                 span=next(iter(plain.values())).span))
         return PWild()
 
-    match ty:
-        case Down():
-            return _fuse_down(fz, path, ty.body, peeled)
-        case Or():
-            if fz.mode is Mode.DEP and path not in fz.pos_var:
-                fz.pos_var[path] = fresh("s")
-            w = fresh("w")
-            fz.labels[path] = w
-            left: dict[int, Optional[SPat]] = {}
-            right: dict[int, Optional[SPat]] = {}
-            for cid, sp in plain.items():
-                match sp:
-                    case PInlS():
-                        left[cid] = sp.pat
-                    case PInrS():
-                        right[cid] = sp.pat
-                    case None | PVarS() | PWildS():
-                        left[cid] = None
-                        right[cid] = None
-                    case _:
-                        raise CompileFail(Diagnostic(
-                            "pattern", expected="injection or variable at a sum type",
-                            found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
-            if fz.mode is Mode.DEP:
-                # Branches rebind the scrutinee at the refined type.
-                fz.pos_var[path + ("inl",)] = fz.pos_var[path]
-                fz.pos_var[path + ("inr",)] = fz.pos_var[path]
-            fl = _fuse(fz, path + ("inl",), ty.left, left)
-            fr = _fuse(fz, path + ("inr",), ty.right, right)
-            _bind_composites(fz, path, ty, peeled)
-            return POr(w, fl, fr)
-        case Prod() | Sigma():
-            fst_ty, snd_ty = children(ty)
-            lefts: dict[int, Optional[SPat]] = {}
-            rights: dict[int, Optional[SPat]] = {}
-            for cid, sp in plain.items():
-                match sp:
-                    case PPairS():
-                        lefts[cid] = sp.left
-                        rights[cid] = sp.right
-                    case None | PVarS() | PWildS():
-                        lefts[cid] = None
-                        rights[cid] = None
-                    case _:
-                        raise CompileFail(Diagnostic(
-                            "pattern", expected="pair or variable at a product type",
-                            found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
-            if fz.mode is Mode.DEP:
-                base = fz.pos_var.setdefault(path, fresh("s"))
-                fz.pos_var[path + ("fst",)] = fresh(
-                    _var_text(lefts.values(), base.text + "1"))
-                fz.pos_var[path + ("snd",)] = fresh(
-                    _var_text(rights.values(), base.text + "2"))
-            fl = _fuse(fz, path + ("fst",), fst_ty, lefts)
-            if isinstance(ty, Sigma):
-                # Only a dependent type has a Sigma: the first component's
-                # scrutinee variable stands for its binder.
-                snd_ty = subst_data_in_pos(
-                    snd_ty, ty.binder, eta(fz.pos_var[path + ("fst",)]))
-            fr = _fuse(fz, path + ("snd",), snd_ty, rights)
-            _bind_composites(fz, path, ty, peeled)
-            return PPair(fl, fr)
+    c = type(ty)
+    if c is Down:
+        return _fuse_down(fz, path, ty.body, peeled)
+    elif c is Or:
+        if fz.mode is Mode.DEP and path not in fz.pos_var:
+            fz.pos_var[path] = fresh("s")
+        w = fresh("w")
+        fz.labels[path] = w
+        left: dict[int, Optional[SPat]] = {}
+        right: dict[int, Optional[SPat]] = {}
+        for cid, sp in plain.items():
+            cs = type(sp)
+            if cs is PInlS:
+                left[cid] = sp.pat
+            elif cs is PInrS:
+                right[cid] = sp.pat
+            elif sp is None or cs is PVarS or cs is PWildS:
+                left[cid] = None
+                right[cid] = None
+            else:
+                raise CompileFail(Diagnostic(
+                    "pattern", expected="injection or variable at a sum type",
+                    found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
+        if fz.mode is Mode.DEP:
+            # Branches rebind the scrutinee at the refined type.
+            fz.pos_var[path + ("inl",)] = fz.pos_var[path]
+            fz.pos_var[path + ("inr",)] = fz.pos_var[path]
+        fl = _fuse(fz, path + ("inl",), ty.left, left)
+        fr = _fuse(fz, path + ("inr",), ty.right, right)
+        _bind_composites(fz, path, ty, peeled)
+        return POr(w, fl, fr)
+    elif c is Prod or c is Sigma:
+        fst_ty, snd_ty = children(ty)
+        lefts: dict[int, Optional[SPat]] = {}
+        rights: dict[int, Optional[SPat]] = {}
+        for cid, sp in plain.items():
+            cs = type(sp)
+            if cs is PPairS:
+                lefts[cid] = sp.left
+                rights[cid] = sp.right
+            elif sp is None or cs is PVarS or cs is PWildS:
+                lefts[cid] = None
+                rights[cid] = None
+            else:
+                raise CompileFail(Diagnostic(
+                    "pattern", expected="pair or variable at a product type",
+                    found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
+        if fz.mode is Mode.DEP:
+            base = fz.pos_var.setdefault(path, fresh("s"))
+            fz.pos_var[path + ("fst",)] = fresh(
+                _var_text(lefts.values(), base.text + "1"))
+            fz.pos_var[path + ("snd",)] = fresh(
+                _var_text(rights.values(), base.text + "2"))
+        fl = _fuse(fz, path + ("fst",), fst_ty, lefts)
+        if isinstance(ty, Sigma):
+            # Only a dependent type has a Sigma: the first component's
+            # scrutinee variable stands for its binder.
+            snd_ty = subst_data_in_pos(
+                snd_ty, ty.binder, eta(fz.pos_var[path + ("fst",)]))
+        fr = _fuse(fz, path + ("snd",), snd_ty, rights)
+        _bind_composites(fz, path, ty, peeled)
+        return PPair(fl, fr)
     raise CompileFail(Diagnostic("pattern", expected="positive argument type",
                                  found=print_type(ty), span=fz.span))
 
@@ -751,13 +751,13 @@ def _spat_shape(p: SPat) -> str:
 
 
 def _spat_span(p: SPat, default: Span) -> Span:
-    match p:
-        case PVarS() | PWildS() | PAsS():
-            return p.span
-        case PPairS():
-            return _spat_span(p.left, default)
-        case PInlS() | PInrS():
-            return _spat_span(p.pat, default)
+    c = type(p)
+    if c is PVarS or c is PWildS or c is PAsS:
+        return p.span
+    elif c is PPairS:
+        return _spat_span(p.left, default)
+    elif c is PInlS or c is PInrS:
+        return _spat_span(p.pat, default)
     return default
 
 
@@ -780,28 +780,28 @@ def _build_tree(fz: _Fusion, decl: SurfaceDecl,
             overlap = overlap or len(live) > 1
             return Leaf(live[0])
         (path, node), rest = nodes[0], nodes[1:]
-        match node:
-            case POr():
-                sides = []
-                for step, sub, other in (("inl", node.left, PInrS), ("inr", node.right, PInlS)):
-                    # A clause with the other injection here cannot match.
-                    live_s = [c for c in live if not isinstance(
-                        fz.clause_pat.get((c, path)), other)]
-                    if not live_s:
-                        raise CompileFail(Diagnostic(
-                            "coverage", expected="exhaustive clauses",
-                            found="missing case: " + _missing_case(
-                                decl.name, len(fused), path, step),
-                            span=decl.span))
-                    sides.append(walk([(path + (step,), sub)] + rest, live_s))
-                return SplitNode(path, *sides)
-            case PPair():
-                sub = [(path + ("fst",), node.left), (path + ("snd",), node.right)] + rest
-                return PairNode(path, walk(sub, live))
-            case PAt():
-                return walk([(path, node.right)] + rest, live)
-            case _:
-                return walk(rest, live)
+        cn = type(node)
+        if cn is POr:
+            sides = []
+            for step, sub, other in (("inl", node.left, PInrS), ("inr", node.right, PInlS)):
+                # A clause with the other injection here cannot match.
+                live_s = [c for c in live if not isinstance(
+                    fz.clause_pat.get((c, path)), other)]
+                if not live_s:
+                    raise CompileFail(Diagnostic(
+                        "coverage", expected="exhaustive clauses",
+                        found="missing case: " + _missing_case(
+                            decl.name, len(fused), path, step),
+                        span=decl.span))
+                sides.append(walk([(path + (step,), sub)] + rest, live_s))
+            return SplitNode(path, *sides)
+        elif cn is PPair:
+            sub = [(path + ("fst",), node.left), (path + ("snd",), node.right)] + rest
+            return PairNode(path, walk(sub, live))
+        elif cn is PAt:
+            return walk([(path, node.right)] + rest, live)
+        else:
+            return walk(rest, live)
 
     try:
         tree = walk([((i,), f) for i, f in enumerate(fused)],
@@ -852,49 +852,49 @@ class _Emitter:
         self.matched: dict[tuple[int, int], tuple] = {}
 
     def emit(self, tree: CaseTree) -> Term:
-        match tree:
-            case Leaf():
-                return self._rhs_term(tree.clause, self.decl.clauses[tree.clause].rhs, self.result)
-            case SplitNode():
-                path = tree.path
-                self.choices[path] = "left"
-                tl = self.emit(tree.left)
-                self.choices[path] = "right"
-                tr = self.emit(tree.right)
-                del self.choices[path]
-                if self.mode is Mode.DEP:
-                    return Split(self.fz.pos_var[path], tl, tr)
-                return Split(self.fz.labels[path], tl, tr)
-            case PairNode():
-                path = tree.path
-                sub = self.emit(tree.sub)
-                if self.mode is Mode.DEP:
-                    y = self.fz.pos_var[path + ("fst",)]
-                    z = self.fz.pos_var[path + ("snd",)]
-                    return BindCut(PPair(Var(y), Var(z)),
-                                   eta(self.fz.pos_var[path]), sub)
-                return sub
+        c = type(tree)
+        if c is Leaf:
+            return self._rhs_term(tree.clause, self.decl.clauses[tree.clause].rhs, self.result)
+        elif c is SplitNode:
+            path = tree.path
+            self.choices[path] = "left"
+            tl = self.emit(tree.left)
+            self.choices[path] = "right"
+            tr = self.emit(tree.right)
+            del self.choices[path]
+            if self.mode is Mode.DEP:
+                return Split(self.fz.pos_var[path], tl, tr)
+            return Split(self.fz.labels[path], tl, tr)
+        elif c is PairNode:
+            path = tree.path
+            sub = self.emit(tree.sub)
+            if self.mode is Mode.DEP:
+                y = self.fz.pos_var[path + ("fst",)]
+                z = self.fz.pos_var[path + ("snd",)]
+                return BindCut(PPair(Var(y), Var(z)),
+                               eta(self.fz.pos_var[path]), sub)
+            return sub
         raise AssertionError(tree)
 
     # reconstruction of a composite position as data, under current choices
 
     def _recon(self, path: tuple) -> DataVal:
         ty = self.fz.pos_types[path]
-        match ty:
-            case Down():
-                return eta(self.fz.pos_var[path])
-            case Or():
-                side = self.choices.get(path)
-                if side == "left":
-                    return Inl(self._recon(path + ("inl",)))
-                if side == "right":
-                    return Inr(self._recon(path + ("inr",)))
-                raise CompileFail(Diagnostic(
-                    "pattern", expected="resolved sum position",
-                    found="unresolved or-position", span=self.decl.span))
-            case Prod() | Sigma():
-                return DPair(self._recon(path + ("fst",)),
-                             self._recon(path + ("snd",)))
+        c = type(ty)
+        if c is Down:
+            return eta(self.fz.pos_var[path])
+        elif c is Or:
+            side = self.choices.get(path)
+            if side == "left":
+                return Inl(self._recon(path + ("inl",)))
+            if side == "right":
+                return Inr(self._recon(path + ("inr",)))
+            raise CompileFail(Diagnostic(
+                "pattern", expected="resolved sum position",
+                found="unresolved or-position", span=self.decl.span))
+        elif c is Prod or c is Sigma:
+            return DPair(self._recon(path + ("fst",)),
+                         self._recon(path + ("snd",)))
         raise TypeError(ty)
 
     # expressions
@@ -916,14 +916,14 @@ class _Emitter:
         return alpha_eq(a, b)
 
     def _rhs_term(self, cid: int, e: SExpr, goal: NegType) -> Term:
-        match goal:
-            case Up():
-                return Done(self._rhs_data(cid, e, goal.body))
-            case With() if isinstance(e, EPair):
-                return Pair(self._rhs_term(cid, e.left, goal.left),
-                            self._rhs_term(cid, e.right, goal.right))
-            case _:
-                return self._app_term(cid, e, goal)
+        c = type(goal)
+        if c is Up:
+            return Done(self._rhs_data(cid, e, goal.body))
+        elif c is With and type(e) is EPair:
+            return Pair(self._rhs_term(cid, e.left, goal.left),
+                        self._rhs_term(cid, e.right, goal.right))
+        else:
+            return self._app_term(cid, e, goal)
 
     def _app_term(self, cid: int, e: SExpr, goal: NegType) -> Term:
         if not isinstance(e, EApp):
@@ -938,18 +938,18 @@ class _Emitter:
         cur = b.type
         parts: list[DataVal] = []
         for arg in e.args:
-            match cur:
-                case Imp():
-                    parts.append(self._rhs_data(cid, arg, cur.arg))
-                    cur = cur.res
-                case Pi():
-                    d = self._rhs_data(cid, arg, cur.arg)
-                    parts.append(d)
-                    cur = subst_data_in_neg(cur.res, cur.binder, d)
-                case _:
-                    raise CompileFail(Diagnostic(
-                        "arity", expected="function taking more arguments",
-                        found=e.head, span=e.span))
+            c = type(cur)
+            if c is Imp:
+                parts.append(self._rhs_data(cid, arg, cur.arg))
+                cur = cur.res
+            elif c is Pi:
+                d = self._rhs_data(cid, arg, cur.arg)
+                parts.append(d)
+                cur = subst_data_in_neg(cur.res, cur.binder, d)
+            else:
+                raise CompileFail(Diagnostic(
+                    "arity", expected="function taking more arguments",
+                    found=e.head, span=e.span))
         if not self._types_match(cur, goal):
             raise CompileFail(Diagnostic(
                 "type", expected=print_type(goal), found=print_type(cur),
@@ -970,20 +970,20 @@ class _Emitter:
                             span=e.span))
                     self.matched[id(b.type), id(p)] = (b.type, p)
                 return self._recon(b.path)
-        match p:
-            case Down():
-                return Thunk(self._rhs_term(cid, e, p.body))
-            case Or() if isinstance(e, EInl):
-                return Inl(self._rhs_data(cid, e.body, p.left))
-            case Or() if isinstance(e, EInr):
-                return Inr(self._rhs_data(cid, e.body, p.right))
-            case Prod() if isinstance(e, EPair):
-                return DPair(self._rhs_data(cid, e.left, p.left),
-                             self._rhs_data(cid, e.right, p.right))
-            case Sigma() if isinstance(e, EPair):
-                da = self._rhs_data(cid, e.left, p.first)
-                return DPair(da, self._rhs_data(
-                    cid, e.right, subst_data_in_pos(p.second, p.binder, da)))
+        c = type(p)
+        if c is Down:
+            return Thunk(self._rhs_term(cid, e, p.body))
+        elif c is Or and type(e) is EInl:
+            return Inl(self._rhs_data(cid, e.body, p.left))
+        elif c is Or and type(e) is EInr:
+            return Inr(self._rhs_data(cid, e.body, p.right))
+        elif c is Prod and type(e) is EPair:
+            return DPair(self._rhs_data(cid, e.left, p.left),
+                         self._rhs_data(cid, e.right, p.right))
+        elif c is Sigma and type(e) is EPair:
+            da = self._rhs_data(cid, e.left, p.first)
+            return DPair(da, self._rhs_data(
+                cid, e.right, subst_data_in_pos(p.second, p.binder, da)))
         raise CompileFail(Diagnostic(
             "type", expected=print_type(p), found=_sexpr_shape(e),
             span=_sexpr_span(e, self.decl.span)))
@@ -1036,21 +1036,21 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
     arg_types: list[PosType] = []
     result = ty
     for i in range(arity):
-        match result:
-            case Pi():
-                # A Pi binder is visible in later argument types; the
-                # scrutinee variable doubles as that binder.
-                v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
-                                    f"a{i + 1}"))
-                fz.pos_var[(i,)] = v
-                a = result.arg
-                result = subst_data_in_neg(result.res, result.binder, eta(v))
-            case Imp():
-                a, result = result.arg, result.res
-            case _:
-                raise CompileFail(Diagnostic(
-                    "arity", expected="enough arrows in the declared type",
-                    found=f"{arity} clause pattern(s)", span=decl.span))
+        c = type(result)
+        if c is Pi:
+            # A Pi binder is visible in later argument types; the
+            # scrutinee variable doubles as that binder.
+            v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
+                                f"a{i + 1}"))
+            fz.pos_var[(i,)] = v
+            a = result.arg
+            result = subst_data_in_neg(result.res, result.binder, eta(v))
+        elif c is Imp:
+            a, result = result.arg, result.res
+        else:
+            raise CompileFail(Diagnostic(
+                "arity", expected="enough arrows in the declared type",
+                found=f"{arity} clause pattern(s)", span=decl.span))
         arg_types.append(a)
 
     fused: list[Pattern] = []
@@ -1216,24 +1216,24 @@ class _Pretty:
         return cand
 
     def _pattern_hole(self, p: Pattern) -> _Hole:
-        match p:
-            case Var():
-                h = _Hole("var", p.name)
-                self.holes[p.name] = h
-                return h
-            case PWild():
-                return _Hole("wild")
-            case PPair():
-                return _Hole("pair", subs=(self._pattern_hole(p.left),
-                                           self._pattern_hole(p.right)))
-            case POr():
-                h = _Hole("or", p.label, (self._pattern_hole(p.left), self._pattern_hole(p.right)))
-                self.holes[p.label] = h
-                return h
-            case PAt() if isinstance(p.left, Var):
-                h = _Hole("at", p.left.name, (self._pattern_hole(p.right),))
-                self.holes[p.left.name] = h
-                return h
+        c = type(p)
+        if c is Var:
+            h = _Hole("var", p.name)
+            self.holes[p.name] = h
+            return h
+        elif c is PWild:
+            return _Hole("wild")
+        elif c is PPair:
+            return _Hole("pair", subs=(self._pattern_hole(p.left),
+                                       self._pattern_hole(p.right)))
+        elif c is POr:
+            h = _Hole("or", p.label, (self._pattern_hole(p.left), self._pattern_hole(p.right)))
+            self.holes[p.label] = h
+            return h
+        elif c is PAt and type(p.left) is Var:
+            h = _Hole("at", p.left.name, (self._pattern_hole(p.right),))
+            self.holes[p.left.name] = h
+            return h
         raise _Unrenderable()
 
     def lines(self) -> list[str]:
@@ -1242,82 +1242,82 @@ class _Pretty:
         return rows
 
     def _walk(self, t: Term, rows: list[str]) -> None:
-        match t:
-            case Split() if t.label in self.holes and self.holes[t.label].kind == "or":
-                hole = self.holes[t.label]
-                saved = (hole.kind, hole.name, hole.subs)
-                hole.kind, subs = "inl", hole.subs
-                hole.subs = (subs[0],)
-                self._walk(t.left, rows)
-                hole.kind = "inr"
-                hole.subs = (subs[1],)
-                self._walk(t.right, rows)
-                hole.kind, hole.name, hole.subs = saved
-            case Split() if t.label in self.holes and self.holes[t.label].kind == "var":
-                x = t.label
-                hole = self.holes[x]
-                sub = _Hole("var", x)
-                saved = (hole.kind, hole.name, hole.subs)
-                hole.kind, hole.name, hole.subs = "inl", None, (sub,)
-                self.holes[x] = sub
-                self._walk(t.left, rows)
-                hole.kind = "inr"
-                self._walk(t.right, rows)
-                hole.kind, hole.name, hole.subs = saved
-                self.holes[x] = hole
-            case BindCut() if (
-                    isinstance(p := t.pat, PPair) and isinstance(p.left, Var)
-                    and isinstance(p.right, Var) and isinstance(d := t.data, Thunk)
-                    and isinstance(d.body, App) and isinstance(d.body.spine, Nil)
-                    and d.body.head in self.holes and self.holes[d.body.head].kind == "var"):
-                hole = self.holes[d.body.head]
-                y, z = p.left.name, p.right.name
-                hy, hz = _Hole("var", y), _Hole("var", z)
-                saved = (hole.kind, hole.name, hole.subs)
-                hole.kind, hole.name, hole.subs = "pair", None, (hy, hz)
-                self.holes[y] = hy
-                self.holes[z] = hz
-                self._walk(t.body, rows)
-                hole.kind, hole.name, hole.subs = saved
-            case _:
-                lhs = " ".join(h.render(self.disp, atom=True)
-                               for h in self.args)
-                rhs = self._expr(t)
-                head = f"{self.label} {lhs}".rstrip()
-                rows.append(f"{head} = {rhs}")
+        c = type(t)
+        if c is Split and t.label in self.holes and self.holes[t.label].kind == "or":
+            hole = self.holes[t.label]
+            saved = (hole.kind, hole.name, hole.subs)
+            hole.kind, subs = "inl", hole.subs
+            hole.subs = (subs[0],)
+            self._walk(t.left, rows)
+            hole.kind = "inr"
+            hole.subs = (subs[1],)
+            self._walk(t.right, rows)
+            hole.kind, hole.name, hole.subs = saved
+        elif c is Split and t.label in self.holes and self.holes[t.label].kind == "var":
+            x = t.label
+            hole = self.holes[x]
+            sub = _Hole("var", x)
+            saved = (hole.kind, hole.name, hole.subs)
+            hole.kind, hole.name, hole.subs = "inl", None, (sub,)
+            self.holes[x] = sub
+            self._walk(t.left, rows)
+            hole.kind = "inr"
+            self._walk(t.right, rows)
+            hole.kind, hole.name, hole.subs = saved
+            self.holes[x] = hole
+        elif (c is BindCut and type(p := t.pat) is PPair
+              and type(p.left) is Var and type(p.right) is Var
+              and type(d := t.data) is Thunk and type(d.body) is App
+              and type(d.body.spine) is Nil
+              and d.body.head in self.holes and self.holes[d.body.head].kind == "var"):
+            hole = self.holes[d.body.head]
+            y, z = p.left.name, p.right.name
+            hy, hz = _Hole("var", y), _Hole("var", z)
+            saved = (hole.kind, hole.name, hole.subs)
+            hole.kind, hole.name, hole.subs = "pair", None, (hy, hz)
+            self.holes[y] = hy
+            self.holes[z] = hz
+            self._walk(t.body, rows)
+            hole.kind, hole.name, hole.subs = saved
+        else:
+            lhs = " ".join(h.render(self.disp, atom=True)
+                           for h in self.args)
+            rhs = self._expr(t)
+            head = f"{self.label} {lhs}".rstrip()
+            rows.append(f"{head} = {rhs}")
 
     def _expr(self, t: Term) -> str:
-        match t:
-            case App() if isinstance(t.spine, Nil):
-                return self.disp(t.head)
-            case App():
-                parts, k = [], t.spine
-                while isinstance(k, Cons):
-                    parts.append(self._data(k.arg, atom=True))
-                    k = k.rest
-                if not isinstance(k, Nil):
-                    raise _Unrenderable()
-                return " ".join([self.disp(t.head)] + parts)
-            case Done():
-                return self._data(t.data)
-            case Pair():
-                return f"({self._expr(t.left)}, {self._expr(t.right)})"
-            case _:
+        c = type(t)
+        if c is App and type(t.spine) is Nil:
+            return self.disp(t.head)
+        elif c is App:
+            parts, k = [], t.spine
+            while isinstance(k, Cons):
+                parts.append(self._data(k.arg, atom=True))
+                k = k.rest
+            if not isinstance(k, Nil):
                 raise _Unrenderable()
+            return " ".join([self.disp(t.head)] + parts)
+        elif c is Done:
+            return self._data(t.data)
+        elif c is Pair:
+            return f"({self._expr(t.left)}, {self._expr(t.right)})"
+        else:
+            raise _Unrenderable()
 
     def _data(self, d: DataVal, atom: bool = False) -> str:
-        match d:
-            case Thunk() if isinstance(d.body, App) and isinstance(d.body.spine, Nil):
-                return self.disp(d.body.head)
-            case Thunk():
-                s = self._expr(d.body)
-                return f"({s})" if (atom and " " in s) else s
-            case DPair():
-                return f"({self._data(d.left)}, {self._data(d.right)})"
-            case Inl():
-                s = f"inl {self._data(d.body, atom=True)}"
-                return f"({s})" if atom else s
-            case Inr():
-                s = f"inr {self._data(d.body, atom=True)}"
-                return f"({s})" if atom else s
+        c = type(d)
+        if c is Thunk and type(d.body) is App and type(d.body.spine) is Nil:
+            return self.disp(d.body.head)
+        elif c is Thunk:
+            s = self._expr(d.body)
+            return f"({s})" if (atom and " " in s) else s
+        elif c is DPair:
+            return f"({self._data(d.left)}, {self._data(d.right)})"
+        elif c is Inl:
+            s = f"inl {self._data(d.body, atom=True)}"
+            return f"({s})" if atom else s
+        elif c is Inr:
+            s = f"inr {self._data(d.body, atom=True)}"
+            return f"({s})" if atom else s
         raise _Unrenderable()

@@ -438,64 +438,64 @@ def well_formed_neg(ty: NegType, sig: Sig, mode: Mode,
     """True iff ``ty`` respects the mode's grammar, all atoms are declared and
     all data arguments are well-scoped.  Total; failures are appended to
     ``problems`` when a list is supplied."""
-    match ty:
-        case Atom():
-            ok = True
-            if ty.name not in sig.atoms:
-                ok = _problem(problems, Diagnostic(
-                    "atom", expected="declared atom", found=str(ty.name)))
-            if ty.args and mode is Mode.PROP:
-                ok = _problem(problems, Diagnostic(
-                    "mode", expected="unindexed atom in propositional mode",
-                    found=f"{ty.name} with {len(ty.args)} argument(s)"))
-            for a in ty.args:
-                for v in free_names(a):
-                    if v not in scope and v not in sig._index:
-                        ok = _problem(problems, Diagnostic(
-                            "scope", expected="variable in scope",
-                            found=str(v)))
-            return ok
-        case Up():
-            return well_formed_pos(ty.body, sig, mode, scope, problems)
-        case Imp():
-            if mode is not Mode.PROP:
-                return _problem(problems, Diagnostic(
-                    "mode", expected="Pi in dependent mode", found="->"))
-            left = well_formed_pos(ty.arg, sig, mode, scope, problems)
-            return well_formed_neg(ty.res, sig, mode, scope, problems) and left
-        case With():
-            left = well_formed_neg(ty.left, sig, mode, scope, problems)
-            return well_formed_neg(ty.right, sig, mode, scope, problems) and left
-        case Pi():
-            if mode is not Mode.DEP:
-                return _problem(problems, Diagnostic(
-                    "mode", expected="-> in propositional mode", found="Pi"))
-            left = well_formed_pos(ty.arg, sig, mode, scope, problems)
-            return well_formed_neg(ty.res, sig, mode, scope | {ty.binder}, problems) and left
+    c = type(ty)
+    if c is Atom:
+        ok = True
+        if ty.name not in sig.atoms:
+            ok = _problem(problems, Diagnostic(
+                "atom", expected="declared atom", found=str(ty.name)))
+        if ty.args and mode is Mode.PROP:
+            ok = _problem(problems, Diagnostic(
+                "mode", expected="unindexed atom in propositional mode",
+                found=f"{ty.name} with {len(ty.args)} argument(s)"))
+        for a in ty.args:
+            for v in free_names(a):
+                if v not in scope and v not in sig._index:
+                    ok = _problem(problems, Diagnostic(
+                        "scope", expected="variable in scope",
+                        found=str(v)))
+        return ok
+    elif c is Up:
+        return well_formed_pos(ty.body, sig, mode, scope, problems)
+    elif c is Imp:
+        if mode is not Mode.PROP:
+            return _problem(problems, Diagnostic(
+                "mode", expected="Pi in dependent mode", found="->"))
+        left = well_formed_pos(ty.arg, sig, mode, scope, problems)
+        return well_formed_neg(ty.res, sig, mode, scope, problems) and left
+    elif c is With:
+        left = well_formed_neg(ty.left, sig, mode, scope, problems)
+        return well_formed_neg(ty.right, sig, mode, scope, problems) and left
+    elif c is Pi:
+        if mode is not Mode.DEP:
+            return _problem(problems, Diagnostic(
+                "mode", expected="-> in propositional mode", found="Pi"))
+        left = well_formed_pos(ty.arg, sig, mode, scope, problems)
+        return well_formed_neg(ty.res, sig, mode, scope | {ty.binder}, problems) and left
     raise TypeError(ty)
 
 
 def well_formed_pos(ty: PosType, sig: Sig, mode: Mode,
                     scope: frozenset[Name] = frozenset(),
                     problems: Optional[list] = None) -> bool:
-    match ty:
-        case Down():
-            return well_formed_neg(ty.body, sig, mode, scope, problems)
-        case Or():
-            left = well_formed_pos(ty.left, sig, mode, scope, problems)
-            return well_formed_pos(ty.right, sig, mode, scope, problems) and left
-        case Prod():
-            if mode is not Mode.PROP:
-                return _problem(problems, Diagnostic(
-                    "mode", expected="Sigma in dependent mode", found="*"))
-            left = well_formed_pos(ty.left, sig, mode, scope, problems)
-            return well_formed_pos(ty.right, sig, mode, scope, problems) and left
-        case Sigma():
-            if mode is not Mode.DEP:
-                return _problem(problems, Diagnostic(
-                    "mode", expected="* in propositional mode", found="Sigma"))
-            left = well_formed_pos(ty.first, sig, mode, scope, problems)
-            return well_formed_pos(ty.second, sig, mode, scope | {ty.binder}, problems) and left
+    c = type(ty)
+    if c is Down:
+        return well_formed_neg(ty.body, sig, mode, scope, problems)
+    elif c is Or:
+        left = well_formed_pos(ty.left, sig, mode, scope, problems)
+        return well_formed_pos(ty.right, sig, mode, scope, problems) and left
+    elif c is Prod:
+        if mode is not Mode.PROP:
+            return _problem(problems, Diagnostic(
+                "mode", expected="Sigma in dependent mode", found="*"))
+        left = well_formed_pos(ty.left, sig, mode, scope, problems)
+        return well_formed_pos(ty.right, sig, mode, scope, problems) and left
+    elif c is Sigma:
+        if mode is not Mode.DEP:
+            return _problem(problems, Diagnostic(
+                "mode", expected="* in propositional mode", found="Sigma"))
+        left = well_formed_pos(ty.first, sig, mode, scope, problems)
+        return well_formed_pos(ty.second, sig, mode, scope | {ty.binder}, problems) and left
     raise TypeError(ty)
 
 
@@ -667,29 +667,29 @@ def subst_data(x, v: Name, d: DataVal):
     fvd = None   # free_names(d), computed at the first binder
 
     def visit(x):
-        match x:
-            case App() if x.head == v:
-                k = rewrite(x.spine, visit, under)
-                if isinstance(d, Thunk):
-                    return AppCut(d.body, k)
-                raise SubstClash(
-                    f"substituting non-thunk data for applied variable {v}")
-            case Split() if x.label == v:
-                # A sum-typed variable under scrutiny: the branches see v
-                # refined to the payload.
-                match d:
-                    case Inl():
-                        return subst_data(x.left, v, d.body)
-                    case Inr():
-                        return subst_data(x.right, v, d.body)
-                    case Thunk() if isinstance(d.body, App) and isinstance(d.body.spine, Nil):
-                        y = d.body.head
-                        return Split(y, rename(x.left, {v: y}), rename(x.right, {v: y}))
-                raise SubstClash(
-                    f"substituting non-injection data for split variable {v}")
-            case Thunk() if (isinstance(x.body, App) and isinstance(x.body.spine, Nil)
-                             and x.body.head == v):
-                return d
+        c = type(x)
+        if c is App and x.head == v:
+            k = rewrite(x.spine, visit, under)
+            if isinstance(d, Thunk):
+                return AppCut(d.body, k)
+            raise SubstClash(
+                f"substituting non-thunk data for applied variable {v}")
+        elif c is Split and x.label == v:
+            # A sum-typed variable under scrutiny: the branches see v
+            # refined to the payload.
+            cd = type(d)
+            if cd is Inl:
+                return subst_data(x.left, v, d.body)
+            elif cd is Inr:
+                return subst_data(x.right, v, d.body)
+            elif cd is Thunk and type(d.body) is App and type(d.body.spine) is Nil:
+                y = d.body.head
+                return Split(y, rename(x.left, {v: y}), rename(x.right, {v: y}))
+            raise SubstClash(
+                f"substituting non-injection data for split variable {v}")
+        elif (c is Thunk and type(x.body) is App and type(x.body.spine) is Nil
+              and x.body.head == v):
+            return d
         return None
 
     def under(binder, body):
@@ -737,21 +737,21 @@ class MatchFail:
 def match_pattern(pat: Pattern, data: DataVal) -> Union[Match, MatchFail]:
     """Decompose ``data`` according to the shape of ``pat``."""
     branches: tuple[tuple[Name, str], ...] = ()
-    match pat:
-        case Var():
-            return Match(((pat.name, data),))
-        case PWild():
-            return Match(())
-        case PAt():
-            parts = ((pat.left, data), (pat.right, data))
-        case PPair() if isinstance(data, DPair):
-            parts = ((pat.left, data.left), (pat.right, data.right))
-        case POr() if isinstance(data, Inl):
-            parts, branches = ((pat.left, data.body),), ((pat.label, "left"),)
-        case POr() if isinstance(data, Inr):
-            parts, branches = ((pat.right, data.body),), ((pat.label, "right"),)
-        case _:
-            return MatchFail("constructor does not fit pattern shape", pat, data)
+    c = type(pat)
+    if c is Var:
+        return Match(((pat.name, data),))
+    elif c is PWild:
+        return Match(())
+    elif c is PAt:
+        parts = ((pat.left, data), (pat.right, data))
+    elif c is PPair and type(data) is DPair:
+        parts = ((pat.left, data.left), (pat.right, data.right))
+    elif c is POr and type(data) is Inl:
+        parts, branches = ((pat.left, data.body),), ((pat.label, "left"),)
+    elif c is POr and type(data) is Inr:
+        parts, branches = ((pat.right, data.body),), ((pat.label, "right"),)
+    else:
+        return MatchFail("constructor does not fit pattern shape", pat, data)
     bindings: tuple[tuple[Name, DataVal], ...] = ()
     for p, d in parts:
         sub = match_pattern(p, d)
@@ -768,17 +768,17 @@ def match_pattern(pat: Pattern, data: DataVal) -> Union[Match, MatchFail]:
 def spine_concat(front: Spine, back: Spine) -> Spine:
     """Concatenation of application contexts.  A kappa terminator absorbs the
     remaining arguments into an application cut on its body."""
-    match front:
-        case Nil():
-            return back
-        case Cons():
-            return Cons(front.arg, spine_concat(front.rest, back))
-        case Proj1():
-            return Proj1(spine_concat(front.rest, back))
-        case Proj2():
-            return Proj2(spine_concat(front.rest, back))
-        case Kappa():
-            return Kappa(front.pat, AppCut(front.body, back))
+    c = type(front)
+    if c is Nil:
+        return back
+    elif c is Cons:
+        return Cons(front.arg, spine_concat(front.rest, back))
+    elif c is Proj1:
+        return Proj1(spine_concat(front.rest, back))
+    elif c is Proj2:
+        return Proj2(spine_concat(front.rest, back))
+    elif c is Kappa:
+        return Kappa(front.pat, AppCut(front.body, back))
     raise TypeError(front)
 
 

@@ -92,6 +92,35 @@ class TestCheck:
         assert err == (f"ERROR parse at {bad}:0:0: expected UTF-8 text, "
                        f"found {found}\n")
 
+    @pytest.mark.parametrize("argv, text", [
+        (["check"], (PROGRAMS / "f.seq").read_text("utf-8")),
+        (["check"], "atom a\npostulate c : a\ng : a -> a\ng x = c c\n"),
+        (["check"], "atom a\ng : ->\n"),
+        (["core"], (PROGRAMS / "sums.seq").read_text("utf-8")),
+    ], ids=["ok", "type-error", "parse-error", "core"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, argv, text):
+        # A UTF-8 byte-order mark at the start of the file changes nothing:
+        # not the output, not the exit code, not an error's position.
+        path = tmp_path / "p.seq"
+        path.write_bytes(text.encode("utf-8"))
+        plain = run(capsys, argv[0], str(path), *argv[1:])
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert run(capsys, argv[0], str(path), *argv[1:]) == plain
+
+    @pytest.mark.parametrize("data, at", [
+        (b"atom a\n\xef\xbb\xbfpostulate c : a\n", "2:1"),
+        (b"atom a\npostulate c :\xef\xbb\xbf a\n", "2:14"),
+        (b"\xef\xbb\xbf\xef\xbb\xbfatom a\n", "1:1"),
+    ], ids=["line-start", "mid-line", "second-mark"])
+    def test_byte_order_mark_elsewhere_is_a_parse_error(self, capsys, tmp_path,
+                                                        data, at):
+        path = tmp_path / "p.seq"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR parse at {path}:{at}: expected token, "
+                       "found '\\ufeff'\n")
+
     def test_structural_flag(self, capsys):
         path = str(PROGRAMS / "wild.seq")
         code, _, err = run(capsys, "check", path)

@@ -1,6 +1,7 @@
 """Kernel syntax: well-formedness, substitution, matching, spines, alpha."""
 
 import ast
+import importlib
 import pathlib
 import random
 
@@ -667,12 +668,13 @@ class TestSigIndex:
 
 
 class TestMatchPatterns:
-    """Every ``match`` in ``src/seqcore`` has one subject, and its class
-    patterns capture nothing: a case names the class, a guard tests any
-    other value's class, and the code reads fields by name.  On CPython a
-    class pattern with sub-patterns looks up ``__match_args__`` and fetches
-    each field on every match, several times the cost of ``isinstance``
-    and an attribute read, and the kernel's walks match once per node."""
+    """The kernel selects a rule by the exact class of a node: it reads
+    ``type(x)`` once and tests it with ``is`` against each class in turn,
+    in place of a ``match`` statement.  On CPython each class pattern costs
+    several ``isinstance`` tests, and the kernel's walks dispatch once per
+    node.  ``type(x) is C`` selects what the pattern ``C()`` selected
+    because no record class has a subclass.  Should a ``match`` come back,
+    it must still have one subject and capture nothing."""
 
     SOURCES = sorted(pathlib.Path(seqcore.__file__).parent.glob("*.py"))
 
@@ -695,6 +697,25 @@ class TestMatchPatterns:
     def test_one_subject(self):
         assert self.offenders(lambda n: isinstance(n, ast.Match)
                               and isinstance(n.subject, ast.Tuple)) == []
+
+    def test_no_match_statements(self):
+        assert self.offenders(lambda n: isinstance(n, ast.Match)) == []
+
+    def test_records_are_final(self):
+        def made_by_record(x) -> bool:
+            # record compiles the __init__ it gives a class from "<record>".
+            init = vars(x).get("__init__") if isinstance(x, type) else None
+            return getattr(getattr(init, "__code__", None), "co_filename",
+                           None) == "<record>"
+
+        records = {x for path in self.SOURCES
+                   for x in vars(importlib.import_module(
+                       f"seqcore.{path.stem}")).values()
+                   if made_by_record(x)}
+        assert {c.__name__ for c in records} >= {
+            "Lam", "Thunk", "Kappa", "Sigma", "TBin", "PVarS", "Leaf",
+            "SigEntry", "Name"}
+        assert [c.__qualname__ for c in records if c.__subclasses__()] == []
 
 
 class TestAcyclic:
