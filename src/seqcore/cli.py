@@ -9,13 +9,16 @@ Diagnostics go to stderr, results to stdout.
 values are immutable trees built bottom-up, and the kernel's walks free
 their recursive closures when they return, so ``main`` leaves no reference
 cycles for the collector to find; the tests check this on every example
-program.
+program.  It also numbers fresh names from 1 in each call, as a new process
+does, so a call prints the same ``_#n`` binders whatever ran before it in
+the process; the caller's numbering resumes afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import os
 import sys
 from typing import Optional
@@ -26,6 +29,7 @@ from .core_text import print_term, print_type
 from .diag import Diagnostic, ParseError, Span
 from .reduce import FuelExhausted, normalize, trace
 from .surface import CompileFail, Program, compile_argument, load_program
+from . import syntax
 from .syntax import App, Cons, Imp, Mode, Nil, Pi, Term
 
 __all__ = ["main", "entry"]
@@ -186,6 +190,8 @@ def entry(argv: Optional[list[str]] = None) -> int:
         return 4
     enabled = gc.isenabled()
     gc.disable()
+    counter = syntax._fresh_counter
+    syntax._fresh_counter = itertools.count(1)
     try:
         code = main(ns)
         sys.stdout.flush()   # a closed pipe must fail here, not at exit
@@ -204,6 +210,7 @@ def entry(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 5
     finally:
+        syntax._fresh_counter = counter
         if enabled:
             gc.enable()
 

@@ -490,10 +490,11 @@ def polarize(ty: SType, sig: Sig, mode: Mode = Mode.PROP) -> NegType:
 def _neg_of(ty: SType, sig: Sig, mode: Mode) -> NegType:
     c = type(ty)
     if c is TName:
-        if Name(ty.name) not in sig.atoms:
+        name = Name(ty.name)
+        if name not in sig.atoms:
             raise CompileFail(Diagnostic("atom", expected="declared atom",
                                          found=ty.name, span=ty.span))
-        return Atom(Name(ty.name))
+        return Atom(name)
     elif c is TArrow:
         arg = _pos_of(ty.arg, sig, mode)
         if mode is Mode.DEP:
@@ -905,7 +906,7 @@ class _Emitter:
             return b
         entry = self.sig.lookup(Name(head))
         if entry is not None:
-            return _VarB(Name(head), entry.type)
+            return _VarB(entry.name, entry.type)
         raise CompileFail(Diagnostic(
             "unbound", expected="bound variable or declared name",
             found=head, span=span))

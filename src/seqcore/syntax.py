@@ -72,11 +72,16 @@ __all__ = [
 _fresh_counter = itertools.count(1)
 
 
-@record
-class Name:
+class Name(NamedTuple):
     """An identifier.  Parsed binders get a globally fresh integer tag so that
     substitution can regenerate binders without capture; hand-built terms may
-    use the default tag 0."""
+    use the default tag 0.
+
+    A named tuple, so ``==`` and the hash run in C: every layer compares and
+    hashes names.  The hash is ``hash((text, tag))``, as for a record with
+    these two fields.  A name equals the plain tuple ``(text, tag)``; no dict
+    or set in the kernel holds both (the clause compiler's position paths,
+    the only other tuple keys, start with an int)."""
 
     text: str
     tag: int = 0
@@ -148,27 +153,62 @@ class PosType:
     __slots__ = ()
 
 
+# Every type node keeps in ``_vars`` the names a substitution could replace
+# in it: the free names of its atoms' arguments, less the names the ``Pi``
+# and ``Sigma`` binders above them bind.  It is set when the node is built,
+# from its children, so ``subst_data`` returns a type without them at once.
+# Types the front end builds carry no data: theirs is this shared set.
+_NO_VARS: frozenset = frozenset()
+
+
+def _gather_vars(self) -> None:
+    """``__post_init__`` of the type nodes other than ``Atom``: ``_vars`` is
+    the union of the children's, less the binder in the last child's."""
+    lay = self.layout
+    *first, last = lay.children(self)
+    names = last._vars
+    if names and lay.binder is not None:
+        names = names - {getattr(self, lay.binder)}
+    if first and first[0]._vars:
+        names = first[0]._vars | names
+    if names:
+        object.__setattr__(self, "_vars", names)
+
+
 @_node("*args", ref="name")
 class Atom(NegType):
     name: Name
     args: tuple["DataVal", ...] = ()
+    _vars: frozenset = _NO_VARS
+
+    def __post_init__(self) -> None:
+        if self.args:
+            names = frozenset().union(*map(free_names, self.args))
+            if names:
+                object.__setattr__(self, "_vars", names)
 
 
 @_node("body")
 class Up(NegType):
     body: PosType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("arg", "res")
 class Imp(NegType):
     arg: PosType
     res: NegType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("left", "right")
 class With(NegType):
     left: NegType
     right: NegType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("arg", "res", binder="binder")
@@ -176,23 +216,31 @@ class Pi(NegType):
     binder: Name
     arg: PosType
     res: NegType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("body")
 class Down(PosType):
     body: NegType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("left", "right")
 class Or(PosType):
     left: PosType
     right: PosType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("left", "right")
 class Prod(PosType):
     left: PosType
     right: PosType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 @_node("first", "second", binder="binder")
@@ -200,6 +248,8 @@ class Sigma(PosType):
     binder: Name
     first: PosType
     second: PosType
+    _vars: frozenset = _NO_VARS
+    __post_init__ = _gather_vars
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +713,10 @@ def subst_data(x, v: Name, d: DataVal):
     (atom arguments included) collapse to ``d`` itself, and a ``Split``
     labeled ``v`` (a sum-typed variable being scrutinized) selects its branch
     when ``d`` is an injection.  A binder of ``v`` shadows it; binders that
-    would capture a free name of ``d`` are regenerated fresh."""
+    would capture a free name of ``d`` are regenerated fresh.  A type whose
+    ``_vars`` lacks ``v`` is returned as it is."""
+    if isinstance(x, (NegType, PosType)) and v not in x._vars:
+        return x
     fvd = None   # free_names(d), computed at the first binder
 
     def visit(x):

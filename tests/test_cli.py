@@ -394,6 +394,21 @@ class TestFreshProcess:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == 0 and out == "ok (8 declarations)\n"
 
+    def test_fresh_names_do_not_depend_on_earlier_calls(self, capsys):
+        # Dependent mode names each binder with a fresh tag; every call
+        # numbers from 1, as a new process does, and the caller's numbering
+        # resumes afterwards.
+        from seqcore.syntax import fresh
+        argv = ["core", str(PROGRAMS / "swap_dep.seq"), "--dependent"]
+        before = fresh("x").tag
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert fresh("x").tag == before + 1
+        proc = subprocess.run([sys.executable, "-m", "seqcore.cli", *argv],
+                              env=self.ENV, capture_output=True, text=True,
+                              timeout=60)
+        assert first == second == (proc.returncode, proc.stdout, proc.stderr)
+        assert first[0] == 0 and "Pi (_#1 : dn a)" in first[1]
+
     def test_import_leaves_heavy_stdlib_modules_out(self):
         code = ("import sys; before = set(sys.modules); import seqcore.cli; "
                 "print(sorted({'dataclasses', 'inspect'} & "

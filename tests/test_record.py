@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from seqcore import record as record_module
-from seqcore.syntax import Sig
+from seqcore.syntax import Name, Sig
 
 SRC = pathlib.Path(record_module.__file__).parent
 MODULES = ["syntax", "diag", "surface", "check", "check_dep", "reduce",
@@ -84,7 +84,10 @@ FROZEN = {cls for cls, frozen, _ in DECLARED if frozen}
 
 
 def twin(v):
-    """``v`` with every record in it replaced by its twin."""
+    """``v`` with every record in it replaced by its twin.  A ``Name`` is a
+    named tuple, not a record: it is left as it is."""
+    if type(v) is Name:
+        return v
     t = TWINS.get(type(v))
     if t is not None:
         return t(**{f.name: twin(getattr(v, f.name))
@@ -165,7 +168,7 @@ def instances():
 
 
 def test_every_record_is_declared_and_caught(instances):
-    assert len(RECORDS) == 69
+    assert len(RECORDS) == 68
     missing = [c.__name__ for c, xs in instances.items() if not xs]
     assert not missing, missing
 

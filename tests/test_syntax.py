@@ -16,7 +16,7 @@ from seqcore.syntax import (
     Proj1, Proj2, PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
     alpha_eq, children, eta, free_names, fresh, is_cut_free, match_pattern,
     pattern_linear, pattern_vars, rename, size, spine_concat, subst_data,
-    subst_data_in_neg, well_formed_neg, well_formed_pos,
+    subst_data_in_neg, well_formed_neg, well_formed_pos, with_children,
 )
 
 A = Atom(Name("a"))
@@ -564,6 +564,120 @@ class TestBinderScoping:
         assert cuts > 0
 
 
+def _ref_vars(ty) -> frozenset:
+    """The names a substitution could replace in type ``ty``, recomputed
+    from ``free_names``: those of its atoms' arguments, less the names bound
+    by the ``Pi`` and ``Sigma`` binders above them."""
+    if type(ty) is Atom:
+        return frozenset().union(*map(free_names, ty.args))
+    kids = [_ref_vars(k) for k in children(ty)]
+    if type(ty) in (Pi, Sigma):
+        kids[-1] = kids[-1] - {ty.binder}
+    return frozenset().union(*kids)
+
+
+def _indexed(ty, arg, x):
+    """``ty`` with each ``Imp`` a ``Pi`` and each ``Prod`` a ``Sigma`` that
+    binds ``x``, and each atom indexed by ``arg`` and ``eta(x)``."""
+    c = type(ty)
+    if c is Atom:
+        return Atom(ty.name, (arg, eta(x)))
+    kids = [_indexed(k, arg, x) for k in children(ty)]
+    if c is Imp:
+        return Pi(x, *kids)
+    if c is Prod:
+        return Sigma(x, *kids)
+    return with_children(ty, kids)
+
+
+def _type_nodes(ty):
+    """``ty`` and its type subtrees; atom arguments are data."""
+    yield ty
+    if type(ty) is not Atom:
+        for k in children(ty):
+            yield from _type_nodes(k)
+
+
+def _walked(ty, v, d):
+    """``subst_data``'s full walk on ``ty``: a copy of ``ty`` whose top
+    node's ``_vars`` names ``v``, so the shortcut does not apply."""
+    copy = with_children(ty, children(ty))
+    object.__setattr__(copy, "_vars", copy._vars | {v})
+    return subst_data(copy, v, d)
+
+
+class TestClosedTypes:
+    """``subst_data`` returns a type at once when ``v`` is not in its
+    ``_vars``; every type node computes ``_vars`` from its children when it
+    is built.  Both are checked against the simple paths: ``_vars`` against
+    a recomputation from ``free_names``, the shortcut against the full
+    walk, on every subtree of each type."""
+
+    D = Thunk(App(Name("q"), Nil()))
+
+    def check(self, ty, names) -> int:
+        """Checks each subtree of ``ty`` against each name; returns how
+        many substitutions changed a type."""
+        changed = 0
+        for sub in _type_nodes(ty):
+            assert sub._vars == _ref_vars(sub), sub
+            for v in names:
+                fast, slow = subst_data(sub, v, self.D), _walked(sub, v, self.D)
+                assert fast == slow, (sub, v)
+                assert fast._vars == _ref_vars(fast)
+                if v not in sub._vars:
+                    assert fast is sub
+                changed += fast != sub
+        return changed
+
+    def test_front_end_types_share_the_empty_set(self):
+        from seqcore.surface import load_program
+        from seqcore.syntax import _NO_VARS
+        src = ("atom a\npostulate f : (a + a) * a -> a\n"
+               "postulate g : (a /\\ (a -> a)) -> a\n")
+        dep = "postulate h : Pi (x : a). (Sigma (p : a) . a + a) -> a\n"
+        for mode, text in ((Mode.PROP, src), (Mode.DEP, src + dep)):
+            for decl in load_program(text, "t.seq", mode).decls:
+                if decl.type is not None:
+                    assert all(sub._vars is _NO_VARS
+                               for sub in _type_nodes(decl.type))
+
+    def test_hand_built_types_with_arguments(self):
+        x, y, z, b, P = (Name(s) for s in ("x", "y", "z", "b", "P"))
+        h = Name("h")
+        lam = Thunk(Lam(Var(y), App(h, Cons(eta(y), Cons(eta(x), Nil())))))
+        split = Thunk(Split(z, App(x, Nil()), App(y, Nil())))
+        types = [
+            Atom(b, (eta(y),)),
+            Pi(y, Down(Atom(b, (eta(y),))), Atom(P, (eta(y), eta(x)))),
+            Pi(x, Down(Atom(P, (lam,))), Up(Sigma(
+                y, Down(Atom(b, (eta(x), split))),
+                Or(Down(Atom(P, (eta(y),))), Down(Atom(b, (Inl(eta(z)),))))))),
+            With(Atom(P, (DPair(eta(x), eta(z)),)),
+                 Imp(Prod(Down(Atom(b)), Down(Atom(P, (eta(z),)))), Atom(b))),
+            Sigma(z, Down(Atom(P, (split,))), Down(Atom(P, (eta(z),)))),
+        ]
+        changed = sum(self.check(ty, (x, y, z, h, b, P)) for ty in types)
+        assert changed > 0
+        assert Pi(y, Down(Atom(b)), Atom(P, (eta(y),)))._vars == frozenset()
+        assert Atom(P, (lam,))._vars == {h, x}
+
+    @pytest.mark.parametrize("count, max_size, seed, structural",
+                             SCOPING_CORPORA)
+    def test_corpus_goals_indexed_by_their_terms(
+            self, count, max_size, seed, structural):
+        from gen_corpus import generate_corpus
+        _, corpus = generate_corpus(count, max_size, seed=seed,
+                                    structural=structural)
+        x = Name("x")
+        changed = 0
+        for t, goal in corpus[:60]:
+            ty = _indexed(goal, Thunk(t), x)
+            names = {x, Name("absent")} | free_names(t) | _binders_of(t)
+            changed += self.check(ty, sorted(names, key=str))
+        assert changed > 0
+
+
 class TestLayout:
     def test_every_node_class_lays_out_each_field_once(self):
         from seqcore import syntax
@@ -577,7 +691,9 @@ class TestLayout:
         for cls in nodes:
             lay = cls.layout
             leads = [f for f in (lay.ref, lay.bind, lay.binder) if f]
-            fields = tuple(cls.__annotations__)
+            # Hidden fields (``_vars`` of the types) are not laid out.
+            fields = tuple(f for f in cls.__annotations__
+                           if not f.startswith("_"))
             # Each field once, at most one leading field, and it comes first.
             assert len(leads) <= 1 and tuple(leads) + lay.kids == fields, cls
             assert lay.lead == (leads[0] if leads else None), cls
@@ -714,8 +830,33 @@ class TestMatchPatterns:
                    if made_by_record(x)}
         assert {c.__name__ for c in records} >= {
             "Lam", "Thunk", "Kappa", "Sigma", "TBin", "PVarS", "Leaf",
-            "SigEntry", "Name"}
+            "SigEntry"}
         assert [c.__qualname__ for c in records if c.__subclasses__()] == []
+        # Name is a named tuple, not a record; it is final too.
+        assert Name.__subclasses__() == []
+
+
+class TestName:
+    """``Name`` is a named tuple: compared and hashed in C, with the hash,
+    ``repr`` and fields a record of ``text`` and ``tag`` had."""
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        for n in (Name("x"), Name("x", 3), fresh("_"), Name("")):
+            assert hash(n) == hash((n.text, n.tag))
+        assert Name("x") == Name("x", 0) and Name("x") != Name("x", 1)
+
+    def test_repr_and_fields(self):
+        assert repr(Name("x")) == "Name(text='x', tag=0)"
+        assert repr(Name("s", 12)) == "Name(text='s', tag=12)"
+        assert Name.__match_args__ == ("text", "tag")
+        assert (str(Name("x")), str(Name("x", 7))) == ("x", "x#7")
+
+    def test_assignment_is_refused(self):
+        n = Name("x")
+        for field in ("text", "tag", "other"):
+            with pytest.raises(AttributeError):
+                setattr(n, field, "y")
+        assert n == Name("x")
 
 
 class TestAcyclic:
