@@ -15,18 +15,16 @@ from .syntax import (
     DataVal, Thunk, DPair, Inl, Inr,
     Spine, Nil, Cons, Proj1, Proj2, Kappa,
     Sig, SigEntry, eta,
-    well_formed_neg, well_formed_pos, match_pattern, Match, MatchFail,
+    well_formed_neg, well_formed_pos,
     spine_concat, select_branch, alpha_eq, size, is_cut_free,
     subst_data_in_term, subst_data_in_neg, subst_data_in_pos,
 )
 from .diag import Diagnostic, Span, CheckError, ParseError
 from .check import check_term, check_data, check_spine, infer_term, UNKNOWN
 from .check_dep import dep_check_term, dep_check_spine, dep_bind_cut, convert, DepCtx
-from .reduce import (step, normalize, trace, StepResult, Stepped, NormalForm,
-                     Stuck, NormalizeResult, FuelExhausted)
-from .core_text import (print_term, print_data, print_pattern, parse_term,
-                        print_type)
-from .surface import (parse, polarize, compile_clauses, pretty_equations,
-                      load_program, Program, CompileFail)
+from .reduce import normalize, trace, NormalizeResult, FuelExhausted
+from .core_text import print_term, print_data, print_pattern, print_type
+from .surface import (parse, polarize, compile_clauses, load_program, Program,
+                      CompileFail)
 
 __version__ = "0.1.0"

@@ -20,11 +20,13 @@ R7  spine concatenation ``(x k1) k2 ~> x (k1 @ k2)`` (likewise on an inner
     application cut), the commuting cut ``(let p = d in t) k ~> let p = d in
     (t k)``, and delta-unfolding of signature definitions at applied names
 
-Postulate-headed applications are normal forms, not failures; ``Stuck`` is
-reserved for evaluation states no well-typed term reaches (a function applied
-to a projection, pair data against an or-pattern, and similar shape clashes).
+Postulate-headed applications are normal forms, not failures; a stuck result
+is reserved for evaluation states no well-typed term reaches (a function
+applied to a projection, pair data against an or-pattern, and similar shape
+clashes).
 
-``step`` searches from the root on every call and is the reference.
+The reference, a ``step`` that searches from the root on every call, lives
+with the tests (``tests/step_reference.py``) and reuses ``_step_root``.
 ``normalize`` and ``trace`` take the same steps in one preorder walk
 (refocusing, Danvy & Nielsen, BRICS RS-04-26, 2004).  A rule rewrites only
 the subtree at the redex, and everything left of it is already normal, so
@@ -51,28 +53,7 @@ from .syntax import (
     subst_data_in_term, with_children,
 )
 
-__all__ = ["StepResult", "Stepped", "NormalForm", "Stuck", "step",
-           "normalize", "trace", "NormalizeResult", "FuelExhausted"]
-
-
-class StepResult:
-    __slots__ = ()
-
-
-@record
-class Stepped(StepResult):
-    next: Term
-    rule: str
-
-
-@record
-class NormalForm(StepResult):
-    pass
-
-
-@record
-class Stuck(StepResult):
-    reason: str
+__all__ = ["normalize", "trace", "NormalizeResult", "FuelExhausted"]
 
 
 @record
@@ -92,32 +73,6 @@ class FuelExhausted(SeqcoreError):
 class _StuckAt(Exception):
     def __init__(self, reason: str):
         self.reason = reason
-
-
-def step(sig: Sig, t: Term) -> StepResult:
-    """Apply exactly one rule at the leftmost-outermost redex."""
-    try:
-        hit = _step_any(sig, t)
-    except _StuckAt as s:
-        return Stuck(s.reason)
-    if hit is None:
-        return NormalForm()
-    rule, t2 = hit
-    return Stepped(t2, rule)
-
-
-def _step_any(sig: Sig, x) -> Optional[tuple[str, object]]:
-    """One step at node ``x`` or inside it; None if no redex."""
-    root = _step_root(sig, x)
-    if root is not None:
-        return root
-    kids = children(x)
-    for i, child in enumerate(kids):
-        hit = _step_any(sig, child)
-        if hit is not None:
-            rule, new_child = hit
-            return rule, with_children(x, _put(kids, i, new_child))
-    return None
 
 
 def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:

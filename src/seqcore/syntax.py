@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from .diag import Diagnostic
 from .record import record
@@ -63,7 +63,6 @@ __all__ = [
     "free_names", "rename", "freshen_pattern", "subst_data",
     "subst_data_in_term", "subst_data_in_spine",
     "subst_data_in_neg", "subst_data_in_pos",
-    "Match", "MatchFail", "match_pattern",
     "spine_concat", "select_branch", "alpha_eq", "size", "is_cut_free",
     "SubstClash",
 ]
@@ -766,53 +765,6 @@ def subst_data(x, v: Name, d: DataVal):
 # One substitution serves every sort; the names say what the caller holds.
 subst_data_in_term = subst_data_in_spine = subst_data
 subst_data_in_neg = subst_data_in_pos = subst_data
-
-
-# ---------------------------------------------------------------------------
-# Pattern matching (data decomposition)
-
-@record
-class Match:
-    """Successful decomposition: bindings in pattern order, plus the branch
-    each or-label took (needed to resolve the corresponding splits)."""
-
-    bindings: tuple[tuple[Name, DataVal], ...]
-    branches: tuple[tuple[Name, str], ...] = ()
-
-
-@record
-class MatchFail:
-    reason: str
-    pattern: Pattern
-    data: DataVal
-
-
-def match_pattern(pat: Pattern, data: DataVal) -> Union[Match, MatchFail]:
-    """Decompose ``data`` according to the shape of ``pat``."""
-    branches: tuple[tuple[Name, str], ...] = ()
-    c = type(pat)
-    if c is Var:
-        return Match(((pat.name, data),))
-    elif c is PWild:
-        return Match(())
-    elif c is PAt:
-        parts = ((pat.left, data), (pat.right, data))
-    elif c is PPair and type(data) is DPair:
-        parts = ((pat.left, data.left), (pat.right, data.right))
-    elif c is POr and type(data) is Inl:
-        parts, branches = ((pat.left, data.body),), ((pat.label, "left"),)
-    elif c is POr and type(data) is Inr:
-        parts, branches = ((pat.right, data.body),), ((pat.label, "right"),)
-    else:
-        return MatchFail("constructor does not fit pattern shape", pat, data)
-    bindings: tuple[tuple[Name, DataVal], ...] = ()
-    for p, d in parts:
-        sub = match_pattern(p, d)
-        if isinstance(sub, MatchFail):
-            return sub
-        bindings += sub.bindings
-        branches += sub.branches
-    return Match(bindings, branches)
 
 
 # ---------------------------------------------------------------------------

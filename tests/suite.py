@@ -1,16 +1,23 @@
-"""Shared fixtures: the example program suite and common signatures."""
+"""Shared fixtures: the example program suite, common signatures, and the
+equation printer that reads a compiled program back as surface text."""
 
 from __future__ import annotations
 
 import gc
 import pathlib
+from typing import Optional
 
 from reference import ArgPool, enumerate_data
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
+from seqcore.core_text import print_term
+from seqcore.record import record
 from seqcore.surface import Program, load_program, parse
-from seqcore.syntax import (App, Atom, Cons, Down, Imp, Mode, Name, Nil, Pi,
-                            Sig, SigEntry, subst_data_in_neg)
+from seqcore.syntax import (
+    App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl, Inr, Lam,
+    Mode, Name, NegType, Nil, Pair, Pattern, PAt, Pi, POr, PPair, PWild, Sig,
+    SigEntry, Split, Term, Thunk, Var, subst_data_in_neg,
+)
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
@@ -122,9 +129,188 @@ def tiny_sig() -> Sig:
                 SigEntry(Name("f"), Imp(Down(a), a))))
 
 
+def pretty_equations(name, t: Term, ty: NegType) -> str:
+    """Reconstruct equations from a compiled term: one equation per split
+    leaf.  Terms outside the lambda/split image print as a single
+    ``name = <core term>`` line."""
+    label = name.text if isinstance(name, Name) else str(name)
+    try:
+        return "\n".join(_Pretty(label, t, ty).lines())
+    except _Unrenderable:
+        return f"{label} = {print_term(t)}"
+
+
+class _Unrenderable(Exception):
+    pass
+
+
+@record(frozen=False)
+class _Hole:
+    """A pattern position being rebuilt while walking the body."""
+
+    kind: str                  # "var" | "pair" | "inl" | "inr" | "wild" | "at"
+    name: Optional[Name] = None
+    subs: tuple = ()
+
+    def render(self, disp, atom: bool = False) -> str:
+        if self.kind == "var":
+            return disp(self.name)
+        if self.kind == "wild":
+            return "_"
+        if self.kind == "pair":
+            return f"({self.subs[0].render(disp)}, {self.subs[1].render(disp)})"
+        if self.kind == "at":
+            return f"{disp(self.name)}@{self.subs[0].render(disp, atom=True)}"
+        if self.kind == "or":
+            # An or-position the body never splits on: outside the
+            # equational image.
+            raise _Unrenderable()
+        s = f"{self.kind} {self.subs[0].render(disp, atom=True)}"
+        return f"({s})" if atom else s
+
+
+class _Pretty:
+    def __init__(self, label: str, t: Term, ty: NegType):
+        self.label = label
+        self.names: dict[Name, str] = {}
+        self.taken: set[str] = set()
+        self.args: list[_Hole] = []
+        self.holes: dict[Name, _Hole] = {}   # binder -> its hole
+        body = t
+        cur = ty
+        while isinstance(body, Lam) and isinstance(cur, (Imp, Pi)):
+            hole = self._pattern_hole(body.pat)
+            self.args.append(hole)
+            body = body.body
+            cur = cur.res
+        if isinstance(body, Lam):
+            raise _Unrenderable()
+        self.result = cur
+        self.body = body
+
+    def disp(self, n: Name) -> str:
+        if n in self.names:
+            return self.names[n]
+        base = n.text or "v"
+        cand = base
+        i = 2
+        while cand in self.taken:
+            cand = f"{base}_{i}"
+            i += 1
+        self.names[n] = cand
+        self.taken.add(cand)
+        return cand
+
+    def _pattern_hole(self, p: Pattern) -> _Hole:
+        c = type(p)
+        if c is Var:
+            h = _Hole("var", p.name)
+            self.holes[p.name] = h
+            return h
+        elif c is PWild:
+            return _Hole("wild")
+        elif c is PPair:
+            return _Hole("pair", subs=(self._pattern_hole(p.left),
+                                       self._pattern_hole(p.right)))
+        elif c is POr:
+            h = _Hole("or", p.label, (self._pattern_hole(p.left), self._pattern_hole(p.right)))
+            self.holes[p.label] = h
+            return h
+        elif c is PAt and type(p.left) is Var:
+            h = _Hole("at", p.left.name, (self._pattern_hole(p.right),))
+            self.holes[p.left.name] = h
+            return h
+        raise _Unrenderable()
+
+    def lines(self) -> list[str]:
+        rows: list[str] = []
+        self._walk(self.body, rows)
+        return rows
+
+    def _walk(self, t: Term, rows: list[str]) -> None:
+        c = type(t)
+        if c is Split and t.label in self.holes and self.holes[t.label].kind == "or":
+            hole = self.holes[t.label]
+            saved = (hole.kind, hole.name, hole.subs)
+            hole.kind, subs = "inl", hole.subs
+            hole.subs = (subs[0],)
+            self._walk(t.left, rows)
+            hole.kind = "inr"
+            hole.subs = (subs[1],)
+            self._walk(t.right, rows)
+            hole.kind, hole.name, hole.subs = saved
+        elif c is Split and t.label in self.holes and self.holes[t.label].kind == "var":
+            x = t.label
+            hole = self.holes[x]
+            sub = _Hole("var", x)
+            saved = (hole.kind, hole.name, hole.subs)
+            hole.kind, hole.name, hole.subs = "inl", None, (sub,)
+            self.holes[x] = sub
+            self._walk(t.left, rows)
+            hole.kind = "inr"
+            self._walk(t.right, rows)
+            hole.kind, hole.name, hole.subs = saved
+            self.holes[x] = hole
+        elif (c is BindCut and type(p := t.pat) is PPair
+              and type(p.left) is Var and type(p.right) is Var
+              and type(d := t.data) is Thunk and type(d.body) is App
+              and type(d.body.spine) is Nil
+              and d.body.head in self.holes and self.holes[d.body.head].kind == "var"):
+            hole = self.holes[d.body.head]
+            y, z = p.left.name, p.right.name
+            hy, hz = _Hole("var", y), _Hole("var", z)
+            saved = (hole.kind, hole.name, hole.subs)
+            hole.kind, hole.name, hole.subs = "pair", None, (hy, hz)
+            self.holes[y] = hy
+            self.holes[z] = hz
+            self._walk(t.body, rows)
+            hole.kind, hole.name, hole.subs = saved
+        else:
+            lhs = " ".join(h.render(self.disp, atom=True)
+                           for h in self.args)
+            rhs = self._expr(t)
+            head = f"{self.label} {lhs}".rstrip()
+            rows.append(f"{head} = {rhs}")
+
+    def _expr(self, t: Term) -> str:
+        c = type(t)
+        if c is App and type(t.spine) is Nil:
+            return self.disp(t.head)
+        elif c is App:
+            parts, k = [], t.spine
+            while isinstance(k, Cons):
+                parts.append(self._data(k.arg, atom=True))
+                k = k.rest
+            if not isinstance(k, Nil):
+                raise _Unrenderable()
+            return " ".join([self.disp(t.head)] + parts)
+        elif c is Done:
+            return self._data(t.data)
+        elif c is Pair:
+            return f"({self._expr(t.left)}, {self._expr(t.right)})"
+        else:
+            raise _Unrenderable()
+
+    def _data(self, d: DataVal, atom: bool = False) -> str:
+        c = type(d)
+        if c is Thunk and type(d.body) is App and type(d.body.spine) is Nil:
+            return self.disp(d.body.head)
+        elif c is Thunk:
+            s = self._expr(d.body)
+            return f"({s})" if (atom and " " in s) else s
+        elif c is DPair:
+            return f"({self._data(d.left)}, {self._data(d.right)})"
+        elif c is Inl:
+            s = f"inl {self._data(d.body, atom=True)}"
+            return f"({s})" if atom else s
+        elif c is Inr:
+            s = f"inr {self._data(d.body, atom=True)}"
+            return f"({s})" if atom else s
+        raise _Unrenderable()
+
+
 def render_program(prog: Program) -> str:
     """Program back in surface syntax, one equation per split leaf."""
-    from seqcore.surface import pretty_equations
     out = []
     for d in prog.decls:
         if d.kind == "atom":

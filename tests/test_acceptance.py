@@ -10,13 +10,15 @@ import pytest
 
 from suite import (SUITE, check_program, entry_applications, load,
                    render_program, source)
+from core_reader import parse_term
 from oracle import make_oracle
 from reference import ArgPool, NoMatch, Unrunnable, enumerate_data, make_reference
+from step_reference import Stepped, Stuck, step
 from seqcore.check import check_data, check_spine, check_term
 from seqcore.check_dep import convert, dep_check_term
-from seqcore.core_text import parse_term, print_term, print_type
-from seqcore.reduce import NormalForm, Stepped, Stuck, normalize, step, trace
-from seqcore.surface import load_program, pretty_equations
+from seqcore.core_text import print_term, print_type
+from seqcore.reduce import normalize, trace
+from seqcore.surface import load_program
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
     Kappa, Lam, Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1,

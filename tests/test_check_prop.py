@@ -294,7 +294,8 @@ class TestTotality:
     def test_evaluator_never_crashes_on_well_scoped_junk(self):
         from enum_all import Enumerator
         from suite import tiny_sig
-        from seqcore.reduce import StepResult, normalize, step
+        from step_reference import StepResult, step
+        from seqcore.reduce import normalize
         sig = tiny_sig()
         en = Enumerator((Name("z"), Name("f")), structural=True)
         for t in en.all_terms(6):

@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
+from core_reader import parse_term
 from suite import clause_set_variants, cyclic_garbage
 from seqcore.cli import entry, main
-from seqcore.core_text import parse_term
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
 GOLDEN = pathlib.Path(__file__).parent / "golden"

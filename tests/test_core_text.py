@@ -8,12 +8,13 @@ import sys
 
 import pytest
 
+from core_reader import parse_term
 from print_reference import (free_texts, print_with, reference_print_data,
                              reference_print_term)
 from suite import PROGRAMS, clause_set_variants
 from seqcore import core_text, syntax
 from seqcore.cli import entry
-from seqcore.core_text import parse_term, print_data, print_term, print_type
+from seqcore.core_text import print_data, print_term, print_type
 from seqcore.diag import ParseError
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,

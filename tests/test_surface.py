@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from lex_reference import reference_lex
 from suite import (PROGRAMS, SUITE, check_program, clause_set_variants,
-                   load, source)
+                   load, pretty_equations, source)
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.diag import ParseError
 from seqcore.diag import Span
 from seqcore.surface import (CompileFail, Leaf, PairNode, SplitNode, TArrow,
                              TBin, TBind, TName, _lex, compile_clauses,
-                             load_program, parse, polarize, pretty_equations)
+                             load_program, parse, polarize)
 from seqcore.syntax import (
     App, Atom, Cons, Done, Down, DPair, Imp, Inl, Inr, Lam, Mode, Name, Nil,
     Or, Pair, POr, PPair, Prod, Sig, SigEntry, Split, Thunk, Up, Var, With,

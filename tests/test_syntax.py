@@ -1,4 +1,4 @@
-"""Kernel syntax: well-formedness, substitution, matching, spines, alpha."""
+"""Kernel syntax: well-formedness, substitution, spines, alpha."""
 
 import ast
 import importlib
@@ -12,11 +12,11 @@ import seqcore
 from seqcore.core_text import print_term
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr, Kappa, Lam,
-    Match, MatchFail, Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod,
-    Proj1, Proj2, PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
-    alpha_eq, children, eta, free_names, fresh, is_cut_free, match_pattern,
-    pattern_linear, pattern_vars, rename, size, spine_concat, subst_data,
-    subst_data_in_neg, well_formed_neg, well_formed_pos, with_children,
+    Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1, Proj2, PWild,
+    Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With, alpha_eq, children,
+    eta, free_names, fresh, is_cut_free, pattern_linear, pattern_vars, rename,
+    size, spine_concat, subst_data, subst_data_in_neg, well_formed_neg,
+    well_formed_pos, with_children,
 )
 
 A = Atom(Name("a"))
@@ -179,88 +179,6 @@ class TestCaptureAvoidance:
         V, Y, W = self.V, self.Y, self.W
         out = self.subst(Split(V, self.uses(W, V), App(V, Nil())))
         assert out == Split(Y, self.uses(W, Y), App(Y, Nil()))
-
-
-class TestMatchPattern:
-    def test_variable_binds_whole_datum(self):
-        x = Name("x")
-        t = Thunk(App(Name("q"), Nil()))
-        m = match_pattern(Var(x), t)
-        assert isinstance(m, Match) and m.bindings == ((x, t),)
-
-    def test_worked_example_clause_binding(self):
-        # The or-pattern of the worked example against inl-paired data.
-        x, y, z, w = Name("x"), Name("y"), Name("z"), Name("w")
-        d1 = Thunk(App(Name("q"), Nil()))
-        d2 = Thunk(App(Name("r"), Nil()))
-        p = POr(w, PPair(Var(x), Var(y)), Var(z))
-        m = match_pattern(p, Inl(DPair(d1, d2)))
-        assert isinstance(m, Match)
-        assert m.bindings == ((x, d1), (y, d2))
-        assert m.branches == ((w, "left"),)
-
-    def test_constructor_clash(self):
-        p = PPair(Var(Name("x")), Var(Name("y")))
-        m = match_pattern(p, Inr(Thunk(App(Name("q"), Nil()))))
-        assert isinstance(m, MatchFail)
-
-    def test_contraction_matches_twice(self):
-        x, y = Name("x"), Name("y")
-        d = Thunk(App(Name("q"), Nil()))
-        m = match_pattern(PAt(Var(x), Var(y)), d)
-        assert isinstance(m, Match) and m.bindings == ((x, d), (y, d))
-
-    def test_wildcard_binds_nothing(self):
-        m = match_pattern(PWild(), Inl(Thunk(App(Name("q"), Nil()))))
-        assert isinstance(m, Match) and m.bindings == ()
-
-    def test_domain_equals_pattern_vars_in_order(self):
-        # Or-patterns bind one branch per match, so the expected domain is
-        # the pattern's variables restricted to the branches taken.
-        def expected(p, d):
-            match p, d:
-                case Var(x), _:
-                    return [x]
-                case PWild(), _:
-                    return []
-                case PAt(a, b), _:
-                    return expected(a, d) + expected(b, d)
-                case PPair(a, b), DPair(x, y):
-                    return expected(a, x) + expected(b, y)
-                case POr(_, a, _), Inl(e):
-                    return expected(a, e)
-                case POr(_, _, b), Inr(e):
-                    return expected(b, e)
-            raise AssertionError
-
-        rng = random.Random(11)
-        for _ in range(200):
-            p, d = _random_pattern_and_data(rng, 3)
-            m = match_pattern(p, d)
-            assert isinstance(m, Match)
-            assert [x for x, _ in m.bindings] == expected(p, d)
-
-
-def _random_pattern_and_data(rng, depth):
-    base = Thunk(App(Name("q"), Nil()))
-    if depth == 0 or rng.random() < 0.3:
-        kind = rng.choice(["var", "wild"])
-        if kind == "var":
-            return Var(fresh("x")), base
-        return PWild(), base
-    kind = rng.choice(["pair", "or", "at"])
-    if kind == "pair":
-        p1, d1 = _random_pattern_and_data(rng, depth - 1)
-        p2, d2 = _random_pattern_and_data(rng, depth - 1)
-        return PPair(p1, p2), DPair(d1, d2)
-    if kind == "or":
-        p1, d1 = _random_pattern_and_data(rng, depth - 1)
-        p2, _ = _random_pattern_and_data(rng, depth - 1)
-        if rng.random() < 0.5:
-            return POr(fresh("w"), p1, p2), Inl(d1)
-        return POr(fresh("w"), p2, p1), Inr(d1)
-    p1, d = _random_pattern_and_data(rng, depth - 1)
-    return PAt(p1, PWild()), d
 
 
 class TestSpineConcat:
