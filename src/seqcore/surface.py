@@ -1130,7 +1130,8 @@ def compile_argument(sig: Sig, text: str, ty: PosType,
     Heads must be signature names."""
     p = _P(_lex(text, "<arg>"), "<arg>")
     expr = p.expr()
-    if p.peek().kind not in ("EOF", "NL"):
+    p.skip_nls()
+    if p.peek().kind != "EOF":
         raise ParseError(Diagnostic("parse", expected="end of argument",
                                     found=p.peek().text,
                                     span=p.span(p.peek())))

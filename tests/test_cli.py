@@ -244,6 +244,15 @@ class TestRun:
         assert err == (f"ERROR arity at {path}:0:0: expected function-typed "
                        "entry, found a\n")
 
+    @pytest.mark.parametrize("arg, want", [
+        ("inr q\n", (0, "q []\n", "")),
+        ("inr q\nzzz ( (", (2, "", "ERROR parse at <arg>:2:1: expected end "
+                                   "of argument, found zzz\n")),
+    ], ids=["trailing-newline", "text-after-newline"])
+    def test_argument_runs_to_the_end_of_its_text(self, capsys, arg, want):
+        assert run(capsys, "run", str(PROGRAMS / "f_run.seq"),
+                   "--entry", "f", "--arg", arg) == want
+
     def test_entry_without_argument(self, capsys):
         code, out, err = run(capsys, "run", str(PROGRAMS / "basics.seq"),
                              "--entry", "id")

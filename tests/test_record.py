@@ -1,11 +1,11 @@
 """Records against the standard library's data classes.
 
 Every class that ``seqcore``, or a test oracle, declares with ``record`` (or
-``_node``) is rebuilt from its source text as a ``dataclasses.dataclass`` twin with the
-same annotations, defaults and options.  Instances of each class are caught
-as the pipeline builds them on the example programs and a generated corpus;
-each is compared with its twin: ``repr``, ``==``, ``hash``,
-``__match_args__`` and defaults.
+``_node``) is rebuilt from its source text as a ``dataclasses.dataclass``
+twin with the same annotations, defaults and options.  Instances of each
+class are caught as the pipeline builds them on the example programs and a
+generated corpus; each is compared with its twin: ``repr``, ``==``,
+``hash``, ``__match_args__`` and defaults.
 """
 
 import ast

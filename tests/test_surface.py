@@ -347,6 +347,15 @@ class TestCompareOnce:
         assert _leaves(prog.find("id").tree) == 1024
         assert comparisons == {"alpha_eq": 1}
 
+    def test_product_of_sums_dependent(self, comparisons):
+        # Each * polarizes to a Sigma with a fresh binder, so the argument
+        # and result types are alpha-equal but never ==.
+        ty = " * ".join(["(a + a)"] * 10)
+        prog = load_program(f"atom a\nid : {ty} -> {ty}\nid v = v\n",
+                            mode=Mode.DEP)
+        assert _leaves(prog.find("id").tree) == 1024
+        assert comparisons == {"convert": 1}
+
     def test_mismatch_reported_at_its_leaf(self, comparisons):
         # Clause 1 rebuilds v at both of its leaves and matches once;
         # clause 2's w is a product where a sum is due.
