@@ -29,7 +29,10 @@ directions: checking judges each at the goal, synthesis infers each, just as
 step re-checkable at the same goal.  Where a sub-derivation is discarded
 along the way (a dropped injection side, a projected-away pair component) the
 discarded part is still required to be well-typed whenever its type can be
-decided.  The dependent checker imports the failure plumbing from here.
+decided.  The rules that read the same in both modes are stated here once
+and imported by the dependent checker: the failure plumbing, the zones
+(``_Zones``: lookup and head typing), the side conditions of with-right,
+done, with-left and kappa, ``_reassociated`` and the entry points' verdict.
 """
 
 from __future__ import annotations
@@ -86,55 +89,70 @@ def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> "_F
     return _Fail(Diagnostic(rule, expected=expected, found=found, note=note))
 
 
-@record
-class _State:
-    """Checker zones: local stores over the signature, deferred or-pattern
-    hypotheses, and undischargeable residual variables."""
+class _Zones:
+    """The zones both checkers' states hold: thunk-typed hypotheses in
+    ``stores``, newest last, over the signature ``sig``.  Each state reports
+    an undischarged linear context in its own ``discharged``."""
 
-    sig: Sig
-    structural: bool
-    psi: tuple[tuple[Name, NegType], ...] = ()
-    pending: tuple[tuple[POr, Or], ...] = ()
-    residual: tuple[Name, ...] = ()
-
-    def store(self, x: Name, n: NegType) -> "_State":
-        return _State(self.sig, self.structural, self.psi + ((x, n),),
-                      self.pending, self.residual)
-
-    def defer(self, p: POr, ty: Or) -> "_State":
-        return _State(self.sig, self.structural, self.psi,
-                      self.pending + ((p, ty),), self.residual)
-
-    def leave(self, x: Name) -> "_State":
-        return _State(self.sig, self.structural, self.psi, self.pending,
-                      self.residual + (x,))
-
-    def drop_pending(self, i: int) -> "_State":
-        rest = self.pending[:i] + self.pending[i + 1:]
-        return _State(self.sig, self.structural, self.psi, rest, self.residual)
-
-    def focus_zone(self) -> "_State":
-        """The zone data and spines are judged in: no linear hypotheses."""
-        if not self.pending and not self.residual:
-            return self
-        return _State(self.sig, self.structural, self.psi, (), ())
+    __slots__ = ()
 
     def lookup(self, x: Name) -> Optional[NegType]:
-        for y, n in reversed(self.psi):
+        for y, n in reversed(self.stores):
             if y == x:
                 return n
         entry = self.sig.lookup(x)
         return entry.type if entry else None
 
+    def head(self, x: Name) -> NegType:
+        """The type of the applied variable ``x``; the context must be empty."""
+        self.discharged("var-app")
+        n = self.lookup(x)
+        if n is None:
+            raise _fail("unbound", expected="declared variable", found=str(x))
+        return n
 
-def _discharged(st: _State, rule: str) -> None:
-    """Fail ``rule`` unless the inversion context is fully discharged."""
-    if st.pending or st.residual:
-        parts = [f"[{print_pattern(p)}] : {print_type(ty)}"
-                 for p, ty in st.pending]
-        parts += [f"{x} : <positive>" for x in st.residual]
-        raise _fail(rule, expected="empty inversion context",
-                    found="{" + ", ".join(parts) + "}")
+
+@record
+class _State(_Zones):
+    """Checker zones: local stores over the signature, deferred or-pattern
+    hypotheses, and undischargeable residual variables."""
+
+    sig: Sig
+    structural: bool
+    stores: tuple[tuple[Name, NegType], ...] = ()
+    pending: tuple[tuple[POr, Or], ...] = ()
+    residual: tuple[Name, ...] = ()
+
+    def store(self, x: Name, n: NegType) -> "_State":
+        return _State(self.sig, self.structural, self.stores + ((x, n),),
+                      self.pending, self.residual)
+
+    def defer(self, p: POr, ty: Or) -> "_State":
+        return _State(self.sig, self.structural, self.stores,
+                      self.pending + ((p, ty),), self.residual)
+
+    def leave(self, x: Name) -> "_State":
+        return _State(self.sig, self.structural, self.stores, self.pending,
+                      self.residual + (x,))
+
+    def drop_pending(self, i: int) -> "_State":
+        return _State(self.sig, self.structural, self.stores,
+                      self.pending[:i] + self.pending[i + 1:], self.residual)
+
+    def focus_zone(self) -> "_State":
+        """The zone data and spines are judged in: no linear hypotheses."""
+        if not self.pending and not self.residual:
+            return self
+        return _State(self.sig, self.structural, self.stores, (), ())
+
+    def discharged(self, rule: str) -> None:
+        """Fail ``rule`` unless the inversion context is fully discharged."""
+        if self.pending or self.residual:
+            parts = [f"[{print_pattern(p)}] : {print_type(ty)}"
+                     for p, ty in self.pending]
+            parts += [f"{x} : <positive>" for x in self.residual]
+            raise _fail(rule, expected="empty inversion context",
+                        found="{" + ", ".join(parts) + "}")
 
 
 def _structural(st: _State, found: str) -> None:
@@ -143,13 +161,52 @@ def _structural(st: _State, found: str) -> None:
                     found=found)
 
 
-def _head(st: _State, x: Name) -> NegType:
-    """The type of the applied variable ``x``; the context must be empty."""
-    _discharged(st, "var-app")
-    n = st.lookup(x)
-    if n is None:
-        raise _fail("unbound", expected="declared variable", found=str(x))
-    return n
+# ---------------------------------------------------------------------------
+# Side conditions both checkers apply; each returns what is judged next
+
+def _with_right(goal: NegType) -> tuple[NegType, NegType]:
+    """The goals of the two components of a pair checked at ``goal``."""
+    if not isinstance(goal, With):
+        raise _fail("with-right", expected="conjunction goal",
+                    found=print_type(goal))
+    return goal.left, goal.right
+
+
+def _done(st: _Zones, goal: NegType) -> PosType:
+    """The type the data of ``done`` is checked at."""
+    st.discharged("done")
+    if not isinstance(goal, Up):
+        raise _fail("done", expected="shifted positive goal",
+                    found=print_type(goal))
+    return goal.body
+
+
+def _with_left(focus: NegType, k: Spine) -> NegType:
+    """The component of ``focus`` that the projection ``k`` selects."""
+    first = type(k) is Proj1
+    if not isinstance(focus, With):
+        raise _fail("with-left-1" if first else "with-left-2",
+                    expected="conjunction under focus",
+                    found=print_type(focus))
+    return focus.left if first else focus.right
+
+
+def _kappa(focus: NegType) -> PosType:
+    """The type a kappa spine's pattern is bound at under ``focus``."""
+    if not isinstance(focus, Up):
+        raise _fail("kappa", expected="shifted positive under focus",
+                    found=print_type(focus))
+    return focus.body
+
+
+def _verdict(judgment, failures=_Fail) -> Optional[Diagnostic]:
+    """Run ``judgment``: None when it holds, else the diagnostic of the
+    failure it raised, one of ``failures``."""
+    try:
+        judgment()
+    except failures as f:
+        return f.diagnostic
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +262,13 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
                         found=print_type(goal))
         _check(_invert_one(st, t.pat, goal.arg), t.body, goal.res)
     elif c is Pair:
-        if not isinstance(goal, With):
-            raise _fail("with-right", expected="conjunction goal",
-                        found=print_type(goal))
-        _check(st, t.left, goal.left)
-        _check(st, t.right, goal.right)
+        left, right = _with_right(goal)
+        _check(st, t.left, left)
+        _check(st, t.right, right)
     elif c is Done:
-        _discharged(st, "done")
-        if not isinstance(goal, Up):
-            raise _fail("done", expected="shifted positive goal",
-                        found=print_type(goal))
-        _check_data(st, t.data, goal.body)
+        _check_data(st, t.data, _done(st, goal))
     elif c is App:
-        _check_spine(st, _head(st, t.head), t.spine, goal)
+        _check_spine(st, st.head(t.head), t.spine, goal)
     elif c is Split or c is BindCut or c is AppCut:
         for st1, u in _reducts(st, t):
             _check(st1, u, goal)
@@ -263,7 +314,7 @@ def _reducts(st: _State, t: Term) -> Iterator[tuple[_State, Term]]:
                             found=_spine_shape(k))
             yield st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest))
         elif cf is Done:
-            _discharged(st, "done")
+            st.discharged("done")
             if not isinstance(k, Kappa):
                 raise _fail("app-cut",
                             expected="kappa spine for returned data",
@@ -405,21 +456,10 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
                             found=print_type(focus))
             _check_data(st, k.arg, focus.arg)
             return _check_spine(st, focus.res, k.rest, goal)
-        elif c is Proj1:
-            if not isinstance(focus, With):
-                raise _fail("with-left-1", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _check_spine(st, focus.left, k.rest, goal)
-        elif c is Proj2:
-            if not isinstance(focus, With):
-                raise _fail("with-left-2", expected="conjunction under focus",
-                            found=print_type(focus))
-            return _check_spine(st, focus.right, k.rest, goal)
+        elif c is Proj1 or c is Proj2:
+            return _check_spine(st, _with_left(focus, k), k.rest, goal)
         elif c is Kappa:
-            if not isinstance(focus, Up):
-                raise _fail("kappa", expected="shifted positive under focus",
-                            found=print_type(focus))
-            st = _invert_one(st, k.pat, focus.body)
+            st = _invert_one(st, k.pat, _kappa(focus))
             if goal is None:
                 return _infer_term(st, k.body)
             _check(st, k.body, goal)
@@ -440,7 +480,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     if c is Lam:
         return UNKNOWN
     elif c is Done:
-        _discharged(st, "done")
+        st.discharged("done")
         ty = _infer_data(st.focus_zone(), t.data)
         return UNKNOWN if ty is UNKNOWN else Up(ty)
     elif c is Pair:
@@ -450,7 +490,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
             return UNKNOWN
         return With(tl, tr)
     elif c is App:
-        return _check_spine(st, _head(st, t.head), t.spine, None)
+        return _check_spine(st, st.head(t.head), t.spine, None)
     elif c is Split or c is BindCut or c is AppCut:
         # The branches of a split must agree on one type.
         n, *others = [_infer_term(st1, u) for st1, u in _reducts(st, t)]
@@ -497,29 +537,19 @@ def _entry_state(sig: Sig, ctx: Ctx, structural: bool) -> _State:
 def check_term(sig: Sig, ctx: Ctx, t: Term, goal: NegType,
                structural: bool = False) -> Optional[Diagnostic]:
     """Check ``t`` against ``goal`` under ``ctx``.  None means ok."""
-    try:
-        _check(_entry_state(sig, ctx, structural), t, goal)
-        return None
-    except _Fail as f:
-        return f.diagnostic
+    return _verdict(lambda: _check(_entry_state(sig, ctx, structural), t,
+                                   goal))
 
 
 def check_data(sig: Sig, d: DataVal, goal: PosType,
                structural: bool = False) -> Optional[Diagnostic]:
-    try:
-        _check_data(_State(sig, structural), d, goal)
-        return None
-    except _Fail as f:
-        return f.diagnostic
+    return _verdict(lambda: _check_data(_State(sig, structural), d, goal))
 
 
 def check_spine(sig: Sig, focus: NegType, k: Spine, goal: NegType,
                 structural: bool = False) -> Optional[Diagnostic]:
-    try:
-        _check_spine(_State(sig, structural), focus, k, goal)
-        return None
-    except _Fail as f:
-        return f.diagnostic
+    return _verdict(lambda: _check_spine(_State(sig, structural), focus, k,
+                                         goal))
 
 
 def infer_term(sig: Sig, t: Term, structural: bool = False):

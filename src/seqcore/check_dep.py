@@ -19,18 +19,22 @@ under a fuel bound, then compared up to alpha.  Cut formulas are recovered by
 synthesis exactly as in the propositional checker, falling back to the
 reduct's shape where synthesis cannot decide.  ``_var_cut`` gives the
 judgment a binding cut reduces to for checking and synthesis alike, and
-``_check_spine`` synthesizes when it has no goal.
+``_check_spine`` synthesizes when it has no goal.  The rules that read the
+same in both modes (zone lookup, head typing, with-right, done, with-left,
+kappa, the entry points' verdict) come from ``check``; this module keeps
+the rules that differ, its own ``discharged`` text and its trail frames.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .check import UNKNOWN, _Fail, _Unknown, _fail, _reassociated
+from .check import (UNKNOWN, _Fail, _Unknown, _Zones, _done, _fail, _kappa,
+                    _reassociated, _verdict, _with_left, _with_right)
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
-from .reduce import FuelExhausted, normalize
+from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
     App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
     Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
@@ -46,18 +50,11 @@ DepCtx = list  # list[tuple[Name, PosType]]; a telescope
 
 
 @record
-class _State:
+class _State(_Zones):
     sig: Sig
     fuel: int
     stores: tuple[tuple[Name, NegType], ...] = ()
     pending: tuple[tuple[Name, PosType], ...] = ()
-
-    def lookup(self, x: Name) -> Optional[NegType]:
-        for y, n in reversed(self.stores):
-            if y == x:
-                return n
-        entry = self.sig.lookup(x)
-        return entry.type if entry else None
 
     def pending_index(self, x: Name) -> Optional[int]:
         for i in range(len(self.pending) - 1, -1, -1):
@@ -95,6 +92,11 @@ class _State:
         return _State(self.sig, self.fuel, self.stores,
                       self.pending[:i] + self.pending[i + 1:])
 
+    def discharged(self, rule: str) -> None:
+        if self.pending:
+            raise _fail(rule, expected="empty inversion context",
+                        found=", ".join(str(x) for x, _ in self.pending))
+
 
 # ---------------------------------------------------------------------------
 # Conversion
@@ -115,7 +117,7 @@ def _normalize(sig: Sig, x, budget: list[int]):
     return rewrite(x, visit)
 
 
-def convert(a, b, sig: Optional[Sig] = None, fuel: int = 10000) -> bool:
+def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
     """Definitional equality: normalize embedded data, compare up to alpha.
     Raises ConversionError when the fuel bound is exhausted."""
     if alpha_eq(a, b):
@@ -151,21 +153,6 @@ def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma
         if i is not None and isinstance(st.pending[i][1], Sigma):
             return p.left.name, p.right.name, x, st.pending[i][1], t.body
     return None
-
-
-def _discharged(st: _State, rule: str) -> None:
-    if st.pending:
-        raise _fail(rule, expected="empty inversion context",
-                    found=", ".join(str(x) for x, _ in st.pending))
-
-
-def _head(st: _State, x: Name) -> NegType:
-    """The type of the applied variable ``x``; the context must be empty."""
-    _discharged(st, "var-app")
-    n = st.lookup(x)
-    if n is None:
-        raise _fail("unbound", expected="declared variable", found=str(x))
-    return n
 
 
 class _clash:
@@ -213,19 +200,13 @@ def _check_subject(st: _State, t: Term, goal: NegType) -> None:
         body_goal = subst_data_in_neg(goal.res, goal.binder, eta(t.pat.name))
         _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
     elif c is Pair:
-        if not isinstance(goal, With):
-            raise _fail("with-right", expected="conjunction goal",
-                        found=print_type(goal))
-        _check(st, t.left, goal.left)
-        _check(st, t.right, goal.right)
+        left, right = _with_right(goal)
+        _check(st, t.left, left)
+        _check(st, t.right, right)
     elif c is Done:
-        _discharged(st, "done")
-        if not isinstance(goal, Up):
-            raise _fail("done", expected="shifted positive goal",
-                        found=print_type(goal))
-        _check_data(st, t.data, goal.body)
+        _check_data(st, t.data, _done(st, goal))
     elif c is App:
-        _check_spine(st, _head(st, t.head), t.spine, goal)
+        _check_spine(st, st.head(t.head), t.spine, goal)
     elif c is BindCut and type(t.pat) is Var:
         _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
     elif (c is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
@@ -268,7 +249,7 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
                         found=type(k).__name__)
         _check(st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest)), goal)
     elif c is Done:
-        _discharged(st, "done")
+        st.discharged("done")
         if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
             raise _fail("app-cut", expected="kappa x spine for returned data",
                         found=type(k).__name__)
@@ -368,16 +349,8 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
                     focus.binder):
             res = subst_data_in_neg(focus.res, focus.binder, k.arg)
         return _check_spine(st, res, k.rest, goal)
-    elif c is Proj1:
-        if not isinstance(focus, With):
-            raise _fail("with-left-1", expected="conjunction under focus",
-                        found=print_type(focus))
-        return _check_spine(st, focus.left, k.rest, goal)
-    elif c is Proj2:
-        if not isinstance(focus, With):
-            raise _fail("with-left-2", expected="conjunction under focus",
-                        found=print_type(focus))
-        return _check_spine(st, focus.right, k.rest, goal)
+    elif c is Proj1 or c is Proj2:
+        return _check_spine(st, _with_left(focus, k), k.rest, goal)
     elif c is Kappa:
         if goal is None and not (isinstance(k.pat, Var) and isinstance(focus, Up)):
             return UNKNOWN
@@ -385,10 +358,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
             raise _fail("dep-pattern", expected="variable binder",
                         found="deep pattern",
                         note="dependent mode binds variables only")
-        if not isinstance(focus, Up):
-            raise _fail("kappa", expected="shifted positive under focus",
-                        found=print_type(focus))
-        st = st.extend(k.pat.name, focus.body)
+        st = st.extend(k.pat.name, _kappa(focus))
         if goal is None:
             return _infer_term(st, k.body)
         _check(st, k.body, goal)
@@ -408,7 +378,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     elif c is Lam or c is Split or c is BindCut:
         return UNKNOWN
     elif c is Done:
-        _discharged(st, "done")
+        st.discharged("done")
         ty = _infer_data(st.focus_zone(), t.data)
         return UNKNOWN if ty is UNKNOWN else Up(ty)
     elif c is Pair:
@@ -418,7 +388,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
             return UNKNOWN
         return With(tl, tr)
     elif c is App:
-        return _check_spine(st, _head(st, t.head), t.spine, None)
+        return _check_spine(st, st.head(t.head), t.spine, None)
     elif c is AppCut:
         # A lambda, done, pair or split under the cut is left undecided:
         # synthesizing through it would reject programs checking accepts.
@@ -465,30 +435,23 @@ def _entry_state(sig: Sig, ctx: DepCtx, fuel: int) -> _State:
     return st
 
 
+_FAILURES = (_Fail, ConversionError)   # a rule, or the conversion fuel
+
+
 def dep_check_term(sig: Sig, ctx: DepCtx, t: Term, goal: NegType,
-                   fuel: int = 10000) -> Optional[Diagnostic]:
-    try:
-        _check(_entry_state(sig, ctx, fuel), t, goal)
-        return None
-    except (_Fail, ConversionError) as e:
-        return e.diagnostic
+                   fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
+    return _verdict(lambda: _check(_entry_state(sig, ctx, fuel), t, goal),
+                    _FAILURES)
 
 
 def dep_check_spine(sig: Sig, ctx: DepCtx, focus: NegType, k: Spine,
-                    goal: NegType, fuel: int = 10000) -> Optional[Diagnostic]:
-    try:
-        _check_spine(_entry_state(sig, ctx, fuel), focus, k, goal)
-        return None
-    except (_Fail, ConversionError) as e:
-        return e.diagnostic
+                    goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
+    return _verdict(lambda: _check_spine(_entry_state(sig, ctx, fuel), focus,
+                                         k, goal), _FAILURES)
 
 
 def dep_bind_cut(sig: Sig, ctx: DepCtx, x: Name, d: DataVal, t: Term,
-                 goal: NegType, fuel: int = 10000) -> Optional[Diagnostic]:
+                 goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
     """Check the dependent binding cut ``x = d in t`` against ``goal``."""
-    try:
-        st = _entry_state(sig, ctx, fuel)
-        _check(*_var_cut(st, x, d, t), goal)
-        return None
-    except (_Fail, ConversionError) as e:
-        return e.diagnostic
+    return _verdict(lambda: _check(*_var_cut(_entry_state(sig, ctx, fuel),
+                                             x, d, t), goal), _FAILURES)

@@ -27,14 +27,12 @@ from .check import check_term
 from .check_dep import dep_check_term
 from .core_text import print_term, print_type
 from .diag import Diagnostic, ParseError, Span
-from .reduce import FuelExhausted, normalize, trace
+from .reduce import DEFAULT_FUEL, FuelExhausted, normalize, trace
 from .surface import CompileFail, Program, compile_argument, load_program
 from . import syntax
 from .syntax import App, Cons, Imp, Mode, Nil, Pi, Term
 
 __all__ = ["main", "entry"]
-
-_DEFAULT_FUEL = 10000
 
 
 def _error(diag: Diagnostic, file: str) -> None:
@@ -166,7 +164,7 @@ def entry(argv: Optional[list[str]] = None) -> int:
         sp.add_argument("--structural-patterns", action="store_true",
                         help="enable contraction and wildcard patterns")
         sp.add_argument("--fuel", type=int, default=None,
-                        help="reduction step budget (default 10000)")
+                        help=f"reduction step budget (default {DEFAULT_FUEL})")
         sp.add_argument("--trace", action="store_true",
                         help="print each reduction step")
     try:
@@ -178,7 +176,7 @@ def entry(argv: Optional[list[str]] = None) -> int:
         return 4
     if ns.fuel is None:
         try:
-            ns.fuel = int(os.environ.get("SEQCORE_FUEL", _DEFAULT_FUEL))
+            ns.fuel = int(os.environ.get("SEQCORE_FUEL", DEFAULT_FUEL))
         except ValueError:
             ns.fuel = 0
         if ns.fuel <= 0:

@@ -53,7 +53,12 @@ from .syntax import (
     subst_data_in_term, with_children,
 )
 
-__all__ = ["normalize", "trace", "NormalizeResult", "FuelExhausted"]
+__all__ = ["normalize", "trace", "NormalizeResult", "FuelExhausted",
+           "DEFAULT_FUEL"]
+
+# The step budget of a normalization, and of a conversion check, when the
+# caller names none.
+DEFAULT_FUEL = 10000
 
 
 @record
@@ -155,14 +160,14 @@ def _spine_shape(k: Spine) -> str:
             Proj2: "projection", Kappa: "kappa"}[type(k)]
 
 
-def normalize(sig: Sig, t: Term, fuel: int = 10000) -> NormalizeResult:
+def normalize(sig: Sig, t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
     """Reduce to a normal form or a stuck state, taking the steps ``step``
     would take.  Raises FuelExhausted when more than ``fuel`` steps would be
     needed."""
     return _refocus(sig, t, fuel)
 
 
-def trace(sig: Sig, t: Term, fuel: int = 10000) -> tuple[list[tuple[str, Term]], NormalizeResult]:
+def trace(sig: Sig, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[list[tuple[str, Term]], NormalizeResult]:
     """As ``normalize`` but recording each applied rule and the term after."""
     out: list[tuple[str, Term]] = []
     res = _refocus(sig, t, fuel, lambda rule, term: out.append((rule, term)))

@@ -353,3 +353,29 @@ class TestConservativity:
             assert check_term(sig, [], t, goal) is not None
             dep_goal = goal if isinstance(goal, Atom) else Pi(fresh("_"), Down(A), A)
             assert dep_check_term(dep_sig, [], t, dep_goal) is not None
+
+
+class TestSharedRules:
+    """The rules that ``check`` states once for both checkers say the same
+    thing in both modes: a subject that fails one of them gets the same
+    rule, expected, found and note from either entry point.  Only the trail
+    frames differ."""
+
+    SIG = Sig(frozenset({Name("a")}), (SigEntry(Name("z"), A),))
+    Z = Name("z")
+    CASES = [
+        ("with-right", Pair(App(Z, Nil()), App(Z, Nil()))),
+        ("done", Done(eta(Z))),
+        ("unbound", App(Name("nope"), Nil())),
+        ("with-left-1", App(Z, Proj1(Nil()))),
+        ("with-left-2", App(Z, Proj2(Nil()))),
+        ("kappa", App(Z, Kappa(Var(X), App(Z, Nil())))),
+    ]
+
+    @pytest.mark.parametrize("rule, t", CASES, ids=[r for r, _ in CASES])
+    def test_same_diagnostic_in_both_modes(self, rule, t):
+        prop = check_term(self.SIG, [], t, A)
+        dep = dep_check_term(self.SIG, [], t, A)
+        assert prop.rule == rule
+        assert ((prop.rule, prop.expected, prop.found, prop.note)
+                == (dep.rule, dep.expected, dep.found, dep.note))
