@@ -260,8 +260,8 @@ class _P:
 
     def fail(self, expected: str) -> ParseError:
         t = self.peek()
-        return ParseError(Diagnostic("parse", expected=expected,
-                                     found=t.text or t.kind.lower(),
+        found = t.text or ("end of input" if t.kind == "EOF" else "end of line")
+        return ParseError(Diagnostic("parse", expected=expected, found=found,
                                      span=self.span(t)))
 
     def eat_sym(self, text: str) -> _Tok:

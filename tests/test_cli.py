@@ -248,7 +248,12 @@ class TestRun:
         ("inr q\n", (0, "q []\n", "")),
         ("inr q\nzzz ( (", (2, "", "ERROR parse at <arg>:2:1: expected end "
                                    "of argument, found zzz\n")),
-    ], ids=["trailing-newline", "text-after-newline"])
+        ("inr\nq", (2, "", "ERROR parse at <arg>:1:4: expected expression, "
+                          "found end of line\n")),
+        ("", (2, "", "ERROR parse at <arg>:1:1: expected expression, "
+                     "found end of input\n")),
+    ], ids=["trailing-newline", "text-after-newline", "newline-in-expression",
+            "empty"])
     def test_argument_runs_to_the_end_of_its_text(self, capsys, arg, want):
         assert run(capsys, "run", str(PROGRAMS / "f_run.seq"),
                    "--entry", "f", "--arg", arg) == want

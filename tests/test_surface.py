@@ -514,7 +514,7 @@ class TestSurfaceDiagnosticPin:
     RULES = {"pattern", "type", "unbound", "arity", "mode", "atom", "linear",
              "scope", "coverage", "parse", "dep-pattern",
              "structural-disabled"}
-    DIGEST = "c45bb58ae3f731c983d2992ad2b5b5a587afaeb5a2f9412c8a77757fca3ad348"
+    DIGEST = "81f95385a623c2a2e2e9024d99040649215f96c903364f7f124a9e6b87dba1af"
 
     def test_outcomes_digest(self, capsys, monkeypatch, tmp_path):
         import hashlib
