@@ -30,9 +30,12 @@ step re-checkable at the same goal.  Where a sub-derivation is discarded
 along the way (a dropped injection side, a projected-away pair component) the
 discarded part is still required to be well-typed whenever its type can be
 decided.  The rules that read the same in both modes are stated here once
-and imported by the dependent checker: the failure plumbing, the zones
-(``_Zones``: lookup and head typing), the side conditions of with-right,
-done, with-left and kappa, ``_reassociated`` and the entry points' verdict.
+and imported by the dependent checker: the failure plumbing (a failing rule
+raises ``CheckError`` built by ``_fail``, ``_clash`` reports a clashing
+substitution as one, and the entry points' ``_verdict`` catches it), the
+zones (``_Zones``: lookup and head typing), the side conditions of
+with-right, done, with-left and kappa, ``_reassociated`` and the
+variable-cut reduct ``_var_cut_reduct``.
 """
 
 from __future__ import annotations
@@ -70,11 +73,6 @@ def _clip(s: str, n: int = 60) -> str:
     return s if len(s) <= n else s[:n - 3] + "..."
 
 
-class _Fail(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-
-
 class _Unknown:
     """Synthesis came back undecided (not a failure)."""
 
@@ -85,8 +83,28 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> "_Fail":
-    return _Fail(Diagnostic(rule, expected=expected, found=found, note=note))
+def _fail(rule: str, expected: str = "", found: str = "",
+          note: str = "") -> CheckError:
+    return CheckError(Diagnostic(rule, expected=expected, found=found,
+                                 note=note))
+
+
+class _clash:
+    """Report a substitution for ``x`` that puts data other than a thunk
+    where ``x`` is applied (a ``SubstClash``) as a ``rule`` failure."""
+
+    __slots__ = ("rule", "expected", "x")
+
+    def __init__(self, rule: str, expected: str, x: Name):
+        self.rule, self.expected, self.x = rule, expected, x
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, SubstClash):
+            raise _fail(self.rule, expected=self.expected, found=str(self.x),
+                        note=exc.reason)
 
 
 class _Zones:
@@ -199,14 +217,23 @@ def _kappa(focus: NegType) -> PosType:
     return focus.body
 
 
-def _verdict(judgment, failures=_Fail) -> Optional[Diagnostic]:
+def _verdict(judgment) -> Optional[Diagnostic]:
     """Run ``judgment``: None when it holds, else the diagnostic of the
-    failure it raised, one of ``failures``."""
+    failure it raised."""
     try:
         judgment()
-    except failures as f:
+    except CheckError as f:
         return f.diagnostic
     return None
+
+
+def _var_cut_reduct(x: Name, d: DataVal, b: Term) -> Term:
+    """The reduct of the variable cut ``x = d in b``: ``b`` with ``d`` for
+    ``x``, unchanged when ``x`` is not free in it."""
+    if x not in free_names(b):
+        return b
+    with _clash("bind-cut", "well-sorted variable use", x):
+        return subst_data_in_term(b, x, d)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +277,8 @@ def _invert_one(st: _State, p: Pattern, ty: PosType) -> _State:
 def _check(st: _State, t: Term, goal: NegType) -> None:
     try:
         _check_subject(st, t, goal)
-    except _Fail as f:
-        raise _Fail(f.diagnostic.pushed(_frame("inversion", t, goal)))
+    except CheckError as f:
+        raise CheckError(f.diagnostic.pushed(_frame("inversion", t, goal)))
 
 
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
@@ -364,13 +391,7 @@ def _bind_cut(st: _State, p: Pattern, d: DataVal,
         raise _fail("bind-cut", expected="injection data",
                     found=data_shape(d))
     elif c is Var and cd is Thunk:
-        if p.name not in free_names(b):
-            return st, b
-        try:
-            return st, subst_data_in_term(b, p.name, d)
-        except SubstClash as e:
-            raise _fail("bind-cut", expected="well-sorted variable use",
-                        found=str(p.name), note=e.reason)
+        return st, _var_cut_reduct(p.name, d, b)
     elif c is Var:
         # Pair or injection data bound to a bare variable: the hypothesis
         # is positive-composite and can never be discharged.
@@ -429,8 +450,8 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
         else:
             raise _fail("mode", expected="propositional positive type",
                         found=print_type(goal))
-    except _Fail as f:
-        raise _Fail(f.diagnostic.pushed(_frame("right-focus", d, goal)))
+    except CheckError as f:
+        raise CheckError(f.diagnostic.pushed(_frame("right-focus", d, goal)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +486,10 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
             _check(st, k.body, goal)
         else:
             raise TypeError(k)
-    except _Fail as f:
+    except CheckError as f:
         if goal is None:
             raise
-        raise _Fail(f.diagnostic.pushed(
+        raise CheckError(f.diagnostic.pushed(
             _frame("left-focus", k, goal, focus=focus)))
 
 
@@ -526,8 +547,8 @@ def _entry_state(sig: Sig, ctx: Ctx, structural: bool) -> _State:
     for p, _ in ctx:
         bound += pattern_vars(p) + pattern_labels(p)
     if len(bound) != len(set(bound)):
-        raise _Fail(Diagnostic("linear", expected="pairwise distinct context binders",
-                               found=", ".join(map(str, bound))))
+        raise _fail("linear", expected="pairwise distinct context binders",
+                    found=", ".join(map(str, bound)))
     st = _State(sig, structural)
     for p, ty in ctx:
         st = _invert_one(st, p, ty)
@@ -555,7 +576,4 @@ def check_spine(sig: Sig, focus: NegType, k: Spine, goal: NegType,
 def infer_term(sig: Sig, t: Term, structural: bool = False):
     """Synthesize a type for a closed term: a NegType, UNKNOWN, or a raised
     CheckError for definite failures."""
-    try:
-        return _infer_term(_State(sig, structural), t)
-    except _Fail as f:
-        raise CheckError(f.diagnostic) from None
+    return _infer_term(_State(sig, structural), t)

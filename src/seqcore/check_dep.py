@@ -20,17 +20,20 @@ synthesis exactly as in the propositional checker, falling back to the
 reduct's shape where synthesis cannot decide.  ``_var_cut`` gives the
 judgment a binding cut reduces to for checking and synthesis alike, and
 ``_check_spine`` synthesizes when it has no goal.  The rules that read the
-same in both modes (zone lookup, head typing, with-right, done, with-left,
-kappa, the entry points' verdict) come from ``check``; this module keeps
-the rules that differ, its own ``discharged`` text and its trail frames.
+same in both modes (the ``CheckError`` failures with their clash guard and
+verdict, zone lookup, head typing, with-right, done, with-left, kappa, the
+variable-cut reduct) come from ``check``; this module keeps the rules that
+differ, its own ``discharged`` text and its trail frames.  Running out of
+conversion fuel is one more ``CheckError``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .check import (UNKNOWN, _Fail, _Unknown, _Zones, _done, _fail, _kappa,
-                    _reassociated, _verdict, _with_left, _with_right)
+from .check import (UNKNOWN, _Unknown, _Zones, _clash, _done, _fail, _kappa,
+                    _reassociated, _var_cut_reduct, _verdict, _with_left,
+                    _with_right)
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
@@ -38,13 +41,12 @@ from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
     App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
     Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
-    Sig, Sigma, Spine, Split, SubstClash, Term, Thunk, Up, Var, With,
-    alpha_eq, eta, free_names, rewrite, subst_data_in_neg,
-    subst_data_in_pos, subst_data_in_spine, subst_data_in_term,
+    Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq, eta,
+    rewrite, subst_data_in_neg, subst_data_in_pos, subst_data_in_spine,
 )
 
 __all__ = ["DepCtx", "dep_check_term", "dep_check_spine", "dep_bind_cut",
-           "convert", "ConversionError"]
+           "convert"]
 
 DepCtx = list  # list[tuple[Name, PosType]]; a telescope
 
@@ -101,10 +103,6 @@ class _State(_Zones):
 # ---------------------------------------------------------------------------
 # Conversion
 
-class ConversionError(CheckError):
-    pass
-
-
 def _normalize(sig: Sig, x, budget: list[int]):
     """``x`` with the term in each thunk of its data normalized."""
     def visit(y):
@@ -119,7 +117,7 @@ def _normalize(sig: Sig, x, budget: list[int]):
 
 def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
     """Definitional equality: normalize embedded data, compare up to alpha.
-    Raises ConversionError when the fuel bound is exhausted."""
+    Raises CheckError when the fuel bound is exhausted."""
     if alpha_eq(a, b):
         return True
     sig = sig or Sig()
@@ -128,9 +126,9 @@ def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
         na = _normalize(sig, a, budget)
         nb = _normalize(sig, b, budget)
     except FuelExhausted:
-        raise ConversionError(Diagnostic(
-            "conversion-fuel", expected=f"normalization within {fuel} steps",
-            found="fuel exhausted"))
+        raise _fail("conversion-fuel",
+                    expected=f"normalization within {fuel} steps",
+                    found="fuel exhausted")
     return alpha_eq(na, nb)
 
 
@@ -140,8 +138,8 @@ def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
 def _check(st: _State, t: Term, goal: NegType) -> None:
     try:
         _check_subject(st, t, goal)
-    except _Fail as f:
-        raise _Fail(f.diagnostic.pushed(
+    except CheckError as f:
+        raise CheckError(f.diagnostic.pushed(
             f"dep-check {print_term(t)} : {print_type(goal)}"))
 
 
@@ -153,24 +151,6 @@ def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma
         if i is not None and isinstance(st.pending[i][1], Sigma):
             return p.left.name, p.right.name, x, st.pending[i][1], t.body
     return None
-
-
-class _clash:
-    """Report a substitution for ``x`` that puts data other than a thunk
-    where ``x`` is applied (a ``SubstClash``) as a ``rule`` failure."""
-
-    __slots__ = ("rule", "expected", "x")
-
-    def __init__(self, rule: str, expected: str, x: Name):
-        self.rule, self.expected, self.x = rule, expected, x
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is not None and issubclass(kind, SubstClash):
-            raise _fail(self.rule, expected=self.expected, found=str(self.x),
-                        note=exc.reason)
 
 
 def _check_subject(st: _State, t: Term, goal: NegType) -> None:
@@ -231,10 +211,7 @@ def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
     ty = _infer_data(st.focus_zone(), d)
     if ty is not UNKNOWN:
         return st.extend(x, ty), b
-    if x not in free_names(b):
-        return st, b
-    with _clash("bind-cut", "well-sorted variable use", x):
-        return st, subst_data_in_term(b, x, d)
+    return st, _var_cut_reduct(x, d, b)
 
 
 def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
@@ -370,8 +347,6 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
 # Synthesis
 
 def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
-    if _is_sigma_let(st, t) is not None:
-        return UNKNOWN
     c = type(t)
     if c is BindCut and type(t.pat) is Var:
         return _infer_term(*_var_cut(st, t.pat.name, t.data, t.body))
@@ -427,31 +402,27 @@ def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
 def _entry_state(sig: Sig, ctx: DepCtx, fuel: int) -> _State:
     names = [x for x, _ in ctx]
     if len(names) != len(set(names)):
-        raise _Fail(Diagnostic("linear", expected="pairwise distinct hypotheses",
-                               found=", ".join(map(str, names))))
+        raise _fail("linear", expected="pairwise distinct hypotheses",
+                    found=", ".join(map(str, names)))
     st = _State(sig, fuel)
     for x, ty in ctx:
         st = st.extend(x, ty)
     return st
 
 
-_FAILURES = (_Fail, ConversionError)   # a rule, or the conversion fuel
-
-
 def dep_check_term(sig: Sig, ctx: DepCtx, t: Term, goal: NegType,
                    fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
-    return _verdict(lambda: _check(_entry_state(sig, ctx, fuel), t, goal),
-                    _FAILURES)
+    return _verdict(lambda: _check(_entry_state(sig, ctx, fuel), t, goal))
 
 
 def dep_check_spine(sig: Sig, ctx: DepCtx, focus: NegType, k: Spine,
                     goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
     return _verdict(lambda: _check_spine(_entry_state(sig, ctx, fuel), focus,
-                                         k, goal), _FAILURES)
+                                         k, goal))
 
 
 def dep_bind_cut(sig: Sig, ctx: DepCtx, x: Name, d: DataVal, t: Term,
                  goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
     """Check the dependent binding cut ``x = d in t`` against ``goal``."""
     return _verdict(lambda: _check(*_var_cut(_entry_state(sig, ctx, fuel),
-                                             x, d, t), goal), _FAILURES)
+                                             x, d, t), goal))

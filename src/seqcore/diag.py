@@ -4,6 +4,10 @@ A Diagnostic names the rule whose side condition failed, the source span it
 was raised at (when one is known), what was expected and what was found.  The
 ``trail`` records the judgment frames between the failure leaf and the root
 judgment, innermost first.
+
+A failure travels as a ``DiagnosticError`` holding its Diagnostic: a
+``CheckError`` from any rule of either checker, a ``ParseError`` from a
+reader, a ``CompileFail`` from the clause compiler.
 """
 
 from __future__ import annotations
@@ -58,11 +62,14 @@ class SeqcoreError(Exception):
 
 
 class DiagnosticError(SeqcoreError):
-    """An error carrying its Diagnostic; the message is the rendered text."""
+    """An error carrying its Diagnostic.  The message is the rendered text,
+    built only when asked for, so raising one costs no rendering."""
 
     def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.render())
         self.diagnostic = diagnostic
+
+    def __str__(self) -> str:
+        return self.diagnostic.render()
 
 
 class CheckError(DiagnosticError):

@@ -271,6 +271,51 @@ class TestConvert:
                     if convert(t1, t2, sig) and convert(t2, t3, sig):
                         assert convert(t1, t3, sig)
 
+    def test_fuel_failure_has_its_trail(self):
+        # loop = loop [] never normalizes, so comparing P n with
+        # P (thunk (loop [])) runs out of fuel; the failure carries the
+        # frame of the judgment it ends, like any other.
+        loop, h = Name("loop"), Name("h")
+        sig = fam_sig().with_entry(
+            SigEntry(loop, Atom(Name("c")), App(loop, Nil())))
+        sig = sig.with_entry(SigEntry(h, Atom(Name("P"), (eta(Name("n")),))))
+        goal = Atom(Name("P"), (Thunk(App(loop, Nil())),))
+        d = dep_check_term(sig, [], App(h, Nil()), goal, fuel=50)
+        assert (d.rule, d.expected, d.found) == (
+            "conversion-fuel", "normalization within 50 steps",
+            "fuel exhausted")
+        assert d.trail == ("dep-check h [] : P (thunk (loop []))",)
+
+
+class TestFailureRules:
+    """One subject per failure that the other tests never reach: the rule
+    that fails, what it expected and what it found."""
+
+    C, V = Name("c"), Name("v")
+    SIG = EMPTY.with_entry(SigEntry(C, A))
+    # (id, ctx, term, goal, (rule, expected, found))
+    CASES = [
+        ("linear context", [(X, Down(A)), (X, Down(A))], App(X, Nil()), A,
+         ("linear", "pairwise distinct hypotheses", "x, x")),
+        ("split variable not at hand", [],
+         Split(X, App(C, Nil()), App(C, Nil())), A,
+         ("or-left", "sum-typed hypothesis", "x")),
+        ("pair at a non-Sigma goal", [], Done(DPair(eta(C), eta(C))),
+         Up(Down(A)), ("prod-right", "dn a", "pair")),
+        # The cut's data is typed without the pending hypothesis x; the
+        # body still has it.
+        ("focus zone with pending", [(X, Or(Down(A), Down(A)))],
+         BindCut(Var(V), eta(C), App(V, Nil())), A,
+         ("var-app", "empty inversion context", "x")),
+    ]
+
+    @pytest.mark.parametrize("ctx, t, goal, expected",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_failure(self, ctx, t, goal, expected):
+        d = dep_check_term(self.SIG, ctx, t, goal)
+        assert (d.rule, d.expected, d.found) == expected
+
 
 class TestConservativity:
     def test_dependency_free_corpus(self):

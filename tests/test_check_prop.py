@@ -243,6 +243,70 @@ class TestCutChecking:
         assert d is not None and d.rule == "unbound"
 
 
+class TestFailureRules:
+    """One subject per failure that the other tests never reach: the rule
+    that fails, what it expected and what it found.  Data ``inl c`` has no
+    synthesizable type, so a cut on it is judged by its reduct."""
+
+    C = Name("c")
+    SIG = EMPTY.with_entry(SigEntry(C, A))
+    SUM = Or(Down(A), Down(A))
+    UNTYPED = Inl(eta(C))
+    V = Name("v")
+    # (id, ctx, term, goal, structural, (rule, expected, found))
+    CASES = [
+        ("linear context", [(Var(X), Down(A)), (Var(X), Down(A))],
+         App(X, Nil()), A, False,
+         ("linear", "pairwise distinct context binders", "x, x")),
+        ("cut contraction disabled", [],
+         BindCut(PAt(Var(X), Var(Y)), UNTYPED, App(C, Nil())), A, False,
+         ("structural-disabled", "structural-patterns flag",
+          "contraction pattern p @ q")),
+        # Both copies of the injection are left undischargeable.
+        ("cut contraction", [],
+         BindCut(PAt(Var(X), Var(Y)), UNTYPED, App(C, Nil())), A, True,
+         ("var-app", "empty inversion context",
+          "{x : <positive>, y : <positive>}")),
+        ("cut pair against pair", [],
+         BindCut(PPair(Var(X), Var(Y)), DPair(UNTYPED, eta(C)),
+                 App(Y, Nil())), A, False,
+         ("var-app", "empty inversion context", "{x : <positive>}")),
+        ("cut pair against injection", [],
+         BindCut(PPair(Var(X), Var(Y)), UNTYPED, App(C, Nil())), A, False,
+         ("bind-cut", "pair data", "inl")),
+        ("cut or-pattern against pair", [],
+         BindCut(POr(W, Var(X), Var(Y)), DPair(UNTYPED, eta(C)),
+                 App(C, Nil())), A, False,
+         ("bind-cut", "injection data", "pair")),
+        # The body does not mention x: the cut reduces to it unchanged.
+        ("cut unused variable", [],
+         BindCut(Var(X), Thunk(ID), App(Name("nope"), Nil())), A, False,
+         ("unbound", "declared variable", "nope")),
+        ("cut clash", [],
+         BindCut(Var(X), Thunk(ID), Split(X, App(C, Nil()), App(C, Nil()))),
+         A, False, ("bind-cut", "well-sorted variable use", "x")),
+        ("unique split label", [],
+         Lam(POr(W, Var(X), Var(Y)), Lam(POr(W, Var(Z), Var(V)),
+                                         App(C, Nil()))),
+         Imp(SUM, Imp(SUM, A)), False,
+         ("or-left", "unique split label", "w")),
+        # The cut's data is typed without the pending hypothesis; its body
+        # still has it.
+        ("focus zone with pending", [],
+         Lam(POr(W, Var(X), Var(Y)), BindCut(Var(V), eta(C), App(V, Nil()))),
+         Imp(SUM, A), False,
+         ("var-app", "empty inversion context",
+          "{[[x|y]_w] : (dn a) + dn a}")),
+    ]
+
+    @pytest.mark.parametrize("ctx, t, goal, structural, expected",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_failure(self, ctx, t, goal, structural, expected):
+        d = check_term(self.SIG, ctx, t, goal, structural=structural)
+        assert (d.rule, d.expected, d.found) == expected
+
+
 class TestAdmissibility:
     def test_weakening(self):
         from gen_corpus import generate_corpus
