@@ -818,6 +818,10 @@ def _build_tree(fz: _Fusion, decl: SurfaceDecl,
 
 def _missing_case(name: str, arity: int, path: tuple, side: str) -> str:
     """The clause head that would cover ``side`` of the sum at ``path``."""
+    def atom(hole: str) -> str:
+        # A hole is an injection or a parenthesized pair.
+        return hole if hole.startswith("(") else f"({hole})"
+
     hole = f"{side} _"
     for step in reversed(path[1:]):
         if step == "fst":
@@ -825,9 +829,9 @@ def _missing_case(name: str, arity: int, path: tuple, side: str) -> str:
         elif step == "snd":
             hole = f"(_, {hole})"
         else:
-            hole = f"{step} ({hole})"
+            hole = f"{step} {atom(hole)}"
     pats = ["_"] * arity
-    pats[path[0]] = hole
+    pats[path[0]] = atom(hole)
     return f"{name} {' '.join(pats)}"
 
 

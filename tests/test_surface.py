@@ -220,10 +220,22 @@ class TestCompile:
         assert "inr _" in d.found
 
     def test_nested_missing_branch_path(self):
-        src = "atom a\ng : (a + a) + a -> a\ng (inl (inl x)) = x\ng (inr z) = z\n"
-        with pytest.raises(CompileFail) as exc:
-            load_program(src)
-        assert "inl (inr _)" in exc.value.diagnostic.found
+        # The missing case reads as a clause head: an injection in argument
+        # position or under another injection is parenthesized.
+        cases = [
+            ("g : (a + a) + a -> a\ng (inl (inl x)) = x\ng (inr z) = z",
+             "g (inl (inr _))"),
+            ("g : (a + a) * a -> a\ng (inl x, y) = y", "g (inr _, _)"),
+            ("g : a * (a + a) -> a\ng (x, inl y) = x", "g (_, inr _)"),
+            ("g : (a * (a + a)) + a -> a\ng (inl (x, inl y)) = x\n"
+             "g (inr z) = z", "g (inl (_, inr _))"),
+            ("g : a -> a + a -> a\ng x (inl y) = y", "g _ (inr _)"),
+        ]
+        for mode in (Mode.PROP, Mode.DEP):
+            for decl, head in cases:
+                with pytest.raises(CompileFail) as exc:
+                    load_program("atom a\n" + decl + "\n", mode=mode)
+                assert exc.value.diagnostic.found == "missing case: " + head
 
     def test_compiled_suite_typechecks(self):
         # Compilation soundness over the whole example suite.
@@ -402,7 +414,7 @@ class TestCoveragePin:
 
     CALLS = 1524
     COVERAGE_ERRORS = 1308
-    DIGEST = "58b07faf0818daf4924af856287cf4192001d7fb76a9fdf83023d26d28fe26a2"
+    DIGEST = "5ee0c810ac79902e63238f92fb1dfad981a6288c9f61e36742f6abbb129bfe03"
 
     @staticmethod
     def outcomes(capsys, monkeypatch, tmp_path):
@@ -514,7 +526,7 @@ class TestSurfaceDiagnosticPin:
     RULES = {"pattern", "type", "unbound", "arity", "mode", "atom", "linear",
              "scope", "coverage", "parse", "dep-pattern",
              "structural-disabled"}
-    DIGEST = "81f95385a623c2a2e2e9024d99040649215f96c903364f7f124a9e6b87dba1af"
+    DIGEST = "2063b035ffb58ecfaeebec7cc48d3140634e11ffd962143de3d397e49dae3f8c"
 
     def test_outcomes_digest(self, capsys, monkeypatch, tmp_path):
         import hashlib
