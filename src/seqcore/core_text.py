@@ -63,7 +63,7 @@ class _Printer:
         if n in scope:
             return scope[n]
         self.free.add(n.text)
-        return n.text if n.tag == 0 else f"{n.text}#{n.tag}"
+        return str(n)
 
     def pattern(self, scope: dict[Name, str], p: Pattern, atom: bool = False) -> str:
         c = type(p)

@@ -105,9 +105,7 @@ def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
         elif cf is Lam or cf is Done or cf is Pair:
             raise _StuckAt(
                 f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
-        elif cf is Split:
-            return None   # resolved by an enclosing or-binding
-        return None
+        return None   # a split: resolved by an enclosing or-binding
     elif c is BindCut:
         p, d, b = x.pat, x.data, x.body
         cp, cd = type(p), type(d)

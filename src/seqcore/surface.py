@@ -334,10 +334,10 @@ class _P:
             return PWildS(Span(self.file, t.line, t.col))
         if t.text == "inl":
             self.next()
-            return PInlS(self.pattern_atom())
+            return PInlS(self.pattern())
         if t.text == "inr":
             self.next()
-            return PInrS(self.pattern_atom())
+            return PInrS(self.pattern())
         if t.kind == "NAME" and t.text not in _KEYWORDS:
             self.next()
             if self.peek().text == "@":
@@ -345,12 +345,6 @@ class _P:
                 return PAsS(t.text, self.pattern(),
                             Span(self.file, t.line, t.col))
             return PVarS(t.text, Span(self.file, t.line, t.col))
-        if t.text == "(":
-            return self.pattern_atom()
-        raise self.fail("pattern")
-
-    def pattern_atom(self) -> SPat:
-        t = self.peek()
         if t.text == "(":
             self.next()
             p = self.pattern()
@@ -361,7 +355,7 @@ class _P:
                 return PPairS(p, q)
             self.eat_sym(")")
             return p
-        return self.pattern()
+        raise self.fail("pattern")
 
     # expressions
 
@@ -634,8 +628,6 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
     if c is Down:
         return _fuse_down(fz, path, ty.body, peeled)
     elif c is Or:
-        if fz.mode is Mode.DEP and path not in fz.pos_var:
-            fz.pos_var[path] = fresh("s")
         w = fresh("w")
         fz.labels[path] = w
         left: dict[int, Optional[SPat]] = {}
@@ -652,7 +644,7 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
             else:
                 raise CompileFail(Diagnostic(
                     "pattern", expected="injection or variable at a sum type",
-                    found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
+                    found=_spat_shape(sp), span=_spat_span(sp)))
         if fz.mode is Mode.DEP:
             # Branches rebind the scrutinee at the refined type.
             fz.pos_var[path + ("inl",)] = fz.pos_var[path]
@@ -676,7 +668,7 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
             else:
                 raise CompileFail(Diagnostic(
                     "pattern", expected="pair or variable at a product type",
-                    found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
+                    found=_spat_shape(sp), span=_spat_span(sp)))
         if fz.mode is Mode.DEP:
             base = fz.pos_var.setdefault(path, fresh("s"))
             fz.pos_var[path + ("fst",)] = fresh(
@@ -692,8 +684,7 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
         fr = _fuse(fz, path + ("snd",), snd_ty, rights)
         _bind_composites(fz, path, ty, peeled)
         return PPair(fl, fr)
-    raise CompileFail(Diagnostic("pattern", expected="positive argument type",
-                                 found=print_type(ty), span=fz.span))
+    raise TypeError(ty)
 
 
 def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
@@ -704,7 +695,7 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
         if sp is not None and not isinstance(sp, (PVarS, PWildS)):
             raise CompileFail(Diagnostic(
                 "pattern", expected="variable at a thunk type",
-                found=_spat_shape(sp), span=_spat_span(sp, fz.span)))
+                found=_spat_shape(sp), span=_spat_span(sp)))
         width = max(width, len(names))
     # Kernel variables take the source names slot by slot, from the first
     # clause that names the slot, so equations print back with the names the
@@ -751,15 +742,13 @@ def _spat_shape(p: SPat) -> str:
             PInrS: "inr pattern"}[type(p)]
 
 
-def _spat_span(p: SPat, default: Span) -> Span:
+def _spat_span(p: SPat) -> Span:
     c = type(p)
-    if c is PVarS or c is PWildS or c is PAsS:
-        return p.span
-    elif c is PPairS:
-        return _spat_span(p.left, default)
+    if c is PPairS:
+        return _spat_span(p.left)
     elif c is PInlS or c is PInrS:
-        return _spat_span(p.pat, default)
-    return default
+        return _spat_span(p.pat)
+    return p.span
 
 
 # ---------------------------------------------------------------------------
