@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from core_reader import parse_term
-from suite import clause_set_variants, cyclic_garbage
+from suite import SUITE, clause_set_variants, cyclic_garbage
 from seqcore.cli import entry, main
+from seqcore.syntax import Mode
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -166,6 +167,18 @@ class TestCheck:
                    "binder, found as-pattern\n")
         assert run(capsys, "check", str(path), "--structural-patterns") == (
             0, "ok (3 declarations)\n", "")
+
+
+class TestExamples:
+    @pytest.mark.parametrize("name, mode, structural", SUITE,
+                             ids=[name for name, _, _ in SUITE])
+    def test_check_and_core_with_own_flags(self, capsys, name, mode,
+                                           structural):
+        flags = ((["--dependent"] if mode is Mode.DEP else [])
+                 + (["--structural-patterns"] if structural else []))
+        for cmd in ("check", "core"):
+            code, _, err = run(capsys, cmd, str(PROGRAMS / name), *flags)
+            assert code == 0, (cmd, err)
 
 
 class TestRun:
