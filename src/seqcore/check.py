@@ -83,10 +83,8 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-def _fail(rule: str, expected: str = "", found: str = "",
-          note: str = "") -> CheckError:
-    return CheckError(Diagnostic(rule, expected=expected, found=found,
-                                 note=note))
+def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> CheckError:
+    return CheckError(Diagnostic(rule, expected, found, note))
 
 
 class _clash:
