@@ -42,8 +42,10 @@ never sees an unshifted mix.
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from typing import NamedTuple, Optional, Union
+from bisect import bisect_right
+from itertools import accumulate, count, islice, repeat
+from operator import add, itemgetter
+from typing import Optional, Union
 
 from .check_dep import convert
 from .core_text import print_type
@@ -67,14 +69,44 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Surface AST
 
+class _Source:
+    """A source text's file name and line starts.  Tokens and name nodes
+    keep character offsets; a Span is made from one only when asked."""
+
+    __slots__ = ("file", "starts")
+
+    def __init__(self, text: str, file: str):
+        self.file = file
+        # Line k (from 0) starts after the k newlines and the characters of
+        # the lines before it.
+        self.starts = list(map(add, accumulate(map(len, text.split("\n")),
+                                               initial=0), count()))
+
+    def span(self, at: int) -> Span:
+        line = bisect_right(self.starts, at)
+        return Span(self.file, line, at - self.starts[line - 1] + 1)
+
+
+class _Located:
+    """A node named in the source: ``at`` is the offset of its name in
+    ``src``, and its span is made when a diagnostic asks for it."""
+
+    __slots__ = ()
+
+    @property
+    def span(self) -> Span:
+        return self.src.span(self.at)
+
+
 class SType:
     __slots__ = ()
 
 
 @record
-class TName(SType):
+class TName(SType, _Located):
     name: str
-    span: Span
+    at: int
+    src: _Source
 
 
 @record
@@ -91,12 +123,13 @@ class TBin(SType):
 
 
 @record
-class TBind(SType):
+class TBind(SType, _Located):
     head: str          # "Pi" | "Sigma"
     var: str
     arg: SType
     body: SType
-    span: Span
+    at: int
+    src: _Source
 
 
 class SPat:
@@ -104,21 +137,24 @@ class SPat:
 
 
 @record
-class PVarS(SPat):
+class PVarS(SPat, _Located):
     name: str
-    span: Span
+    at: int
+    src: _Source
 
 
 @record
-class PWildS(SPat):
-    span: Span
+class PWildS(SPat, _Located):
+    at: int
+    src: _Source
 
 
 @record
-class PAsS(SPat):
+class PAsS(SPat, _Located):
     name: str
     pat: SPat
-    span: Span
+    at: int
+    src: _Source
 
 
 @record
@@ -142,10 +178,11 @@ class SExpr:
 
 
 @record
-class EApp(SExpr):
+class EApp(SExpr, _Located):
     head: str
     args: tuple["SExpr", ...]
-    span: Span
+    at: int
+    src: _Source
 
 
 @record
@@ -185,278 +222,296 @@ class SurfaceDecl:
 
 _KEYWORDS = {"atom", "postulate", "inl", "inr", "Pi", "Sigma"}
 
+# The source splits into pieces, and the spaces between them drop out.  A
+# piece is a symbol; a word; a line end, which runs on over the blank lines,
+# spaces and comments after it, so that no two NLs are adjacent; or a
+# character that starts no token, which takes the rest of the source with
+# it, so that only the last piece can be one.  A line end starts at its
+# line's comment, or else at its newline.  Words start with any word
+# character but a decimal digit; ``_lex`` rejects those that start with a
+# non-letter (``½``, ``²``).
+_TOKENS = r"->|/\\|[:()=,@*+.]|[^\W\d][\w']*|(?:--[^\n]*|\n)(?:\s|--[^\n]*)*"
+_PIECE = re.compile(rf"({_TOKENS}|\S[\s\S]*)")
+_TOKEN = re.compile(_TOKENS)
 
-class _Tok(NamedTuple):
-    kind: str    # NAME WILD SYM NL EOF
-    text: str
-    line: int
-    col: int
+_KIND = dict.fromkeys(("->", "/\\", ":", "(", ")", "=", ",", "@", "*", "+",
+                       "."), "SYM")
+_KIND["_"] = "WILD"
+# A piece whose text is not in _KIND is a word or, by its first character,
+# a line end (``->`` is found by its text first).
+_KIND_BY_HEAD = {"\n": "NL", "-": "NL"}
+_NL_TEXT = {"NL": ""}
+# The characters other than letters that start a token or a line end.
+_NOT_LETTERS = frozenset("_\n-/:()=,@*+.")
 
 
-# Lexing goes line by line.  Each match is the spaces before one token, then
-# the token: a symbol, a name, a line comment, or a character that starts no
-# token.  Names start with any word character but a decimal digit; ``_lex``
-# rejects the other non-letters among them (``½``, ``²``).
-_TOKEN = re.compile(r"""
-    (\s*)
-    (?: (->|/\\|[:()=,@*+.])
-      | ([^\W\d][\w']*)
-      | (--.*)
-      | (\S) )
-""", re.VERBOSE)
+def _lex(src: str, file: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds (NAME WILD SYM NL EOF), texts and offsets of the tokens of
+    ``src``.  An NL follows each line that holds a token; EOF sits past the
+    last line, or where its comment starts."""
+    parts = _PIECE.split(src)
+    texts = parts[1::2]
+    offs = list(islice(accumulate(map(len, parts)), 0, len(parts) - 1, 2))
+    del parts
+    heads = list(map(itemgetter(0), texts))
+    if texts and not (all(map(str.isalpha, set(heads) - _NOT_LETTERS))
+                      and _TOKEN.fullmatch(texts[-1])):
+        _bad_token(src, file, texts, offs)
+    kinds = list(map(_KIND.get, texts,
+                     map(_KIND_BY_HEAD.get, heads, repeat("NAME"))))
+    del heads
+    texts = list(map(_NL_TEXT.get, kinds, texts))
+    if kinds and kinds[0] == "NL":
+        del kinds[0], texts[0], offs[0]
+    if kinds and kinds[-1] != "NL":
+        kinds.append("NL")
+        texts.append("")
+        offs.append(len(src))
+    # No "--" on a line that lexed comes before the comment's.
+    comment = src.find("--", src.rfind("\n") + 1)
+    kinds.append("EOF")
+    texts.append("")
+    offs.append(comment if comment >= 0 else len(src))
+    return kinds, texts, offs
 
 
-def _lex(src: str, file: str) -> list[_Tok]:
-    toks: list[tuple] = []
-    nl_due = False            # an NL follows only a token that is not NL
-    for line, text in enumerate(src.split("\n"), 1):
-        # NL, and EOF after the last line, sit past the line's last
-        # character, or where a comment starts.
-        pos, stop = 0, len(text)
-        for space, sym, name, comment, bad in _TOKEN.findall(text):
-            pos += len(space)
-            if sym:
-                toks.append(("SYM", sym, line, pos + 1))
-                pos += len(sym)
-            elif name and (name[0].isalpha() or name[0] == "_"):
-                toks.append(("WILD" if name == "_" else "NAME", name, line,
-                             pos + 1))
-                pos += len(name)
-            elif comment:
-                stop = pos
-                break
-            else:
-                raise ParseError(Diagnostic(
-                    "parse", expected="token", found=repr((bad or name)[0]),
-                    span=Span(file, line, pos + 1)))
-            nl_due = True
-        if nl_due:
-            toks.append(("NL", "", line, stop + 1))
-            nl_due = False
-    toks.append(("EOF", "", line, stop + 1))
-    # One C-level pass turns the plain tuples into _Tok; calling _Tok per
-    # token costs about as much as the scan itself.
-    return list(map(tuple.__new__, repeat(_Tok), toks))
+def _bad_token(src: str, file: str, texts: list[str], offs: list[int]):
+    """Raise at the first piece that is no token: one that starts with a
+    character that starts no token, or a word that starts with no letter."""
+    for text, at in zip(texts, offs):
+        if not ((text[0].isalpha() or text[0] in _NOT_LETTERS)
+                and _TOKEN.fullmatch(text)):
+            raise ParseError(Diagnostic(
+                "parse", expected="token", found=repr(text[0]),
+                span=_Source(src, file).span(at)))
+    raise AssertionError(texts[-1])
 
 
 class _P:
-    def __init__(self, toks: list[_Tok], file: str):
-        self.toks = toks
-        self.pos = 0
-        self.file = file
+    """Recursive descent over the token arrays.  The productions read kinds
+    and texts by index and keep the position in ``i``."""
 
-    def span(self, t: _Tok) -> Span:
-        # The recursive productions below build their spans inline: a call
-        # here would add a stack level under every nested type.
-        return Span(self.file, t.line, t.col)
+    __slots__ = ("kinds", "texts", "offs", "src", "i")
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def __init__(self, text: str, file: str):
+        self.kinds, self.texts, self.offs = _lex(text, file)
+        self.src = _Source(text, file)
+        self.i = 0
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
+    def fail(self, expected: str, i: int) -> ParseError:
+        t = self.texts[i]
+        found = t or ("end of input" if self.kinds[i] == "EOF" else "end of line")
+        return ParseError(Diagnostic("parse", expected=expected, found=found,
+                                     span=self.src.span(self.offs[i])))
+
+    def name(self, i: int) -> str:
+        """The identifier at ``i``."""
+        t = self.texts[i]
+        if self.kinds[i] != "NAME" or t in _KEYWORDS:
+            raise self.fail("identifier", i)
         return t
 
-    def fail(self, expected: str) -> ParseError:
-        t = self.peek()
-        found = t.text or ("end of input" if t.kind == "EOF" else "end of line")
-        return ParseError(Diagnostic("parse", expected=expected, found=found,
-                                     span=self.span(t)))
-
-    def eat_sym(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "SYM" or t.text != text:
-            raise self.fail(repr(text))
-        return self.next()
-
-    def eat_name(self) -> _Tok:
-        t = self.peek()
-        if t.kind != "NAME" or t.text in _KEYWORDS:
-            raise self.fail("identifier")
-        return self.next()
-
-    def eat_nl(self) -> None:
-        if self.peek().kind == "EOF":
-            return
-        if self.peek().kind != "NL":
-            raise self.fail("end of line")
-        self.next()
-
-    def skip_nls(self) -> None:
-        while self.peek().kind == "NL":
-            self.next()
+    def end_line(self, i: int) -> int:
+        """The position after the line end at ``i``; EOF stays."""
+        k = self.kinds[i]
+        if k == "NL":
+            return i + 1
+        if k != "EOF":
+            raise self.fail("end of line", i)
+        return i
 
     # types
 
     def type_(self) -> SType:
         t1 = self.type1()
-        if self.peek().text == "->":
-            self.next()
+        if self.texts[self.i] == "->":
+            self.i += 1
             return TArrow(t1, self.type_())
         return t1
 
     def type1(self) -> SType:
         t = self.type2()
-        while self.peek().text in ("*", "+", "/\\"):
-            op = self.next().text
+        texts = self.texts
+        op = texts[self.i]
+        while op == "*" or op == "+" or op == "/\\":
+            self.i += 1
             t = TBin(op, t, self.type2())
+            op = texts[self.i]
         return t
 
     def type2(self) -> SType:
-        t = self.peek()
-        if t.kind == "NAME" and t.text in ("Pi", "Sigma"):
-            self.next()
-            self.eat_sym("(")
-            var = self.eat_name()
-            self.eat_sym(":")
-            arg = self.type_()
-            self.eat_sym(")")
-            self.eat_sym(".")
-            return TBind(t.text, var.text, arg, self.type_(),
-                         Span(self.file, t.line, t.col))
-        if t.kind == "NAME" and t.text not in _KEYWORDS:
-            self.next()
-            return TName(t.text, Span(self.file, t.line, t.col))
-        if t.text == "(":
-            self.next()
+        i, texts = self.i, self.texts
+        t = texts[i]
+        if self.kinds[i] == "NAME":
+            if t not in _KEYWORDS:
+                self.i = i + 1
+                return TName(t, self.offs[i], self.src)
+            if t == "Pi" or t == "Sigma":
+                if texts[i + 1] != "(":
+                    raise self.fail("'('", i + 1)
+                var = self.name(i + 2)
+                if texts[i + 3] != ":":
+                    raise self.fail("':'", i + 3)
+                self.i = i + 4
+                arg = self.type_()
+                j = self.i
+                if texts[j] != ")":
+                    raise self.fail("')'", j)
+                if texts[j + 1] != ".":
+                    raise self.fail("'.'", j + 1)
+                self.i = j + 2
+                return TBind(t, var, arg, self.type_(), self.offs[i], self.src)
+        elif t == "(":
+            self.i = i + 1
             inner = self.type_()
-            self.eat_sym(")")
+            if texts[self.i] != ")":
+                raise self.fail("')'", self.i)
+            self.i += 1
             return inner
-        raise self.fail("type")
+        raise self.fail("type", i)
 
     # patterns
 
     def pattern(self) -> SPat:
-        t = self.peek()
-        if t.kind == "WILD":
-            self.next()
-            return PWildS(Span(self.file, t.line, t.col))
-        if t.text == "inl":
-            self.next()
-            return PInlS(self.pattern())
-        if t.text == "inr":
-            self.next()
-            return PInrS(self.pattern())
-        if t.kind == "NAME" and t.text not in _KEYWORDS:
-            self.next()
-            if self.peek().text == "@":
-                self.next()
-                return PAsS(t.text, self.pattern(),
-                            Span(self.file, t.line, t.col))
-            return PVarS(t.text, Span(self.file, t.line, t.col))
-        if t.text == "(":
-            self.next()
+        i, texts = self.i, self.texts
+        t, k = texts[i], self.kinds[i]
+        if k == "WILD":
+            self.i = i + 1
+            return PWildS(self.offs[i], self.src)
+        if k == "NAME":
+            if t not in _KEYWORDS:
+                if texts[i + 1] == "@":
+                    self.i = i + 2
+                    return PAsS(t, self.pattern(), self.offs[i], self.src)
+                self.i = i + 1
+                return PVarS(t, self.offs[i], self.src)
+            if t == "inl":
+                self.i = i + 1
+                return PInlS(self.pattern())
+            if t == "inr":
+                self.i = i + 1
+                return PInrS(self.pattern())
+        elif t == "(":
+            self.i = i + 1
             p = self.pattern()
-            if self.peek().text == ",":
-                self.next()
-                q = self.pattern()
-                self.eat_sym(")")
-                return PPairS(p, q)
-            self.eat_sym(")")
+            if texts[self.i] == ",":
+                self.i += 1
+                p = PPairS(p, self.pattern())
+            if texts[self.i] != ")":
+                raise self.fail("')'", self.i)
+            self.i += 1
             return p
-        raise self.fail("pattern")
+        raise self.fail("pattern", i)
 
     # expressions
 
     def expr(self) -> SExpr:
-        t = self.peek()
-        if t.text in ("inl", "inr") or t.text == "(":
+        i, kinds, texts = self.i, self.kinds, self.texts
+        t = texts[i]
+        if kinds[i] != "NAME" or t in _KEYWORDS:
             return self.expr_atom()
-        if t.kind == "NAME" and t.text not in _KEYWORDS:
-            self.next()
-            args = []
-            while self._at_arg():
+        args = []
+        j = i + 1
+        while True:
+            a = texts[j]
+            if kinds[j] == "NAME" and a not in _KEYWORDS:
+                args.append(EApp(a, (), self.offs[j], self.src))
+                j += 1
+            elif a == "(" or a == "inl" or a == "inr":
+                self.i = j
                 args.append(self.expr_atom())
-            return EApp(t.text, tuple(args),
-                        Span(self.file, t.line, t.col))
-        raise self.fail("expression")
-
-    def _at_arg(self) -> bool:
-        t = self.peek()
-        if t.text == "(" or t.text in ("inl", "inr"):
-            return True
-        return t.kind == "NAME" and t.text not in _KEYWORDS
+                j = self.i
+            else:
+                break
+        self.i = j
+        return EApp(t, tuple(args), self.offs[i], self.src)
 
     def expr_atom(self) -> SExpr:
-        t = self.peek()
-        if t.text == "inl":
-            self.next()
-            return EInl(self.expr_atom())
-        if t.text == "inr":
-            self.next()
-            return EInr(self.expr_atom())
-        if t.kind == "NAME" and t.text not in _KEYWORDS:
-            self.next()
-            return EApp(t.text, (), Span(self.file, t.line, t.col))
-        if t.text == "(":
-            self.next()
+        i, texts = self.i, self.texts
+        t = texts[i]
+        if t == "(":
+            self.i = i + 1
             e = self.expr()
-            if self.peek().text == ",":
-                self.next()
-                e2 = self.expr()
-                self.eat_sym(")")
-                return EPair(e, e2)
-            self.eat_sym(")")
+            if texts[self.i] == ",":
+                self.i += 1
+                e = EPair(e, self.expr())
+            if texts[self.i] != ")":
+                raise self.fail("')'", self.i)
+            self.i += 1
             return e
-        raise self.fail("expression")
+        if self.kinds[i] == "NAME":
+            if t not in _KEYWORDS:
+                self.i = i + 1
+                return EApp(t, (), self.offs[i], self.src)
+            if t == "inl":
+                self.i = i + 1
+                return EInl(self.expr_atom())
+            if t == "inr":
+                self.i = i + 1
+                return EInr(self.expr_atom())
+        raise self.fail("expression", i)
 
 
-def _decl_name(p: _P, t: _Tok) -> _Tok:
+def _decl_name(p: _P, i: int) -> str:
     # Declared names must not start with an underscore; that prefix belongs
     # to the core syntax for or-pattern labels.
-    if t.text.startswith("_"):
+    t = p.texts[i]
+    if t.startswith("_"):
         raise ParseError(Diagnostic(
             "parse", expected="declaration name without leading underscore",
-            found=t.text, span=p.span(t)))
+            found=t, span=p.src.span(p.offs[i])))
     return t
 
 
 def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     """Parse a surface program into declarations with their clauses."""
-    p = _P(_lex(source, file), file)
+    p = _P(source, file)
+    kinds, texts, offs, src = p.kinds, p.texts, p.offs, p.src
     decls: list[SurfaceDecl] = []
     open_def: Optional[int] = None
 
-    p.skip_nls()
-    while p.peek().kind != "EOF":
-        t = p.peek()
-        if t.text == "atom":
-            p.next()
-            name = _decl_name(p, p.eat_name())
-            p.eat_nl()
-            decls.append(SurfaceDecl("atom", name.text, p.span(name)))
-            open_def = None
-        elif t.text == "postulate":
-            p.next()
-            name = _decl_name(p, p.eat_name())
-            p.eat_sym(":")
-            ty = p.type_()
-            p.eat_nl()
-            decls.append(SurfaceDecl("postulate", name.text, p.span(name),
-                                     type=ty))
-            open_def = None
-        elif t.kind == "NAME":
-            name = p.eat_name()
-            span = p.span(name)
-            if p.peek().text == ":":
-                _decl_name(p, name)
-                p.next()
+    # The lexer puts no NL first and never two in a row, so each
+    # declaration starts right after the line end of the one before.
+    i = 0
+    while kinds[i] != "EOF":
+        t = texts[i]
+        if t == "atom" or t == "postulate":
+            p.name(i + 1)
+            name = _decl_name(p, i + 1)
+            span = src.span(offs[i + 1])
+            ty = None
+            if t == "atom":
+                i = p.end_line(i + 2)
+            else:
+                if texts[i + 2] != ":":
+                    raise p.fail("':'", i + 2)
+                p.i = i + 3
                 ty = p.type_()
-                p.eat_nl()
-                decls.append(SurfaceDecl("def", name.text, span, type=ty))
+                i = p.end_line(p.i)
+            decls.append(SurfaceDecl(t, name, span, ty))
+            open_def = None
+        elif kinds[i] == "NAME":
+            name = p.name(i)
+            span = src.span(offs[i])
+            if texts[i + 1] == ":":
+                _decl_name(p, i)
+                p.i = i + 2
+                ty = p.type_()
+                i = p.end_line(p.i)
+                decls.append(SurfaceDecl("def", name, span, ty))
                 open_def = len(decls) - 1
             else:
+                p.i = i + 1
                 pats = []
-                while p.peek().text != "=":
+                while texts[p.i] != "=":
                     pats.append(p.pattern())
-                p.eat_sym("=")
+                p.i += 1
                 rhs = p.expr()
-                p.eat_nl()
-                if open_def is None or decls[open_def].name != name.text:
+                i = p.end_line(p.i)
+                if open_def is None or decls[open_def].name != name:
                     raise ParseError(Diagnostic(
                         "parse", expected="clause following its declaration",
-                        found=name.text, span=span))
+                        found=name, span=span))
                 d = decls[open_def]
                 if d.clauses and len(d.clauses[0].lhs) != len(pats):
                     raise ParseError(Diagnostic(
@@ -466,8 +521,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                     d.kind, d.name, d.span, d.type,
                     d.clauses + (Clause(tuple(pats), rhs, span),))
         else:
-            raise p.fail("declaration")
-        p.skip_nls()
+            raise p.fail("declaration", i)
     return decls
 
 
@@ -574,33 +628,32 @@ class _Fusion:
     """Per-position facts accumulated while fusing the clause matrix."""
 
     mode: Mode
-    span: Span
+    binds: list[dict[str, _Binding]]     # the names each clause binds
     pos_types: dict[tuple, PosType] = factory(dict)
     labels: dict[tuple, Name] = factory(dict)     # sum positions
     # The kernel variable of each thunk position, and in dependent mode of
     # each scrutinee.
     pos_var: dict[tuple, Name] = factory(dict)
-    binds: dict[int, dict[str, _Binding]] = factory(dict)
     clause_pat: dict[tuple[int, tuple], SPat] = factory(dict)
 
-    def bind(self, cid: int, name: str, b: _Binding, span: Span) -> None:
-        if name in self.binds[cid]:
+    def bind(self, cid: int, node: Union[PAsS, PVarS], b: _Binding) -> None:
+        if node.name in self.binds[cid]:
             raise CompileFail(Diagnostic(
                 "linear", expected="pairwise distinct clause variables",
-                found=name, span=span))
-        self.binds[cid][name] = b
+                found=node.name, span=node.span))
+        self.binds[cid][node.name] = b
 
 
-def _peel_as(sp: Optional[SPat]) -> tuple[list[tuple[str, Span]], Optional[SPat]]:
-    """The names a clause binds at this position, with their spans: the
-    as-names outermost first, then the variable under them if there is one.
-    Also the pattern under the as-names."""
-    names: list[tuple[str, Span]] = []
+def _peel_as(sp: Optional[SPat]) -> tuple[list[Union[PAsS, PVarS]], Optional[SPat]]:
+    """The nodes that name what a clause binds at this position: the
+    as-patterns outermost first, then the variable under them if there is
+    one.  Also the pattern under the as-names."""
+    names: list[Union[PAsS, PVarS]] = []
     while isinstance(sp, PAsS):
-        names.append((sp.name, sp.span))
+        names.append(sp)
         sp = sp.pat
     if isinstance(sp, PVarS):
-        names.append((sp.name, sp.span))
+        names.append(sp)
     return names, sp
 
 
@@ -700,20 +753,20 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
     # Kernel variables take the source names slot by slot, from the first
     # clause that names the slot, so equations print back with the names the
     # program used.  Only a lone slot can go unnamed.
-    vars_ = [fresh(next((names[i][0] for names, _ in peeled.values()
+    vars_ = [fresh(next((names[i].name for names, _ in peeled.values()
                          if i < len(names)), "v1"))
              for i in range(max(width, 1))]
     vars_[0] = fz.pos_var.setdefault(path, vars_[0])
     for cid, (names, _) in peeled.items():
-        for v, (nm, spn) in zip(vars_, names):
-            fz.bind(cid, nm, _VarB(v, n), spn)
+        for v, node in zip(vars_, names):
+            fz.bind(cid, node, _VarB(v, n))
     if width > 1:
         if fz.mode is Mode.DEP:
             # The first name that would need an extra kernel variable.
             raise CompileFail(Diagnostic(
                 "dep-pattern", expected="variable binder",
                 found="as-pattern", span=next(
-                    names[1][1] for names, _ in peeled.values()
+                    names[1].span for names, _ in peeled.values()
                     if len(names) > 1)))
         pat: Pattern = Var(vars_[-1])
         for v in reversed(vars_[:-1]):
@@ -724,8 +777,8 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
 
 def _bind_composites(fz: _Fusion, path: tuple, ty: PosType, peeled) -> None:
     for cid, (names, _) in peeled.items():
-        for nm, spn in names:
-            fz.bind(cid, nm, _DataB(path, ty), spn)
+        for node in names:
+            fz.bind(cid, node, _DataB(path, ty))
 
 
 def _var_text(pats, default: str) -> str:
@@ -832,6 +885,9 @@ class _Emitter:
                  result: NegType):
         self.sig = sig
         self.mode = mode
+        # The comparison of a type with the goal it must meet.
+        self.same = alpha_eq if mode is Mode.PROP else (
+            lambda a, b: convert(a, b, sig))
         self.fz = fz
         self.decl = decl
         self.result = result
@@ -848,7 +904,8 @@ class _Emitter:
     def emit(self, tree: CaseTree) -> Term:
         c = type(tree)
         if c is Leaf:
-            return self._rhs_term(tree.clause, self.decl.clauses[tree.clause].rhs, self.result)
+            return self._rhs_term(self.fz.binds[tree.clause],
+                                  self.decl.clauses[tree.clause].rhs, self.result)
         elif c is SplitNode:
             path = tree.path
             self.choices[path] = "left"
@@ -891,74 +948,68 @@ class _Emitter:
                          self._recon(path + ("snd",)))
         raise TypeError(ty)
 
-    # expressions
+    # expressions, under the names ``scope`` their clause binds
 
-    def _head(self, cid: int, head: str, span: Span):
-        b = self.fz.binds[cid].get(head)
-        if b is not None:
-            return b
-        entry = self.sig.lookup(Name(head))
-        if entry is not None:
-            return _VarB(entry.name, entry.type)
-        raise CompileFail(Diagnostic(
-            "unbound", expected="bound variable or declared name",
-            found=head, span=span))
-
-    def _types_match(self, a, b) -> bool:
-        if self.mode is Mode.DEP:
-            return convert(a, b, self.sig)
-        return alpha_eq(a, b)
-
-    def _rhs_term(self, cid: int, e: SExpr, goal: NegType) -> Term:
+    def _rhs_term(self, scope: dict, e: SExpr, goal: NegType) -> Term:
         c = type(goal)
         if c is Up:
-            return Done(self._rhs_data(cid, e, goal.body))
+            return Done(self._rhs_data(scope, e, goal.body))
         elif c is With and type(e) is EPair:
-            return Pair(self._rhs_term(cid, e.left, goal.left),
-                        self._rhs_term(cid, e.right, goal.right))
+            return Pair(self._rhs_term(scope, e.left, goal.left),
+                        self._rhs_term(scope, e.right, goal.right))
         else:
-            return self._app_term(cid, e, goal)
+            return self._app_term(scope, e, goal)
 
-    def _app_term(self, cid: int, e: SExpr, goal: NegType) -> Term:
-        if not isinstance(e, EApp):
+    def _app_term(self, scope: dict, e: SExpr, goal: NegType) -> Term:
+        if type(e) is not EApp:
             raise CompileFail(Diagnostic(
                 "type", expected=print_type(goal),
                 found=_sexpr_shape(e), span=_sexpr_span(e, self.decl.span)))
-        b = self._head(cid, e.head, e.span)
-        if isinstance(b, _DataB):
+        b = scope.get(e.head)
+        if b is None:
+            # A name equals the plain tuple of its text and tag, so the
+            # lookup of a signature name builds no Name.
+            entry = self.sig.lookup((e.head, 0))
+            if entry is None:
+                raise CompileFail(Diagnostic(
+                    "unbound", expected="bound variable or declared name",
+                    found=e.head, span=e.span))
+            head, cur = entry.name, entry.type
+        elif type(b) is _DataB:
             raise CompileFail(Diagnostic(
                 "type", expected="thunk-typed head",
                 found=f"{e.head} bound at {print_type(b.type)}", span=e.span))
-        cur = b.type
+        else:
+            head, cur = b.core, b.type
         parts: list[DataVal] = []
         for arg in e.args:
             c = type(cur)
             if c is Imp:
-                parts.append(self._rhs_data(cid, arg, cur.arg))
+                parts.append(self._rhs_data(scope, arg, cur.arg))
                 cur = cur.res
             elif c is Pi:
-                d = self._rhs_data(cid, arg, cur.arg)
+                d = self._rhs_data(scope, arg, cur.arg)
                 parts.append(d)
                 cur = subst_data_in_neg(cur.res, cur.binder, d)
             else:
                 raise CompileFail(Diagnostic(
                     "arity", expected="function taking more arguments",
                     found=e.head, span=e.span))
-        if not self._types_match(cur, goal):
+        if not self.same(cur, goal):
             raise CompileFail(Diagnostic(
                 "type", expected=print_type(goal), found=print_type(cur),
                 span=e.span))
         spine: Spine = Nil()
         for d in reversed(parts):
             spine = Cons(d, spine)
-        return App(b.core, spine)
+        return App(head, spine)
 
-    def _rhs_data(self, cid: int, e: SExpr, p: PosType) -> DataVal:
-        if isinstance(e, EApp) and not e.args:
-            b = self.fz.binds[cid].get(e.head)
-            if isinstance(b, _DataB):
+    def _rhs_data(self, scope: dict, e: SExpr, p: PosType) -> DataVal:
+        if type(e) is EApp and not e.args:
+            b = scope.get(e.head)
+            if type(b) is _DataB:
                 if (id(b.type), id(p)) not in self.matched:
-                    if not self._types_match(b.type, p):
+                    if not self.same(b.type, p):
                         raise CompileFail(Diagnostic(
                             "type", expected=print_type(p), found=print_type(b.type),
                             span=e.span))
@@ -966,18 +1017,18 @@ class _Emitter:
                 return self._recon(b.path)
         c = type(p)
         if c is Down:
-            return Thunk(self._rhs_term(cid, e, p.body))
+            return Thunk(self._rhs_term(scope, e, p.body))
         elif c is Or and type(e) is EInl:
-            return Inl(self._rhs_data(cid, e.body, p.left))
+            return Inl(self._rhs_data(scope, e.body, p.left))
         elif c is Or and type(e) is EInr:
-            return Inr(self._rhs_data(cid, e.body, p.right))
+            return Inr(self._rhs_data(scope, e.body, p.right))
         elif c is Prod and type(e) is EPair:
-            return DPair(self._rhs_data(cid, e.left, p.left),
-                         self._rhs_data(cid, e.right, p.right))
+            return DPair(self._rhs_data(scope, e.left, p.left),
+                         self._rhs_data(scope, e.right, p.right))
         elif c is Sigma and type(e) is EPair:
-            da = self._rhs_data(cid, e.left, p.first)
+            da = self._rhs_data(scope, e.left, p.first)
             return DPair(da, self._rhs_data(
-                cid, e.right, subst_data_in_pos(p.second, p.binder, da)))
+                scope, e.right, subst_data_in_pos(p.second, p.binder, da)))
         raise CompileFail(Diagnostic(
             "type", expected=print_type(p), found=_sexpr_shape(e),
             span=_sexpr_span(e, self.decl.span)))
@@ -1024,9 +1075,7 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
                 "arity", expected=f"{arity} pattern(s)",
                 found=str(len(cl.lhs)), span=cl.span))
 
-    fz = _Fusion(mode, decl.clauses[0].span)
-    for cid in range(len(decl.clauses)):
-        fz.binds[cid] = {}
+    fz = _Fusion(mode, [{} for _ in decl.clauses])
     arg_types: list[PosType] = []
     result = ty
     for i in range(arity):
@@ -1121,15 +1170,15 @@ def compile_argument(sig: Sig, text: str, ty: PosType,
                      mode: Mode = Mode.PROP) -> DataVal:
     """Parse a closed surface expression and elaborate it as data at ``ty``.
     Heads must be signature names."""
-    p = _P(_lex(text, "<arg>"), "<arg>")
+    p = _P(text, "<arg>")
     expr = p.expr()
-    p.skip_nls()
-    if p.peek().kind != "EOF":
+    i = p.i
+    if p.kinds[i] == "NL":
+        i += 1
+    if p.kinds[i] != "EOF":
         raise ParseError(Diagnostic("parse", expected="end of argument",
-                                    found=p.peek().text,
-                                    span=p.span(p.peek())))
-    fz = _Fusion(mode, Span("<arg>", 1, 1))
-    fz.binds[0] = {}
+                                    found=p.texts[i],
+                                    span=p.src.span(p.offs[i])))
     shim = SurfaceDecl("def", "<arg>", Span("<arg>", 1, 1))
-    emitter = _Emitter(sig, mode, fz, shim, Atom(Name("<arg>")))
-    return emitter._rhs_data(0, expr, ty)
+    emitter = _Emitter(sig, mode, _Fusion(mode, []), shim, Atom(Name("<arg>")))
+    return emitter._rhs_data({}, expr, ty)

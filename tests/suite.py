@@ -4,7 +4,9 @@ equation printer that reads a compiled program back as surface text."""
 from __future__ import annotations
 
 import gc
+import importlib.util
 import pathlib
+import sys
 from typing import Optional
 
 from reference import ArgPool, enumerate_data
@@ -81,6 +83,16 @@ def clause_set_variants():
                 moved = lines[:block[0]] + [lines[i]] + [
                     t for k, t in enumerate(lines) if k >= block[0] and k != i]
                 yield f"{path.name} ^{i + 1}", moved
+
+
+def bench_workloads():
+    """``bench/workloads.py``, the generator of the benchmark programs."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def cyclic_garbage(fn, *args, raises=()) -> int:

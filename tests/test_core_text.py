@@ -2,16 +2,14 @@
 
 import collections
 import hashlib
-import importlib.util
 import pathlib
-import sys
 
 import pytest
 
 from core_reader import parse_term
 from print_reference import (free_texts, print_with, reference_print_data,
                              reference_print_term)
-from suite import PROGRAMS, clause_set_variants
+from suite import PROGRAMS, bench_workloads, clause_set_variants
 from seqcore import core_text, syntax
 from seqcore.cli import entry
 from seqcore.core_text import print_data, print_term, print_type
@@ -124,16 +122,6 @@ class TestParseErrors:
         assert exc.value.diagnostic.span is not None
 
 
-def _bench_workloads():
-    """``bench/workloads.py``, the generator of the benchmark programs."""
-    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestOneWalkPrinter:
     """The printer finds free names while it prints, and prints again with
     them reserved only on a collision.  Its text equals the two-walk
@@ -238,7 +226,7 @@ class TestOneWalkPrinter:
         assert (prints["prints"], prints["reprints"]) == (1, 0)
 
     def test_benchmark_programs_never_reprint(self, prints, capsys, tmp_path):
-        workloads = _bench_workloads()
+        workloads = bench_workloads()
         calls = [call for w in workloads.WORKLOADS
                  for call in workloads.build(w, 2024, tmp_path / w)
                  if not call.probe]

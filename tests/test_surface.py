@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lex_reference import reference_lex
-from suite import (PROGRAMS, SUITE, check_program, clause_set_variants,
-                   load, pretty_equations, source)
+from parse_reference import reference_parse
+from suite import (PROGRAMS, SUITE, bench_workloads, check_program,
+                   clause_set_variants, load, pretty_equations, source)
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
-from seqcore.diag import ParseError
-from seqcore.diag import Span
+from seqcore.diag import ParseError, Span
 from seqcore.surface import (CompileFail, Leaf, PairNode, SplitNode, TArrow,
-                             TBin, TBind, TName, _lex, compile_clauses,
-                             load_program, parse, polarize)
+                             TBin, TBind, TName, _lex, _Source,
+                             compile_clauses, load_program, parse, polarize)
 from seqcore.syntax import (
     App, Atom, Cons, Done, Down, DPair, Imp, Inl, Inr, Lam, Mode, Name, Nil,
     Or, Pair, POr, PPair, Prod, Sig, SigEntry, Split, Thunk, Up, Var, With,
@@ -54,12 +54,22 @@ class TestParse:
         assert decls[1].span.line == 2
 
 
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    """Offset ``at`` of ``text`` as a line and a column, both from 1."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
 def _lexed(lex, text: str):
-    """The tokens as ``(kind, text, line, col)``, or the raised diagnostic."""
+    """The tokens as ``(kind, text, line, col)``, or the raised diagnostic.
+    ``_lex`` gives offsets, which are resolved here; the reference gives
+    lines and columns."""
     try:
-        return [tuple(t) for t in lex(text, "t.seq")]
+        toks = lex(text, "t.seq")
     except ParseError as e:
         return e.diagnostic
+    if lex is reference_lex:
+        return [tuple(t) for t in toks]
+    return [(kind, t, *_line_col(text, at)) for kind, t, at in zip(*toks)]
 
 
 # Pieces of every lexical class, and of what the lexer must tell apart
@@ -106,9 +116,9 @@ class TestLexer:
         assert _lexed(_lex, text) == _lexed(reference_lex, text)
 
     def test_column_after_comment(self):
-        toks = _lex("atom a   -- c\n", "t.seq")
+        toks = _lexed(_lex, "atom a   -- c\n")
         assert toks[-2] == ("NL", "", 1, 10)
-        toks = _lex("atom a -- c", "t.seq")
+        toks = _lexed(_lex, "atom a -- c")
         assert toks[-2:] == [("NL", "", 1, 8), ("EOF", "", 1, 8)]
 
     def test_numeric_non_letter_rejected(self):
@@ -130,6 +140,90 @@ class TestLexer:
                     max_size=40).map("".join))
     def test_random_text_with_errors(self, text):
         assert _lexed(_lex, text) == _lexed(reference_lex, text)
+
+
+def _tree(x):
+    """A parse tree as nested tuples: each node as its class name and its
+    fields, each position as ``(file, line, col)``.  A surface node's offset
+    is resolved through its source; a reference node holds its span."""
+    if isinstance(x, Span):
+        return (x.file, x.line, x.col)
+    fields = getattr(type(x), "_fields", None)            # reference nodes
+    if fields is None:
+        fields = getattr(type(x), "__match_args__", None)  # surface records
+    if fields is not None:
+        return (type(x).__name__,) + tuple(
+            _tree(x.span if f == "at" else getattr(x, f))
+            for f in fields if f != "src")
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_tree, x))
+    return x
+
+
+def _parsed(parser, text: str):
+    """The parse tree of ``text``, or the raised diagnostic."""
+    try:
+        return _tree(parser(text, "p.seq"))
+    except ParseError as e:
+        return e.diagnostic
+
+
+def _bench_programs():
+    """The programs the benchmark generates, but the probe too deep for
+    either parser."""
+    w = bench_workloads()
+    yield from (w.wide_source(k) for k in w.WIDE_SIZES)
+    yield from (w.chain_source(n) for n in w.CHAIN_SIZES)
+    yield from (w.library(n, 2024)[0] for n in w.LIBRARY_SIZES)
+    yield w.deep_sum_source(w.DEEP_SUM_DEPTH)
+    yield w.product_source(w.PRODUCT_FACTORS)
+
+
+# Pieces of surface programs, for text that reaches the parser's
+# productions and their failures.
+_FRAGMENTS = (
+    "atom a\n", "atom _a\n", "postulate c : a\n", "postulate ", "f : ",
+    "a -> a", "a + a", "a * a", "a /\\ a", "Pi (x : a). ", "Sigma (y : a). ",
+    "(a + a) * a -> a", "f ", "g ", "x", "y", "_", "x@", "(inl x)", "inr ",
+    "(x, y)", "(_, inr y)", " = ", "f x", "(f x, y)", "inl (x, y)",
+    "f x = x\n", "f (inl x) = x\n", "f (inr y) = c\n", "g x y = y\n",
+    "f x y = x\n", "Pi ", "Sigma ", "(x : a)", "(x a)", ". ",
+)
+
+
+class TestParseReference:
+    """The index parser against the token-at-a-time parser it replaced
+    (``parse_reference``): the same tree, positions resolved to lines and
+    columns, or the same diagnostic."""
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.seq")),
+                             ids=lambda p: p.name)
+    def test_example_programs(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _parsed(parse, text) == _parsed(reference_parse, text)
+
+    def test_clause_set_variants(self):
+        n = 0
+        for _, lines in clause_set_variants():
+            text = "\n".join(lines)
+            assert _parsed(parse, text) == _parsed(reference_parse, text)
+            n += 1
+        assert n == 254
+
+    def test_surface_errors(self):
+        assert len(SURFACE_ERRORS) == 53
+        for _, text in SURFACE_ERRORS:
+            assert _parsed(parse, text) == _parsed(reference_parse, text)
+
+    def test_bench_programs(self):
+        for text in _bench_programs():
+            assert _parsed(parse, text) == _parsed(reference_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS + _PIECES), max_size=30)
+           .map("".join))
+    def test_random_text(self, text):
+        assert _parsed(parse, text) == _parsed(reference_parse, text)
 
 
 class TestPolarize:
@@ -172,15 +266,15 @@ class TestPolarize:
         # Every surface type up to depth 2 over a declared atom a and an
         # undeclared atom b: polarize either rejects it or returns a type
         # that respects the mode's grammar with every atom declared.
-        span = Span("<type>", 1, 1)
-        leaves = [TName("a", span), TName("b", span)]
+        src = _Source("", "<type>")
+        leaves = [TName("a", 0, src), TName("b", 0, src)]
         types = leaves
         for _ in range(2):
             types = leaves + [
                 t for l in types for r in types
                 for t in (TArrow(l, r), TBin("*", l, r), TBin("+", l, r),
-                          TBin("/\\", l, r), TBind("Pi", "x", l, r, span),
-                          TBind("Sigma", "x", l, r, span))]
+                          TBin("/\\", l, r), TBind("Pi", "x", l, r, 0, src),
+                          TBind("Sigma", "x", l, r, 0, src))]
         sig = Sig(frozenset({Name("a")}))
         accepted = 0
         for mode in Mode:
