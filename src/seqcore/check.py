@@ -215,11 +215,11 @@ def _kappa(focus: NegType) -> PosType:
     return focus.body
 
 
-def _verdict(judgment) -> Optional[Diagnostic]:
-    """Run ``judgment``: None when it holds, else the diagnostic of the
-    failure it raised."""
+def _verdict(judgment, *args) -> Optional[Diagnostic]:
+    """Run ``judgment(*args)``: None when it holds, else the diagnostic of
+    the failure it raised."""
     try:
-        judgment()
+        judgment(*args)
     except CheckError as f:
         return f.diagnostic
     return None
@@ -540,7 +540,9 @@ def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
 # ---------------------------------------------------------------------------
 # Public entry points
 
-def _entry_state(sig: Sig, ctx: Ctx, structural: bool) -> _State:
+def _entered(judgment, sig: Sig, ctx: Ctx, structural: bool, *args) -> None:
+    """Run ``judgment`` on ``args`` in the state that entering ``ctx``
+    gives."""
     bound: list[Name] = []
     for p, _ in ctx:
         bound += pattern_vars(p) + pattern_labels(p)
@@ -550,25 +552,23 @@ def _entry_state(sig: Sig, ctx: Ctx, structural: bool) -> _State:
     st = _State(sig, structural)
     for p, ty in ctx:
         st = _invert_one(st, p, ty)
-    return st
+    judgment(st, *args)
 
 
 def check_term(sig: Sig, ctx: Ctx, t: Term, goal: NegType,
                structural: bool = False) -> Optional[Diagnostic]:
     """Check ``t`` against ``goal`` under ``ctx``.  None means ok."""
-    return _verdict(lambda: _check(_entry_state(sig, ctx, structural), t,
-                                   goal))
+    return _verdict(_entered, _check, sig, ctx, structural, t, goal)
 
 
 def check_data(sig: Sig, d: DataVal, goal: PosType,
                structural: bool = False) -> Optional[Diagnostic]:
-    return _verdict(lambda: _check_data(_State(sig, structural), d, goal))
+    return _verdict(_check_data, _State(sig, structural), d, goal)
 
 
 def check_spine(sig: Sig, focus: NegType, k: Spine, goal: NegType,
                 structural: bool = False) -> Optional[Diagnostic]:
-    return _verdict(lambda: _check_spine(_State(sig, structural), focus, k,
-                                         goal))
+    return _verdict(_check_spine, _State(sig, structural), focus, k, goal)
 
 
 def infer_term(sig: Sig, t: Term, structural: bool = False):

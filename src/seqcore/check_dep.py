@@ -399,7 +399,9 @@ def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
 # ---------------------------------------------------------------------------
 # Public entry points
 
-def _entry_state(sig: Sig, ctx: DepCtx, fuel: int) -> _State:
+def _entered(judgment, sig: Sig, ctx: DepCtx, fuel: int, *args) -> None:
+    """Run ``judgment`` on ``args`` in the state that entering ``ctx``
+    gives."""
     names = [x for x, _ in ctx]
     if len(names) != len(set(names)):
         raise _fail("linear", expected="pairwise distinct hypotheses",
@@ -407,22 +409,25 @@ def _entry_state(sig: Sig, ctx: DepCtx, fuel: int) -> _State:
     st = _State(sig, fuel)
     for x, ty in ctx:
         st = st.extend(x, ty)
-    return st
+    judgment(st, *args)
 
 
 def dep_check_term(sig: Sig, ctx: DepCtx, t: Term, goal: NegType,
                    fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
-    return _verdict(lambda: _check(_entry_state(sig, ctx, fuel), t, goal))
+    return _verdict(_entered, _check, sig, ctx, fuel, t, goal)
 
 
 def dep_check_spine(sig: Sig, ctx: DepCtx, focus: NegType, k: Spine,
                     goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
-    return _verdict(lambda: _check_spine(_entry_state(sig, ctx, fuel), focus,
-                                         k, goal))
+    return _verdict(_entered, _check_spine, sig, ctx, fuel, focus, k, goal)
 
 
 def dep_bind_cut(sig: Sig, ctx: DepCtx, x: Name, d: DataVal, t: Term,
                  goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
     """Check the dependent binding cut ``x = d in t`` against ``goal``."""
-    return _verdict(lambda: _check(*_var_cut(_entry_state(sig, ctx, fuel),
-                                             x, d, t), goal))
+    return _verdict(_entered, _check_var_cut, sig, ctx, fuel, x, d, t, goal)
+
+
+def _check_var_cut(st: _State, x: Name, d: DataVal, t: Term,
+                   goal: NegType) -> None:
+    _check(*_var_cut(st, x, d, t), goal)
