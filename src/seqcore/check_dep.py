@@ -32,8 +32,8 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from .check import (UNKNOWN, _Unknown, _Zones, _clash, _done, _fail, _kappa,
-                    _reassociated, _var_cut_reduct, _verdict, _with_left,
-                    _with_right)
+                    _reassociated, _spine_shape, _var_cut_reduct, _verdict,
+                    _with_left, _with_right)
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
@@ -223,13 +223,13 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
     if c is Lam and type(f.pat) is Var:
         if not isinstance(k, Cons):
             raise _fail("app-cut", expected="argument spine for a function",
-                        found=type(k).__name__)
+                        found=_spine_shape(k))
         _check(st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest)), goal)
     elif c is Done:
         st.discharged("done")
         if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
             raise _fail("app-cut", expected="kappa x spine for returned data",
-                        found=type(k).__name__)
+                        found=_spine_shape(k))
         _check(st, BindCut(k.pat, f.data, k.body), goal)
     elif c is Pair:
         ck = type(k)
@@ -241,7 +241,7 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
             _check(st, AppCut(f.right, k.rest), goal)
         else:
             raise _fail("app-cut", expected="projection spine for a pair",
-                        found=type(k).__name__)
+                        found=_spine_shape(k))
     elif c is Split:
         for branch in _split(st, f.label, f.left, f.right, k, goal):
             _check(*branch)

@@ -404,7 +404,8 @@ class TestSharedRules:
     """The rules that ``check`` states once for both checkers say the same
     thing in both modes: a subject that fails one of them gets the same
     rule, expected, found and note from either entry point.  Only the trail
-    frames differ."""
+    frames differ.  Each mode's application cut names the spine it rejects
+    in the same words (``check._spine_shape``)."""
 
     SIG = Sig(frozenset({Name("a")}), (SigEntry(Name("z"), A),))
     Z = Name("z")
@@ -415,6 +416,9 @@ class TestSharedRules:
         ("with-left-1", App(Z, Proj1(Nil()))),
         ("with-left-2", App(Z, Proj2(Nil()))),
         ("kappa", App(Z, Kappa(Var(X), App(Z, Nil())))),
+        ("app-cut", AppCut(Lam(Var(X), App(X, Nil())), Proj1(Nil()))),
+        ("app-cut", AppCut(Pair(App(Z, Nil()), App(Z, Nil())),
+                           Cons(eta(Z), Nil()))),
     ]
 
     @pytest.mark.parametrize("rule, t", CASES, ids=[r for r, _ in CASES])
@@ -424,3 +428,14 @@ class TestSharedRules:
         assert prop.rule == rule
         assert ((prop.rule, prop.expected, prop.found, prop.note)
                 == (dep.rule, dep.expected, dep.found, dep.note))
+
+    def test_returned_data_under_an_argument_spine(self):
+        # The application cut differs by mode in what it expects of a
+        # kappa (dependent mode binds a variable), but both name the spine.
+        t = AppCut(Done(eta(self.Z)), Cons(eta(self.Z), Nil()))
+        prop = check_term(self.SIG, [], t, A)
+        dep = dep_check_term(self.SIG, [], t, A)
+        assert (prop.rule, prop.expected, prop.found) == (
+            "app-cut", "kappa spine for returned data", "argument")
+        assert (dep.rule, dep.expected, dep.found) == (
+            "app-cut", "kappa x spine for returned data", "argument")

@@ -419,7 +419,7 @@ class TestDiagnosticPin:
 
     SIZE = 7
     OUTCOMES = 38569
-    DIGEST = "8a619f70de5453a9f8702465127493926e434c835efd804490f7c2e82a842b52"
+    DIGEST = "8c187bc0b22f295d208486d6814942e1acfe039299f867b2fadabb0917c4a71c"
 
     @staticmethod
     def _dep_sig() -> Sig:
