@@ -358,6 +358,36 @@ class TestInternalErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: internal error: RecursionError: ")
 
+    def test_deep_sum_stops_in_the_parser(self, capsys, monkeypatch,
+                                          tmp_path):
+        # Input too deep for the recursive type parser must fail there:
+        # past it, compiling and checking the depth-600 sum runs for close
+        # to a second before it overflows.  The nesting bound planned at the
+        # front door (ROADMAP item 5) replaces this test.
+        from seqcore import surface
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = surface.compile_clauses
+        monkeypatch.setattr(surface, "compile_clauses", counted)
+        code, _, _ = run(capsys, "check", deep_sum(tmp_path))
+        assert (code, calls) == (5, [])
+        run(capsys, "check", str(PROGRAMS / "basics.seq"))
+        assert calls
+
+    @pytest.mark.parametrize("flags", [["check"], ["check", "--dependent"],
+                                       ["core"]])
+    def test_depth_320_in_a_fresh_process(self, tmp_path, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqcore.cli", *flags,
+             deep_sum(tmp_path, 320)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_raising_loader_exit_five(self, capsys, monkeypatch):
         import seqcore.cli
 
