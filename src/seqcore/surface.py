@@ -256,7 +256,7 @@ def _lex(src: str, file: str) -> tuple[list[str], list[str], list[int]]:
     heads = list(map(itemgetter(0), texts))
     if texts and not (all(map(str.isalpha, set(heads) - _NOT_LETTERS))
                       and _TOKEN.fullmatch(texts[-1])):
-        _bad_token(src, file, texts, offs)
+        raise _bad_token(src, file, texts, offs)
     kinds = list(map(_KIND.get, texts,
                      map(_KIND_BY_HEAD.get, heads, repeat("NAME"))))
     del heads
@@ -275,16 +275,14 @@ def _lex(src: str, file: str) -> tuple[list[str], list[str], list[int]]:
     return kinds, texts, offs
 
 
-def _bad_token(src: str, file: str, texts: list[str], offs: list[int]):
-    """Raise at the first piece that is no token: one that starts with a
+def _bad_token(src: str, file: str, texts: list[str],
+               offs: list[int]) -> ParseError:
+    """The error at the first piece that is no token: one that starts with a
     character that starts no token, or a word that starts with no letter."""
-    for text, at in zip(texts, offs):
-        if not ((text[0].isalpha() or text[0] in _NOT_LETTERS)
-                and _TOKEN.fullmatch(text)):
-            raise ParseError(Diagnostic(
-                "parse", expected="token", found=repr(text[0]),
-                span=_Source(src, file).span(at)))
-    raise AssertionError(texts[-1])
+    text, at = next((t, at) for t, at in zip(texts, offs) if not (
+        (t[0].isalpha() or t[0] in _NOT_LETTERS) and _TOKEN.fullmatch(t)))
+    return ParseError(Diagnostic("parse", expected="token", found=repr(text[0]),
+                                 span=_Source(src, file).span(at)))
 
 
 class _P:
@@ -309,6 +307,17 @@ class _P:
         t = self.texts[i]
         if self.kinds[i] != "NAME" or t in _KEYWORDS:
             raise self.fail("identifier", i)
+        return t
+
+    def decl_name(self, i: int) -> str:
+        """The identifier at ``i``, as a declared name: it must not start
+        with an underscore, which belongs to the core syntax for or-pattern
+        labels."""
+        t = self.name(i)
+        if t.startswith("_"):
+            raise ParseError(Diagnostic(
+                "parse", expected="declaration name without leading underscore",
+                found=t, span=self.src.span(self.offs[i])))
         return t
 
     def end_line(self, i: int) -> int:
@@ -452,17 +461,6 @@ class _P:
         raise self.fail("expression", i)
 
 
-def _decl_name(p: _P, i: int) -> str:
-    # Declared names must not start with an underscore; that prefix belongs
-    # to the core syntax for or-pattern labels.
-    t = p.texts[i]
-    if t.startswith("_"):
-        raise ParseError(Diagnostic(
-            "parse", expected="declaration name without leading underscore",
-            found=t, span=p.src.span(p.offs[i])))
-    return t
-
-
 def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     """Parse a surface program into declarations with their clauses."""
     p = _P(source, file)
@@ -476,8 +474,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     while kinds[i] != "EOF":
         t = texts[i]
         if t == "atom" or t == "postulate":
-            p.name(i + 1)
-            name = _decl_name(p, i + 1)
+            name = p.decl_name(i + 1)
             span = src.span(offs[i + 1])
             ty = None
             if t == "atom":
@@ -491,10 +488,10 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
             decls.append(SurfaceDecl(t, name, span, ty))
             open_def = None
         elif kinds[i] == "NAME":
-            name = p.name(i)
+            declares = texts[i + 1] == ":"
+            name = p.decl_name(i) if declares else p.name(i)
             span = src.span(offs[i])
-            if texts[i + 1] == ":":
-                _decl_name(p, i)
+            if declares:
                 p.i = i + 2
                 ty = p.type_()
                 i = p.end_line(p.i)
@@ -644,30 +641,28 @@ class _Fusion:
         self.binds[cid][node.name] = b
 
 
-def _peel_as(sp: Optional[SPat]) -> tuple[list[Union[PAsS, PVarS]], Optional[SPat]]:
-    """The nodes that name what a clause binds at this position: the
-    as-patterns outermost first, then the variable under them if there is
-    one.  Also the pattern under the as-names."""
-    names: list[Union[PAsS, PVarS]] = []
-    while isinstance(sp, PAsS):
-        names.append(sp)
-        sp = sp.pat
-    if isinstance(sp, PVarS):
-        names.append(sp)
-    return names, sp
-
-
 def _fuse(fz: _Fusion, path: tuple, ty: PosType,
           pats: dict[int, Optional[SPat]]) -> Pattern:
     fz.pos_types[path] = ty
-    peeled = {cid: _peel_as(sp) for cid, sp in pats.items()}
-    plain = {cid: sp for cid, (_, sp) in peeled.items()}
-    for cid, (_, sp) in peeled.items():
+    # Each clause's nodes that name what it binds here, the as-patterns
+    # outermost first and then the variable under them if there is one, and
+    # its pattern under the as-names.
+    peeled: dict[int, tuple[list[Union[PAsS, PVarS]], Optional[SPat]]] = {}
+    plain: dict[int, Optional[SPat]] = {}
+    all_wild = bool(pats)
+    for cid, sp in pats.items():
+        names: list[Union[PAsS, PVarS]] = []
+        while type(sp) is PAsS:
+            names.append(sp)
+            sp = sp.pat
+        if type(sp) is PVarS:
+            names.append(sp)
         if sp is not None:
             fz.clause_pat[(cid, path)] = sp
+        peeled[cid] = names, sp
+        plain[cid] = sp
+        all_wild = all_wild and type(sp) is PWildS and not names
 
-    all_wild = pats and all(isinstance(sp, PWildS) for sp in plain.values()) \
-        and not any(names for names, _ in peeled.values())
     if all_wild:
         if fz.mode is Mode.DEP and not isinstance(ty, Down):
             # A dependent scrutinee must be bound by a variable.
