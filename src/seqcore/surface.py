@@ -419,12 +419,13 @@ class _P:
         t = texts[i]
         if kinds[i] != "NAME" or t in _KEYWORDS:
             return self.expr_atom()
+        offs, src = self.offs, self.src
         args = []
         j = i + 1
         while True:
             a = texts[j]
             if kinds[j] == "NAME" and a not in _KEYWORDS:
-                args.append(EApp(a, (), self.offs[j], self.src))
+                args.append(EApp(a, (), offs[j], src))
                 j += 1
             elif a == "(" or a == "inl" or a == "inr":
                 self.i = j
@@ -433,7 +434,7 @@ class _P:
             else:
                 break
         self.i = j
-        return EApp(t, tuple(args), self.offs[i], self.src)
+        return EApp(t, tuple(args), offs[i], src)
 
     def expr_atom(self) -> SExpr:
         i, texts = self.i, self.texts
