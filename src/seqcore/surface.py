@@ -467,6 +467,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     p = _P(source, file)
     kinds, texts, offs, src = p.kinds, p.texts, p.offs, p.src
     decls: list[SurfaceDecl] = []
+    clauses: list[list[Clause]] = []    # of each declaration
     open_def: Optional[int] = None
 
     # The lexer puts no NL first and never two in a row, so each
@@ -487,6 +488,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                 ty = p.type_()
                 i = p.end_line(p.i)
             decls.append(SurfaceDecl(t, name, span, ty))
+            clauses.append([])
             open_def = None
         elif kinds[i] == "NAME":
             declares = texts[i + 1] == ":"
@@ -497,6 +499,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                 ty = p.type_()
                 i = p.end_line(p.i)
                 decls.append(SurfaceDecl("def", name, span, ty))
+                clauses.append([])
                 open_def = len(decls) - 1
             else:
                 p.i = i + 1
@@ -510,17 +513,16 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                     raise ParseError(Diagnostic(
                         "parse", expected="clause following its declaration",
                         found=name, span=span))
-                d = decls[open_def]
-                if d.clauses and len(d.clauses[0].lhs) != len(pats):
+                cs = clauses[open_def]
+                if cs and len(cs[0].lhs) != len(pats):
                     raise ParseError(Diagnostic(
-                        "arity", expected=f"{len(d.clauses[0].lhs)} pattern(s)",
+                        "arity", expected=f"{len(cs[0].lhs)} pattern(s)",
                         found=str(len(pats)), span=span))
-                decls[open_def] = SurfaceDecl(
-                    d.kind, d.name, d.span, d.type,
-                    d.clauses + (Clause(tuple(pats), rhs, span),))
+                cs.append(Clause(tuple(pats), rhs, span))
         else:
             raise p.fail("declaration", i)
-    return decls
+    return [SurfaceDecl(d.kind, d.name, d.span, d.type, tuple(cs)) if cs else d
+            for d, cs in zip(decls, clauses)]
 
 
 # ---------------------------------------------------------------------------
