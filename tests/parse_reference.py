@@ -34,7 +34,6 @@ EInr = namedtuple("EInr", "body")
 Clause = namedtuple("Clause", "lhs rhs span")
 SurfaceDecl = namedtuple("SurfaceDecl", "kind name span type clauses",
                          defaults=(None, ()))
-SType = SPat = SExpr = tuple
 
 _KEYWORDS = {"atom", "postulate", "inl", "inr", "Pi", "Sigma"}
 
