@@ -16,18 +16,21 @@ and injections.  ``--`` starts a line comment.
 
 Compilation is type-directed, column by column, leftmost argument first, with
 first-match semantics.  All clause patterns for one argument fuse into a
-single core pattern: every sum position becomes a labeled or-pattern and the
-body the corresponding tree of splits; every product position a pair pattern.
-The walk that builds this case tree also reports coverage and the clause
-warnings: the first sum side no clause reaches is the missing case, and the
-clause each leaf uses, and the other clauses live there, give the "never
-used" and overlap warnings.  A clause variable naming a whole sum or product
-is compiled by eta-expansion, its uses replaced by reconstructed data, so
-every surface program lands in the fragment the kernel accepts.  An
-as-pattern at a thunk type becomes a genuine contraction pattern; at
-composite types the name simply binds the reconstruction.  In dependent mode
-arguments bind bare variables and the same tree is emitted as explicit
-pair-lets and splits instead of deep patterns.
+tree of positions (``_Pos``), one per occurrence: each holds its type, its
+kernel variable or or-label, every clause's pattern there and, once split,
+its two sub-positions.  A split sum position becomes a labeled or-pattern and
+the body the corresponding tree of splits; a split product position a pair
+pattern.  The walk over the positions that builds this case tree also
+reports coverage and the clause warnings: the first sum side no clause
+reaches is the missing case, and the clause each leaf uses, and the other
+clauses live there, give the "never used" and overlap warnings.  A clause
+variable naming a whole sum or product is compiled by eta-expansion, its
+uses replaced by data rebuilt from the positions under it, so every surface
+program lands in the fragment the kernel accepts.  An as-pattern at a thunk
+type becomes a genuine contraction pattern; at composite types the name
+binds its position, and a use rebuilds it.  In dependent mode arguments
+bind bare variables and the same tree is emitted as explicit pair-lets and
+splits instead of deep patterns.
 
 Polarization is the one check of a declared type: ``polarize`` rejects an
 undeclared atom and a connective of the other mode, and builds only the
@@ -590,14 +593,14 @@ class Leaf(CaseTree):
 
 @record
 class SplitNode(CaseTree):
-    path: tuple
+    pos: "_Pos"
     left: CaseTree
     right: CaseTree
 
 
 @record
 class PairNode(CaseTree):
-    path: tuple
+    pos: "_Pos"
     sub: CaseTree
 
 
@@ -614,29 +617,38 @@ class _VarB:
     type: NegType
 
 
-@record(frozen=False)
-class _DataB:
-    path: tuple
-    type: PosType
+class _Pos:
+    """One position of an argument (an occurrence): what fusing the clause
+    patterns there found, and the side of a split sum the emitter is under.
+    It compares by identity, so case-tree nodes that hold it can hash."""
 
+    __slots__ = ("path", "type", "var", "aliases", "label", "pats", "left",
+                 "right", "side")
 
-_Binding = Union[_VarB, _DataB]
+    def __init__(self, path: tuple, ty: PosType, var: Optional[Name] = None):
+        self.path = path            # argument index, then fst/snd/inl/inr
+        self.type = ty
+        # The kernel variable of a thunk position, and in dependent mode of
+        # each scrutinee; at a thunk, one more per extra as-name.
+        self.var = var
+        self.aliases: tuple[Name, ...] = ()
+        self.label: Optional[Name] = None     # or-label, once split
+        self.pats: dict[int, Optional[SPat]] = {}    # under the as-names
+        self.left: Optional[_Pos] = None      # sub-positions, once split
+        self.right: Optional[_Pos] = None
+        self.side: Optional[str] = None       # "left" | "right"
 
 
 @record(frozen=False)
 class _Fusion:
-    """Per-position facts accumulated while fusing the clause matrix."""
+    """The names each clause binds while its patterns fuse into positions:
+    a thunk name binds a kernel variable, a composite name its position."""
 
     mode: Mode
-    binds: list[dict[str, _Binding]]     # the names each clause binds
-    pos_types: dict[tuple, PosType] = factory(dict)
-    labels: dict[tuple, Name] = factory(dict)     # sum positions
-    # The kernel variable of each thunk position, and in dependent mode of
-    # each scrutinee.
-    pos_var: dict[tuple, Name] = factory(dict)
-    clause_pat: dict[tuple[int, tuple], SPat] = factory(dict)
+    binds: list[dict[str, Union[_VarB, _Pos]]]
 
-    def bind(self, cid: int, node: Union[PAsS, PVarS], b: _Binding) -> None:
+    def bind(self, cid: int, node: Union[PAsS, PVarS],
+             b: Union[_VarB, _Pos]) -> None:
         if node.name in self.binds[cid]:
             raise CompileFail(Diagnostic(
                 "linear", expected="pairwise distinct clause variables",
@@ -644,14 +656,12 @@ class _Fusion:
         self.binds[cid][node.name] = b
 
 
-def _fuse(fz: _Fusion, path: tuple, ty: PosType,
-          pats: dict[int, Optional[SPat]]) -> Pattern:
-    fz.pos_types[path] = ty
+def _fuse(fz: _Fusion, pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
     # Each clause's nodes that name what it binds here, the as-patterns
     # outermost first and then the variable under them if there is one, and
     # its pattern under the as-names.
     peeled: dict[int, tuple[list[Union[PAsS, PVarS]], Optional[SPat]]] = {}
-    plain: dict[int, Optional[SPat]] = {}
+    plain = pos.pats
     all_wild = bool(pats)
     for cid, sp in pats.items():
         names: list[Union[PAsS, PVarS]] = []
@@ -660,12 +670,11 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
             sp = sp.pat
         if type(sp) is PVarS:
             names.append(sp)
-        if sp is not None:
-            fz.clause_pat[(cid, path)] = sp
         peeled[cid] = names, sp
         plain[cid] = sp
         all_wild = all_wild and type(sp) is PWildS and not names
 
+    ty = pos.type
     if all_wild:
         if fz.mode is Mode.DEP and not isinstance(ty, Down):
             # A dependent scrutinee must be bound by a variable.
@@ -673,72 +682,60 @@ def _fuse(fz: _Fusion, path: tuple, ty: PosType,
                 "dep-pattern", expected="variable binder",
                 found="wildcard pattern _",
                 span=next(iter(plain.values())).span))
-        return PWild()
+        return
 
     c = type(ty)
     if c is Down:
-        return _fuse_down(fz, path, ty.body, peeled)
-    elif c is Or:
-        w = fresh("w")
-        fz.labels[path] = w
-        left: dict[int, Optional[SPat]] = {}
-        right: dict[int, Optional[SPat]] = {}
-        for cid, sp in plain.items():
-            cs = type(sp)
-            if cs is PInlS:
-                left[cid] = sp.pat
-            elif cs is PInrS:
-                right[cid] = sp.pat
-            elif sp is None or cs is PVarS or cs is PWildS:
-                left[cid] = None
-                right[cid] = None
-            else:
-                raise CompileFail(Diagnostic(
-                    "pattern", expected="injection or variable at a sum type",
-                    found=_spat_shape(sp), span=_spat_span(sp)))
-        if fz.mode is Mode.DEP:
-            # Branches rebind the scrutinee at the refined type.
-            fz.pos_var[path + ("inl",)] = fz.pos_var[path]
-            fz.pos_var[path + ("inr",)] = fz.pos_var[path]
-        fl = _fuse(fz, path + ("inl",), ty.left, left)
-        fr = _fuse(fz, path + ("inr",), ty.right, right)
-        _bind_composites(fz, path, ty, peeled)
-        return POr(w, fl, fr)
-    elif c is Prod or c is Sigma:
+        _fuse_down(fz, pos, peeled)
+        return
+    if c is Or:
+        pos.label = fresh("w")
+    left: dict[int, Optional[SPat]] = {}
+    right: dict[int, Optional[SPat]] = {}
+    for cid, sp in plain.items():
+        cs = type(sp)
+        if sp is None or cs is PVarS or cs is PWildS:
+            left[cid] = right[cid] = None
+        elif c is Or and cs is PInlS:
+            left[cid] = sp.pat
+        elif c is Or and cs is PInrS:
+            right[cid] = sp.pat
+        elif c is not Or and cs is PPairS:
+            left[cid], right[cid] = sp.left, sp.right
+        else:
+            raise CompileFail(Diagnostic(
+                "pattern", expected="injection or variable at a sum type"
+                if c is Or else "pair or variable at a product type",
+                found=_spat_shape(sp), span=_spat_span(sp)))
+    if c is Or:
+        # In dependent mode the branches rebind the scrutinee at the
+        # refined type.
+        pos.left = _Pos(pos.path + ("inl",), ty.left, pos.var)
+        pos.right = _Pos(pos.path + ("inr",), ty.right, pos.var)
+    else:
         fst_ty, snd_ty = children(ty)
-        lefts: dict[int, Optional[SPat]] = {}
-        rights: dict[int, Optional[SPat]] = {}
-        for cid, sp in plain.items():
-            cs = type(sp)
-            if cs is PPairS:
-                lefts[cid] = sp.left
-                rights[cid] = sp.right
-            elif sp is None or cs is PVarS or cs is PWildS:
-                lefts[cid] = None
-                rights[cid] = None
-            else:
-                raise CompileFail(Diagnostic(
-                    "pattern", expected="pair or variable at a product type",
-                    found=_spat_shape(sp), span=_spat_span(sp)))
+        pos.left = _Pos(pos.path + ("fst",), fst_ty)
+        pos.right = _Pos(pos.path + ("snd",), snd_ty)
         if fz.mode is Mode.DEP:
-            base = fz.pos_var.setdefault(path, fresh("s"))
-            fz.pos_var[path + ("fst",)] = fresh(
-                _var_text(lefts.values(), base.text + "1"))
-            fz.pos_var[path + ("snd",)] = fresh(
-                _var_text(rights.values(), base.text + "2"))
-        fl = _fuse(fz, path + ("fst",), fst_ty, lefts)
-        if isinstance(ty, Sigma):
-            # Only a dependent type has a Sigma: the first component's
-            # scrutinee variable stands for its binder.
-            snd_ty = subst_data_in_pos(
-                snd_ty, ty.binder, eta(fz.pos_var[path + ("fst",)]))
-        fr = _fuse(fz, path + ("snd",), snd_ty, rights)
-        _bind_composites(fz, path, ty, peeled)
-        return PPair(fl, fr)
-    raise TypeError(ty)
+            # Every dependent position has its variable by now; the name is
+            # still drawn so that the names after it keep their numbers.
+            fresh("s")
+            base = pos.var.text
+            pos.left.var = fresh(_var_text(left.values(), base + "1"))
+            pos.right.var = fresh(_var_text(right.values(), base + "2"))
+    _fuse(fz, pos.left, left)
+    if c is Sigma:
+        # Only a dependent type has a Sigma: the first component's
+        # scrutinee variable stands for its binder.
+        pos.right.type = subst_data_in_pos(pos.right.type, ty.binder,
+                                           eta(pos.left.var))
+    _fuse(fz, pos.right, right)
+    for cid, (names, _) in peeled.items():
+        for node in names:
+            fz.bind(cid, node, pos)
 
 
-def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
+def _fuse_down(fz: _Fusion, pos: _Pos, peeled) -> None:
     # Every name any clause binds here shares the stored hypothesis; an
     # as-chain needs one extra kernel variable per extra name (contraction).
     width = 0
@@ -754,29 +751,33 @@ def _fuse_down(fz: _Fusion, path: tuple, n: NegType, peeled) -> Pattern:
     vars_ = [fresh(next((names[i].name for names, _ in peeled.values()
                          if i < len(names)), "v1"))
              for i in range(max(width, 1))]
-    vars_[0] = fz.pos_var.setdefault(path, vars_[0])
+    vars_[0] = pos.var = pos.var or vars_[0]
     for cid, (names, _) in peeled.items():
         for v, node in zip(vars_, names):
-            fz.bind(cid, node, _VarB(v, n))
-    if width > 1:
-        if fz.mode is Mode.DEP:
-            # The first name that would need an extra kernel variable.
-            raise CompileFail(Diagnostic(
-                "dep-pattern", expected="variable binder",
-                found="as-pattern", span=next(
-                    names[1].span for names, _ in peeled.values()
-                    if len(names) > 1)))
-        pat: Pattern = Var(vars_[-1])
-        for v in reversed(vars_[:-1]):
-            pat = PAt(Var(v), pat)
-        return pat
-    return Var(vars_[0])
+            fz.bind(cid, node, _VarB(v, pos.type.body))
+    if width > 1 and fz.mode is Mode.DEP:
+        # The first name that would need an extra kernel variable.
+        raise CompileFail(Diagnostic(
+            "dep-pattern", expected="variable binder",
+            found="as-pattern", span=next(
+                names[1].span for names, _ in peeled.values()
+                if len(names) > 1)))
+    pos.aliases = tuple(vars_[1:])
 
 
-def _bind_composites(fz: _Fusion, path: tuple, ty: PosType, peeled) -> None:
-    for cid, (names, _) in peeled.items():
-        for node in names:
-            fz.bind(cid, node, _DataB(path, ty))
+def _pattern(pos: _Pos) -> Pattern:
+    """The core pattern that binds ``pos`` in propositional mode: its
+    variables at a thunk, its split at a sum or product, else a wildcard."""
+    if pos.left is not None:
+        fl, fr = _pattern(pos.left), _pattern(pos.right)
+        return PPair(fl, fr) if pos.label is None else POr(pos.label, fl, fr)
+    if pos.var is None:
+        return PWild()
+    *outer, last = pos.var, *pos.aliases
+    pat: Pattern = Var(last)
+    for v in reversed(outer):
+        pat = PAt(Var(v), pat)
+    return pat
 
 
 def _var_text(pats, default: str) -> str:
@@ -805,8 +806,8 @@ def _spat_span(p: SPat) -> Span:
 # ---------------------------------------------------------------------------
 # Decision tree
 
-def _build_tree(fz: _Fusion, decl: SurfaceDecl,
-                fused: list[Pattern]) -> tuple[CaseTree, list[str]]:
+def _build_tree(decl: SurfaceDecl,
+                args: list[_Pos]) -> tuple[CaseTree, list[str]]:
     """Split the clause matrix into its case tree, left side first, and read
     coverage and the clause warnings off the same walk: a sum side that no
     clause reaches is the first missing case, and each leaf uses its first
@@ -814,41 +815,35 @@ def _build_tree(fz: _Fusion, decl: SurfaceDecl,
     used: set[int] = set()
     overlap = False
 
-    def walk(nodes: list[tuple[tuple, Pattern]], live: list[int]) -> CaseTree:
+    def walk(todo: list[_Pos], live: list[int]) -> CaseTree:
         nonlocal overlap
-        if not nodes:
+        if not todo:
             used.add(live[0])
             overlap = overlap or len(live) > 1
             return Leaf(live[0])
-        (path, node), rest = nodes[0], nodes[1:]
-        cn = type(node)
-        if cn is POr:
-            sides = []
-            for step, sub, other in (("inl", node.left, PInrS), ("inr", node.right, PInlS)):
-                # A clause with the other injection here cannot match.
-                live_s = [c for c in live if not isinstance(
-                    fz.clause_pat.get((c, path)), other)]
-                if not live_s:
-                    raise CompileFail(Diagnostic(
-                        "coverage", expected="exhaustive clauses",
-                        found="missing case: " + _missing_case(
-                            decl.name, len(fused), path, step),
-                        span=decl.span))
-                sides.append(walk([(path + (step,), sub)] + rest, live_s))
-            return SplitNode(path, *sides)
-        elif cn is PPair:
-            sub = [(path + ("fst",), node.left), (path + ("snd",), node.right)] + rest
-            return PairNode(path, walk(sub, live))
-        elif cn is PAt:
-            return walk([(path, node.right)] + rest, live)
-        else:
+        pos, rest = todo[0], todo[1:]
+        if pos.left is None:
             return walk(rest, live)
+        if pos.label is None:
+            return PairNode(pos, walk([pos.left, pos.right] + rest, live))
+        sides = []
+        for step, sub, other in (("inl", pos.left, PInrS),
+                                 ("inr", pos.right, PInlS)):
+            # A clause with the other injection here cannot match.
+            live_s = [c for c in live if type(pos.pats.get(c)) is not other]
+            if not live_s:
+                raise CompileFail(Diagnostic(
+                    "coverage", expected="exhaustive clauses",
+                    found="missing case: " + _missing_case(
+                        decl.name, len(args), pos.path, step),
+                    span=decl.span))
+            sides.append(walk([sub] + rest, live_s))
+        return SplitNode(pos, *sides)
 
     try:
-        tree = walk([((i,), f) for i, f in enumerate(fused)],
-                    list(range(len(decl.clauses))))
+        tree = walk(args, list(range(len(decl.clauses))))
     finally:
-        del walk    # it refers to itself: free it, and fz with it, now
+        del walk    # it refers to itself: free it now
     warnings = [f"clause {cid + 1} of {decl.name} is never used"
                 for cid in range(len(decl.clauses)) if cid not in used]
     if overlap:
@@ -879,17 +874,21 @@ def _missing_case(name: str, arity: int, path: tuple, side: str) -> str:
 # Right-hand side emission
 
 class _Emitter:
-    def __init__(self, sig: Sig, mode: Mode, fz: _Fusion, decl: SurfaceDecl,
-                 result: NegType):
+    """Emits the term of a case tree: each leaf's right-hand side under the
+    names its clause binds, and each node's split or pair-let.  A name bound
+    at a composite position is rebuilt as data from the positions under it,
+    on the sides of the splits the leaf lies under."""
+
+    def __init__(self, sig: Sig, mode: Mode, binds: list[dict],
+                 decl: SurfaceDecl, result: NegType):
         self.sig = sig
         self.mode = mode
         # The comparison of a type with the goal it must meet.
         self.same = alpha_eq if mode is Mode.PROP else (
             lambda a, b: convert(a, b, sig))
-        self.fz = fz
+        self.binds = binds
         self.decl = decl
         self.result = result
-        self.choices: dict[tuple, str] = {}
         # Types of composite bindings found to match a goal, keyed by the ids
         # of both types.  Every leaf below a binding rebuilds it at the same
         # goal, so each pair is compared once per declaration; other
@@ -902,48 +901,42 @@ class _Emitter:
     def emit(self, tree: CaseTree) -> Term:
         c = type(tree)
         if c is Leaf:
-            return self._rhs_term(self.fz.binds[tree.clause],
+            return self._rhs_term(self.binds[tree.clause],
                                   self.decl.clauses[tree.clause].rhs, self.result)
-        elif c is SplitNode:
-            path = tree.path
-            self.choices[path] = "left"
+        pos = tree.pos
+        if c is SplitNode:
+            pos.side = "left"
             tl = self.emit(tree.left)
-            self.choices[path] = "right"
+            pos.side = "right"
             tr = self.emit(tree.right)
-            del self.choices[path]
-            if self.mode is Mode.DEP:
-                return Split(self.fz.pos_var[path], tl, tr)
-            return Split(self.fz.labels[path], tl, tr)
+            pos.side = None
+            return Split(pos.var if self.mode is Mode.DEP else pos.label,
+                         tl, tr)
         elif c is PairNode:
-            path = tree.path
             sub = self.emit(tree.sub)
             if self.mode is Mode.DEP:
-                y = self.fz.pos_var[path + ("fst",)]
-                z = self.fz.pos_var[path + ("snd",)]
-                return BindCut(PPair(Var(y), Var(z)),
-                               eta(self.fz.pos_var[path]), sub)
+                return BindCut(PPair(Var(pos.left.var), Var(pos.right.var)),
+                               eta(pos.var), sub)
             return sub
         raise AssertionError(tree)
 
-    # reconstruction of a composite position as data, under current choices
+    # reconstruction of a composite position as data, on the current sides
 
-    def _recon(self, path: tuple) -> DataVal:
-        ty = self.fz.pos_types[path]
+    def _recon(self, pos: _Pos) -> DataVal:
+        ty = pos.type
         c = type(ty)
         if c is Down:
-            return eta(self.fz.pos_var[path])
+            return eta(pos.var)
         elif c is Or:
-            side = self.choices.get(path)
-            if side == "left":
-                return Inl(self._recon(path + ("inl",)))
-            if side == "right":
-                return Inr(self._recon(path + ("inr",)))
+            if pos.side == "left":
+                return Inl(self._recon(pos.left))
+            if pos.side == "right":
+                return Inr(self._recon(pos.right))
             raise CompileFail(Diagnostic(
                 "pattern", expected="resolved sum position",
                 found="unresolved or-position", span=self.decl.span))
         elif c is Prod or c is Sigma:
-            return DPair(self._recon(path + ("fst",)),
-                         self._recon(path + ("snd",)))
+            return DPair(self._recon(pos.left), self._recon(pos.right))
         raise TypeError(ty)
 
     # expressions, under the names ``scope`` their clause binds
@@ -973,7 +966,7 @@ class _Emitter:
                     "unbound", expected="bound variable or declared name",
                     found=e.head, span=e.span))
             head, cur = entry.name, entry.type
-        elif type(b) is _DataB:
+        elif type(b) is _Pos:
             raise CompileFail(Diagnostic(
                 "type", expected="thunk-typed head",
                 found=f"{e.head} bound at {print_type(b.type)}", span=e.span))
@@ -1005,14 +998,14 @@ class _Emitter:
     def _rhs_data(self, scope: dict, e: SExpr, p: PosType) -> DataVal:
         if type(e) is EApp and not e.args:
             b = scope.get(e.head)
-            if type(b) is _DataB:
+            if type(b) is _Pos:
                 if (id(b.type), id(p)) not in self.matched:
                     if not self.same(b.type, p):
                         raise CompileFail(Diagnostic(
                             "type", expected=print_type(p), found=print_type(b.type),
                             span=e.span))
                     self.matched[id(b.type), id(p)] = (b.type, p)
-                return self._recon(b.path)
+                return self._recon(b)
         c = type(p)
         if c is Down:
             return Thunk(self._rhs_term(scope, e, p.body))
@@ -1073,17 +1066,16 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
                 "arity", expected=f"{arity} pattern(s)",
                 found=str(len(cl.lhs)), span=cl.span))
 
-    fz = _Fusion(mode, [{} for _ in decl.clauses])
-    arg_types: list[PosType] = []
+    args: list[_Pos] = []
     result = ty
     for i in range(arity):
         c = type(result)
+        v = None
         if c is Pi:
             # A Pi binder is visible in later argument types; the
             # scrutinee variable doubles as that binder.
             v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
                                 f"a{i + 1}"))
-            fz.pos_var[(i,)] = v
             a = result.arg
             result = subst_data_in_neg(result.res, result.binder, eta(v))
         elif c is Imp:
@@ -1092,22 +1084,16 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
             raise CompileFail(Diagnostic(
                 "arity", expected="enough arrows in the declared type",
                 found=f"{arity} clause pattern(s)", span=decl.span))
-        arg_types.append(a)
+        args.append(_Pos((i,), a, v))
 
-    fused: list[Pattern] = []
-    for i, p_ty in enumerate(arg_types):
-        fused.append(_fuse(fz, (i,), p_ty,
-                           {cid: cl.lhs[i] for cid, cl in enumerate(decl.clauses)}))
+    fz = _Fusion(mode, [{} for _ in decl.clauses])
+    for i, pos in enumerate(args):
+        _fuse(fz, pos, {cid: cl.lhs[i] for cid, cl in enumerate(decl.clauses)})
 
-    tree, warnings = _build_tree(fz, decl, fused)
-    emitter = _Emitter(sig, mode, fz, decl, result)
-    term = emitter.emit(tree)
-    if mode is Mode.DEP:
-        for i in range(arity - 1, -1, -1):
-            term = Lam(Var(fz.pos_var[(i,)]), term)
-    else:
-        for i in range(arity - 1, -1, -1):
-            term = Lam(fused[i], term)
+    tree, warnings = _build_tree(decl, args)
+    term = _Emitter(sig, mode, fz.binds, decl, result).emit(tree)
+    for pos in reversed(args):
+        term = Lam(Var(pos.var) if mode is Mode.DEP else _pattern(pos), term)
     return CompiledDecl("def", Name(decl.name), decl.span, ty, term, tree,
                         warnings)
 
@@ -1178,5 +1164,5 @@ def compile_argument(sig: Sig, text: str, ty: PosType,
                                     found=p.texts[i],
                                     span=p.src.span(p.offs[i])))
     shim = SurfaceDecl("def", "<arg>", Span("<arg>", 1, 1))
-    emitter = _Emitter(sig, mode, _Fusion(mode, []), shim, Atom(Name("<arg>")))
+    emitter = _Emitter(sig, mode, [], shim, Atom(Name("<arg>")))
     return emitter._rhs_data({}, expr, ty)
