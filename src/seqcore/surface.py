@@ -28,7 +28,8 @@ variable naming a whole sum or product is compiled by eta-expansion, its
 uses replaced by data rebuilt from the positions under it, so every surface
 program lands in the fragment the kernel accepts.  An as-pattern at a thunk
 type becomes a genuine contraction pattern; at composite types the name
-binds its position, and a use rebuilds it.  In dependent mode arguments
+binds its position, and a use rebuilds it, binding a fresh variable at any
+thunk position under it that no clause binds.  In dependent mode arguments
 bind bare variables and the same tree is emitted as explicit pair-lets and
 splits instead of deep patterns.
 
@@ -926,6 +927,9 @@ class _Emitter:
         ty = pos.type
         c = type(ty)
         if c is Down:
+            if pos.var is None:
+                # No clause binds this thunk: the rebuild binds it.
+                pos.var = fresh("v1")
             return eta(pos.var)
         elif c is Or:
             if pos.side == "left":
@@ -936,6 +940,11 @@ class _Emitter:
                 "pattern", expected="resolved sum position",
                 found="unresolved or-position", span=self.decl.span))
         elif c is Prod or c is Sigma:
+            if pos.left is None:
+                # A wildcard product: the rebuild splits it.
+                fst_ty, snd_ty = children(ty)
+                pos.left = _Pos(pos.path + ("fst",), fst_ty)
+                pos.right = _Pos(pos.path + ("snd",), snd_ty)
             return DPair(self._recon(pos.left), self._recon(pos.right))
         raise TypeError(ty)
 

@@ -169,6 +169,94 @@ class TestCheck:
             0, "ok (3 declarations)\n", "")
 
 
+FLAG_SETS = ([], ["--dependent"], ["--structural-patterns"],
+             ["--dependent", "--structural-patterns"])
+
+# An as-name over a product or sum with a component every clause matches
+# with _.
+AS_OVER_WILD = {
+    "pair-of-wilds": "g : a * a -> a\nf : a * a -> a\nf p@(_, _) = g p\n",
+    "wild-product": ("g : (a * a) * a -> a\nf : (a * a) * a -> a\n"
+                     "f p@(_, y) = g p\n"),
+    "injection-of-wild": ("g : a + a -> a\nf : a + a -> a\n"
+                          "f p@(inl _) = g p\nf (inr x) = x\n"),
+}
+
+
+class TestAsOverWildcards:
+    """The name is rebuilt with a variable bound at each thunk position
+    under it that no clause binds; a sum under it must still be split."""
+
+    @staticmethod
+    def program(tmp_path, decls: str) -> str:
+        path = tmp_path / "p.seq"
+        path.write_text("atom a\npostulate q : a\npostulate r : a\n"
+                        "postulate " + decls)
+        return str(path)
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=" ".join)
+    @pytest.mark.parametrize("cmd", [["check"], ["core"],
+                                     ["run", "--entry", "f"]], ids=" ".join)
+    @pytest.mark.parametrize("decls", AS_OVER_WILD.values(),
+                             ids=AS_OVER_WILD.keys())
+    def test_no_internal_error(self, capsys, tmp_path, decls, cmd, flags):
+        code, _, err = run(capsys, cmd[0], self.program(tmp_path, decls),
+                           *cmd[1:], *flags)
+        assert "internal error" not in err
+        assert code == 0 or (code == 1 and err.startswith("ERROR "))
+
+    @pytest.mark.parametrize("flags", [[], ["--structural-patterns"]],
+                             ids=["plain", "structural"])
+    @pytest.mark.parametrize("decls, arg, out", [
+        (AS_OVER_WILD["pair-of-wilds"], "(q, r)",
+         "g ((thunk (q []), thunk (r [])) :: [])\n"),
+        (AS_OVER_WILD["wild-product"], "((q, r), q)",
+         "g (((thunk (q []), thunk (r [])), thunk (q [])) :: [])\n"),
+        (AS_OVER_WILD["injection-of-wild"], "inl q",
+         "g (inl thunk (q []) :: [])\n"),
+    ], ids=AS_OVER_WILD.keys())
+    def test_rebuilds_the_argument(self, capsys, tmp_path, decls, arg, out,
+                                   flags):
+        path = self.program(tmp_path, decls)
+        assert run(capsys, "check", path, *flags) == (
+            0, "ok (5 declarations)\n", "")
+        assert run(capsys, "run", path, "--entry", "f", "--arg", arg,
+                   *flags) == (0, out, "")
+
+    def test_unused_name_binds_nothing(self, capsys, tmp_path):
+        path = self.program(tmp_path, "g : a -> a\nf : a * a -> a\n"
+                                      "f p@(_, y) = g y\n")
+        code, _, err = run(capsys, "check", path)
+        assert code == 1 and "structural-disabled" in err
+        assert run(capsys, "core", path, "--structural-patterns")[1].endswith(
+            "f = \\(_, y). g (thunk (y []) :: [])\n")
+
+    @pytest.mark.parametrize("name", ["pair-of-wilds", "injection-of-wild"])
+    def test_dependent_mode_names_every_component(self, capsys, tmp_path,
+                                                  name):
+        path = self.program(tmp_path, AS_OVER_WILD[name])
+        assert run(capsys, "check", path, "--dependent") == (
+            0, "ok (5 declarations)\n", "")
+
+    def test_dependent_wildcard_product(self, capsys, tmp_path):
+        nested = self.program(tmp_path, AS_OVER_WILD["wild-product"])
+        assert run(capsys, "check", nested, "--dependent") == (
+            1, "", f"ERROR dep-pattern at {nested}:6:6: expected variable "
+                   "binder, found wildcard pattern _\n")
+
+    @pytest.mark.parametrize("flags, want", [
+        ([], "ERROR pattern at {}:5:1: expected resolved sum position, "
+             "found unresolved or-position\n"),
+        (["--dependent"], "ERROR dep-pattern at {}:6:6: expected variable "
+                          "binder, found wildcard pattern _\n"),
+    ], ids=["plain", "dependent"])
+    def test_sum_component_is_not_split(self, capsys, tmp_path, flags, want):
+        path = self.program(tmp_path, "g : (a + a) * a -> a\n"
+                                      "f : (a + a) * a -> a\nf p@(_, y) = g p\n")
+        for cmd in ("check", "core"):
+            assert run(capsys, cmd, path, *flags) == (1, "", want.format(path))
+
+
 class TestExamples:
     @pytest.mark.parametrize("name, mode, structural", SUITE,
                              ids=[name for name, _, _ in SUITE])
