@@ -274,31 +274,27 @@ def _invert_one(st: _State, p: Pattern, ty: PosType) -> _State:
 
 def _check(st: _State, t: Term, goal: NegType) -> None:
     try:
-        _check_subject(st, t, goal)
+        c = type(t)
+        if c is Lam:
+            if not isinstance(goal, Imp):
+                raise _fail("lambda", expected="implication goal",
+                            found=print_type(goal))
+            _check(_invert_one(st, t.pat, goal.arg), t.body, goal.res)
+        elif c is Pair:
+            left, right = _with_right(goal)
+            _check(st, t.left, left)
+            _check(st, t.right, right)
+        elif c is Done:
+            _check_data(st, t.data, _done(st, goal))
+        elif c is App:
+            _check_spine(st, st.head(t.head), t.spine, goal)
+        elif c is Split or c is BindCut or c is AppCut:
+            for st1, u in _reducts(st, t):
+                _check(st1, u, goal)
+        else:
+            raise TypeError(t)
     except CheckError as f:
         raise CheckError(f.diagnostic.pushed(_frame("inversion", t, goal)))
-
-
-def _check_subject(st: _State, t: Term, goal: NegType) -> None:
-    c = type(t)
-    if c is Lam:
-        if not isinstance(goal, Imp):
-            raise _fail("lambda", expected="implication goal",
-                        found=print_type(goal))
-        _check(_invert_one(st, t.pat, goal.arg), t.body, goal.res)
-    elif c is Pair:
-        left, right = _with_right(goal)
-        _check(st, t.left, left)
-        _check(st, t.right, right)
-    elif c is Done:
-        _check_data(st, t.data, _done(st, goal))
-    elif c is App:
-        _check_spine(st, st.head(t.head), t.spine, goal)
-    elif c is Split or c is BindCut or c is AppCut:
-        for st1, u in _reducts(st, t):
-            _check(st1, u, goal)
-    else:
-        raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------

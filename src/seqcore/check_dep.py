@@ -135,14 +135,6 @@ def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
 # ---------------------------------------------------------------------------
 # Inversion
 
-def _check(st: _State, t: Term, goal: NegType) -> None:
-    try:
-        _check_subject(st, t, goal)
-    except CheckError as f:
-        raise CheckError(f.diagnostic.pushed(
-            f"dep-check {print_term(t)} : {print_type(goal)}"))
-
-
 def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma, Term]]:
     if (type(t) is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
             and type(p.right) is Var and type(d := t.data) is Thunk
@@ -153,55 +145,62 @@ def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma
     return None
 
 
-def _check_subject(st: _State, t: Term, goal: NegType) -> None:
-    sigma_let = _is_sigma_let(st, t)
-    if sigma_let is not None:
-        y, z, x, ty, body = sigma_let
-        i = st.pending_index(x)
-        with _clash("prod-left", "well-sorted use of the pair variable", x):
-            base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
-            goal2 = subst_data_in_neg(goal, x, DPair(eta(y), eta(z)))
-        base = base.extend(y, ty.first)
-        base = base.extend(z, subst_data_in_pos(ty.second, ty.binder, eta(y)))
-        _check(base, body, goal2)
-        return
-    c = type(t)
-    if c is Split:
-        for branch in _split(st, t.label, t.left, t.right, None, goal):
-            _check(*branch)
-    elif c is Lam:
-        if not isinstance(t.pat, Var):
+def _check(st: _State, t: Term, goal: NegType) -> None:
+    try:
+        sigma_let = _is_sigma_let(st, t)
+        if sigma_let is not None:
+            y, z, x, ty, body = sigma_let
+            i = st.pending_index(x)
+            with _clash("prod-left", "well-sorted use of the pair variable", x):
+                base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
+                goal2 = subst_data_in_neg(goal, x, DPair(eta(y), eta(z)))
+            base = base.extend(y, ty.first)
+            base = base.extend(z, subst_data_in_pos(ty.second, ty.binder,
+                                                    eta(y)))
+            _check(base, body, goal2)
+            return
+        c = type(t)
+        if c is Split:
+            for branch in _split(st, t.label, t.left, t.right, None, goal):
+                _check(*branch)
+        elif c is Lam:
+            if not isinstance(t.pat, Var):
+                raise _fail("dep-pattern", expected="variable binder",
+                            found="deep pattern",
+                            note="dependent mode binds variables only")
+            if not isinstance(goal, Pi):
+                raise _fail("lambda", expected="dependent product goal",
+                            found=print_type(goal))
+            body_goal = subst_data_in_neg(goal.res, goal.binder,
+                                          eta(t.pat.name))
+            _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
+        elif c is Pair:
+            left, right = _with_right(goal)
+            _check(st, t.left, left)
+            _check(st, t.right, right)
+        elif c is Done:
+            _check_data(st, t.data, _done(st, goal))
+        elif c is App:
+            _check_spine(st, st.head(t.head), t.spine, goal)
+        elif c is BindCut and type(t.pat) is Var:
+            _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
+        elif (c is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
+              and type(p.right) is Var and type(d := t.data) is DPair):
+            # Reduct of a sigma-let whose scrutinee got instantiated; accept
+            # by decomposing, mirroring the reduction rule.
+            _check(st, BindCut(p.left, d.left,
+                               BindCut(p.right, d.right, t.body)), goal)
+        elif c is BindCut:
             raise _fail("dep-pattern", expected="variable binder",
-                        found="deep pattern",
+                        found="deep pattern in cut",
                         note="dependent mode binds variables only")
-        if not isinstance(goal, Pi):
-            raise _fail("lambda", expected="dependent product goal",
-                        found=print_type(goal))
-        body_goal = subst_data_in_neg(goal.res, goal.binder, eta(t.pat.name))
-        _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
-    elif c is Pair:
-        left, right = _with_right(goal)
-        _check(st, t.left, left)
-        _check(st, t.right, right)
-    elif c is Done:
-        _check_data(st, t.data, _done(st, goal))
-    elif c is App:
-        _check_spine(st, st.head(t.head), t.spine, goal)
-    elif c is BindCut and type(t.pat) is Var:
-        _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
-    elif (c is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
-          and type(p.right) is Var and type(d := t.data) is DPair):
-        # Reduct of a sigma-let whose scrutinee got instantiated; accept
-        # by decomposing, mirroring the reduction rule.
-        _check(st, BindCut(p.left, d.left, BindCut(p.right, d.right, t.body)), goal)
-    elif c is BindCut:
-        raise _fail("dep-pattern", expected="variable binder",
-                    found="deep pattern in cut",
-                    note="dependent mode binds variables only")
-    elif c is AppCut:
-        _check_app_cut(st, t.fun, t.spine, goal)
-    else:
-        raise TypeError(t)
+        elif c is AppCut:
+            _check_app_cut(st, t.fun, t.spine, goal)
+        else:
+            raise TypeError(t)
+    except CheckError as f:
+        raise CheckError(f.diagnostic.pushed(
+            f"dep-check {print_term(t)} : {print_type(goal)}"))
 
 
 def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
