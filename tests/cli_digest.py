@@ -12,7 +12,10 @@ working directory, over:
 
 Prints one sha256 per group and one over all of them.  Two checkouts with
 the same digests print the same bytes and exit codes on every call, so a
-change meant to keep the CLI's output can be compared with its parent::
+change meant to keep the CLI's output can be compared with its parent.  The
+last line counts the calls that exit 5 (an internal error); no digest
+covers that count, so it reads the same in any checkout with the same
+digests::
 
     PYTHONPATH=src python tests/cli_digest.py [--seed 2024]
 """
@@ -40,11 +43,11 @@ FLAG_SETS = ([], ["--dependent"], ["--structural-patterns"],
              ["--dependent", "--structural-patterns"])
 
 
-def run(argv: list[str]) -> bytes:
+def run(argv: list[str]) -> tuple[int, bytes]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = entry(argv)
-    return repr((argv, code, out.getvalue(), err.getvalue())).encode()
+    return code, repr((argv, code, out.getvalue(), err.getvalue())).encode()
 
 
 def examples():
@@ -85,6 +88,7 @@ def main() -> None:
                     help="seed of the library workload (default 2024)")
     args = ap.parse_args()
     total = hashlib.sha256()
+    internal = 0
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         os.symlink(PROGRAMS, "programs")
@@ -93,11 +97,14 @@ def main() -> None:
         for label, calls in groups:
             h, n = hashlib.sha256(), 0
             for argv in calls:
-                h.update(run(argv))
+                code, result = run(argv)
+                h.update(result)
+                internal += code == 5
                 n += 1
             total.update(h.digest())
             print(f"{label:8s} {n:5d} calls  {h.hexdigest()}")
     print(f"{'all':8s} {'':11s} {total.hexdigest()}")
+    print(f"{'internal':8s} {internal:5d} calls  exit 5")
 
 
 if __name__ == "__main__":
