@@ -17,6 +17,7 @@ the process; the caller's numbering resumes afterwards.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import os
@@ -145,7 +146,23 @@ def main(args: argparse.Namespace) -> int:
     return 0
 
 
-def entry(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built on the first ``entry`` call and shared
+    by every later one in the process: it depends on no input, and a parser
+    refers to itself, so each build would leave cyclic garbage behind."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file")
+    common.add_argument("--entry", help="name of the declaration to run")
+    common.add_argument("--arg", help="surface expression passed as argument")
+    common.add_argument("--dependent", action="store_true",
+                        help="use the dependent checker")
+    common.add_argument("--structural-patterns", action="store_true",
+                        help="enable contraction and wildcard patterns")
+    common.add_argument("--fuel", type=int, default=None,
+                        help=f"reduction step budget (default {DEFAULT_FUEL})")
+    common.add_argument("--trace", action="store_true",
+                        help="print each reduction step")
     parser = argparse.ArgumentParser(
         prog="seqcore",
         description="Typecheck and run equational programs on a focused "
@@ -155,20 +172,13 @@ def entry(argv: Optional[list[str]] = None) -> int:
                        ("core", "print compiled core terms"),
                        ("run", "normalize an entry point"),
                        ("trace", "run and print each reduction step")):
-        sp = sub.add_parser(cmd, help=help_)
-        sp.add_argument("file")
-        sp.add_argument("--entry", help="name of the declaration to run")
-        sp.add_argument("--arg", help="surface expression passed as argument")
-        sp.add_argument("--dependent", action="store_true",
-                        help="use the dependent checker")
-        sp.add_argument("--structural-patterns", action="store_true",
-                        help="enable contraction and wildcard patterns")
-        sp.add_argument("--fuel", type=int, default=None,
-                        help=f"reduction step budget (default {DEFAULT_FUEL})")
-        sp.add_argument("--trace", action="store_true",
-                        help="print each reduction step")
+        sub.add_parser(cmd, help=help_, parents=[common])
+    return parser
+
+
+def entry(argv: Optional[list[str]] = None) -> int:
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse has printed its usage text; --help still exits 0.
         if e.code == 0:

@@ -1,6 +1,8 @@
 """CLI: commands, exit codes, output formats."""
 
+import argparse
 import gc
+import itertools
 import os
 import pathlib
 import subprocess
@@ -10,7 +12,9 @@ import pytest
 
 from core_reader import parse_term
 from suite import SUITE, clause_set_variants, cyclic_garbage
+from seqcore import cli
 from seqcore.cli import entry, main
+from seqcore.reduce import DEFAULT_FUEL
 from seqcore.syntax import Mode
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -415,14 +419,18 @@ class TestCore:
         assert "f = \\" in out
 
 
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["compile", "x.seq"], "argument command: invalid choice: 'compile'"),
+    (["check"], "the following arguments are required: file"),
+    (["check", "--fuel", "abc", "x.seq"],
+     "argument --fuel: invalid int value: 'abc'"),
+]
+USAGE_IDS = ["no-command", "unknown-command", "missing-file", "fuel-not-int"]
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv, message", [
-        ([], "the following arguments are required: command"),
-        (["compile", "x.seq"], "argument command: invalid choice: 'compile'"),
-        (["check"], "the following arguments are required: file"),
-        (["check", "--fuel", "abc", "x.seq"],
-         "argument --fuel: invalid int value: 'abc'"),
-    ], ids=["no-command", "unknown-command", "missing-file", "fuel-not-int"])
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=USAGE_IDS)
     def test_argparse_error_exit_four(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 4
@@ -436,6 +444,107 @@ class TestUsageErrors:
             entry(argv)
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("usage: seqcore")
+
+
+COMMANDS = ("check", "core", "run", "trace")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command-line grammar with each subcommand declaring its own seven
+    options: the reference for the shared parser ``entry`` uses."""
+    parser = argparse.ArgumentParser(
+        prog="seqcore",
+        description="Typecheck and run equational programs on a focused "
+                    "sequent-calculus kernel.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, help_ in zip(COMMANDS, ("typecheck all declarations",
+                                     "print compiled core terms",
+                                     "normalize an entry point",
+                                     "run and print each reduction step")):
+        sp = sub.add_parser(cmd, help=help_)
+        sp.add_argument("file")
+        sp.add_argument("--entry", help="name of the declaration to run")
+        sp.add_argument("--arg", help="surface expression passed as argument")
+        sp.add_argument("--dependent", action="store_true",
+                        help="use the dependent checker")
+        sp.add_argument("--structural-patterns", action="store_true",
+                        help="enable contraction and wildcard patterns")
+        sp.add_argument("--fuel", type=int, default=None,
+                        help=f"reduction step budget (default {DEFAULT_FUEL})")
+        sp.add_argument("--trace", action="store_true",
+                        help="print each reduction step")
+    return parser
+
+
+def parse_outcome(capsys, parser, argv):
+    """The Namespace, or the ``SystemExit`` code, with stdout and stderr."""
+    try:
+        got = parser.parse_args(argv)
+    except SystemExit as e:
+        got = f"SystemExit({e.code})"
+    return (got, *capsys.readouterr())
+
+
+class TestSharedParser:
+    """``entry``'s one parser per process parses and prints exactly as the
+    reference builder does.  argparse wraps its texts to ``COLUMNS``, so the
+    width is fixed; its layout differs between interpreters, so only a
+    comparison made with one interpreter holds."""
+
+    TEXTS = [["--help"], *([cmd, "--help"] for cmd in COMMANDS),
+             *(argv for argv, _ in USAGE_ERRORS),
+             ["check", "x.seq", "--frobnicate"]]
+
+    @pytest.mark.parametrize("argv", TEXTS,
+                             ids=lambda argv: " ".join(argv) or "no-args")
+    def test_help_usage_and_errors(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = parse_outcome(capsys, reference_parser(), argv)
+        assert parse_outcome(capsys, cli._parser(), argv) == want
+
+    OPTIONS = (["--entry", "f"], ["--arg", "inr q"], ["--dependent"],
+               ["--structural-patterns"], ["--fuel", "7"], ["--trace"])
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_every_option_set(self, capsys, cmd):
+        ref = reference_parser()
+        for n in range(len(self.OPTIONS) + 1):
+            for chosen in itertools.combinations(self.OPTIONS, n):
+                argv = [cmd, "x.seq", *itertools.chain(*chosen)]
+                want = parse_outcome(capsys, ref, argv)
+                assert parse_outcome(capsys, cli._parser(), argv) == want
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys,
+                                                        monkeypatch):
+        # Once the first call has built the parser, no call builds one.
+        monkeypatch.setenv("COLUMNS", "80")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        usage = ["compile", "x.seq"]
+        calls = [usage, ["--help"], ["check", str(PROGRAMS / "basics.seq")],
+                 ["core", str(PROGRAMS / "swap_dep.seq"), "--dependent"],
+                 usage]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        builds = []
+        for argv in calls:
+            before = len(built)
+            try:
+                code = entry(argv)
+            except SystemExit as e:
+                code = e.code
+            builds.append(len(built) - before)
+            got = (code, *capsys.readouterr())
+            proc = subprocess.run([sys.executable, "-m", "seqcore.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert builds[1:] == [0, 0, 0, 0]
 
 
 class TestInternalErrors:
@@ -616,19 +725,17 @@ class TestCollectorPause:
 
     F_RUN = ["run", str(PROGRAMS / "f_run.seq"), "--entry", "f"]
 
-    @pytest.mark.parametrize("enabled", [True, False],
-                             ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("case, code", [
-        ("ok", 0), ("type-error", 1), ("parse-error", 2), ("fuel", 3),
-        ("usage", 4), ("bad-env-fuel", 4), ("fuel-not-positive", 4),
-        ("missing-entry", 4), ("unreadable", 4), ("closed-stdout", 4),
-        ("deep-sum", 5), ("help", "SystemExit(0)")])
-    def test_entry_restores_collector_state(self, capsys, monkeypatch,
-                                            tmp_path, case, code, enabled):
+    def argv(self, case, tmp_path, monkeypatch):
+        """The command line of one exit path."""
         bad = tmp_path / "bad.seq"
         bad.write_text("atom a\ng : a -> a\ng x = x $\n")
-        argv = {
+        if case == "bad-env-fuel":
+            monkeypatch.setenv("SEQCORE_FUEL", "abc")
+        return {
             "ok": ["check", str(PROGRAMS / "basics.seq")],
+            "core": ["core", str(PROGRAMS / "swap_dep.seq"), "--dependent"],
+            "run": [*self.F_RUN, "--arg", "inl (q, r)"],
+            "trace": ["trace", *self.F_RUN[1:], "--arg", "inr q"],
             "type-error": ["check", str(PROGRAMS / "wild.seq")],
             "parse-error": ["check", str(bad)],
             "fuel": [*self.F_RUN, "--arg", "inr q", "--fuel", "1"],
@@ -641,8 +748,35 @@ class TestCollectorPause:
             "deep-sum": ["check", deep_sum(tmp_path)],
             "help": ["--help"],
         }[case]
-        if case == "bad-env-fuel":
-            monkeypatch.setenv("SEQCORE_FUEL", "abc")
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("core", 0), ("run", 0), ("trace", 0), ("type-error", 1),
+        ("parse-error", 2), ("fuel", 3), ("bad-env-fuel", 4),
+        ("fuel-not-positive", 4), ("missing-entry", 4), ("unreadable", 4)])
+    def test_entry_leaves_no_cyclic_garbage(self, capsys, monkeypatch,
+                                            tmp_path, case, code):
+        # Once the first call has built the parser, a whole call leaves no
+        # cycles, the command line's parse included.  argparse's own
+        # usage-error path is left out: the frame that catches its
+        # ArgumentError keeps it in a local, and the error's traceback refers
+        # back to that frame, a cycle of 6 objects that argparse makes.
+        argv = self.argv(case, tmp_path, monkeypatch)
+        entry(argv)
+        codes = []
+        found = cyclic_garbage(lambda: codes.append(entry(argv)))
+        capsys.readouterr()
+        assert (codes, found) == ([code], 0)
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("type-error", 1), ("parse-error", 2), ("fuel", 3),
+        ("usage", 4), ("bad-env-fuel", 4), ("fuel-not-positive", 4),
+        ("missing-entry", 4), ("unreadable", 4), ("closed-stdout", 4),
+        ("deep-sum", 5), ("help", "SystemExit(0)")])
+    def test_entry_restores_collector_state(self, capsys, monkeypatch,
+                                            tmp_path, case, code, enabled):
+        argv = self.argv(case, tmp_path, monkeypatch)
         r, w = os.pipe()
         if case == "closed-stdout":
             monkeypatch.setattr(sys, "stdout", ClosedStdout(w))
