@@ -151,18 +151,6 @@ def _parser() -> argparse.ArgumentParser:
     """The command-line grammar, built on the first ``entry`` call and shared
     by every later one in the process: it depends on no input, and a parser
     refers to itself, so each build would leave cyclic garbage behind."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file")
-    common.add_argument("--entry", help="name of the declaration to run")
-    common.add_argument("--arg", help="surface expression passed as argument")
-    common.add_argument("--dependent", action="store_true",
-                        help="use the dependent checker")
-    common.add_argument("--structural-patterns", action="store_true",
-                        help="enable contraction and wildcard patterns")
-    common.add_argument("--fuel", type=int, default=None,
-                        help=f"reduction step budget (default {DEFAULT_FUEL})")
-    common.add_argument("--trace", action="store_true",
-                        help="print each reduction step")
     parser = argparse.ArgumentParser(
         prog="seqcore",
         description="Typecheck and run equational programs on a focused "
@@ -172,7 +160,18 @@ def _parser() -> argparse.ArgumentParser:
                        ("core", "print compiled core terms"),
                        ("run", "normalize an entry point"),
                        ("trace", "run and print each reduction step")):
-        sub.add_parser(cmd, help=help_, parents=[common])
+        sp = sub.add_parser(cmd, help=help_)
+        sp.add_argument("file")
+        sp.add_argument("--entry", help="name of the declaration to run")
+        sp.add_argument("--arg", help="surface expression passed as argument")
+        sp.add_argument("--dependent", action="store_true",
+                        help="use the dependent checker")
+        sp.add_argument("--structural-patterns", action="store_true",
+                        help="enable contraction and wildcard patterns")
+        sp.add_argument("--fuel", type=int, default=None,
+                        help=f"reduction step budget (default {DEFAULT_FUEL})")
+        sp.add_argument("--trace", action="store_true",
+                        help="print each reduction step")
     return parser
 
 

@@ -2,7 +2,6 @@
 
 import argparse
 import gc
-import itertools
 import os
 import pathlib
 import subprocess
@@ -12,9 +11,7 @@ import pytest
 
 from core_reader import parse_term
 from suite import SUITE, clause_set_variants, cyclic_garbage
-from seqcore import cli
 from seqcore.cli import entry, main
-from seqcore.reduce import DEFAULT_FUEL
 from seqcore.syntax import Mode
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -419,18 +416,14 @@ class TestCore:
         assert "f = \\" in out
 
 
-USAGE_ERRORS = [
-    ([], "the following arguments are required: command"),
-    (["compile", "x.seq"], "argument command: invalid choice: 'compile'"),
-    (["check"], "the following arguments are required: file"),
-    (["check", "--fuel", "abc", "x.seq"],
-     "argument --fuel: invalid int value: 'abc'"),
-]
-USAGE_IDS = ["no-command", "unknown-command", "missing-file", "fuel-not-int"]
-
-
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=USAGE_IDS)
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["compile", "x.seq"], "argument command: invalid choice: 'compile'"),
+        (["check"], "the following arguments are required: file"),
+        (["check", "--fuel", "abc", "x.seq"],
+         "argument --fuel: invalid int value: 'abc'"),
+    ], ids=["no-command", "unknown-command", "missing-file", "fuel-not-int"])
     def test_argparse_error_exit_four(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 4
@@ -446,73 +439,9 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: seqcore")
 
 
-COMMANDS = ("check", "core", "run", "trace")
-
-
-def reference_parser() -> argparse.ArgumentParser:
-    """The command-line grammar with each subcommand declaring its own seven
-    options: the reference for the shared parser ``entry`` uses."""
-    parser = argparse.ArgumentParser(
-        prog="seqcore",
-        description="Typecheck and run equational programs on a focused "
-                    "sequent-calculus kernel.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, help_ in zip(COMMANDS, ("typecheck all declarations",
-                                     "print compiled core terms",
-                                     "normalize an entry point",
-                                     "run and print each reduction step")):
-        sp = sub.add_parser(cmd, help=help_)
-        sp.add_argument("file")
-        sp.add_argument("--entry", help="name of the declaration to run")
-        sp.add_argument("--arg", help="surface expression passed as argument")
-        sp.add_argument("--dependent", action="store_true",
-                        help="use the dependent checker")
-        sp.add_argument("--structural-patterns", action="store_true",
-                        help="enable contraction and wildcard patterns")
-        sp.add_argument("--fuel", type=int, default=None,
-                        help=f"reduction step budget (default {DEFAULT_FUEL})")
-        sp.add_argument("--trace", action="store_true",
-                        help="print each reduction step")
-    return parser
-
-
-def parse_outcome(capsys, parser, argv):
-    """The Namespace, or the ``SystemExit`` code, with stdout and stderr."""
-    try:
-        got = parser.parse_args(argv)
-    except SystemExit as e:
-        got = f"SystemExit({e.code})"
-    return (got, *capsys.readouterr())
-
-
 class TestSharedParser:
-    """``entry``'s one parser per process parses and prints exactly as the
-    reference builder does.  argparse wraps its texts to ``COLUMNS``, so the
-    width is fixed; its layout differs between interpreters, so only a
-    comparison made with one interpreter holds."""
-
-    TEXTS = [["--help"], *([cmd, "--help"] for cmd in COMMANDS),
-             *(argv for argv, _ in USAGE_ERRORS),
-             ["check", "x.seq", "--frobnicate"]]
-
-    @pytest.mark.parametrize("argv", TEXTS,
-                             ids=lambda argv: " ".join(argv) or "no-args")
-    def test_help_usage_and_errors(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        want = parse_outcome(capsys, reference_parser(), argv)
-        assert parse_outcome(capsys, cli._parser(), argv) == want
-
-    OPTIONS = (["--entry", "f"], ["--arg", "inr q"], ["--dependent"],
-               ["--structural-patterns"], ["--fuel", "7"], ["--trace"])
-
-    @pytest.mark.parametrize("cmd", COMMANDS)
-    def test_every_option_set(self, capsys, cmd):
-        ref = reference_parser()
-        for n in range(len(self.OPTIONS) + 1):
-            for chosen in itertools.combinations(self.OPTIONS, n):
-                argv = [cmd, "x.seq", *itertools.chain(*chosen)]
-                want = parse_outcome(capsys, ref, argv)
-                assert parse_outcome(capsys, cli._parser(), argv) == want
+    """``entry`` builds its one argparse parser on the first call and every
+    later call in the process reuses it."""
 
     def test_calls_in_one_process_match_fresh_processes(self, capsys,
                                                         monkeypatch):
