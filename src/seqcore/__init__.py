@@ -17,7 +17,7 @@ from .syntax import (
     Sig, SigEntry, eta,
     well_formed_neg, well_formed_pos,
     spine_concat, select_branch, alpha_eq, size, is_cut_free,
-    subst_data_in_term, subst_data_in_neg, subst_data_in_pos,
+    subst_data,
 )
 from .diag import Diagnostic, Span, CheckError, ParseError
 from .check import check_term, check_data, check_spine, infer_term, UNKNOWN

@@ -34,8 +34,9 @@ and imported by the dependent checker: the failure plumbing (a failing rule
 raises ``CheckError`` built by ``_fail``, ``_clash`` reports a clashing
 substitution as one, and the entry points' ``_verdict`` catches it), the
 zones (``_Zones``: lookup and head typing), the side conditions of
-with-right, done, with-left and kappa, ``_reassociated`` and the
-variable-cut reduct ``_var_cut_reduct``.
+with-right, done, with-left and kappa, and the variable-cut reduct
+``_var_cut_reduct``.  The untyped cut reducts are ``reduce``'s own rules
+(``reassociated`` for R4 and R7, ``decomposed`` for R5).
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ from typing import Iterator, Optional, Union
 from .core_text import print_data, print_pattern, print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
+from .reduce import decomposed, reassociated
 from .syntax import (
     App, AppCut, BindCut, Cons, Ctx, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, POr, PosType,
     PPair, Prod, Proj1, Proj2, PWild, Sig, Spine, Split, SubstClash, Term,
     Thunk, Up, Var, With, alpha_eq, data_shape, free_names, pattern_labels,
-    pattern_vars, select_branch, spine_concat, subst_data_in_term,
+    pattern_vars, subst_data,
 )
 
 __all__ = ["check_term", "check_data", "check_spine", "infer_term",
@@ -231,7 +233,7 @@ def _var_cut_reduct(x: Name, d: DataVal, b: Term) -> Term:
     if x not in free_names(b):
         return b
     with _clash("bind-cut", "well-sorted variable use", x):
-        return subst_data_in_term(b, x, d)
+        return subst_data(b, x, d)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def _reducts(st: _State, t: Term) -> Iterator[tuple[_State, Term]]:
         yield _bind_cut(st, t.pat, t.data, t.body)
     elif c is AppCut:
         f, k = t.fun, t.spine
-        u = _reassociated(f, k)
+        u = reassociated(f, k)
         if u is not None:
             yield st, u
             return
@@ -366,48 +368,26 @@ def _bind_cut(st: _State, p: Pattern, d: DataVal,
               b: Term) -> tuple[_State, Term]:
     """A binding cut whose data has no synthesizable type, decomposed
     pattern against data as the reduction rule does."""
-    c, cd = type(p), type(d)
+    c = type(p)
     if c is PWild:
         _structural(st, "wildcard pattern _")
-        return st, b
     elif c is PAt:
         _structural(st, "contraction pattern p @ q")
-        return st, BindCut(p.left, d, BindCut(p.right, d, b))
-    elif c is PPair and cd is DPair:
-        return st, BindCut(p.left, d.left, BindCut(p.right, d.right, b))
-    elif c is PPair:
-        raise _fail("bind-cut", expected="pair data", found=data_shape(d))
-    elif c is POr and cd is Inl:
-        return st, BindCut(p.left, d.body, select_branch(p.label, "left", b))
-    elif c is POr and cd is Inr:
-        return st, BindCut(p.right, d.body, select_branch(p.label, "right", b))
-    elif c is POr:
-        raise _fail("bind-cut", expected="injection data",
-                    found=data_shape(d))
-    elif c is Var and cd is Thunk:
+    elif c is Var and type(d) is Thunk:
         return st, _var_cut_reduct(p.name, d, b)
     elif c is Var:
         # Pair or injection data bound to a bare variable: the hypothesis
         # is positive-composite and can never be discharged.
         return st.leave(p.name), b
+    u = decomposed(p, d, b)
+    if u is not None:
+        return st, u
+    if c is PPair:
+        raise _fail("bind-cut", expected="pair data", found=data_shape(d))
+    elif c is POr:
+        raise _fail("bind-cut", expected="injection data",
+                    found=data_shape(d))
     raise TypeError(p)
-
-
-def _reassociated(f: Term, k: Spine) -> Optional[Term]:
-    """The application cut ``f k`` rewritten one step towards its redex when
-    that needs no typing: an empty spine drops, an applied variable or a
-    nested application cut absorbs ``k``, and a binding cut commutes.  None
-    for every other ``f``."""
-    if isinstance(k, Nil):
-        return f
-    c = type(f)
-    if c is App:
-        return App(f.head, spine_concat(f.spine, k))
-    elif c is AppCut:
-        return AppCut(f.fun, spine_concat(f.spine, k))
-    elif c is BindCut:
-        return BindCut(f.pat, f.data, AppCut(f.body, k))
-    return None
 
 
 def _spine_shape(k: Spine) -> str:

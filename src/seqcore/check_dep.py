@@ -22,9 +22,10 @@ judgment a binding cut reduces to for checking and synthesis alike, and
 ``_check_spine`` synthesizes when it has no goal.  The rules that read the
 same in both modes (the ``CheckError`` failures with their clash guard and
 verdict, zone lookup, head typing, with-right, done, with-left, kappa, the
-variable-cut reduct) come from ``check``; this module keeps the rules that
-differ, its own ``discharged`` text and its trail frames.  Running out of
-conversion fuel is one more ``CheckError``.
+variable-cut reduct) come from ``check``, the untyped cut rules R4, R5 and
+R7 from ``reduce``; this module keeps the rules that differ, its own
+``discharged`` text and its trail frames.  Running out of conversion fuel is
+one more ``CheckError``.
 """
 
 from __future__ import annotations
@@ -32,17 +33,18 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from .check import (UNKNOWN, _Unknown, _Zones, _clash, _done, _fail, _kappa,
-                    _reassociated, _spine_shape, _var_cut_reduct, _verdict,
-                    _with_left, _with_right)
+                    _spine_shape, _var_cut_reduct, _verdict, _with_left,
+                    _with_right)
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
-from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
+from .reduce import (DEFAULT_FUEL, FuelExhausted, decomposed, normalize,
+                     reassociated)
 from .syntax import (
     App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
     Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
     Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq, eta,
-    rewrite, subst_data_in_neg, subst_data_in_pos, subst_data_in_spine,
+    rewrite, subst_data,
 )
 
 __all__ = ["DepCtx", "dep_check_term", "dep_check_spine", "dep_bind_cut",
@@ -87,8 +89,8 @@ class _State(_Zones):
         x, so this is the telescope-suffix substitution)."""
         return _State(
             self.sig, self.fuel,
-            tuple((y, subst_data_in_neg(n, x, d)) for y, n in self.stores),
-            tuple((y, subst_data_in_pos(p, x, d)) for y, p in self.pending))
+            tuple((y, subst_data(n, x, d)) for y, n in self.stores),
+            tuple((y, subst_data(p, x, d)) for y, p in self.pending))
 
     def drop_pending(self, i: int) -> "_State":
         return _State(self.sig, self.fuel, self.stores,
@@ -153,10 +155,9 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
             i = st.pending_index(x)
             with _clash("prod-left", "well-sorted use of the pair variable", x):
                 base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
-                goal2 = subst_data_in_neg(goal, x, DPair(eta(y), eta(z)))
+                goal2 = subst_data(goal, x, DPair(eta(y), eta(z)))
             base = base.extend(y, ty.first)
-            base = base.extend(z, subst_data_in_pos(ty.second, ty.binder,
-                                                    eta(y)))
+            base = base.extend(z, subst_data(ty.second, ty.binder, eta(y)))
             _check(base, body, goal2)
             return
         c = type(t)
@@ -171,8 +172,7 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
             if not isinstance(goal, Pi):
                 raise _fail("lambda", expected="dependent product goal",
                             found=print_type(goal))
-            body_goal = subst_data_in_neg(goal.res, goal.binder,
-                                          eta(t.pat.name))
+            body_goal = subst_data(goal.res, goal.binder, eta(t.pat.name))
             _check(st.extend(t.pat.name, goal.arg), t.body, body_goal)
         elif c is Pair:
             left, right = _with_right(goal)
@@ -187,9 +187,8 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
         elif (c is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
               and type(p.right) is Var and type(d := t.data) is DPair):
             # Reduct of a sigma-let whose scrutinee got instantiated; accept
-            # by decomposing, mirroring the reduction rule.
-            _check(st, BindCut(p.left, d.left,
-                               BindCut(p.right, d.right, t.body)), goal)
+            # by decomposing, as the reduction rule R5 does.
+            _check(st, decomposed(p, d, t.body), goal)
         elif c is BindCut:
             raise _fail("dep-pattern", expected="variable binder",
                         found="deep pattern in cut",
@@ -214,7 +213,7 @@ def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
 
 
 def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
-    u = _reassociated(f, k)
+    u = reassociated(f, k)
     if u is not None:
         _check(st, u, goal)
         return
@@ -266,9 +265,9 @@ def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
         d = inj(eta(x))
         with _clash("or-left", "well-sorted use of the split variable", x):
             if k is not None:
-                u = AppCut(u, subst_data_in_spine(k, x, d))
+                u = AppCut(u, subst_data(k, x, d))
             st1 = base.subst(x, d).extend(x, side)
-            goal1 = subst_data_in_neg(goal, x, d)
+            goal1 = subst_data(goal, x, d)
         yield st1, u, goal1
 
 
@@ -285,7 +284,7 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
     elif c is DPair and cg is Sigma:
         _check_data(st, d.left, goal.first)
         with _clash("prod-right", "well-sorted use of the Sigma binder", goal.binder):
-            q = subst_data_in_pos(goal.second, goal.binder, d.left)
+            q = subst_data(goal.second, goal.binder, d.left)
         _check_data(st, d.right, q)
     elif c is DPair:
         raise _fail("prod-right", expected=print_type(goal), found="pair")
@@ -323,7 +322,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
         _check_data(st, k.arg, focus.arg)
         with _clash("imp-left", "well-sorted use of the Pi binder",
                     focus.binder):
-            res = subst_data_in_neg(focus.res, focus.binder, k.arg)
+            res = subst_data(focus.res, focus.binder, k.arg)
         return _check_spine(st, res, k.rest, goal)
     elif c is Proj1 or c is Proj2:
         return _check_spine(st, _with_left(focus, k), k.rest, goal)
@@ -366,7 +365,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     elif c is AppCut:
         # A lambda, done, pair or split under the cut is left undecided:
         # synthesizing through it would reject programs checking accepts.
-        u = _reassociated(t.fun, t.spine)
+        u = reassociated(t.fun, t.spine)
         return UNKNOWN if u is None else _infer_term(st, u)
     raise TypeError(t)
 

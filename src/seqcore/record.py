@@ -3,35 +3,22 @@
 ``record`` turns a class whose body annotates its fields, defaults last,
 into a slotted class with ``__init__``, ``__eq__``, ``__hash__``,
 ``__repr__`` and ``__match_args__``.  They behave as the standard library's
-data classes do, but the four methods come from one ``exec``: a fraction of
-what that module spends per class, and it is not imported (it pulls in
-``inspect``, ``ast``, ``dis`` and ``tokenize``).
+frozen data classes do, but the four methods come from one ``exec``: a
+fraction of what that module spends per class, and it is not imported (it
+pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``).
 
+* Every record is frozen: it hashes its fields and refuses assignment and
+  deletion.
 * ``==`` compares the fields of two instances of the same class; against
   any other class it returns ``NotImplemented``.
-* A frozen record (the default) hashes its fields and refuses assignment
-  and deletion.  A mutable one (``frozen=False``) is unhashable.
 * A field whose name starts with ``_`` is keyword-only and left out of
   ``==``, the hash, ``repr`` and ``__match_args__``; such fields come last.
-* A default given as ``factory(make)`` is made by ``make()`` for each
-  instance.  A ``__post_init__`` method runs after the fields are set.
+* A ``__post_init__`` method runs after the fields are set.
 """
 
 from __future__ import annotations
 
-__all__ = ["record", "factory"]
-
-
-class factory:
-    """A field default made anew for each instance by calling ``make``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-_MISSING = object()
+__all__ = ["record"]
 
 # Generated source -> its code.  Records with the same field names and
 # defaults share one source; its values differ in each class's namespace.
@@ -46,14 +33,8 @@ def _refuse_del(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen: bool = True):
-    """Declare ``cls`` a record; as ``record(frozen=False)``, a mutable one."""
-    if cls is None:
-        return lambda cls: _declare(cls, frozen)
-    return _declare(cls, frozen)
-
-
-def _declare(cls, frozen: bool):
+def record(cls):
+    """Declare ``cls`` a record."""
     ns = dict(cls.__dict__)
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
@@ -65,26 +46,18 @@ def _declare(cls, frozen: bool):
     ns["__qualname__"] = cls.__qualname__
     new = type(cls)(cls.__name__, cls.__bases__, ns)
 
-    env = {"_MISSING": _MISSING}
+    env = {}
     params, sets = [], []
     for f in fields:
         if f.startswith("_") and "*" not in params:
             params.append("*")
-        value = f
-        if f not in defaults:
-            params.append(f)
-        elif isinstance(defaults[f], factory):
-            env[f"_d_{f}"] = defaults[f].make
-            params.append(f"{f}=_MISSING")
-            value = f"_d_{f}() if {f} is _MISSING else {f}"
-        else:
+        if f in defaults:
             env[f"_d_{f}"] = defaults[f]
             params.append(f"{f}=_d_{f}")
-        if frozen:
-            env[f"_s_{f}"] = getattr(new, f).__set__
-            sets.append(f"  _s_{f}(self, {value})\n")
         else:
-            sets.append(f"  self.{f} = {value}\n")
+            params.append(f)
+        env[f"_s_{f}"] = getattr(new, f).__set__
+        sets.append(f"  _s_{f}(self, {f})\n")
     if "__post_init__" in ns:
         sets.append("  self.__post_init__()\n")
     mine = "".join(f"self.{f}," for f in shown)
@@ -104,11 +77,7 @@ def _declare(cls, frozen: bool):
     if code is None:
         code = _compiled[src] = compile(src, "<record>", "exec")
     exec(code, env)
-    for name in ("__init__", "__eq__", "__repr__"):
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
         setattr(new, name, env[name])
-    if frozen:
-        new.__hash__ = env["__hash__"]
-        new.__setattr__, new.__delattr__ = _refuse_set, _refuse_del
-    else:
-        new.__hash__ = None
+    new.__setattr__, new.__delattr__ = _refuse_set, _refuse_del
     return new

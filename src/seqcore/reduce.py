@@ -20,6 +20,9 @@ R7  spine concatenation ``(x k1) k2 ~> x (k1 @ k2)`` (likewise on an inner
     application cut), the commuting cut ``(let p = d in t) k ~> let p = d in
     (t k)``, and delta-unfolding of signature definitions at applied names
 
+``reassociated`` (R4; R7 but delta-unfolding) and ``decomposed`` (R5) are
+also how both checkers judge a cut whose formula they cannot synthesize.
+
 Postulate-headed applications are normal forms, not failures; a stuck result
 is reserved for evaluation states no well-typed term reaches (a function
 applied to a projection, pair data against an or-pattern, and similar shape
@@ -47,10 +50,10 @@ from typing import Callable, Optional
 from .diag import SeqcoreError
 from .record import record
 from .syntax import (
-    App, AppCut, BindCut, Cons, Done, DPair, Inl, Inr, Kappa, Lam, Nil, Pair,
-    PAt, POr, PPair, Proj1, Proj2, PWild, Sig, Spine, Split, SubstClash,
-    Term, Thunk, Var, children, data_shape, select_branch, spine_concat,
-    subst_data_in_term, with_children,
+    App, AppCut, BindCut, Cons, DataVal, Done, DPair, Inl, Inr, Kappa, Lam,
+    Nil, Pair, PAt, Pattern, POr, PPair, Proj1, Proj2, PWild, Sig, Spine,
+    Split, SubstClash, Term, Thunk, Var, children, data_shape, select_branch,
+    spine_concat, subst_data, with_children,
 )
 
 __all__ = ["normalize", "trace", "NormalizeResult", "FuelExhausted",
@@ -80,14 +83,44 @@ class _StuckAt(Exception):
         self.reason = reason
 
 
+def reassociated(f: Term, k: Spine) -> Optional[Term]:
+    """R4 and R7 on the cut ``f k``: an empty spine drops (R4), an applied
+    variable or a nested cut absorbs ``k`` and a binding cut commutes (R7).
+    None for every other ``f``."""
+    if type(k) is Nil:
+        return f
+    c = type(f)
+    if c is App:
+        return App(f.head, spine_concat(f.spine, k))
+    elif c is AppCut:
+        return AppCut(f.fun, spine_concat(f.spine, k))
+    elif c is BindCut:
+        return BindCut(f.pat, f.data, AppCut(f.body, k))
+    return None
+
+
+def decomposed(p: Pattern, d: DataVal, b: Term) -> Optional[Term]:
+    """R5 on ``let p = d in b``: a pair pattern against a pair, an
+    or-pattern against an injection, a contraction, a wildcard; else None."""
+    cp, cd = type(p), type(d)
+    if cp is PPair and cd is DPair:
+        return BindCut(p.left, d.left, BindCut(p.right, d.right, b))
+    elif cp is POr and cd is Inl:
+        return BindCut(p.left, d.body, select_branch(p.label, "left", b))
+    elif cp is POr and cd is Inr:
+        return BindCut(p.right, d.body, select_branch(p.label, "right", b))
+    elif cp is PAt:
+        return BindCut(p.left, d, BindCut(p.right, d, b))
+    elif cp is PWild:
+        return b
+    return None
+
+
 def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
     c = type(x)
     if c is AppCut:
         f, k = x.fun, x.spine
-        ck = type(k)
-        if ck is Nil:
-            return "R4", f
-        cf = type(f)
+        cf, ck = type(f), type(k)
         if cf is Lam and ck is Cons:
             return "R1", AppCut(BindCut(f.pat, k.arg, f.body), k.rest)
         elif cf is Done and ck is Kappa:
@@ -96,35 +129,25 @@ def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
             return "R3", AppCut(f.left, k.rest)
         elif cf is Pair and ck is Proj2:
             return "R3", AppCut(f.right, k.rest)
-        elif cf is App:
-            return "R7", App(f.head, spine_concat(f.spine, k))
-        elif cf is AppCut:
-            return "R7", AppCut(f.fun, spine_concat(f.spine, k))
-        elif cf is BindCut:
-            return "R7", BindCut(f.pat, f.data, AppCut(f.body, k))
-        elif cf is Lam or cf is Done or cf is Pair:
+        u = reassociated(f, k)
+        if u is not None:
+            return "R4" if ck is Nil else "R7", u
+        if cf is Lam or cf is Done or cf is Pair:
             raise _StuckAt(
                 f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
         return None   # a split: resolved by an enclosing or-binding
     elif c is BindCut:
         p, d, b = x.pat, x.data, x.body
-        cp, cd = type(p), type(d)
-        if cp is PPair and cd is DPair:
-            return "R5", BindCut(p.left, d.left, BindCut(p.right, d.right, b))
-        elif cp is POr and cd is Inl:
-            return "R5", BindCut(p.left, d.body, select_branch(p.label, "left", b))
-        elif cp is POr and cd is Inr:
-            return "R5", BindCut(p.right, d.body, select_branch(p.label, "right", b))
-        elif cp is PAt:
-            return "R5", BindCut(p.left, d, BindCut(p.right, d, b))
-        elif cp is PWild:
-            return "R5", b
-        elif cp is Var:
+        cp = type(p)
+        if cp is Var:
             try:
-                return "R6", subst_data_in_term(b, p.name, d)
+                return "R6", subst_data(b, p.name, d)
             except SubstClash as e:
                 raise _StuckAt(e.reason)
-        elif (cp is PPair or cp is POr) and cd is Thunk:
+        u = decomposed(p, d, b)
+        if u is not None:
+            return "R5", u
+        if (cp is PPair or cp is POr) and type(d) is Thunk:
             # A thunk scrutinized by a decomposing pattern is normal
             # while its head may still compute (sigma-style lets on a
             # variable); it is a definite clash otherwise.
@@ -132,9 +155,8 @@ def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
                 raise _StuckAt(
                     f"{_pattern_shape(p)} pattern against thunk data")
             return None
-        else:
-            raise _StuckAt(
-                f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
+        raise _StuckAt(
+            f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
     elif c is App:
         entry = sig.lookup(x.head)
         if entry is not None and entry.body is not None:

@@ -54,13 +54,12 @@ from typing import Optional, Union
 from .check_dep import convert
 from .core_text import print_type
 from .diag import Diagnostic, DiagnosticError, ParseError, Span
-from .record import factory, record
+from .record import record
 from .syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Lam, Mode, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
     PosType, PPair, Prod, PWild, Sig, SigEntry, Sigma, Spine, Split, Term,
-    Thunk, Up, Var, With, alpha_eq, children, eta, fresh, subst_data_in_neg,
-    subst_data_in_pos,
+    Thunk, Up, Var, With, alpha_eq, children, eta, fresh, subst_data,
 )
 
 __all__ = [
@@ -612,7 +611,7 @@ class CompileFail(DiagnosticError):
 # ---------------------------------------------------------------------------
 # Pattern fusion
 
-@record(frozen=False)
+@record
 class _VarB:
     core: Name
     type: NegType
@@ -640,24 +639,19 @@ class _Pos:
         self.side: Optional[str] = None       # "left" | "right"
 
 
-@record(frozen=False)
-class _Fusion:
-    """The names each clause binds while its patterns fuse into positions:
+def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
+          b: Union[_VarB, _Pos]) -> None:
+    """Enter a name one clause binds while its patterns fuse into positions:
     a thunk name binds a kernel variable, a composite name its position."""
-
-    mode: Mode
-    binds: list[dict[str, Union[_VarB, _Pos]]]
-
-    def bind(self, cid: int, node: Union[PAsS, PVarS],
-             b: Union[_VarB, _Pos]) -> None:
-        if node.name in self.binds[cid]:
-            raise CompileFail(Diagnostic(
-                "linear", expected="pairwise distinct clause variables",
-                found=node.name, span=node.span))
-        self.binds[cid][node.name] = b
+    if node.name in binds:
+        raise CompileFail(Diagnostic(
+            "linear", expected="pairwise distinct clause variables",
+            found=node.name, span=node.span))
+    binds[node.name] = b
 
 
-def _fuse(fz: _Fusion, pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
+def _fuse(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]], pos: _Pos,
+          pats: dict[int, Optional[SPat]]) -> None:
     # Each clause's nodes that name what it binds here, the as-patterns
     # outermost first and then the variable under them if there is one, and
     # its pattern under the as-names.
@@ -677,7 +671,7 @@ def _fuse(fz: _Fusion, pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
 
     ty = pos.type
     if all_wild:
-        if fz.mode is Mode.DEP and not isinstance(ty, Down):
+        if mode is Mode.DEP and not isinstance(ty, Down):
             # A dependent scrutinee must be bound by a variable.
             raise CompileFail(Diagnostic(
                 "dep-pattern", expected="variable binder",
@@ -687,7 +681,7 @@ def _fuse(fz: _Fusion, pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
 
     c = type(ty)
     if c is Down:
-        _fuse_down(fz, pos, peeled)
+        _fuse_down(mode, binds, pos, peeled)
         return
     if c is Or:
         pos.label = fresh("w")
@@ -717,26 +711,27 @@ def _fuse(fz: _Fusion, pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
         fst_ty, snd_ty = children(ty)
         pos.left = _Pos(pos.path + ("fst",), fst_ty)
         pos.right = _Pos(pos.path + ("snd",), snd_ty)
-        if fz.mode is Mode.DEP:
+        if mode is Mode.DEP:
             # Every dependent position has its variable by now; the name is
             # still drawn so that the names after it keep their numbers.
             fresh("s")
             base = pos.var.text
             pos.left.var = fresh(_var_text(left.values(), base + "1"))
             pos.right.var = fresh(_var_text(right.values(), base + "2"))
-    _fuse(fz, pos.left, left)
+    _fuse(mode, binds, pos.left, left)
     if c is Sigma:
         # Only a dependent type has a Sigma: the first component's
         # scrutinee variable stands for its binder.
-        pos.right.type = subst_data_in_pos(pos.right.type, ty.binder,
-                                           eta(pos.left.var))
-    _fuse(fz, pos.right, right)
+        pos.right.type = subst_data(pos.right.type, ty.binder,
+                                    eta(pos.left.var))
+    _fuse(mode, binds, pos.right, right)
     for cid, (names, _) in peeled.items():
         for node in names:
-            fz.bind(cid, node, pos)
+            _bind(binds[cid], node, pos)
 
 
-def _fuse_down(fz: _Fusion, pos: _Pos, peeled) -> None:
+def _fuse_down(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]],
+               pos: _Pos, peeled) -> None:
     # Every name any clause binds here shares the stored hypothesis; an
     # as-chain needs one extra kernel variable per extra name (contraction).
     width = 0
@@ -755,8 +750,8 @@ def _fuse_down(fz: _Fusion, pos: _Pos, peeled) -> None:
     vars_[0] = pos.var = pos.var or vars_[0]
     for cid, (names, _) in peeled.items():
         for v, node in zip(vars_, names):
-            fz.bind(cid, node, _VarB(v, pos.type.body))
-    if width > 1 and fz.mode is Mode.DEP:
+            _bind(binds[cid], node, _VarB(v, pos.type.body))
+    if width > 1 and mode is Mode.DEP:
         # The first name that would need an extra kernel variable.
         raise CompileFail(Diagnostic(
             "dep-pattern", expected="variable binder",
@@ -990,7 +985,7 @@ class _Emitter:
             elif c is Pi:
                 d = self._rhs_data(scope, arg, cur.arg)
                 parts.append(d)
-                cur = subst_data_in_neg(cur.res, cur.binder, d)
+                cur = subst_data(cur.res, cur.binder, d)
             else:
                 raise CompileFail(Diagnostic(
                     "arity", expected="function taking more arguments",
@@ -1028,7 +1023,7 @@ class _Emitter:
         elif c is Sigma and type(e) is EPair:
             da = self._rhs_data(scope, e.left, p.first)
             return DPair(da, self._rhs_data(
-                scope, e.right, subst_data_in_pos(p.second, p.binder, da)))
+                scope, e.right, subst_data(p.second, p.binder, da)))
         raise CompileFail(Diagnostic(
             "type", expected=print_type(p), found=_sexpr_shape(e),
             span=_sexpr_span(e, self.decl.span)))
@@ -1046,7 +1041,7 @@ def _sexpr_span(e: SExpr, default: Span) -> Span:
 # ---------------------------------------------------------------------------
 # Compilation entry point
 
-@record(frozen=False)
+@record
 class CompiledDecl:
     kind: str                       # "atom" | "postulate" | "def"
     name: Name
@@ -1054,7 +1049,7 @@ class CompiledDecl:
     type: Optional[NegType] = None
     term: Optional[Term] = None
     tree: Optional[CaseTree] = None
-    warnings: list[str] = factory(list)
+    warnings: tuple[str, ...] = ()
 
 
 def compile_clauses(decl: SurfaceDecl, sig: Sig,
@@ -1086,7 +1081,7 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
             v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
                                 f"a{i + 1}"))
             a = result.arg
-            result = subst_data_in_neg(result.res, result.binder, eta(v))
+            result = subst_data(result.res, result.binder, eta(v))
         elif c is Imp:
             a, result = result.arg, result.res
         else:
@@ -1095,26 +1090,27 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
                 found=f"{arity} clause pattern(s)", span=decl.span))
         args.append(_Pos((i,), a, v))
 
-    fz = _Fusion(mode, [{} for _ in decl.clauses])
+    binds: list[dict[str, Union[_VarB, _Pos]]] = [{} for _ in decl.clauses]
     for i, pos in enumerate(args):
-        _fuse(fz, pos, {cid: cl.lhs[i] for cid, cl in enumerate(decl.clauses)})
+        _fuse(mode, binds, pos,
+              {cid: cl.lhs[i] for cid, cl in enumerate(decl.clauses)})
 
     tree, warnings = _build_tree(decl, args)
-    term = _Emitter(sig, mode, fz.binds, decl, result).emit(tree)
+    term = _Emitter(sig, mode, binds, decl, result).emit(tree)
     for pos in reversed(args):
         term = Lam(Var(pos.var) if mode is Mode.DEP else _pattern(pos), term)
     return CompiledDecl("def", Name(decl.name), decl.span, ty, term, tree,
-                        warnings)
+                        tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
 # Program loading
 
-@record(frozen=False)
+@record
 class Program:
     sig: Sig
-    decls: list[CompiledDecl]
-    warnings: list[str] = factory(list)
+    decls: tuple[CompiledDecl, ...]
+    warnings: tuple[str, ...] = ()
 
     def find(self, name: str) -> Optional[CompiledDecl]:
         for d in self.decls:
@@ -1153,7 +1149,8 @@ def load_program(source: str, file: str = "<surface>",
             warnings.extend(out[-1].warnings)
         c = out[-1]
         index[c.name] = SigEntry(c.name, c.type, c.term)
-    return Program(Sig(sig.atoms, tuple(index.values()), _index=index), out, warnings)
+    return Program(Sig(sig.atoms, tuple(index.values()), _index=index),
+                   tuple(out), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,6 @@ __all__ = [
     "pattern_vars", "pattern_labels", "pattern_linear",
     "well_formed_neg", "well_formed_pos",
     "free_names", "rename", "freshen_pattern", "subst_data",
-    "subst_data_in_term", "subst_data_in_spine",
-    "subst_data_in_neg", "subst_data_in_pos",
     "spine_concat", "select_branch", "alpha_eq", "size", "is_cut_free",
     "SubstClash",
 ]
@@ -760,11 +758,6 @@ def subst_data(x, v: Name, d: DataVal):
         return rewrite(x, visit, under)
     finally:
         del visit, under    # they refer to each other: free them now
-
-
-# One substitution serves every sort; the names say what the caller holds.
-subst_data_in_term = subst_data_in_spine = subst_data
-subst_data_in_neg = subst_data_in_pos = subst_data
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from seqcore.surface import (Clause, EApp, EInl, EInr, EPair, PAsS, PInlS,
 from seqcore.syntax import (
     App, Cons, DataVal, Done, Down, DPair, Imp, Inl, Inr, Name, NegType,
     Nil, Or, Pair, Pi, PosType, Prod, Sig, SigEntry, Sigma, Term, Thunk, Up,
-    With, subst_data_in_neg, subst_data_in_pos,
+    With, subst_data,
 )
 
 
@@ -80,7 +80,7 @@ def enumerate_data(ty: PosType, depth: int, pool: ArgPool) -> list[DataVal]:
         case Sigma(x, l, r):
             out = []
             for a in enumerate_data(l, depth - 1, pool):
-                for b in enumerate_data(subst_data_in_pos(r, x, a),
+                for b in enumerate_data(subst_data(r, x, a),
                                         depth - 1, pool):
                     out.append(DPair(a, b))
             return out
@@ -219,7 +219,7 @@ class Reference:
             d = self._eval_data(a, binds, ty.arg)
             out.append(d)
             if isinstance(ty, Pi):
-                ty = subst_data_in_neg(ty.res, ty.binder, d)
+                ty = subst_data(ty.res, ty.binder, d)
             else:
                 ty = ty.res
         return out
@@ -247,7 +247,7 @@ class Reference:
                 assert isinstance(e, EPair)
                 da = self._eval_data(e.left, binds, l)
                 return DPair(da, self._eval_data(
-                    e.right, binds, subst_data_in_pos(r, x, da)))
+                    e.right, binds, subst_data(r, x, da)))
         raise TypeError(p)
 
 

@@ -13,12 +13,11 @@ from reference import ArgPool, enumerate_data
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.core_text import print_term
-from seqcore.record import record
 from seqcore.surface import Program, load_program, parse
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl, Inr, Lam,
     Mode, Name, NegType, Nil, Pair, Pattern, PAt, Pi, POr, PPair, PWild, Sig,
-    SigEntry, Split, Term, Thunk, Var, subst_data_in_neg,
+    SigEntry, Split, Term, Thunk, Var, subst_data,
 )
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -124,7 +123,7 @@ def entry_applications(prog, mode, depth=2, per_type=1):
         if isinstance(ty, (Imp, Pi)):
             for arg in enumerate_data(ty.arg, depth, pool):
                 if isinstance(ty, Pi):
-                    goal = subst_data_in_neg(ty.res, ty.binder, arg)
+                    goal = subst_data(ty.res, ty.binder, arg)
                 else:
                     goal = ty.res
                 runs.append((App(d.name, Cons(arg, Nil())), goal))
@@ -156,13 +155,16 @@ class _Unrenderable(Exception):
     pass
 
 
-@record(frozen=False)
 class _Hole:
     """A pattern position being rebuilt while walking the body."""
 
-    kind: str                  # "var" | "pair" | "inl" | "inr" | "wild" | "at"
-    name: Optional[Name] = None
-    subs: tuple = ()
+    __slots__ = ("kind", "name", "subs")
+
+    def __init__(self, kind: str, name: Optional[Name] = None,
+                 subs: tuple = ()):
+        self.kind = kind       # "var" | "pair" | "inl" | "inr" | "wild" | "at"
+        self.name = name
+        self.subs = subs
 
     def render(self, disp, atom: bool = False) -> str:
         if self.kind == "var":

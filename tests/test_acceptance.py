@@ -23,7 +23,7 @@ from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
     Kappa, Lam, Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1,
     PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With, alpha_eq, eta,
-    is_cut_free, size, subst_data_in_neg,
+    is_cut_free, size, subst_data,
 )
 
 NAT = Atom(Name("ℕ"))
@@ -334,7 +334,7 @@ def _arg_tuples(ty, arity, pool, depth=3):
     out = []
     for d in enumerate_data(ty.arg, depth, pool):
         rest_ty = ty.res if isinstance(ty, Imp) else \
-            subst_data_in_neg(ty.res, ty.binder, d)
+            subst_data(ty.res, ty.binder, d)
         for rest in _arg_tuples(rest_ty, arity - 1, pool, depth):
             out.append((d,) + rest)
     return out

@@ -8,7 +8,7 @@ from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
     Kappa, Lam, Name, NegType, Nil, Or, Pair, Pi, POr, PosType, PPair, Prod,
     Proj1, Proj2, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
-    alpha_eq, eta, fresh, pattern_vars, subst_data_in_neg,
+    alpha_eq, eta, fresh, pattern_vars, subst_data,
 )
 
 A = Atom(Name("a"))
@@ -82,7 +82,7 @@ class TestDependentSpine:
         # and the occurrence-count oracle: the substituted goal carries
         # exactly the argument where the binder stood
         focus = sig.lookup(Name("mk")).type
-        out = subst_data_in_neg(focus.res, focus.binder, eta(Name("n")))
+        out = subst_data(focus.res, focus.binder, eta(Name("n")))
         assert out == goal
 
     def test_wrong_index_rejected(self):
@@ -230,10 +230,9 @@ class TestDependentCut:
         goal = Atom(P, (eta(X),))
         ctx = [(X, Down(catom)), (Y, suffix_ty)]
         assert dep_check_term(sig, ctx, t, goal) is None
-        from seqcore.syntax import subst_data_in_pos, subst_data_in_term
-        ctx2 = [(Y, subst_data_in_pos(suffix_ty, X, d))]
-        t2 = subst_data_in_term(t, X, d)
-        goal2 = subst_data_in_neg(goal, X, d)
+        ctx2 = [(Y, subst_data(suffix_ty, X, d))]
+        t2 = subst_data(t, X, d)
+        goal2 = subst_data(goal, X, d)
         assert dep_check_term(sig, ctx2, t2, goal2) is None
 
 

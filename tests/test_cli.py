@@ -399,6 +399,40 @@ class TestTrace:
         assert len(out.strip().splitlines()) > 1
 
 
+class TestWarnings:
+    """A clause no input reaches and clauses that overlap are warnings: the
+    commands that check print them on stderr and still exit 0; ``core``
+    prints none."""
+
+    PROGRAM = ("atom a\npostulate q : a\nf : a + a -> a\n"
+               "f x = q\nf (inl y) = y\n")
+    WARNINGS = ["warning: clause 2 of f is never used",
+                "warning: clauses of f overlap; first match wins"]
+
+    @pytest.mark.parametrize("argv, out", [
+        (["check"], "ok (3 declarations)\n"),
+        (["run", "--entry", "f", "--arg", "inl q"], "q []\n"),
+        (["trace", "--entry", "f", "--arg", "inr q"], None),
+    ], ids=["check", "run", "trace"])
+    def test_printed_on_stderr_exit_zero(self, capsys, tmp_path, argv, out):
+        prog = tmp_path / "warn.seq"
+        prog.write_text(self.PROGRAM)
+        code, got, err = run(capsys, argv[0], str(prog), *argv[1:])
+        assert code == 0
+        assert err.splitlines() == self.WARNINGS
+        if out is not None:
+            assert got == out
+        else:
+            assert got.splitlines()[-1] == "q []"
+
+    def test_core_prints_none(self, capsys, tmp_path):
+        prog = tmp_path / "warn.seq"
+        prog.write_text(self.PROGRAM)
+        code, out, err = run(capsys, "core", str(prog))
+        assert (code, err) == (0, "")
+        assert "f = \\" in out
+
+
 class TestCore:
     def test_core_output_reparses(self, capsys):
         code, out, _ = run(capsys, "core", str(PROGRAMS / "basics.seq"))

@@ -1,11 +1,12 @@
 """Records against the standard library's data classes.
 
 Every class that ``seqcore``, or a test oracle, declares with ``record`` (or
-``_node``) is rebuilt from its source text as a ``dataclasses.dataclass``
-twin with the same annotations, defaults and options.  Instances of each
-class are caught as the pipeline builds them on the example programs and a
-generated corpus; each is compared with its twin: ``repr``, ``==``,
-``hash``, ``__match_args__`` and defaults.
+``_node``) is rebuilt from its source text as a frozen
+``dataclasses.dataclass`` twin with the same annotations and defaults.
+Instances of each class are caught as the pipeline builds them on the
+example programs and a generated corpus; each is compared with its twin:
+``repr``, ``==``, ``hash``, ``__match_args__`` and defaults.  Every record
+refuses assignment and deletion.
 """
 
 import ast
@@ -33,26 +34,16 @@ PER_CLASS = 60   # instances kept per class
 
 
 def _declared():
-    """Each record class with its frozen option and the defaults written in
-    its class body, read from the source text."""
+    """Each record class with the defaults written in its class body, read
+    from the source text."""
     out = []
     for modname, path in MODULES:
         mod = importlib.import_module(modname)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            frozen = None
-            for dec in node.decorator_list:
-                call = dec if isinstance(dec, ast.Call) else None
-                name = (call.func if call else dec).id
-                if name == "_node":
-                    frozen = True
-                elif name == "record":
-                    frozen = not any(k.arg == "frozen" and
-                                     not ast.literal_eval(k.value)
-                                     for k in (call.keywords if call else ()))
-            if frozen is None:
+            if not isinstance(node, ast.ClassDef) or not any(
+                    getattr(dec, "func", dec).id in ("record", "_node")
+                    for dec in node.decorator_list):
                 continue
             defaults = {
                 stmt.target.id: eval(compile(ast.Expression(stmt.value),
@@ -60,31 +51,27 @@ def _declared():
                                      vars(mod))
                 for stmt in node.body
                 if isinstance(stmt, ast.AnnAssign) and stmt.value is not None}
-            out.append((getattr(mod, node.name), frozen, defaults))
+            out.append((getattr(mod, node.name), defaults))
     return out
 
 
 DECLARED = _declared()
-RECORDS = [cls for cls, _, _ in DECLARED]
+RECORDS = [cls for cls, _ in DECLARED]
 
 
-def _twin_class(cls, frozen, defaults):
+def _twin_class(cls, defaults):
     ns = {"__annotations__": dict(cls.__annotations__),
           "__qualname__": cls.__qualname__, "__module__": __name__}
     for f, d in defaults.items():
-        if isinstance(d, record_module.factory):
-            ns[f] = dataclasses.field(default_factory=d.make)
-        elif f.startswith("_"):
+        if f.startswith("_"):
             ns[f] = dataclasses.field(default=d, kw_only=True, compare=False,
                                       repr=False)
         else:
             ns[f] = d
-    return dataclasses.dataclass(frozen=frozen)(type(cls.__name__, (), ns))
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), ns))
 
 
-TWINS = {cls: _twin_class(cls, frozen, defaults)
-         for cls, frozen, defaults in DECLARED}
-FROZEN = {cls for cls, frozen, _ in DECLARED if frozen}
+TWINS = {cls: _twin_class(cls, defaults) for cls, defaults in DECLARED}
 
 
 def twin(v):
@@ -174,7 +161,7 @@ def instances():
 
 
 def test_every_record_is_declared_and_caught(instances):
-    assert len(RECORDS) == 65
+    assert len(RECORDS) == 63
     missing = [c.__name__ for c, xs in instances.items() if not xs]
     assert not missing, missing
 
@@ -195,15 +182,11 @@ def test_defaults_match(instances):
         t = TWINS[cls]
         x = instances[cls][0]
         required = {f.name: getattr(x, f.name) for f in dataclasses.fields(t)
-                    if f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING}
+                    if f.default is dataclasses.MISSING}
         a, b = cls(**required), t(**required)
         for f in dataclasses.fields(t):
             if f.compare:
                 assert getattr(a, f.name) == getattr(b, f.name), (cls, f.name)
-            if f.default_factory is not dataclasses.MISSING:
-                assert getattr(a, f.name) is not getattr(cls(**required),
-                                                         f.name)
 
 
 def test_repr_eq_hash_match(instances):
@@ -217,11 +200,7 @@ def test_repr_eq_hash_match(instances):
             # A twin is a foreign type: neither side claims equality.
             assert x.__eq__(t) is NotImplemented and x != t
             assert x.__eq__(object()) is NotImplemented
-            if cls in FROZEN:
-                assert hash(x) == hash(t)
-            else:
-                with pytest.raises(TypeError):
-                    hash(x)
+            assert hash(x) == hash(t)
         pairs = [(i, j) for i in range(len(xs)) for j in range(len(xs))]
         for i, j in rng.sample(pairs, min(len(pairs), 400)):
             assert (xs[i] == xs[j]) == (ts[i] == ts[j]), cls
@@ -259,9 +238,6 @@ def test_frozen_records_refuse_assignment_and_deletion(instances):
     for cls in RECORDS:
         x = instances[cls][0]
         names = tuple(cls.__annotations__) or ("anything",)
-        if cls not in FROZEN:
-            setattr(x, names[0], getattr(x, names[0]))
-            continue
         for name in names + ("not_a_field",):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)

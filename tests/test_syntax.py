@@ -15,7 +15,7 @@ from seqcore.syntax import (
     Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1, Proj2, PWild,
     Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With, alpha_eq, children,
     eta, free_names, fresh, is_cut_free, pattern_linear, pattern_vars, rename,
-    size, spine_concat, subst_data, subst_data_in_neg, well_formed_neg,
+    size, spine_concat, subst_data, well_formed_neg,
     well_formed_pos, with_children,
 )
 
@@ -81,12 +81,12 @@ class TestWellFormed:
 
 class TestSubstInTypes:
     def test_no_occurrence_identity(self):
-        assert subst_data_in_neg(NAT, Name("x"), Thunk(App(Name("q"), Nil()))) == NAT
+        assert subst_data(NAT, Name("x"), Thunk(App(Name("q"), Nil()))) == NAT
 
     def test_binder_shadowing(self):
         y = Name("y")
         ty = Pi(y, Down(A), A)
-        assert subst_data_in_neg(ty, y, Inl(Thunk(App(Name("q"), Nil())))) == ty
+        assert subst_data(ty, y, Inl(Thunk(App(Name("q"), Nil())))) == ty
 
     def test_occurrence_count_oracle(self):
         # Count eta-occurrences of x before and after substituting.
@@ -110,7 +110,7 @@ class TestSubstInTypes:
 
         before, visited = count(ty, eta(x))
         assert (before, visited) == (2, size(ty) - 4)
-        out = subst_data_in_neg(ty, x, replacement)
+        out = subst_data(ty, x, replacement)
         # The walk reaches every node the occurrences do not cover.
         assert count(out, eta(x)) == (0, size(out))
         assert count(out, replacement) == (before, size(out) - 6)
@@ -121,8 +121,7 @@ class TestSubstInTypes:
         ty = Pi(y, Down(Atom(P, (eta(x),))), Atom(P, (eta(y),)))
         renamed = Pi(Name("y2"), Down(Atom(P, (eta(x),))),
                      Atom(P, (eta(Name("y2")),)))
-        assert alpha_eq(subst_data_in_neg(ty, x, d),
-                        subst_data_in_neg(renamed, x, d))
+        assert alpha_eq(subst_data(ty, x, d), subst_data(renamed, x, d))
 
 
 class TestCaptureAvoidance:
