@@ -8,16 +8,18 @@ import pytest
 
 from core_reader import parse_term
 from print_reference import (free_texts, print_with, reference_print_data,
-                             reference_print_term)
+                             reference_print_term, reference_print_type)
 from suite import PROGRAMS, bench_workloads, clause_set_variants
 from seqcore import core_text, syntax
 from seqcore.cli import entry
 from seqcore.core_text import print_data, print_term, print_type
-from seqcore.diag import ParseError
+from seqcore.diag import DiagnosticError, ParseError
+from seqcore.surface import load_program
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
-    Inr, Kappa, Lam, Name, Nil, Or, Pair, PAt, POr, PPair, Prod, Proj1,
-    Proj2, PWild, Split, Term, Thunk, Up, Var, With, alpha_eq, fresh,
+    Inr, Kappa, Lam, Mode, Name, NegType, Nil, Or, Pair, PAt, Pi, POr,
+    PosType, PPair, Prod, Proj1, Proj2, PWild, Sigma, Split, Term, Thunk, Up,
+    Var, With, alpha_eq, fresh,
 )
 
 A = Atom(Name("a"))
@@ -61,6 +63,78 @@ class TestPrintedForms:
         ty = Imp(Or(Prod(Down(A), Down(A)), Down(A)), A)
         assert print_type(ty) == "((dn a) * dn a) + dn a -> a"
         assert print_type(Up(Down(With(A, A)))) == "up (dn (a /\\ a))"
+
+
+class TestTypePrinter:
+    """``print_type`` prints both polarities by one walk; its text equals
+    that of the two per-polarity printers it replaced
+    (``print_reference.print_neg``/``print_pos``)."""
+
+    @staticmethod
+    def compared(ty) -> int:
+        """Compare the printers on ``ty`` and on every type inside it."""
+        n = 0
+        for x in syntax._nodes(ty):
+            if isinstance(x, (NegType, PosType)):
+                assert print_type(x) == reference_print_type(x), x
+                n += 1
+        return n
+
+    def test_declared_types(self, tmp_path):
+        # Every declared type of the examples and the benchmark programs,
+        # with each type inside it, in each mode the program loads in.
+        workloads = bench_workloads()
+        paths = sorted(PROGRAMS.glob("*.seq"))
+        for w in workloads.WORKLOADS:
+            paths += sorted({pathlib.Path(a) for call in workloads.build(
+                w, 2024, tmp_path / w) if not call.probe
+                for a in call.argv if a.endswith(".seq")})
+        counts = collections.Counter()
+        for path in paths:
+            for mode in Mode:
+                try:
+                    prog = load_program(path.read_text(encoding="utf-8"),
+                                        str(path), mode)
+                except DiagnosticError:
+                    continue
+                counts[mode, "programs"] += 1
+                for d in prog.decls:
+                    if d.type is not None:
+                        counts[mode, "types"] += self.compared(d.type)
+        # 9 examples, 3 wide, 3 chain and 4 library programs.  swap_dep.seq
+        # loads in dependent mode only, wild.seq in propositional mode only.
+        assert len(paths) == 19
+        for mode in Mode:
+            assert counts[mode, "programs"] == 18
+            assert counts[mode, "types"] > 10000
+
+    @staticmethod
+    def types(depth: int):
+        """Every negative and every positive type with at most ``depth``
+        nested connectives, over all nine connectives, from ``a`` and an
+        atom with a data argument."""
+        neg = [A, Atom(Name("b"), (Thunk(App(X, Nil())),))]
+        pos: list = []
+        for _ in range(depth):
+            neg, pos = (
+                neg[:2] + [Up(p) for p in pos]
+                + [Imp(p, n) for p in pos for n in neg]
+                + [With(m, n) for m in neg for n in neg]
+                + [Pi(X, p, n) for p in pos for n in neg],
+                [Down(n) for n in neg]
+                + [k(p, q) for k in (Or, Prod) for p in pos for q in pos]
+                + [Sigma(Y, p, q) for p in pos for q in pos])
+        return neg, pos
+
+    def test_every_type_to_depth_3(self):
+        neg, pos = self.types(3)
+        assert (len(neg), len(pos)) == (6420, 1036)
+        for ty in neg + pos:
+            assert print_type(ty) == reference_print_type(ty), ty
+        assert print_type(neg[-1]) == (
+            "Pi (x : Sigma (y : dn (b (thunk (x [])))). dn (b (thunk (x []))))."
+            " Pi (x : dn (b (thunk (x [])))). (b (thunk (x []))) /\\"
+            " b (thunk (x []))")
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from core_reader import parse_term
 from step_reference import NormalForm, Stepped, Stuck, step
 from seqcore import reduce
 from seqcore.check import check_term
@@ -166,6 +167,22 @@ class TestNormalize:
         res = normalize(EMPTY, t, 100)
         assert res.stuck is None
         assert is_cut_free(res.term)
+
+
+class TestStuckText:
+    """A stuck result carries the reason of the clash that stopped the
+    walk, whether a substitution (R6) or a cut clashes, and the reference
+    step reports the same reason."""
+
+    @pytest.mark.parametrize("src, reason", [
+        ("let x = inl thunk (z []) in x []",
+         "substituting non-thunk data for applied variable x"),
+        ("(\\x. x []) .1 []", "function applied to projection spine"),
+    ], ids=["substitution", "cut"])
+    def test_reason(self, src, reason):
+        t = parse_term(src)
+        assert normalize(EMPTY, t, 100) == NormalizeResult(t, 0, stuck=reason)
+        assert step(EMPTY, t) == Stuck(reason)
 
 
 class TestSubjectReductionUnit:

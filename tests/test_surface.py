@@ -413,10 +413,14 @@ class TestCompareOnce:
     as data."""
 
     @staticmethod
-    def deep_sum(depth: int) -> str:
+    def sum_type(depth: int) -> str:
         ty = "a"
         for _ in range(depth):
             ty = f"a + ({ty})"
+        return ty
+
+    def deep_sum(self, depth: int) -> str:
+        ty = self.sum_type(depth)
         return f"atom a\nf : {ty} -> {ty}\nf v = v\n"
 
     @pytest.fixture
@@ -461,6 +465,22 @@ class TestCompareOnce:
                             mode=Mode.DEP)
         assert _leaves(prog.find("id").tree) == 1024
         assert comparisons == {"convert": 1}
+
+    @pytest.mark.parametrize("mode, same, check", [
+        (Mode.PROP, "alpha_eq", check_term),
+        (Mode.DEP, "convert", dep_check_term)], ids=["prop", "dep"])
+    def test_one_binding_at_two_goals(self, comparisons, mode, same, check):
+        # v is rebuilt at every leaf at both argument types of k, two goals
+        # that are not the same object: each is compared once.  Each leaf
+        # also compares the result type of k v v with a, once per leaf.
+        depth = 40
+        ty = self.sum_type(depth)
+        prog = load_program(f"atom a\npostulate k : {ty} -> {ty} -> a\n"
+                            f"f : {ty} -> a\nf v = k v v\n", mode=mode)
+        f = prog.find("f")
+        assert _leaves(f.tree) == depth + 1
+        assert comparisons == {same: 2 + (depth + 1)}
+        assert check(prog.sig, [], f.term, f.type) is None
 
     def test_mismatch_reported_at_its_leaf(self, comparisons):
         # Clause 1 rebuilds v at both of its leaves and matches once;
