@@ -36,7 +36,11 @@ substitution as one, and the entry points' ``_verdict`` catches it), the
 zones (``_Zones``: lookup and head typing), the side conditions of
 with-right, done, with-left and kappa, and the variable-cut reduct
 ``_var_cut_reduct``.  The untyped cut reducts are ``reduce``'s own rules
-(``reassociated`` for R4 and R7, ``decomposed`` for R5).
+(``reassociated`` for R4 and R7, ``decomposed`` for R5).  A failure gains
+one trail line from each judgment it passes through, written where the
+judgment is: ``check t : N`` from inversion, ``right-focus |= d : [P]``
+from right focus, and ``left-focus [N] |- spine : M`` from left focus when
+it checks against a goal.
 """
 
 from __future__ import annotations
@@ -48,27 +52,15 @@ from .diag import CheckError, Diagnostic
 from .record import record
 from .reduce import decomposed, reassociated
 from .syntax import (
-    App, AppCut, BindCut, Cons, Ctx, DataVal, Done, Down, DPair, Imp, Inl,
-    Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, POr, PosType,
-    PPair, Prod, Proj1, Proj2, PWild, Sig, Spine, Split, SubstClash, Term,
-    Thunk, Up, Var, With, alpha_eq, data_shape, free_names, pattern_labels,
+    App, AppCut, BindCut, Clash, Cons, Ctx, DataVal, Done, Down, DPair, Imp,
+    Inl, Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, POr,
+    PosType, PPair, Prod, Proj1, Proj2, PWild, Sig, Spine, Split, Term, Thunk,
+    Up, Var, With, alpha_eq, data_shape, free_names, pattern_labels,
     pattern_vars, subst_data,
 )
 
 __all__ = ["check_term", "check_data", "check_spine", "infer_term",
            "UNKNOWN"]
-
-
-def _frame(kind: str, subject, goal, focus: Optional[NegType] = None) -> str:
-    """The trail line of one judgment: inversion (a term against a negative
-    goal), right focus (data against a positive type) or left focus (a spine
-    consuming the focused negative ``focus``)."""
-    if kind == "left-focus":
-        return f"left-focus [{print_type(focus)}] |- spine : {print_type(goal)}"
-    if kind == "right-focus":
-        return (f"right-focus |= {_clip(print_data(subject))}"
-                f" : [{print_type(goal)}]")
-    return f"check {_clip(print_term(subject))} : {print_type(goal)}"
 
 
 def _clip(s: str, n: int = 60) -> str:
@@ -91,7 +83,7 @@ def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> Che
 
 class _clash:
     """Report a substitution for ``x`` that puts data other than a thunk
-    where ``x`` is applied (a ``SubstClash``) as a ``rule`` failure."""
+    where ``x`` is applied (a ``Clash``) as a ``rule`` failure."""
 
     __slots__ = ("rule", "expected", "x")
 
@@ -102,7 +94,7 @@ class _clash:
         pass
 
     def __exit__(self, kind, exc, tb) -> None:
-        if kind is not None and issubclass(kind, SubstClash):
+        if kind is not None and issubclass(kind, Clash):
             raise _fail(self.rule, expected=self.expected, found=str(self.x),
                         note=exc.reason)
 
@@ -296,7 +288,8 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
         else:
             raise TypeError(t)
     except CheckError as f:
-        raise CheckError(f.diagnostic.pushed(_frame("inversion", t, goal)))
+        raise CheckError(f.diagnostic.pushed(
+            f"check {_clip(print_term(t))} : {print_type(goal)}"))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +418,8 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
             raise _fail("mode", expected="propositional positive type",
                         found=print_type(goal))
     except CheckError as f:
-        raise CheckError(f.diagnostic.pushed(_frame("right-focus", d, goal)))
+        raise CheckError(f.diagnostic.pushed(
+            f"right-focus |= {_clip(print_data(d))} : [{print_type(goal)}]"))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +458,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
         if goal is None:
             raise
         raise CheckError(f.diagnostic.pushed(
-            _frame("left-focus", k, goal, focus=focus)))
+            f"left-focus [{print_type(focus)}] |- spine : {print_type(goal)}"))
 
 
 # ---------------------------------------------------------------------------

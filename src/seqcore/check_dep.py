@@ -24,8 +24,9 @@ same in both modes (the ``CheckError`` failures with their clash guard and
 verdict, zone lookup, head typing, with-right, done, with-left, kappa, the
 variable-cut reduct) come from ``check``, the untyped cut rules R4, R5 and
 R7 from ``reduce``; this module keeps the rules that differ, its own
-``discharged`` text and its trail frames.  Running out of conversion fuel is
-one more ``CheckError``.
+``discharged`` text and its trail line, ``dep-check t : N``, which inversion
+adds to a failure passing through it.  Running out of conversion fuel is one
+more ``CheckError``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .reduce import (DEFAULT_FUEL, FuelExhausted, decomposed, normalize,
 from .syntax import (
     App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
     Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
-    Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq, eta,
-    rewrite, subst_data,
+    Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq,
+    data_shape, eta, rewrite, subst_data,
 )
 
 __all__ = ["DepCtx", "dep_check_term", "dep_check_spine", "dep_bind_cut",
@@ -137,29 +138,8 @@ def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
 # ---------------------------------------------------------------------------
 # Inversion
 
-def _is_sigma_let(st: _State, t: Term) -> Optional[tuple[Name, Name, Name, Sigma, Term]]:
-    if (type(t) is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
-            and type(p.right) is Var and type(d := t.data) is Thunk
-            and type(d.body) is App and type(d.body.spine) is Nil):
-        i = st.pending_index(x := d.body.head)
-        if i is not None and isinstance(st.pending[i][1], Sigma):
-            return p.left.name, p.right.name, x, st.pending[i][1], t.body
-    return None
-
-
 def _check(st: _State, t: Term, goal: NegType) -> None:
     try:
-        sigma_let = _is_sigma_let(st, t)
-        if sigma_let is not None:
-            y, z, x, ty, body = sigma_let
-            i = st.pending_index(x)
-            with _clash("prod-left", "well-sorted use of the pair variable", x):
-                base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
-                goal2 = subst_data(goal, x, DPair(eta(y), eta(z)))
-            base = base.extend(y, ty.first)
-            base = base.extend(z, subst_data(ty.second, ty.binder, eta(y)))
-            _check(base, body, goal2)
-            return
         c = type(t)
         if c is Split:
             for branch in _split(st, t.label, t.left, t.right, None, goal):
@@ -182,6 +162,20 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
             _check_data(st, t.data, _done(st, goal))
         elif c is App:
             _check_spine(st, st.head(t.head), t.spine, goal)
+        elif (c is BindCut and type(p := t.pat) is PPair
+              and type(p.left) is Var and type(p.right) is Var
+              and type(d := t.data) is Thunk and type(d.body) is App
+              and type(d.body.spine) is Nil
+              and (i := st.pending_index(x := d.body.head)) is not None
+              and type(ty := st.pending[i][1]) is Sigma):
+            # A sigma-let: the pair variables replace the hypothesis x.
+            y, z = p.left.name, p.right.name
+            with _clash("prod-left", "well-sorted use of the pair variable", x):
+                base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
+                goal2 = subst_data(goal, x, DPair(eta(y), eta(z)))
+            base = base.extend(y, ty.first)
+            base = base.extend(z, subst_data(ty.second, ty.binder, eta(y)))
+            _check(base, t.body, goal2)
         elif c is BindCut and type(t.pat) is Var:
             _check(*_var_cut(st, t.pat.name, t.data, t.body), goal)
         elif (c is BindCut and type(p := t.pat) is PPair and type(p.left) is Var
@@ -280,21 +274,22 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
     if c is Thunk and cg is Down:
         _check(st, d.body, goal.body)
     elif c is Thunk:
-        raise _fail("thunk", expected=print_type(goal), found="thunk")
+        raise _fail("thunk", expected=print_type(goal), found=data_shape(d))
     elif c is DPair and cg is Sigma:
         _check_data(st, d.left, goal.first)
         with _clash("prod-right", "well-sorted use of the Sigma binder", goal.binder):
             q = subst_data(goal.second, goal.binder, d.left)
         _check_data(st, d.right, q)
     elif c is DPair:
-        raise _fail("prod-right", expected=print_type(goal), found="pair")
+        raise _fail("prod-right", expected=print_type(goal),
+                    found=data_shape(d))
     elif c is Inl and cg is Or:
         _check_data(st, d.body, goal.left)
     elif c is Inr and cg is Or:
         _check_data(st, d.body, goal.right)
     elif c is Inl or c is Inr:
         raise _fail("or-right", expected=print_type(goal),
-                    found=type(d).__name__.lower())
+                    found=data_shape(d))
     else:
         raise TypeError(d)
 

@@ -15,19 +15,22 @@ the identity on the text.  The free names to keep clear of are found while
 printing: a term is printed once with none reserved, and again with its free
 names reserved only when a binder weighed a display text that one of them
 has.
+
+``print_type`` prints a type of either polarity by one walk: each connective
+gives its text and its precedence, and a child is parenthesized when it binds
+looser than its place asks.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     App, AppCut, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
-    Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
-    PosType, PPair, Prod, Proj1, Proj2, PWild, Sigma, Spine, Split, Term,
-    Thunk, Up, Var, With, pattern_labels, pattern_vars,
+    Inr, Kappa, Lam, Name, Nil, Or, Pair, Pattern, PAt, Pi, POr, PPair, Prod,
+    Proj1, Proj2, PWild, Sigma, Spine, Split, Term, Thunk, Up, Var, With,
+    pattern_labels, pattern_vars,
 )
 
-__all__ = ["print_term", "print_data", "print_pattern",
-           "print_neg", "print_pos", "print_type"]
+__all__ = ["print_term", "print_data", "print_pattern", "print_type"]
 
 _KEYWORDS = {"done", "thunk", "inl", "inr", "split", "let", "in", "kappa"}
 
@@ -156,45 +159,38 @@ def print_pattern(p: Pattern) -> str:
 # ---------------------------------------------------------------------------
 # Type printing (diagnostics and `core` output; not parsed back)
 
-def print_neg(ty: NegType, prec: int = 0) -> str:
+def print_type(ty) -> str:
+    return _type(ty, 0)
+
+
+def _type(ty, prec: int) -> str:
+    """``ty`` in parentheses when its connective binds looser than ``prec``:
+    arrows and binders at 1, the other connectives at 2, a bare atom never."""
     c = type(ty)
     if c is Atom:
         if not ty.args:
             return str(ty.name)
         body = " ".join(f"({print_data(a)})" for a in ty.args)
-        s = f"{ty.name} {body}"
-        return f"({s})" if prec > 2 else s
+        s, level = f"{ty.name} {body}", 2
+    elif c is Down:
+        s, level = f"dn {_type(ty.body, 3)}", 2
     elif c is Up:
-        s = f"up {print_pos(ty.body, 3)}"
-        return f"({s})" if prec > 2 else s
+        s, level = f"up {_type(ty.body, 3)}", 2
     elif c is Imp:
-        s = f"{print_pos(ty.arg, 2)} -> {print_neg(ty.res, 1)}"
-        return f"({s})" if prec > 1 else s
+        s, level = f"{_type(ty.arg, 2)} -> {_type(ty.res, 1)}", 1
     elif c is With:
-        s = f"{print_neg(ty.left, 3)} /\\ {print_neg(ty.right, 2)}"
-        return f"({s})" if prec > 2 else s
-    elif c is Pi:
-        s = f"Pi ({ty.binder} : {print_pos(ty.arg)}). {print_neg(ty.res, 1)}"
-        return f"({s})" if prec > 1 else s
-    raise TypeError(ty)
-
-
-def print_pos(ty: PosType, prec: int = 0) -> str:
-    c = type(ty)
-    if c is Down:
-        s = f"dn {print_neg(ty.body, 3)}"
-        return f"({s})" if prec > 2 else s
+        s, level = f"{_type(ty.left, 3)} /\\ {_type(ty.right, 2)}", 2
     elif c is Or:
-        s = f"{print_pos(ty.left, 3)} + {print_pos(ty.right, 2)}"
-        return f"({s})" if prec > 2 else s
+        s, level = f"{_type(ty.left, 3)} + {_type(ty.right, 2)}", 2
     elif c is Prod:
-        s = f"{print_pos(ty.left, 3)} * {print_pos(ty.right, 2)}"
-        return f"({s})" if prec > 2 else s
+        s, level = f"{_type(ty.left, 3)} * {_type(ty.right, 2)}", 2
+    elif c is Pi:
+        s = f"Pi ({ty.binder} : {_type(ty.arg, 0)}). {_type(ty.res, 1)}"
+        level = 1
     elif c is Sigma:
-        s = f"Sigma ({ty.binder} : {print_pos(ty.first)}). {print_pos(ty.second, 1)}"
-        return f"({s})" if prec > 1 else s
-    raise TypeError(ty)
-
-
-def print_type(ty) -> str:
-    return print_neg(ty) if isinstance(ty, NegType) else print_pos(ty)
+        s = (f"Sigma ({ty.binder} : {_type(ty.first, 0)})."
+             f" {_type(ty.second, 1)}")
+        level = 1
+    else:
+        raise TypeError(ty)
+    return f"({s})" if prec > level else s

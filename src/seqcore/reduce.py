@@ -26,7 +26,9 @@ also how both checkers judge a cut whose formula they cannot synthesize.
 Postulate-headed applications are normal forms, not failures; a stuck result
 is reserved for evaluation states no well-typed term reaches (a function
 applied to a projection, pair data against an or-pattern, and similar shape
-clashes).
+clashes).  ``_step_root`` raises ``syntax.Clash`` for each, the same exception
+a substitution raises when R6 would apply non-thunk data, and its ``reason``
+becomes the stuck text.
 
 The reference, a ``step`` that searches from the root on every call, lives
 with the tests (``tests/step_reference.py``) and reuses ``_step_root``.
@@ -57,9 +59,9 @@ from typing import Callable, Optional
 from .diag import SeqcoreError
 from .record import record
 from .syntax import (
-    App, AppCut, BindCut, Cons, DataVal, Done, DPair, Inl, Inr, Kappa, Lam,
-    Nil, Pair, PAt, Pattern, POr, PPair, Proj1, Proj2, PWild, Sig, Spine,
-    Split, SubstClash, Term, Thunk, Var, children, data_shape, select_branch,
+    App, AppCut, BindCut, Clash, Cons, DataVal, Done, DPair, Inl, Inr, Kappa,
+    Lam, Nil, Pair, PAt, Pattern, POr, PPair, Proj1, Proj2, PWild, Sig, Spine,
+    Split, Term, Thunk, Var, children, data_shape, select_branch,
     spine_concat, subst_data, with_children,
 )
 
@@ -83,11 +85,6 @@ class FuelExhausted(SeqcoreError):
         super().__init__(f"fuel exhausted after {steps} steps")
         self.term = term
         self.steps = steps
-
-
-class _StuckAt(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
 
 
 def reassociated(f: Term, k: Spine) -> Optional[Term]:
@@ -140,17 +137,14 @@ def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
         if u is not None:
             return "R4" if ck is Nil else "R7", u
         if cf is Lam or cf is Done or cf is Pair:
-            raise _StuckAt(
+            raise Clash(
                 f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
         return None   # a split: resolved by an enclosing or-binding
     elif c is BindCut:
         p, d, b = x.pat, x.data, x.body
         cp = type(p)
         if cp is Var:
-            try:
-                return "R6", subst_data(b, p.name, d)
-            except SubstClash as e:
-                raise _StuckAt(e.reason)
+            return "R6", subst_data(b, p.name, d)
         u = decomposed(p, d, b)
         if u is not None:
             return "R5", u
@@ -159,10 +153,10 @@ def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
             # while its head may still compute (sigma-style lets on a
             # variable); it is a definite clash otherwise.
             if isinstance(d.body, (Lam, Done, Pair, Split)):
-                raise _StuckAt(
+                raise Clash(
                     f"{_pattern_shape(p)} pattern against thunk data")
             return None
-        raise _StuckAt(
+        raise Clash(
             f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
     elif c is App:
         entry = sig.lookup(x.head)
@@ -222,8 +216,8 @@ def _refocus(sig: Sig, t: Term, fuel: int,
     while True:
         try:
             hit = _step_root(sig, focus)
-        except _StuckAt as s:
-            return NormalizeResult(_plug(stack, focus), steps, stuck=s.reason)
+        except Clash as e:
+            return NormalizeResult(_plug(stack, focus), steps, stuck=e.reason)
         if hit is not None:
             steps += 1
             if steps > fuel:

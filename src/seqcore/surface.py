@@ -623,7 +623,7 @@ class _Pos:
     It compares by identity, so case-tree nodes that hold it can hash."""
 
     __slots__ = ("path", "type", "var", "aliases", "label", "pats", "left",
-                 "right", "side")
+                 "right", "side", "goals")
 
     def __init__(self, path: tuple, ty: PosType, var: Optional[Name] = None):
         self.path = path            # argument index, then fst/snd/inl/inr
@@ -637,6 +637,10 @@ class _Pos:
         self.left: Optional[_Pos] = None      # sub-positions, once split
         self.right: Optional[_Pos] = None
         self.side: Optional[str] = None       # "left" | "right"
+        # The goals found to match ``type``, compared by identity: every
+        # leaf below a binding rebuilds it at the same goals, so each is
+        # compared once per declaration.  A mismatch is reported at once.
+        self.goals: tuple[PosType, ...] = ()
 
 
 def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
@@ -885,14 +889,6 @@ class _Emitter:
         self.binds = binds
         self.decl = decl
         self.result = result
-        # Types of composite bindings found to match a goal, keyed by the ids
-        # of both types.  Every leaf below a binding rebuilds it at the same
-        # goal, so each pair is compared once per declaration; other
-        # comparisons rarely repeat and are not remembered.  Types are
-        # immutable and the comparison is pure for a fixed sig.  The entry
-        # holds both types, so no id is reused while the emitter lives.  Only
-        # matches are kept: a mismatch is reported where it occurs.
-        self.matched: dict[tuple[int, int], tuple] = {}
 
     def emit(self, tree: CaseTree) -> Term:
         c = type(tree)
@@ -1003,12 +999,12 @@ class _Emitter:
         if type(e) is EApp and not e.args:
             b = scope.get(e.head)
             if type(b) is _Pos:
-                if (id(b.type), id(p)) not in self.matched:
+                if not any(g is p for g in b.goals):
                     if not self.same(b.type, p):
                         raise CompileFail(Diagnostic(
                             "type", expected=print_type(p), found=print_type(b.type),
                             span=e.span))
-                    self.matched[id(b.type), id(p)] = (b.type, p)
+                    b.goals += (p,)
                 return self._recon(b)
         c = type(p)
         if c is Down:
@@ -1063,13 +1059,7 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig,
         raise CompileFail(Diagnostic(
             "coverage", expected="at least one clause", found="none",
             span=decl.span))
-    arity = len(decl.clauses[0].lhs)
-    for cl in decl.clauses:
-        if len(cl.lhs) != arity:
-            raise CompileFail(Diagnostic(
-                "arity", expected=f"{arity} pattern(s)",
-                found=str(len(cl.lhs)), span=cl.span))
-
+    arity = len(decl.clauses[0].lhs)   # parse gives every clause this many
     args: list[_Pos] = []
     result = ty
     for i in range(arity):

@@ -62,7 +62,7 @@ __all__ = [
     "well_formed_neg", "well_formed_pos",
     "free_names", "rename", "freshen_pattern", "subst_data",
     "spine_concat", "select_branch", "alpha_eq", "size", "is_cut_free",
-    "SubstClash",
+    "Clash",
 ]
 
 
@@ -77,8 +77,7 @@ class Name(NamedTuple):
     A named tuple, so ``==`` and the hash run in C: every layer compares and
     hashes names.  The hash is ``hash((text, tag))``, as for a record with
     these two fields.  A name equals the plain tuple ``(text, tag)``; no dict
-    or set in the kernel holds both (the clause compiler's position paths,
-    the only other tuple keys, start with an int)."""
+    or set in the kernel is keyed by any other tuple."""
 
     text: str
     tag: int = 0
@@ -693,9 +692,11 @@ def _freshen(binder):
 # ---------------------------------------------------------------------------
 # Substitution of data for a variable
 
-class SubstClash(Exception):
-    """Raised when substitution would place non-thunk data in head position;
-    this is an ill-typed evaluation state."""
+class Clash(Exception):
+    """An evaluation state no well-typed term reaches: a substitution that
+    would put data other than a thunk where a variable is applied (or other
+    than an injection where it is split), or a cut whose two sides no rule
+    decomposes.  ``reason`` says which."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -722,7 +723,7 @@ def subst_data(x, v: Name, d: DataVal):
             k = rewrite(x.spine, visit, under)
             if isinstance(d, Thunk):
                 return AppCut(d.body, k)
-            raise SubstClash(
+            raise Clash(
                 f"substituting non-thunk data for applied variable {v}")
         elif c is Split and x.label == v:
             # A sum-typed variable under scrutiny: the branches see v
@@ -735,7 +736,7 @@ def subst_data(x, v: Name, d: DataVal):
             elif cd is Thunk and type(d.body) is App and type(d.body.spine) is Nil:
                 y = d.body.head
                 return Split(y, rename(x.left, {v: y}), rename(x.right, {v: y}))
-            raise SubstClash(
+            raise Clash(
                 f"substituting non-injection data for split variable {v}")
         elif (c is Thunk and type(x.body) is App and type(x.body.spine) is Nil
               and x.body.head == v):

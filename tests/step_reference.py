@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional
 
 from seqcore.record import record
-from seqcore.reduce import _put, _step_root, _StuckAt
-from seqcore.syntax import Sig, Term, children, with_children
+from seqcore.reduce import _put, _step_root
+from seqcore.syntax import Clash, Sig, Term, children, with_children
 
 
 class StepResult:
@@ -42,8 +42,8 @@ def step(sig: Sig, t: Term) -> StepResult:
     """Apply exactly one rule at the leftmost-outermost redex."""
     try:
         hit = _step_any(sig, t)
-    except _StuckAt as s:
-        return Stuck(s.reason)
+    except Clash as e:
+        return Stuck(e.reason)
     if hit is None:
         return NormalForm()
     rule, t2 = hit

@@ -801,10 +801,10 @@ class TestAcyclic:
                               Thunk(App(self.H, Nil()))) == 0
 
     def test_subst_data_raises_clash(self):
-        from seqcore.syntax import SubstClash
+        from seqcore.syntax import Clash
         t = Lam(Var(self.Y), App(self.X, Nil()))
         assert cyclic_garbage(subst_data, t, self.X, Inl(eta(self.Y)),
-                              raises=SubstClash) == 0
+                              raises=Clash) == 0
 
     def test_subst_data_freshens_a_capturing_pattern(self):
         # The pair pattern binds y, free in the data: it is regenerated.
