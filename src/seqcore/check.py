@@ -31,11 +31,14 @@ along the way (a dropped injection side, a projected-away pair component) the
 discarded part is still required to be well-typed whenever its type can be
 decided.  The rules that read the same in both modes are stated here once
 and imported by the dependent checker: the failure plumbing (a failing rule
-raises ``CheckError`` built by ``_fail``, ``_clash`` reports a clashing
-substitution as one, and the entry points' ``_verdict`` catches it), the
-zones (``_Zones``: lookup and head typing), the side conditions of
+raises ``CheckError`` built by ``_fail``, ``_clashed`` builds the one a
+clashing substitution raises, and the entry points' ``_verdict`` catches
+it), the zones (``_Zones``: lookup and head typing), the side conditions of
 with-right, done, with-left and kappa, and the variable-cut reduct
-``_var_cut_reduct``.  The untyped cut reducts are ``reduce``'s own rules
+``_var_cut_reduct``.  The axiom compares the type under focus with the goal
+by identity first, in both checkers: the front end shares equal polarized
+types (see ``surface.polarize``), so an application at its declared result
+type is settled without a structural walk.  The untyped cut reducts are ``reduce``'s own rules
 (``reassociated`` for R4 and R7, ``decomposed`` for R5).  A failure gains
 one trail line from each judgment it passes through, written where the
 judgment is: ``check t : N`` from inversion, ``right-focus |= d : [P]``
@@ -81,22 +84,10 @@ def _fail(rule: str, expected: str = "", found: str = "", note: str = "") -> Che
     return CheckError(Diagnostic(rule, expected, found, note))
 
 
-class _clash:
-    """Report a substitution for ``x`` that puts data other than a thunk
-    where ``x`` is applied (a ``Clash``) as a ``rule`` failure."""
-
-    __slots__ = ("rule", "expected", "x")
-
-    def __init__(self, rule: str, expected: str, x: Name):
-        self.rule, self.expected, self.x = rule, expected, x
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is not None and issubclass(kind, Clash):
-            raise _fail(self.rule, expected=self.expected, found=str(self.x),
-                        note=exc.reason)
+def _clashed(rule: str, expected: str, x: Name, e: Clash) -> CheckError:
+    """The ``rule`` failure of a substitution for ``x`` that put data other
+    than a thunk where ``x`` is applied (the ``Clash`` ``e``)."""
+    return _fail(rule, expected=expected, found=str(x), note=e.reason)
 
 
 class _Zones:
@@ -224,8 +215,10 @@ def _var_cut_reduct(x: Name, d: DataVal, b: Term) -> Term:
     ``x``, unchanged when ``x`` is not free in it."""
     if x not in free_names(b):
         return b
-    with _clash("bind-cut", "well-sorted variable use", x):
+    try:
         return subst_data(b, x, d)
+    except Clash as e:
+        raise _clashed("bind-cut", "well-sorted variable use", x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +428,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
         if c is Nil:
             if goal is None:
                 return focus
-            if not alpha_eq(focus, goal):
+            if focus is not goal and not alpha_eq(focus, goal):
                 raise _fail("axiom", expected=print_type(goal),
                             found=print_type(focus),
                             note="unfinished spine")

@@ -33,16 +33,16 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .check import (UNKNOWN, _Unknown, _Zones, _clash, _done, _fail, _kappa,
-                    _spine_shape, _var_cut_reduct, _verdict, _with_left,
-                    _with_right)
+from .check import (UNKNOWN, _Unknown, _Zones, _clashed, _done, _fail,
+                    _kappa, _spine_shape, _var_cut_reduct, _verdict,
+                    _with_left, _with_right)
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
 from .reduce import (DEFAULT_FUEL, FuelExhausted, decomposed, normalize,
                      reassociated)
 from .syntax import (
-    App, AppCut, BindCut, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
+    App, AppCut, BindCut, Clash, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
     Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
     Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq,
     data_shape, eta, rewrite, subst_data,
@@ -170,9 +170,12 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
               and type(ty := st.pending[i][1]) is Sigma):
             # A sigma-let: the pair variables replace the hypothesis x.
             y, z = p.left.name, p.right.name
-            with _clash("prod-left", "well-sorted use of the pair variable", x):
+            try:
                 base = st.drop_pending(i).subst(x, DPair(eta(y), eta(z)))
                 goal2 = subst_data(goal, x, DPair(eta(y), eta(z)))
+            except Clash as e:
+                raise _clashed("prod-left",
+                               "well-sorted use of the pair variable", x, e)
             base = base.extend(y, ty.first)
             base = base.extend(z, subst_data(ty.second, ty.binder, eta(y)))
             _check(base, t.body, goal2)
@@ -257,11 +260,14 @@ def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
     base = st.drop_pending(i)
     for inj, side, u in ((Inl, ty.left, tl), (Inr, ty.right, tr)):
         d = inj(eta(x))
-        with _clash("or-left", "well-sorted use of the split variable", x):
+        try:
             if k is not None:
                 u = AppCut(u, subst_data(k, x, d))
             st1 = base.subst(x, d).extend(x, side)
             goal1 = subst_data(goal, x, d)
+        except Clash as e:
+            raise _clashed("or-left", "well-sorted use of the split variable",
+                           x, e)
         yield st1, u, goal1
 
 
@@ -277,8 +283,11 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
         raise _fail("thunk", expected=print_type(goal), found=data_shape(d))
     elif c is DPair and cg is Sigma:
         _check_data(st, d.left, goal.first)
-        with _clash("prod-right", "well-sorted use of the Sigma binder", goal.binder):
+        try:
             q = subst_data(goal.second, goal.binder, d.left)
+        except Clash as e:
+            raise _clashed("prod-right", "well-sorted use of the Sigma binder",
+                           goal.binder, e)
         _check_data(st, d.right, q)
     elif c is DPair:
         raise _fail("prod-right", expected=print_type(goal),
@@ -306,7 +315,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
     if c is Nil:
         if goal is None:
             return focus
-        if not convert(focus, goal, st.sig, st.fuel):
+        if focus is not goal and not convert(focus, goal, st.sig, st.fuel):
             raise _fail("axiom", expected=print_type(goal),
                         found=print_type(focus),
                         note="types are not convertible")
@@ -315,9 +324,11 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
             raise _fail("imp-left", expected="dependent product under focus",
                         found=print_type(focus))
         _check_data(st, k.arg, focus.arg)
-        with _clash("imp-left", "well-sorted use of the Pi binder",
-                    focus.binder):
+        try:
             res = subst_data(focus.res, focus.binder, k.arg)
+        except Clash as e:
+            raise _clashed("imp-left", "well-sorted use of the Pi binder",
+                           focus.binder, e)
         return _check_spine(st, res, k.rest, goal)
     elif c is Proj1 or c is Proj2:
         return _check_spine(st, _with_left(focus, k), k.rest, goal)

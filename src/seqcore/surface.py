@@ -41,6 +41,13 @@ compiler relies on it.  Polarity coercions are inserted here and only here:
 a thunk-typed variable used as an argument becomes ``thunk (x [])``, a
 right-hand side at a shifted goal is wrapped in ``done``, and the kernel
 never sees an unshifted mix.
+
+Polarized types are shared: ``load_program`` polarizes every declared type
+with one table, so equal binder-free types, and equal binder-free parts of
+types, are one object, while each ``Pi`` and ``Sigma`` keeps its fresh
+binder and is its own.  Types are never mutated, so identity implies
+equality, and a comparison made once per application tests ``is`` before
+it walks two trees.  The table lives as long as the ``load_program`` call.
 """
 
 from __future__ import annotations
@@ -531,52 +538,81 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
 # ---------------------------------------------------------------------------
 # Polarization
 
-def polarize(ty: SType, sig: Sig, mode: Mode = Mode.PROP) -> NegType:
+def polarize(ty: SType, sig: Sig, mode: Mode = Mode.PROP,
+             shared: Optional[dict] = None) -> NegType:
     """Insert the minimal shifts making a surface type a negative kernel type:
     atoms are negative, arrows take a positive argument, sums and products are
-    positive with shifted components."""
-    return _neg_of(ty, sig, mode)
+    positive with shifted components.
+
+    Every node but ``Pi`` and ``Sigma`` is taken from the table ``shared``
+    (a new one when not given) when an equal node is there, and entered in
+    it otherwise, so the types polarized with one table share each equal
+    binder-free subtree.  ``Pi`` and ``Sigma`` are built anew, with fresh
+    binders."""
+    return _neg_of(ty, sig, mode, {} if shared is None else shared)
 
 
-def _neg_of(ty: SType, sig: Sig, mode: Mode) -> NegType:
+def _shared(table: dict, cls, *kids):
+    """The node ``cls(*kids)`` in ``table``, entered when it is not there.
+    Each child is itself from the table, or a ``Pi`` or ``Sigma`` that only
+    this node holds, so the children's ids identify them while the table
+    keeps the node."""
+    key = (cls, *map(id, kids))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls(*kids)
+    return node
+
+
+def _neg_of(ty: SType, sig: Sig, mode: Mode, table: dict) -> NegType:
     c = type(ty)
     if c is TName:
         name = Name(ty.name)
         if name not in sig.atoms:
             raise CompileFail(Diagnostic("atom", expected="declared atom",
                                          found=ty.name, span=ty.span))
-        return Atom(name)
+        atom = table.get(name)     # an atom is entered by its name
+        if atom is None:
+            atom = table[name] = Atom(name)
+        return atom
     elif c is TArrow:
-        arg = _pos_of(ty.arg, sig, mode)
+        arg = _pos_of(ty.arg, sig, mode, table)
         if mode is Mode.DEP:
-            return Pi(fresh("_"), arg, _neg_of(ty.res, sig, mode))
-        return Imp(arg, _neg_of(ty.res, sig, mode))
+            return Pi(fresh("_"), arg, _neg_of(ty.res, sig, mode, table))
+        return _shared(table, Imp, arg, _neg_of(ty.res, sig, mode, table))
     elif c is TBin and ty.op == "/\\":
-        return With(_neg_of(ty.left, sig, mode), _neg_of(ty.right, sig, mode))
+        return _shared(table, With, _neg_of(ty.left, sig, mode, table),
+                       _neg_of(ty.right, sig, mode, table))
     elif c is TBin or (c is TBind and ty.head == "Sigma"):
-        return Up(_pos_of(ty, sig, mode))
+        return _shared(table, Up, _pos_of(ty, sig, mode, table))
     elif c is TBind and ty.head == "Pi":
         if mode is not Mode.DEP:
             raise CompileFail(Diagnostic("mode", expected="propositional type",
                                          found="Pi", span=ty.span))
-        return Pi(fresh(ty.var), _pos_of(ty.arg, sig, mode), _neg_of(ty.body, sig, mode))
+        return Pi(fresh(ty.var), _pos_of(ty.arg, sig, mode, table),
+                  _neg_of(ty.body, sig, mode, table))
     raise TypeError(ty)
 
 
-def _pos_of(ty: SType, sig: Sig, mode: Mode) -> PosType:
+def _pos_of(ty: SType, sig: Sig, mode: Mode, table: dict) -> PosType:
     c = type(ty)
     if c is TBin and ty.op == "+":
-        return Or(_pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode))
+        return _shared(table, Or, _pos_of(ty.left, sig, mode, table),
+                       _pos_of(ty.right, sig, mode, table))
     elif c is TBin and ty.op == "*":
-        pl, pr = _pos_of(ty.left, sig, mode), _pos_of(ty.right, sig, mode)
-        return Sigma(fresh("_"), pl, pr) if mode is Mode.DEP else Prod(pl, pr)
+        pl = _pos_of(ty.left, sig, mode, table)
+        pr = _pos_of(ty.right, sig, mode, table)
+        if mode is Mode.DEP:
+            return Sigma(fresh("_"), pl, pr)
+        return _shared(table, Prod, pl, pr)
     elif c is TBind and ty.head == "Sigma":
         if mode is not Mode.DEP:
             raise CompileFail(Diagnostic("mode", expected="propositional type",
                                          found="Sigma", span=ty.span))
-        return Sigma(fresh(ty.var), _pos_of(ty.arg, sig, mode), _pos_of(ty.body, sig, mode))
+        return Sigma(fresh(ty.var), _pos_of(ty.arg, sig, mode, table),
+                     _pos_of(ty.body, sig, mode, table))
     else:
-        return Down(_neg_of(ty, sig, mode))
+        return _shared(table, Down, _neg_of(ty, sig, mode, table))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +659,7 @@ class _Pos:
     It compares by identity, so case-tree nodes that hold it can hash."""
 
     __slots__ = ("path", "type", "var", "aliases", "label", "pats", "left",
-                 "right", "side", "goals")
+                 "right", "side", "goals", "thunk")
 
     def __init__(self, path: tuple, ty: PosType, var: Optional[Name] = None):
         self.path = path            # argument index, then fst/snd/inl/inr
@@ -641,6 +677,9 @@ class _Pos:
         # leaf below a binding rebuilds it at the same goals, so each is
         # compared once per declaration.  A mismatch is reported at once.
         self.goals: tuple[PosType, ...] = ()
+        # At a thunk position: the eta-injection of ``var`` that rebuilds
+        # it, made once and shared by every leaf.
+        self.thunk: Optional[Thunk] = None
 
 
 def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
@@ -918,10 +957,12 @@ class _Emitter:
         ty = pos.type
         c = type(ty)
         if c is Down:
-            if pos.var is None:
-                # No clause binds this thunk: the rebuild binds it.
-                pos.var = fresh("v1")
-            return eta(pos.var)
+            if pos.thunk is None:
+                if pos.var is None:
+                    # No clause binds this thunk: the rebuild binds it.
+                    pos.var = fresh("v1")
+                pos.thunk = eta(pos.var)
+            return pos.thunk
         elif c is Or:
             if pos.side == "left":
                 return Inl(self._recon(pos.left))
@@ -986,7 +1027,7 @@ class _Emitter:
                 raise CompileFail(Diagnostic(
                     "arity", expected="function taking more arguments",
                     found=e.head, span=e.span))
-        if not self.same(cur, goal):
+        if cur is not goal and not self.same(cur, goal):
             raise CompileFail(Diagnostic(
                 "type", expected=print_type(goal), found=print_type(cur),
                 span=e.span))
@@ -1048,13 +1089,13 @@ class CompiledDecl:
     warnings: tuple[str, ...] = ()
 
 
-def compile_clauses(decl: SurfaceDecl, sig: Sig,
-                    mode: Mode = Mode.PROP) -> CompiledDecl:
-    """Polarize a definition's declared type and compile its clause set into
-    one core term via its splitting tree.  Raises CompileFail on type,
-    coverage or elaboration errors."""
+def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
+                    shared: Optional[dict] = None) -> CompiledDecl:
+    """Polarize a definition's declared type, with the table ``shared`` when
+    given, and compile its clause set into one core term via its splitting
+    tree.  Raises CompileFail on type, coverage or elaboration errors."""
     assert decl.kind == "def"
-    ty = polarize(decl.type, sig, mode)
+    ty = polarize(decl.type, sig, mode, shared)
     if not decl.clauses:
         raise CompileFail(Diagnostic(
             "coverage", expected="at least one clause", found="none",
@@ -1114,6 +1155,9 @@ def load_program(source: str, file: str = "<surface>",
     """Parse and compile a whole program, building its signature in file
     order.  Typechecking of compiled bodies is the caller's concern."""
     decls = parse(source, file)
+    # The program's declared types share their equal parts; the table goes
+    # with this call, so no type outlives the program that holds it.
+    shared: dict = {}
     # One index grows in place, so each declaration sees the entries before
     # it without a copy; names are unique, so it holds them in file order.
     index: dict[Name, SigEntry] = {}
@@ -1132,10 +1176,10 @@ def load_program(source: str, file: str = "<surface>",
             out.append(CompiledDecl("atom", Name(d.name), d.span))
             continue
         if d.kind == "postulate":
-            ty = polarize(d.type, sig, mode)
+            ty = polarize(d.type, sig, mode, shared)
             out.append(CompiledDecl("postulate", Name(d.name), d.span, ty))
         else:
-            out.append(compile_clauses(d, sig, mode))
+            out.append(compile_clauses(d, sig, mode, shared))
             warnings.extend(out[-1].warnings)
         c = out[-1]
         index[c.name] = SigEntry(c.name, c.type, c.term)

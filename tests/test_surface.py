@@ -466,20 +466,25 @@ class TestCompareOnce:
         assert _leaves(prog.find("id").tree) == 1024
         assert comparisons == {"convert": 1}
 
-    @pytest.mark.parametrize("mode, same, check", [
-        (Mode.PROP, "alpha_eq", check_term),
-        (Mode.DEP, "convert", dep_check_term)], ids=["prop", "dep"])
-    def test_one_binding_at_two_goals(self, comparisons, mode, same, check):
-        # v is rebuilt at every leaf at both argument types of k, two goals
-        # that are not the same object: each is compared once.  Each leaf
-        # also compares the result type of k v v with a, once per leaf.
-        depth = 40
-        ty = self.sum_type(depth)
+    @pytest.mark.parametrize("mode, same, check, product, compared", [
+        (Mode.PROP, "alpha_eq", check_term, False, 1),
+        (Mode.DEP, "convert", dep_check_term, False, 1),
+        (Mode.DEP, "convert", dep_check_term, True, 2)],
+        ids=["prop", "dep", "dep-product"])
+    def test_one_binding_at_two_goals(self, comparisons, mode, same, check,
+                                      product, compared):
+        # v is rebuilt at every leaf at both argument types of k.  The
+        # polarized sums are shared, so the two goals are one object and
+        # are compared once.  A dependent product is a Sigma with a fresh
+        # binder, so there the two goals are equal but not the same object:
+        # each is compared once.  The result type of k v v is the goal a
+        # itself at every leaf, and identity settles it.
+        ty = " * ".join(["(a + a)"] * 4) if product else self.sum_type(40)
         prog = load_program(f"atom a\npostulate k : {ty} -> {ty} -> a\n"
                             f"f : {ty} -> a\nf v = k v v\n", mode=mode)
         f = prog.find("f")
-        assert _leaves(f.tree) == depth + 1
-        assert comparisons == {same: 2 + (depth + 1)}
+        assert _leaves(f.tree) == (16 if product else 41)
+        assert comparisons == {same: compared}
         assert check(prog.sig, [], f.term, f.type) is None
 
     def test_mismatch_reported_at_its_leaf(self, comparisons):
