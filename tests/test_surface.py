@@ -1,6 +1,7 @@
 """Surface language: parsing, polarization, clause compilation, equations."""
 
 import collections
+import itertools
 import pathlib
 
 import pytest
@@ -11,16 +12,17 @@ from lex_reference import reference_lex
 from parse_reference import reference_parse
 from suite import (PROGRAMS, SUITE, bench_workloads, check_program,
                    clause_set_variants, load, pretty_equations, source)
+from seqcore import check_dep, surface, syntax
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
-from seqcore.diag import ParseError, Span
+from seqcore.diag import DiagnosticError, ParseError, Span
 from seqcore.surface import (CompileFail, Leaf, PairNode, SplitNode, TArrow,
                              TBin, TBind, TName, _lex, _Source,
                              compile_clauses, load_program, parse, polarize)
 from seqcore.syntax import (
     App, Atom, Cons, Done, Down, DPair, Imp, Inl, Inr, Lam, Mode, Name, Nil,
-    Or, Pair, POr, PPair, Prod, Sig, SigEntry, Split, Thunk, Up, Var, With,
-    alpha_eq, eta, well_formed_neg,
+    Or, Pair, Pattern, Pi, POr, PPair, Prod, Sig, SigEntry, Sigma, Split, Thunk, Up,
+    Var, With, alpha_eq, children, eta, well_formed_neg,
 )
 
 NAT = Atom(Name("ℕ"))
@@ -498,6 +500,173 @@ class TestCompareOnce:
         assert (d.rule, d.span.line, d.span.col) == ("type", 4, 13)
         assert (d.expected, d.found) == ("(dn a) + dn a", "(dn a) * dn a")
         assert comparisons == {"alpha_eq": 2}
+
+
+def _walk(x):
+    """Every node of ``x`` that ``children`` reaches, once per reference."""
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        yield y
+        todo += children(y)
+
+
+_BINDERS = (Pi, Sigma)
+
+
+def _types(prog):
+    """Every type node of the declared types of ``prog``."""
+    for d in prog.decls:
+        if d.type is not None:
+            yield from _walk(d.type)
+
+
+def _flat(x) -> list:
+    """``x`` in preorder, binder patterns included: each node's class, its
+    leading field (a pattern binder is listed as its own nodes) and its
+    number of children.  Two trees are == exactly when these lists are,
+    and the lists compare without recursion, however deep the trees."""
+    out = []
+    for y in syntax._nodes(x):
+        lay = y.layout
+        lead = getattr(y, lay.lead) if lay.lead else None
+        out.append((type(y), None if isinstance(lead, Pattern) else lead,
+                    len(lay.children(y))))
+    return out
+
+
+def _every_program():
+    """Each example and clause-set variant (the examples among them) and
+    each benchmark program, as text."""
+    for _, lines in clause_set_variants():
+        yield "\n".join(lines)
+    yield from _bench_programs()
+
+
+class TestSharedTypes:
+    """``load_program`` polarizes a program's declared types with one
+    table.  Loading with it gives what polarizing each declared type with a
+    table of its own gives, and shares each equal binder-free type."""
+
+    @staticmethod
+    def outcome(text: str, mode: Mode):
+        """The compiled declarations and warnings of ``text``, or its
+        diagnostic.  Fresh names are drawn from 1, so two loads that draw
+        them in the same order name their binders alike."""
+        syntax._fresh_counter = itertools.count(1)
+        try:
+            prog = load_program(text, "p.seq", mode)
+        except DiagnosticError as e:
+            return e.diagnostic
+        return [(d.kind, d.name, d.span, _flat(d.type) if d.type else None,
+                 _flat(d.term) if d.term else None, d.warnings)
+                for d in prog.decls], prog.warnings
+
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
+                             ids=["prop", "dep"])
+    def test_one_table_as_a_table_each(self, monkeypatch, mode):
+        monkeypatch.setattr(syntax, "_fresh_counter", syntax._fresh_counter)
+        texts = list(_every_program())
+        shared = [self.outcome(text, mode) for text in texts]
+        polarize = surface.polarize
+        monkeypatch.setattr(surface, "polarize",
+                            lambda ty, sig, mode, shared: polarize(ty, sig, mode))
+        own = [self.outcome(text, mode) for text in texts]
+        assert len(texts) == 254 + 10
+        for text, a, b in zip(texts, shared, own):
+            assert a == b, text[:200]
+        diagnostics = sum(type(a) is not tuple for a in shared)
+        assert diagnostics == (227 if mode is Mode.PROP else 226)
+
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
+                             ids=["prop", "dep"])
+    def test_equal_binder_free_types_are_one_object(self, mode):
+        loaded = 0
+        for text in _every_program():
+            try:
+                prog = load_program(text, "p.seq", mode)
+            except DiagnosticError:
+                continue
+            loaded += 1
+            seen: dict[str, object] = {}
+            binders = collections.Counter()
+            for node in _types(prog):
+                if isinstance(node, _BINDERS):
+                    binders[id(node)] += 1
+                elif not any(isinstance(n, _BINDERS) for n in _walk(node)):
+                    assert seen.setdefault(repr(node), node) is node
+            assert set(binders.values()) <= {1}
+        assert loaded == (37 if mode is Mode.PROP else 38)
+
+    def test_two_loads_share_no_type(self):
+        text = ("atom a\natom b\npostulate c : a + b -> a\n"
+                "f : a * b -> (a + b) /\\ a\nf (x, y) = (inl x, c (inl x))\n")
+        first = load_program(text)
+        second = load_program(text)
+        assert first.decls[2].type == second.decls[2].type
+        assert not {id(n) for n in _types(first)} & {
+            id(n) for n in _types(second)}
+
+    def test_rebuilt_thunk_position_is_one_thunk(self):
+        ty = " * ".join(["(a + a)"] * 3)
+        prog = load_program(f"atom a\nid : {ty} -> {ty}\nid v = v\n")
+        thunks = collections.defaultdict(set)
+        uses = collections.Counter()
+        for node in _walk(prog.find("id").term):
+            if type(node) is Thunk:
+                thunks[node.body.head].add(id(node))
+                uses[node.body.head] += 1
+        assert len(thunks) == 6
+        assert set(map(len, thunks.values())) == {1}
+        assert set(uses.values()) == {4}
+
+
+class TestSharingWork:
+    """Counted work, no timing: on the random libraries of the benchmark
+    every type comparison an application makes is settled by identity, and
+    a rebuilt thunk position builds its eta-injection once."""
+
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
+                             ids=["prop", "dep"])
+    def test_library_compares_no_types(self, monkeypatch, mode):
+        counts = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        for module in (surface, check_dep):
+            monkeypatch.setattr(module, "convert",
+                                counted("convert", module.convert))
+        for cls in (Atom, Up, Imp, With, Pi, Down, Or, Prod, Sigma):
+            monkeypatch.setattr(cls, "__eq__",
+                                counted(f"{cls.__name__}.__eq__", cls.__eq__))
+        text = bench_workloads().library(200, 2024)[0]
+        prog = load_program(text, "lib.seq", mode)
+        check = check_term if mode is Mode.PROP else dep_check_term
+        defs = [d for d in prog.decls if d.kind == "def"]
+        assert len(defs) == 200
+        for d in defs:
+            assert check(prog.sig, [], d.term, d.type) is None
+        assert counts == {}
+
+    def test_product_builds_one_eta_per_thunk_position(self, monkeypatch):
+        # Ten (a + a) factors: 20 thunk positions under v, rebuilt at each
+        # of the 1024 leaves.  An eta-injection per leaf built 10,240.
+        calls = [0]
+        real = surface.eta
+
+        def counting(x):
+            calls[0] += 1
+            return real(x)
+
+        monkeypatch.setattr(surface, "eta", counting)
+        w = bench_workloads()
+        prog = load_program(w.product_source(w.PRODUCT_FACTORS))
+        assert _leaves(prog.find("id").tree) == 1024
+        assert calls[0] == 20
 
 
 class TestLoadOrder:
