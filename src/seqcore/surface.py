@@ -755,9 +755,7 @@ def _fuse(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]], pos: _Pos,
         pos.left = _Pos(pos.path + ("fst",), fst_ty)
         pos.right = _Pos(pos.path + ("snd",), snd_ty)
         if mode is Mode.DEP:
-            # Every dependent position has its variable by now; the name is
-            # still drawn so that the names after it keep their numbers.
-            fresh("s")
+            # Every dependent position has its variable by now.
             base = pos.var.text
             pos.left.var = fresh(_var_text(left.values(), base + "1"))
             pos.right.var = fresh(_var_text(right.values(), base + "2"))

@@ -702,7 +702,7 @@ class TestCoveragePin:
 
     CALLS = 1524
     COVERAGE_ERRORS = 1308
-    DIGEST = "5ee0c810ac79902e63238f92fb1dfad981a6288c9f61e36742f6abbb129bfe03"
+    DIGEST = "fb35030333f1a6718aaf699b6376e211890c1aabc2d5fd60919f6d616c9d9dab"
 
     @staticmethod
     def outcomes(capsys, monkeypatch, tmp_path):
