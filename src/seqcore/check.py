@@ -38,12 +38,13 @@ with-right, done, with-left and kappa, and the variable-cut reduct
 ``_var_cut_reduct``.  The axiom compares the type under focus with the goal
 by identity first, in both checkers: the front end shares equal polarized
 types (see ``surface.polarize``), so an application at its declared result
-type is settled without a structural walk.  The untyped cut reducts are ``reduce``'s own rules
-(``reassociated`` for R4 and R7, ``decomposed`` for R5).  A failure gains
-one trail line from each judgment it passes through, written where the
-judgment is: ``check t : N`` from inversion, ``right-focus |= d : [P]``
-from right focus, and ``left-focus [N] |- spine : M`` from left focus when
-it checks against a goal.
+type is settled without a structural walk.  The untyped cut reducts are
+``reduce``'s own rules (``reassociated`` for R4 and R7, ``decomposed`` for
+R5).  A failure gains one trail line from each judgment it passes through,
+written where the judgment is: ``check t : N`` from inversion,
+``right-focus |= d : [P]`` from right focus, and
+``left-focus [N] |- spine : M`` from left focus when it checks against a
+goal.
 """
 
 from __future__ import annotations

@@ -42,9 +42,9 @@ from .record import record
 from .reduce import (DEFAULT_FUEL, FuelExhausted, decomposed, normalize,
                      reassociated)
 from .syntax import (
-    App, AppCut, BindCut, Clash, Cons, DataVal, Done, Down, DPair, Inl, Inr, Kappa,
-    Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1, Proj2,
-    Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq,
+    App, AppCut, BindCut, Clash, Cons, DataVal, Done, Down, DPair, Inl, Inr,
+    Kappa, Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1,
+    Proj2, Sig, Sigma, Spine, Split, Term, Thunk, Up, Var, With, alpha_eq,
     data_shape, eta, rewrite, subst_data,
 )
 

@@ -21,8 +21,8 @@ from seqcore.surface import (CompileFail, Leaf, PairNode, SplitNode, TArrow,
                              compile_clauses, load_program, parse, polarize)
 from seqcore.syntax import (
     App, Atom, Cons, Done, Down, DPair, Imp, Inl, Inr, Lam, Mode, Name, Nil,
-    Or, Pair, Pattern, Pi, POr, PPair, Prod, Sig, SigEntry, Sigma, Split, Thunk, Up,
-    Var, With, alpha_eq, children, eta, well_formed_neg,
+    Or, Pair, Pattern, Pi, POr, PPair, Prod, Sig, SigEntry, Sigma, Split,
+    Thunk, Up, Var, With, alpha_eq, children, eta, well_formed_neg,
 )
 
 NAT = Atom(Name("ℕ"))
@@ -549,11 +549,11 @@ class TestSharedTypes:
     table of its own gives, and shares each equal binder-free type."""
 
     @staticmethod
-    def outcome(text: str, mode: Mode):
+    def outcome(monkeypatch, text: str, mode: Mode):
         """The compiled declarations and warnings of ``text``, or its
         diagnostic.  Fresh names are drawn from 1, so two loads that draw
         them in the same order name their binders alike."""
-        syntax._fresh_counter = itertools.count(1)
+        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
         try:
             prog = load_program(text, "p.seq", mode)
         except DiagnosticError as e:
@@ -565,13 +565,15 @@ class TestSharedTypes:
     @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
                              ids=["prop", "dep"])
     def test_one_table_as_a_table_each(self, monkeypatch, mode):
-        monkeypatch.setattr(syntax, "_fresh_counter", syntax._fresh_counter)
         texts = list(_every_program())
-        shared = [self.outcome(text, mode) for text in texts]
+        shared = [self.outcome(monkeypatch, text, mode) for text in texts]
         polarize = surface.polarize
-        monkeypatch.setattr(surface, "polarize",
-                            lambda ty, sig, mode, shared: polarize(ty, sig, mode))
-        own = [self.outcome(text, mode) for text in texts]
+
+        def own_table(ty, sig, mode, shared):
+            return polarize(ty, sig, mode)
+
+        monkeypatch.setattr(surface, "polarize", own_table)
+        own = [self.outcome(monkeypatch, text, mode) for text in texts]
         assert len(texts) == 254 + 10
         for text, a, b in zip(texts, shared, own):
             assert a == b, text[:200]
