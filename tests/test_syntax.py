@@ -179,6 +179,21 @@ class TestCaptureAvoidance:
         out = self.subst(Split(V, self.uses(W, V), App(V, Nil())))
         assert out == Split(Y, self.uses(W, Y), App(Y, Nil()))
 
+    def test_split_on_the_variable_refuses_an_applied_thunk(self):
+        # Only a bare variable's eta-injection renames a split: a thunk of
+        # an application with arguments is no injection, and no variable.
+        from seqcore.syntax import Clash
+        V, W, Y = self.V, self.W, self.Y
+        x = Name("x")
+        t = Split(W, App(x, Nil()), App(x, Nil()))
+        with pytest.raises(Clash) as e:
+            subst_data(t, W, Thunk(self.uses(Y, x)))
+        assert e.value.reason == (
+            "substituting non-injection data for split variable w")
+        # The same split on the variable applied to nothing renames it.
+        assert subst_data(t, W, eta(V)) == Split(V, App(x, Nil()),
+                                                 App(x, Nil()))
+
 
 class TestSpineConcat:
     def test_left_identity(self):
