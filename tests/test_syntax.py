@@ -631,6 +631,113 @@ class TestLayout:
             assert lay.lead == (leads[0] if leads else None), cls
 
 
+_V1, _V2, _V3, _W1 = Name("v1"), Name("v2"), Name("v3"), Name("w1")
+
+
+class TestWalksMatchReference:
+    """The rewrite step and the rebuild that each node class gets from its
+    layout, against the interpretive walks they replaced
+    (``tests/walk_reference.py``).  Every substitution, renaming, branch
+    selection and pattern freshening below runs once through each, with
+    the counter of fresh names reset: the results must be equal, be the
+    input itself exactly when the reference's is, and draw the same fresh
+    names in the same order.  A clash must give the same reason."""
+
+    # The free names of the data are the enumerator's first binders and
+    # label, so substituting it under them regenerates them.
+    DATA = (
+        # A thunk, two injections and an eta-injection ...
+        Thunk(App(Name("f"), Cons(eta(_V1), Cons(eta(_V2),
+                                                 Cons(eta(_W1), Nil()))))),
+        Inl(eta(_V2)),
+        Inr(DPair(eta(_V1), eta(_V3))),
+        eta(_V1),
+        # ... and a pair, which clashes where the variable is applied and
+        # where it is split.
+        DPair(eta(_V3), eta(_V2)),
+    )
+
+    def ops(self, x):
+        """The operations run on node ``x``."""
+        from seqcore.syntax import Pattern, freshen_pattern, select_branch
+        names = sorted(free_names(x)) + [Name("absent")]
+        for v in names:
+            for d in self.DATA:
+                yield subst_data, (x, v, d)
+            yield rename, (x, {v: Name(v.text, 7)})
+            yield select_branch, (v, "left", x)
+            yield select_branch, (v, "right", x)
+        yield rename, (x, {v: Name(v.text, 7) for v in names})
+        if isinstance(x, Pattern):
+            yield freshen_pattern, (x,)
+
+    def outcomes(self, monkeypatch, subjects, walks):
+        """Each operation's result, whether it returned its subject, and
+        the fresh names it drew; with ``walks`` in place of the kernel's
+        own walks when it is given."""
+        import itertools
+        from seqcore import syntax
+        from seqcore.syntax import Clash
+        out = []
+        with monkeypatch.context() as m:
+            if walks is not None:
+                for name in ("rewrite", "children", "with_children"):
+                    m.setattr(syntax, name, getattr(walks, name))
+            drawn = []
+
+            def fresh(text):
+                drawn.append(Name(text, next(syntax._fresh_counter)))
+                return drawn[-1]
+
+            m.setattr(syntax, "fresh", fresh)
+            for x in subjects:
+                for op, args in self.ops(x):
+                    m.setattr(syntax, "_fresh_counter", itertools.count(1))
+                    drawn.clear()
+                    try:
+                        y = op(*args)
+                    except Clash as e:
+                        out.append(("clash", e.reason, tuple(drawn)))
+                        continue
+                    kept = (y[0] if type(y) is tuple else y) is x
+                    out.append((y, kept, tuple(drawn)))
+        return out
+
+    def check(self, monkeypatch, tops):
+        import walk_reference
+        from seqcore.syntax import _nodes
+        subjects = list(dict.fromkeys(y for t in tops for y in _nodes(t)))
+        ours = self.outcomes(monkeypatch, subjects, None)
+        theirs = self.outcomes(monkeypatch, subjects, walk_reference)
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert a == b
+        # Every kind of outcome is reached.
+        assert any(o[0] == "clash" for o in ours)
+        assert any(o[1] is True for o in ours)
+        assert any(o[1] is False and o[2] for o in ours)
+        return len(ours)
+
+    def test_enumerated_terms(self, monkeypatch):
+        from enum_all import Enumerator
+        en = Enumerator((Name("z"), Name("f")), structural=True)
+        assert self.check(monkeypatch, en.all_terms(8)) > 10000
+
+    def test_example_suite(self, monkeypatch):
+        from seqcore.reduce import trace
+        from suite import SUITE, entry_applications, load
+        tops = []
+        for name, mode, _structural in SUITE:
+            prog = load(name)
+            tops += [u for decl in prog.decls
+                     for u in (decl.type, decl.term) if u is not None]
+            run_sig, runs = entry_applications(prog, mode)
+            for t, _goal in runs:
+                tops += [u for _, u in trace(run_sig, t)[0]]
+        assert any(isinstance(t, (Pi, Sigma)) for t in tops)
+        self.check(monkeypatch, tops)
+
+
 class TestSelectBranch:
     def test_replaces_matching_splits(self):
         from seqcore.syntax import select_branch
