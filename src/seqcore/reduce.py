@@ -61,8 +61,8 @@ from .record import record
 from .syntax import (
     App, AppCut, BindCut, Clash, Cons, DataVal, Done, DPair, Inl, Inr, Kappa,
     Lam, Nil, Pair, PAt, Pattern, POr, PPair, Proj1, Proj2, PWild, Sig, Spine,
-    Split, Term, Thunk, Var, children, data_shape, select_branch,
-    spine_concat, subst_data, with_children,
+    Split, Term, Thunk, Var, data_shape, select_branch, spine_concat,
+    subst_data, with_children,
 )
 
 __all__ = ["normalize", "trace", "NormalizeResult", "FuelExhausted",
@@ -210,7 +210,6 @@ def _refocus(sig: Sig, t: Term, fuel: int,
     first (see the module docstring).  ``observe`` is called with each rule
     and the whole term after it."""
     stack: list[list] = []
-    resume: list[int] = []   # child indices back down to the last rewrite
     focus = t
     steps = 0
     while True:
@@ -226,20 +225,19 @@ def _refocus(sig: Sig, t: Term, fuel: int,
             if observe is not None:
                 observe(rule, _plug(stack, focus))
             # Only a binding cut over a thunk whose body was just rewritten
-            # can have changed status: search again from it, then back
-            # down through its data (child 0) and the thunk's body.
+            # can have changed status: search again from it.  If it is no
+            # redex, the walk goes back down through its data and the
+            # thunk's body, each the first child of its node.
             if (len(stack) > 1 and type(stack[-1][0]) is Thunk
                     and type(stack[-2][0]) is BindCut):
                 stack.pop()
                 cut = stack.pop()[0]
                 focus = BindCut(cut.pat, Thunk(focus), cut.body)
-                resume = [0, 0]
             continue
-        kids = children(focus)
-        if resume or kids:
-            i = resume.pop() if resume else 0
-            stack.append([focus, kids, i])
-            focus = kids[i]
+        kids = focus.layout.children(focus)
+        if kids:
+            stack.append([focus, kids, 0])
+            focus = kids[0]
             continue
         # The focus is normal: climb to the next subtree on its right.
         while stack:

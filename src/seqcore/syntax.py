@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional
 
 from .diag import Diagnostic
@@ -104,7 +104,14 @@ class Layout(NamedTuple):
     name the node refers to (``ref``), a name a pattern binds (``bind``) or
     the node's ``binder``: a pattern or a name whose scope is the last child.
     ``spread`` marks a single child field that holds a tuple of children.
-    ``children`` reads the children as a tuple."""
+    ``children`` reads the children as a tuple.
+
+    From the layout ``_node`` also makes two methods of the class:
+    ``_rewrite(visit, under)``, the step ``rewrite`` takes on the node's
+    children, and ``_rebuild(kids, lead)``, which ``with_children`` calls.
+    Each is a shape template (no, one or two children, a leading field, a
+    binder over the last child, a spread tuple) closed over the class and
+    its field getters, so no source is compiled per class."""
 
     kids: tuple[str, ...]
     ref: Optional[str]
@@ -117,25 +124,142 @@ class Layout(NamedTuple):
 
 def _node(*kids: str, ref: Optional[str] = None, bind: Optional[str] = None,
           binder: Optional[str] = None):
-    """Declare a node class: a frozen record with a ``layout``.  A child
-    field spelled ``*f`` holds a tuple of children."""
+    """Declare a node class: a frozen record with a ``layout`` and the walk
+    steps made from it.  A node has at most two child fields, or one spelled
+    ``*f`` that holds a tuple of children."""
     spread = bool(kids) and kids[0].startswith("*")
     kids = tuple(k.lstrip("*") for k in kids)
+    assert len(kids) <= (1 if spread else 2)
     # attrgetter returns a bare value for one field, which is not a tuple.
     if spread or len(kids) > 1:
-        get = attrgetter(*kids)
+        children = attrgetter(*kids)
     elif kids:
-        one = attrgetter(kids[0])
-        get = lambda x: (one(x),)   # noqa: E731
+        children = _one_child(attrgetter(kids[0]))
     else:
-        get = lambda x: ()   # noqa: E731
+        children = _no_children
 
     def declare(cls):
         cls = record(cls)
-        cls.layout = Layout(kids, ref, bind, binder, ref or bind or binder,
-                            spread, get)
+        cls.layout = lay = Layout(kids, ref, bind, binder,
+                                  ref or bind or binder, spread, children)
+        cls._rewrite = _rewrite_step(cls, lay)
+        cls._rebuild = _rebuild_step(cls, lay)
         return cls
     return declare
+
+
+def _no_children(x) -> tuple:
+    return ()
+
+
+def _one_child(get):
+    def children(x) -> tuple:
+        return (get(x),)
+    return children
+
+
+def _rewrite_step(cls, lay: Layout):
+    """``rewrite``'s step on a node of class ``cls``: each child, in order,
+    replaced by what ``visit`` maps it to, or else by its own step, save
+    that ``under`` takes the last child of a binder.  The node itself when
+    nothing changed, else a new one with the same leading field, or the
+    binder ``under`` returned."""
+    if not lay.kids:
+        return _leaf_step
+    get = attrgetter(*lay.kids)
+    lead = attrgetter(lay.lead) if lay.lead else None
+    if lay.spread:
+        return _spread_step(cls, get, lead)
+    one = len(lay.kids) == 1
+    plain = (_one_step if one else _two_step)(cls, get, lead)
+    if lay.binder is None:
+        return plain
+    return (_scoped_one_step if one else _scoped_two_step)(cls, get, lead,
+                                                           plain)
+
+
+def _leaf_step(x, visit, under):
+    return x
+
+
+def _one_step(cls, get, lead):
+    def step(x, visit, under):
+        a = get(x)
+        a2 = visit(a)
+        if a2 is None:
+            a2 = a._rewrite(visit, under)
+        if a2 is a:
+            return x
+        return cls(a2) if lead is None else cls(lead(x), a2)
+    return step
+
+
+def _two_step(cls, get, lead):
+    def step(x, visit, under):
+        a, b = get(x)
+        a2 = visit(a)
+        if a2 is None:
+            a2 = a._rewrite(visit, under)
+        b2 = visit(b)
+        if b2 is None:
+            b2 = b._rewrite(visit, under)
+        if a2 is a and b2 is b:
+            return x
+        return cls(a2, b2) if lead is None else cls(lead(x), a2, b2)
+    return step
+
+
+def _scoped_one_step(cls, get, lead, plain):
+    def step(x, visit, under):
+        if under is None:
+            return plain(x, visit, under)
+        p, a = lead(x), get(x)
+        p2, a2 = under(p, a)
+        return x if p2 is p and a2 is a else cls(p2, a2)
+    return step
+
+
+def _scoped_two_step(cls, get, lead, plain):
+    def step(x, visit, under):
+        if under is None:
+            return plain(x, visit, under)
+        a, b = get(x)
+        a2 = visit(a)
+        if a2 is None:
+            a2 = a._rewrite(visit, under)
+        p = lead(x)
+        p2, b2 = under(p, b)
+        if a2 is a and p2 is p and b2 is b:
+            return x
+        return cls(p2, a2, b2)
+    return step
+
+
+def _spread_step(cls, get, lead):
+    def step(x, visit, under):
+        kids = get(x)
+        new = []
+        for a in kids:
+            a2 = visit(a)
+            new.append(a._rewrite(visit, under) if a2 is None else a2)
+        if all(map(is_, new, kids)):
+            return x
+        return cls(lead(x), tuple(new))
+    return step
+
+
+def _rebuild_step(cls, lay: Layout):
+    """``with_children``'s step on a node of class ``cls``."""
+    lead = attrgetter(lay.lead) if lay.lead else None
+    spread = lay.spread
+
+    def rebuild(x, kids, new_lead=None):
+        if spread:
+            kids = (tuple(kids),)
+        if lead is None:
+            return cls(*kids)
+        return cls(lead(x) if new_lead is None else new_lead, *kids)
+    return rebuild
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +680,7 @@ def children(x) -> tuple:
 def with_children(x, kids, lead=None):
     """A node like ``x`` with the children ``kids`` and, when given, the
     leading field ``lead``."""
-    lay = x.layout
-    if lay.spread:
-        kids = (tuple(kids),)
-    if lay.lead is None:
-        return type(x)(*kids)
-    return type(x)(getattr(x, lay.lead) if lead is None else lead, *kids)
+    return x._rebuild(kids, lead)
 
 
 def rewrite(x, visit, under=None):
@@ -571,25 +690,7 @@ def rewrite(x, visit, under=None):
     takes the place of this on the last child and returns the binder and
     the child.  Subtrees that do not change are returned as they are."""
     y = visit(x)
-    if y is not None:
-        return y
-    lay = x.layout
-    kids = lay.children(x)
-    scoped = under is not None and lay.binder is not None
-    new = []
-    changed = False
-    for k in kids[:-1] if scoped else kids:
-        k2 = rewrite(k, visit, under)
-        new.append(k2)
-        changed = changed or k2 is not k
-    if not scoped:
-        return with_children(x, new) if changed else x
-    binder = getattr(x, lay.binder)
-    binder2, last = under(binder, kids[-1])
-    new.append(last)
-    if changed or binder2 is not binder or last is not kids[-1]:
-        return with_children(x, new, binder2)
-    return x
+    return x._rewrite(visit, under) if y is None else y
 
 
 def _bound(binder) -> set[Name]:

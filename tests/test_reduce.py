@@ -380,7 +380,8 @@ class TestRefocusingWork:
         # After a rewrite the walk goes on at the rewritten node: 2.99 root
         # checks and 0.75 frame rebuilds per step at k = 200.  Climbing
         # back through the parent and the grandparent after every rewrite
-        # read 4.98 and 2.24.
+        # read 4.98 and 2.24.  Both are counted through the module bindings
+        # the walk calls; a count of 0 would mean it calls them no more.
         calls = {"_step_root": 0, "with_children": 0}
 
         def counting(name):
@@ -397,5 +398,5 @@ class TestRefocusingWork:
         res = normalize(sig, t)
         steps = res.steps
         assert res.stuck is None and steps == 4 * (k + 1)
-        assert calls["_step_root"] <= 3 * steps + 8, (calls, steps)
-        assert calls["with_children"] <= steps, (calls, steps)
+        assert 0 < calls["_step_root"] <= 3 * steps + 8, (calls, steps)
+        assert 0 < calls["with_children"] <= steps, (calls, steps)
