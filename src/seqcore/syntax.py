@@ -109,9 +109,10 @@ class Layout(NamedTuple):
     From the layout ``_node`` also makes two methods of the class:
     ``_rewrite(visit, under)``, the step ``rewrite`` takes on the node's
     children, and ``_rebuild(kids, lead)``, which ``with_children`` calls.
-    Each is a shape template (no, one or two children, a leading field, a
-    binder over the last child, a spread tuple) closed over the class and
-    its field getters, so no source is compiled per class."""
+    Each comes from a template for the node's shape (no, one or two
+    children, with or without a leading field or a binder over the last
+    child, or a spread tuple), closed over the class and its field getters,
+    so no source is compiled per class."""
 
     kids: tuple[str, ...]
     ref: Optional[str]
@@ -129,7 +130,6 @@ def _node(*kids: str, ref: Optional[str] = None, bind: Optional[str] = None,
     ``*f`` that holds a tuple of children."""
     spread = bool(kids) and kids[0].startswith("*")
     kids = tuple(k.lstrip("*") for k in kids)
-    assert len(kids) <= (1 if spread else 2)
     # attrgetter returns a bare value for one field, which is not a tuple.
     if spread or len(kids) > 1:
         children = attrgetter(*kids)
@@ -170,21 +170,21 @@ def _rewrite_step(cls, lay: Layout):
     lead = attrgetter(lay.lead) if lay.lead else None
     if lay.spread:
         return _spread_step(cls, get, lead)
-    one = len(lay.kids) == 1
-    plain = (_one_step if one else _two_step)(cls, get, lead)
-    if lay.binder is None:
-        return plain
-    return (_scoped_one_step if one else _scoped_two_step)(cls, get, lead,
-                                                           plain)
+    step = _one_step if len(lay.kids) == 1 else _two_step
+    return step(cls, get, lead, lay.binder is not None)
 
 
 def _leaf_step(x, visit, under):
     return x
 
 
-def _one_step(cls, get, lead):
+def _one_step(cls, get, lead, scoped):
     def step(x, visit, under):
         a = get(x)
+        if scoped and under is not None:
+            p = lead(x)
+            p2, a2 = under(p, a)
+            return x if p2 is p and a2 is a else cls(p2, a2)
         a2 = visit(a)
         if a2 is None:
             a2 = a._rewrite(visit, under)
@@ -194,44 +194,24 @@ def _one_step(cls, get, lead):
     return step
 
 
-def _two_step(cls, get, lead):
+def _two_step(cls, get, lead, scoped):
     def step(x, visit, under):
         a, b = get(x)
         a2 = visit(a)
         if a2 is None:
             a2 = a._rewrite(visit, under)
+        if scoped and under is not None:
+            p = lead(x)
+            p2, b2 = under(p, b)
+            if a2 is a and p2 is p and b2 is b:
+                return x
+            return cls(p2, a2, b2)
         b2 = visit(b)
         if b2 is None:
             b2 = b._rewrite(visit, under)
         if a2 is a and b2 is b:
             return x
         return cls(a2, b2) if lead is None else cls(lead(x), a2, b2)
-    return step
-
-
-def _scoped_one_step(cls, get, lead, plain):
-    def step(x, visit, under):
-        if under is None:
-            return plain(x, visit, under)
-        p, a = lead(x), get(x)
-        p2, a2 = under(p, a)
-        return x if p2 is p and a2 is a else cls(p2, a2)
-    return step
-
-
-def _scoped_two_step(cls, get, lead, plain):
-    def step(x, visit, under):
-        if under is None:
-            return plain(x, visit, under)
-        a, b = get(x)
-        a2 = visit(a)
-        if a2 is None:
-            a2 = a._rewrite(visit, under)
-        p = lead(x)
-        p2, b2 = under(p, b)
-        if a2 is a and p2 is p and b2 is b:
-            return x
-        return cls(p2, a2, b2)
     return step
 
 
@@ -250,15 +230,15 @@ def _spread_step(cls, get, lead):
 
 def _rebuild_step(cls, lay: Layout):
     """``with_children``'s step on a node of class ``cls``."""
-    lead = attrgetter(lay.lead) if lay.lead else None
+    lead_of = attrgetter(lay.lead) if lay.lead else None
     spread = lay.spread
 
-    def rebuild(x, kids, new_lead=None):
+    def rebuild(x, kids, lead=None):
         if spread:
             kids = (tuple(kids),)
-        if lead is None:
+        if lead_of is None:
             return cls(*kids)
-        return cls(lead(x) if new_lead is None else new_lead, *kids)
+        return cls(lead_of(x) if lead is None else lead, *kids)
     return rebuild
 
 
