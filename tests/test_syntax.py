@@ -725,6 +725,7 @@ class TestWalksMatchReference:
 
     def test_example_suite(self, monkeypatch):
         from seqcore.reduce import trace
+        from seqcore.syntax import NegType, PosType
         from suite import SUITE, entry_applications, load
         tops = []
         for name, mode, _structural in SUITE:
@@ -734,6 +735,10 @@ class TestWalksMatchReference:
             run_sig, runs = entry_applications(prog, mode)
             for t, _goal in runs:
                 tops += [u for _, u in trace(run_sig, t)[0]]
+        # The types once more, with atoms that carry data.
+        tops += [_indexed(t, eta(_V2), _V1) for t in tops
+                 if isinstance(t, (NegType, PosType))]
+        assert any(type(t) is Atom and t.args for t in tops)
         assert any(isinstance(t, (Pi, Sigma)) for t in tops)
         self.check(monkeypatch, tops)
 
