@@ -74,9 +74,6 @@ def _clip(s: str, n: int = 60) -> str:
 class _Unknown:
     """Synthesis came back undecided (not a failure)."""
 
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
 
 UNKNOWN = _Unknown()
 

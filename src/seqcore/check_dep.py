@@ -377,12 +377,10 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
 
 
 def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
+    """The type ``d`` synthesizes in the focus zone ``st``, where no
+    hypothesis is pending: a thunk that applies one finds its head unbound."""
     c = type(d)
-    if (c is Thunk and type(d.body) is App and type(d.body.spine) is Nil
-            and st.pending_index(d.body.head) is not None):
-        # Eta-injected positive hypothesis: typed by its entry.
-        return st.pending[st.pending_index(d.body.head)][1]
-    elif c is Thunk:
+    if c is Thunk:
         n = _infer_term(st.focus_zone(), d.body)
         return UNKNOWN if n is UNKNOWN else Down(n)
     elif c is DPair:

@@ -331,13 +331,12 @@ class _P:
         return t
 
     def end_line(self, i: int) -> int:
-        """The position after the line end at ``i``; EOF stays."""
-        k = self.kinds[i]
-        if k == "NL":
-            return i + 1
-        if k != "EOF":
+        """The position after the line end at ``i``.  No production takes
+        an NL, and ``_lex`` ends every line that holds a token with one, so
+        ``i`` never reaches EOF."""
+        if self.kinds[i] != "NL":
             raise self.fail("end of line", i)
-        return i
+        return i + 1
 
     # types
 

@@ -155,6 +155,17 @@ class TestOrLeftMotive:
         d = dep_check_term(sig, [], t, A)
         assert d is not None and d.rule == "or-left" and d.found == "x"
 
+    def test_application_cut_on_a_split(self):
+        # Each branch takes the spine, with x re-bound at its side's type.
+        f_ty = Pi(Name("_"), Down(A), A)
+        ctx = [(X, Or(Down(f_ty), Down(f_ty)))]
+        sig = EMPTY.with_entry(SigEntry(Z, A))
+        t = AppCut(Split(X, App(X, Nil()), App(X, Nil())),
+                   Cons(eta(Z), Nil()))
+        assert dep_check_term(sig, ctx, t, A) is None
+        d = dep_check_term(sig, ctx, t, With(A, A))
+        assert (d.rule, d.expected, d.found) == ("axiom", "a /\\ a", "a")
+
 
 class TestSubstClash:
     """A type index that applies a variable, and data other than a thunk
@@ -236,6 +247,57 @@ class TestDependentCut:
         assert dep_check_term(sig, ctx2, t2, goal2) is None
 
 
+class TestCutSynthesis:
+    """A binding cut ``x = d in body`` types ``x`` by the type ``d``
+    synthesizes, and substitutes ``d`` for ``x`` when synthesis is
+    undecided.  Each case is judged differently the other way."""
+
+    B, C, F, R = Name("b"), Name("c"), Name("f"), Name("r")
+    SIG = Sig(frozenset({Name("a"), B}), (
+        SigEntry(C, A), SigEntry(F, Pi(Name("_"), Down(A), A)),
+        SigEntry(R, Up(Down(A)))))
+    APPLY_C = App(C, Nil())
+    # (id, d, body, goal, (rule, expected, found) or None for accepted)
+    CASES = [
+        # x : dn (up (dn a)).
+        ("done", Thunk(Done(eta(C))), App(X, Nil()), A,
+         ("axiom", "a", "up (dn a)")),
+        ("with-pair", Thunk(Pair(APPLY_C, APPLY_C)), App(X, Nil()), A,
+         ("axiom", "a", "a /\\ a")),
+        # The lambda is undecided, so the pair is: its substituted
+        # projection is checked instead.
+        ("with-pair, one side undecided", Thunk(Pair(ID, APPLY_C)),
+         App(X, Proj2(Nil())), A, None),
+        ("application cut",
+         Thunk(AppCut(App(F, Nil()), Cons(eta(C), Nil()))),
+         App(X, Nil()), Atom(B), ("axiom", "b", "a")),
+        ("application cut on a lambda",
+         Thunk(AppCut(ID, Cons(eta(C), Nil()))), App(X, Nil()), A, None),
+        ("kappa", Thunk(App(R, Kappa(Var(Y), App(Y, Nil())))),
+         App(X, Nil()), Atom(B), ("axiom", "b", "a")),
+        # A deep kappa pattern is undecided, not a failure: the body does
+        # not use x.
+        ("kappa with a deep pattern",
+         Thunk(App(R, Kappa(PPair(Var(Y), Var(Z)), APPLY_C))), APPLY_C, A,
+         None),
+        ("pair, first side undecided", DPair(Thunk(ID), eta(C)), APPLY_C, A,
+         None),
+        ("pair, second side undecided", DPair(eta(C), Thunk(ID)), APPLY_C, A,
+         None),
+    ]
+
+    @pytest.mark.parametrize("d, body, goal, expected",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_cut(self, d, body, goal, expected):
+        found = dep_bind_cut(self.SIG, [], X, d, body, goal)
+        assert (found and (found.rule, found.expected, found.found)) \
+            == expected
+        # Each failure is at a use of x, which substituting would remove.
+        assert found is None or found.trail == (
+            f"dep-check x [] : {found.expected}",)
+
+
 class TestConvert:
     def test_reflexivity(self):
         ty = Pi(X, Down(A), Atom(Name("a")))
@@ -306,6 +368,17 @@ class TestFailureRules:
         ("focus zone with pending", [(X, Or(Down(A), Down(A)))],
          BindCut(Var(V), eta(C), App(V, Nil())), A,
          ("var-app", "empty inversion context", "x")),
+        # Cut data is typed in the focus zone, where no hypothesis is
+        # pending: one applied there is unbound, bare or with arguments.
+        ("pending hypothesis in cut data", [(X, Or(Down(A), Down(A)))],
+         BindCut(Var(V), eta(X), App(C, Nil())), A,
+         ("unbound", "declared variable", "x")),
+        ("pending hypothesis applied in cut data",
+         [(X, Or(Down(A), Down(A)))],
+         BindCut(Var(V), Thunk(App(X, Cons(eta(C), Nil()))), App(C, Nil())),
+         A, ("unbound", "declared variable", "x")),
+        ("product hypothesis", [(X, Prod(Down(A), Down(A)))], App(C, Nil()),
+         A, ("mode", "Sigma in dependent mode", "(dn a) * dn a")),
     ]
 
     @pytest.mark.parametrize("ctx, t, goal, expected",

@@ -86,6 +86,13 @@ class TestCheckData:
         d = check_data(EMPTY, Inl(Thunk(ID)), Prod(Down(A), Down(A)))
         assert d is not None and d.rule == "prod-right"
 
+    def test_dependent_goal_is_a_mode_error(self):
+        d = check_data(EMPTY, DPair(Thunk(ID), Thunk(ID)),
+                       Sigma(X, Down(ID_TY), Down(ID_TY)))
+        assert (d.rule, d.expected, d.found) == (
+            "mode", "propositional positive type",
+            "Sigma (x : dn (dn a -> a)). dn (dn a -> a)")
+
     def test_brute_force_agreement_small_trees(self):
         # All data trees over one closed thunk, both to constructor depth 3
         # and to five nodes, against the sum-of-product goal: the checker
@@ -226,6 +233,30 @@ class TestCutChecking:
         # ...and rejected when a use disagrees with the function's shape
         bad = BindCut(Var(X), Thunk(ID), App(X, Proj1(Nil())))
         assert check_term(sig, [], bad, A) is not None
+
+    def test_kappa_spine_synthesizes_its_body(self):
+        # A cut on a thunked kappa application is typed by the kappa's body.
+        r = Name("r")
+        sig = EMPTY.with_entry(SigEntry(r, Up(Down(A))))
+        t = App(r, Kappa(Var(X), App(X, Nil())))
+        assert infer_term(sig, t) == A
+        assert check_term(sig, [], BindCut(Var(Y), Thunk(t), App(Y, Nil())),
+                          A) is None
+
+    def test_split_branches_of_two_types_synthesize_nothing(self):
+        # Under r's kappa the split's branches synthesize a and b, so the
+        # thunk has no type and the cut is judged by its reduct: the right
+        # branch fails at a.  Typing the thunk by its left branch would
+        # accept the cut.
+        b, r, u, v = Name("b"), Name("r"), Name("u"), Name("v")
+        sig = Sig(frozenset({Name("a"), b}),
+                  (SigEntry(r, Up(Or(Down(A), Down(Atom(b))))),))
+        forked = App(r, Kappa(POr(W, Var(u), Var(v)),
+                              Split(W, App(u, Nil()), App(v, Nil()))))
+        assert infer_term(sig, forked) is UNKNOWN
+        d = check_term(sig, [], BindCut(Var(X), Thunk(forked), App(X, Nil())),
+                       A)
+        assert (d.rule, d.expected, d.found) == ("axiom", "a", "b")
 
     def test_discarded_pair_component_must_be_typeable(self):
         sig = EMPTY.with_entry(SigEntry(Z, A))

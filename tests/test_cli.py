@@ -283,6 +283,24 @@ class TestRun:
         assert code == 0
         assert out.strip() == "add (thunk (q []) :: (thunk (r []) :: []))"
 
+    def test_stuck_term_exits_one(self, capsys, monkeypatch):
+        # A checked program never gets stuck, so the loader is patched to
+        # hand main an unchecked one: the postulate f (left unchecked, as
+        # postulates are) unfolds to a function applied to a projection.
+        from seqcore import cli
+        from seqcore.diag import Span
+        from seqcore.surface import CompiledDecl, Program
+        from seqcore.syntax import (App, AppCut, Atom, Lam, Name, Nil, Proj1,
+                                    Sig, SigEntry, Var)
+        f, x, a = Name("f"), Name("x"), Atom(Name("a"))
+        stuck = AppCut(Lam(Var(x), App(x, Nil())), Proj1(Nil()))
+        prog = Program(Sig(frozenset({a.name}), (SigEntry(f, a, stuck),)),
+                       (CompiledDecl("postulate", f, Span("p.seq", 1, 1), a),))
+        monkeypatch.setattr(cli, "_load", lambda args, mode: prog)
+        code, out, err = run(capsys, "run", "p.seq", "--entry", "f")
+        assert (code, out, err) == (
+            1, "", "error: stuck: function applied to projection spine\n")
+
     def test_fuel_exhaustion_exit_three(self, capsys):
         code, _, err = run(capsys, "run", str(PROGRAMS / "f_run.seq"),
                            "--entry", "f", "--arg", "inr q", "--fuel", "1")
@@ -522,8 +540,8 @@ class TestInternalErrors:
                                           tmp_path):
         # Input too deep for the recursive type parser must fail there:
         # past it, compiling and checking the depth-600 sum runs for close
-        # to a second before it overflows.  The nesting bound planned at the
-        # front door (ROADMAP item 5) replaces this test.
+        # to a second before it overflows.  The nesting bound ROADMAP.md
+        # plans at the front door replaces this test.
         from seqcore import surface
         calls = []
 

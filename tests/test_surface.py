@@ -55,6 +55,24 @@ class TestParse:
         assert decls[1].span.file == "prog.seq"
         assert decls[1].span.line == 2
 
+    @pytest.mark.parametrize("text, expected, found, col", [
+        ("atom nat extra\n", "end of line", "extra", 10),
+        ("postulate p a\n", "':'", "a", 13),
+        ("f : Pi x\n", "'('", "x", 8),
+        ("f : Pi (x a\n", "':'", "a", 11),
+        ("f : Pi (x : a -> a .\n", "')'", ".", 20),
+        ("f : Pi (x : a) a\n", "'.'", "a", 16),
+        ("f : (a -> a\n", "')'", "end of line", 12),
+        ("atom a\nf : a -> a\nf x = (x x\n", "')'", "end of line", 11),
+    ], ids=["atom", "postulate", "Pi (", "Pi :", "Pi )", "Pi .", "type )",
+            "expression )"])
+    def test_syntax_error(self, text, expected, found, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text, "p.seq")
+        d = exc.value.diagnostic
+        assert (d.rule, d.expected, d.found, d.span.col) == (
+            "parse", expected, found, col)
+
 
 def _line_col(text: str, at: int) -> tuple[int, int]:
     """Offset ``at`` of ``text`` as a line and a column, both from 1."""

@@ -50,6 +50,21 @@ class TestWellFormed:
         assert not well_formed_pos(Prod(Down(A), Down(A)), sig, Mode.DEP)
         assert well_formed_pos(Sigma(Name("x"), Down(A), Down(A)), sig, Mode.DEP)
 
+    @pytest.mark.parametrize("check, ty, mode, expected, found", [
+        (well_formed_neg, Atom(Name("P"), (eta(Name("x")),)), Mode.PROP,
+         "unindexed atom in propositional mode", "P with 1 argument(s)"),
+        (well_formed_neg, Imp(Down(A), A), Mode.DEP, "Pi in dependent mode",
+         "->"),
+        (well_formed_pos, Sigma(Name("x"), Down(A), Down(A)), Mode.PROP,
+         "* in propositional mode", "Sigma"),
+    ], ids=["indexed atom", "arrow", "Sigma"])
+    def test_mode_problem(self, check, ty, mode, expected, found):
+        problems = []
+        assert not check(ty, sig_with("a", "P"), mode,
+                         scope=frozenset({Name("x")}), problems=problems)
+        assert [(d.rule, d.expected, d.found) for d in problems] == [
+            ("mode", expected, found)]
+
     def test_atom_arguments_scope(self):
         sig = sig_with("a", "P")
         x = Name("x")
@@ -279,6 +294,23 @@ def _kappa_final(k) -> bool:
 from seqcore.syntax import AppCut  # noqa: E402
 
 
+def _compare_too_deep_for_eq(frames: int) -> None:
+    """alpha_eq, under ``frames`` more stack frames, on unshared nested sums
+    600 levels deep."""
+    def nested(leaf):
+        t = Down(leaf)
+        for _ in range(600):
+            t = Or(Down(A), t)
+        return t
+
+    def under(n, *args):
+        return under(n - 1, *args) if n else alpha_eq(*args)
+
+    a = nested(A)
+    assert under(frames, a, nested(A))
+    assert not under(frames, a, nested(NAT))
+
+
 class TestAlphaEq:
     def test_bound_renaming(self):
         x, y = Name("x"), Name("y")
@@ -289,6 +321,14 @@ class TestAlphaEq:
         a = Lam(Var(x), App(x, Nil()))
         b = Lam(Var(x), Done(Thunk(App(x, Nil()))))
         assert not alpha_eq(a, b)
+        # Binders of two shapes, at the top and inside a pair pattern, and
+        # cut data that differs outside the binder's scope.
+        y, body = Name("y"), a.body
+        assert not alpha_eq(a, Lam(PWild(), body))
+        assert not alpha_eq(Lam(PPair(Var(x), Var(y)), body),
+                            Lam(PPair(Var(x), PWild()), body))
+        assert not alpha_eq(BindCut(Var(x), eta(Name("p")), body),
+                            BindCut(Var(x), eta(Name("q")), body))
 
     def test_free_names_matter(self):
         assert not alpha_eq(App(Name("p"), Nil()), App(Name("q"), Nil()))
@@ -305,14 +345,15 @@ class TestAlphaEq:
         # On CPython 3.11 the generated == spends three stack levels per tree
         # level and alpha_eq's own walk one: == on these trees overflows at
         # the default recursion limit, and alpha_eq must still answer.
-        def nested(depth, leaf):
-            t = Down(leaf)
-            for _ in range(depth):
-                t = Or(Down(A), t)
-            return t
-        a, b = nested(600, A), nested(600, A)
-        assert alpha_eq(a, b)
-        assert not alpha_eq(a, nested(600, NAT))
+        _compare_too_deep_for_eq(0)
+
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_deeper_than_structural_equality_from_deeper_stacks(self,
+                                                                frames):
+        # Which of its three levels per tree level == overflows at depends
+        # on the depth of the caller's stack: 0, 1 and 2 frames more meet
+        # each of them.
+        _compare_too_deep_for_eq(frames)
 
     def test_worked_example_label_renaming(self):
         # Rename-then-compare: the compiled example vs a renamed copy.
