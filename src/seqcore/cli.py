@@ -31,7 +31,7 @@ from .diag import Diagnostic, ParseError, Span
 from .reduce import DEFAULT_FUEL, FuelExhausted, normalize, trace
 from .surface import CompileFail, Program, compile_argument, load_program
 from . import syntax
-from .syntax import App, Cons, Imp, Mode, Nil, Pi, Term
+from .syntax import NIL, App, Cons, Imp, Mode, Pi, Term
 
 __all__ = ["main", "entry"]
 
@@ -76,13 +76,13 @@ def _build_entry_term(args: argparse.Namespace, mode: Mode,
         raise CompileFail(Diagnostic("unbound", expected="declared entry",
                                      found=str(args.entry)))
     if args.arg is None:
-        return App(decl.name, Nil())
+        return App(decl.name, NIL)
     ty = decl.type
     if not isinstance(ty, (Imp, Pi)):
         raise CompileFail(Diagnostic("arity", expected="function-typed entry",
                                      found=print_type(ty)))
     data = compile_argument(prog.sig, args.arg, ty.arg, mode)
-    return App(decl.name, Cons(data, Nil()))
+    return App(decl.name, Cons(data, NIL))
 
 
 def main(args: argparse.Namespace) -> int:

@@ -47,7 +47,9 @@ with one table, so equal binder-free types, and equal binder-free parts of
 types, are one object, while each ``Pi`` and ``Sigma`` keeps its fresh
 binder and is its own.  Types are never mutated, so identity implies
 equality, and a comparison made once per application tests ``is`` before
-it walks two trees.  The table lives as long as the ``load_program`` call.
+it walks two trees.  The table also holds each name's one eta-injection,
+which a name used bare at its binding's very type shares.  The table lives
+as long as the ``load_program`` call.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate, count, islice, repeat
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Optional, Union
 
 from .check_dep import convert
@@ -64,7 +66,7 @@ from .diag import Diagnostic, DiagnosticError, ParseError, Span
 from .record import record
 from .syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
-    Inr, Lam, Mode, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr,
+    Inr, Lam, Mode, Name, NegType, NIL, Or, Pair, Pattern, PAt, Pi, POr,
     PosType, PPair, Prod, PWild, Sig, SigEntry, Sigma, Spine, Split, Term,
     Thunk, Up, Var, With, alpha_eq, children, eta, fresh, subst_data,
 )
@@ -80,8 +82,9 @@ __all__ = [
 # Surface AST
 
 class _Source:
-    """A source text's file name and line starts.  Tokens and name nodes
-    keep character offsets; a Span is made from one only when asked."""
+    """A source text's file name and line starts.  Tokens, name nodes,
+    declarations and clauses keep character offsets; a Span is made from
+    one only when asked."""
 
     __slots__ = ("file", "starts")
 
@@ -212,17 +215,19 @@ class EInr(SExpr):
 
 
 @record
-class Clause:
+class Clause(_Located):
     lhs: tuple[SPat, ...]
     rhs: SExpr
-    span: Span
+    at: int                     # the offset of its head's name
+    src: _Source
 
 
 @record
-class SurfaceDecl:
+class SurfaceDecl(_Located):
     kind: str                   # "atom" | "postulate" | "def"
     name: str
-    span: Span
+    at: int                     # the offset of its name
+    src: _Source
     type: Optional[SType] = None
     clauses: tuple[Clause, ...] = ()
 
@@ -475,9 +480,9 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     """Parse a surface program into declarations with their clauses."""
     p = _P(source, file)
     kinds, texts, offs, src = p.kinds, p.texts, p.offs, p.src
-    decls: list[SurfaceDecl] = []
-    clauses: list[list[Clause]] = []    # of each declaration
-    open_def: Optional[int] = None
+    # Each declaration's fields, made a record once its clauses are read.
+    decls: list[tuple] = []
+    open_def: Optional[tuple] = None
 
     # The lexer puts no NL first and never two in a row, so each
     # declaration starts right after the line end of the one before.
@@ -486,7 +491,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
         t = texts[i]
         if t == "atom" or t == "postulate":
             name = p.decl_name(i + 1)
-            span = src.span(offs[i + 1])
+            at = offs[i + 1]
             ty = None
             if t == "atom":
                 i = p.end_line(i + 2)
@@ -496,20 +501,18 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                 p.i = i + 3
                 ty = p.type_()
                 i = p.end_line(p.i)
-            decls.append(SurfaceDecl(t, name, span, ty))
-            clauses.append([])
+            decls.append((t, name, at, ty, ()))
             open_def = None
         elif kinds[i] == "NAME":
             declares = texts[i + 1] == ":"
             name = p.decl_name(i) if declares else p.name(i)
-            span = src.span(offs[i])
+            at = offs[i]
             if declares:
                 p.i = i + 2
                 ty = p.type_()
                 i = p.end_line(p.i)
-                decls.append(SurfaceDecl("def", name, span, ty))
-                clauses.append([])
-                open_def = len(decls) - 1
+                open_def = ("def", name, at, ty, [])
+                decls.append(open_def)
             else:
                 p.i = i + 1
                 pats = []
@@ -518,20 +521,20 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
                 p.i += 1
                 rhs = p.expr()
                 i = p.end_line(p.i)
-                if open_def is None or decls[open_def].name != name:
+                if open_def is None or open_def[1] != name:
                     raise ParseError(Diagnostic(
                         "parse", expected="clause following its declaration",
-                        found=name, span=span))
-                cs = clauses[open_def]
+                        found=name, span=src.span(at)))
+                cs = open_def[4]
                 if cs and len(cs[0].lhs) != len(pats):
                     raise ParseError(Diagnostic(
                         "arity", expected=f"{len(cs[0].lhs)} pattern(s)",
-                        found=str(len(pats)), span=span))
-                cs.append(Clause(tuple(pats), rhs, span))
+                        found=str(len(pats)), span=src.span(at)))
+                cs.append(Clause(tuple(pats), rhs, at, src))
         else:
             raise p.fail("declaration", i)
-    return [SurfaceDecl(d.kind, d.name, d.span, d.type, tuple(cs)) if cs else d
-            for d, cs in zip(decls, clauses)]
+    return [SurfaceDecl(k, name, at, src, ty, tuple(cs))
+            for k, name, at, ty, cs in decls]
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +569,13 @@ def _shared(table: dict, cls, *kids):
 def _neg_of(ty: SType, sig: Sig, mode: Mode, table: dict) -> NegType:
     c = type(ty)
     if c is TName:
-        name = Name(ty.name)
-        if name not in sig.atoms:
+        # Atoms are entered by text, and a Name equals its (text, tag) tuple.
+        if (ty.name, 0) not in sig.atoms:
             raise CompileFail(Diagnostic("atom", expected="declared atom",
                                          found=ty.name, span=ty.span))
-        atom = table.get(name)     # an atom is entered by its name
+        atom = table.get(ty.name)
         if atom is None:
-            atom = table[name] = Atom(name)
+            atom = table[ty.name] = Atom(Name(ty.name))
         return atom
     elif c is TArrow:
         arg = _pos_of(ty.arg, sig, mode, table)
@@ -648,7 +651,7 @@ class CompileFail(DiagnosticError):
 
 @record
 class _VarB:
-    core: Name
+    name: Name          # the kernel variable; read as a SigEntry's is
     type: NegType
 
 
@@ -658,7 +661,7 @@ class _Pos:
     It compares by identity, so case-tree nodes that hold it can hash."""
 
     __slots__ = ("path", "type", "var", "aliases", "label", "pats", "left",
-                 "right", "side", "goals", "thunk")
+                 "right", "side", "goals")
 
     def __init__(self, path: tuple, ty: PosType, var: Optional[Name] = None):
         self.path = path            # argument index, then fst/snd/inl/inr
@@ -676,9 +679,6 @@ class _Pos:
         # leaf below a binding rebuilds it at the same goals, so each is
         # compared once per declaration.  A mismatch is reported at once.
         self.goals: tuple[PosType, ...] = ()
-        # At a thunk position: the eta-injection of ``var`` that rebuilds
-        # it, made once and shared by every leaf.
-        self.thunk: Optional[Thunk] = None
 
 
 def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
@@ -692,8 +692,8 @@ def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
     binds[node.name] = b
 
 
-def _fuse(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]], pos: _Pos,
-          pats: dict[int, Optional[SPat]]) -> None:
+def _fuse(mode: Mode, table: dict, binds: list[dict[str, Union[_VarB, _Pos]]],
+          pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
     # Each clause's nodes that name what it binds here, the as-patterns
     # outermost first and then the variable under them if there is one, and
     # its pattern under the as-names.
@@ -758,13 +758,13 @@ def _fuse(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]], pos: _Pos,
             base = pos.var.text
             pos.left.var = fresh(_var_text(left.values(), base + "1"))
             pos.right.var = fresh(_var_text(right.values(), base + "2"))
-    _fuse(mode, binds, pos.left, left)
+    _fuse(mode, table, binds, pos.left, left)
     if c is Sigma:
         # Only a dependent type has a Sigma: the first component's
         # scrutinee variable stands for its binder.
         pos.right.type = subst_data(pos.right.type, ty.binder,
-                                    eta(pos.left.var))
-    _fuse(mode, binds, pos.right, right)
+                                    _injection(table, pos.left.var))
+    _fuse(mode, table, binds, pos.right, right)
     for cid, (names, _) in peeled.items():
         for node in names:
             _bind(binds[cid], node, pos)
@@ -774,19 +774,19 @@ def _fuse_down(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]],
                pos: _Pos, peeled) -> None:
     # Every name any clause binds here shares the stored hypothesis; an
     # as-chain needs one extra kernel variable per extra name (contraction).
-    width = 0
-    for names, sp in peeled.values():
-        if sp is not None and not isinstance(sp, (PVarS, PWildS)):
-            raise CompileFail(Diagnostic(
-                "pattern", expected="variable at a thunk type",
-                found=_spat_shape(sp), span=_spat_span(sp)))
-        width = max(width, len(names))
     # Kernel variables take the source names slot by slot, from the first
     # clause that names the slot, so equations print back with the names the
     # program used.  Only a lone slot can go unnamed.
-    vars_ = [fresh(next((names[i].name for names, _ in peeled.values()
-                         if i < len(names)), "v1"))
-             for i in range(max(width, 1))]
+    texts: list[str] = []
+    for names, sp in peeled.values():
+        if sp is not None and type(sp) is not PVarS and type(sp) is not PWildS:
+            raise CompileFail(Diagnostic(
+                "pattern", expected="variable at a thunk type",
+                found=_spat_shape(sp), span=_spat_span(sp)))
+        for node in names[len(texts):]:
+            texts.append(node.name)
+    width = len(texts)
+    vars_ = list(map(fresh, texts or ("v1",)))
     vars_[0] = pos.var = pos.var or vars_[0]
     for cid, (names, _) in peeled.items():
         for v, node in zip(vars_, names):
@@ -809,6 +809,8 @@ def _pattern(pos: _Pos) -> Pattern:
         return PPair(fl, fr) if pos.label is None else POr(pos.label, fl, fr)
     if pos.var is None:
         return PWild()
+    if not pos.aliases:
+        return Var(pos.var)
     *outer, last = pos.var, *pos.aliases
     pat: Pattern = Var(last)
     for v in reversed(outer):
@@ -848,43 +850,41 @@ def _build_tree(decl: SurfaceDecl,
     coverage and the clause warnings off the same walk: a sum side that no
     clause reaches is the first missing case, and each leaf uses its first
     live clause and overlaps when more than one is live there."""
-    used: set[int] = set()
-    overlap = False
-
-    def walk(todo: list[_Pos], live: list[int]) -> CaseTree:
-        nonlocal overlap
-        if not todo:
-            used.add(live[0])
-            overlap = overlap or len(live) > 1
-            return Leaf(live[0])
-        pos, rest = todo[0], todo[1:]
-        if pos.left is None:
-            return walk(rest, live)
-        if pos.label is None:
-            return PairNode(pos, walk([pos.left, pos.right] + rest, live))
-        sides = []
-        for step, sub, other in (("inl", pos.left, PInrS),
-                                 ("inr", pos.right, PInlS)):
-            # A clause with the other injection here cannot match.
-            live_s = [c for c in live if type(pos.pats.get(c)) is not other]
-            if not live_s:
-                raise CompileFail(Diagnostic(
-                    "coverage", expected="exhaustive clauses",
-                    found="missing case: " + _missing_case(
-                        decl.name, len(args), pos.path, step),
-                    span=decl.span))
-            sides.append(walk([sub] + rest, live_s))
-        return SplitNode(pos, *sides)
-
-    try:
-        tree = walk(args, list(range(len(decl.clauses))))
-    finally:
-        del walk    # it refers to itself: free it now
+    leaves: list[list[int]] = []    # the live clauses at each leaf
+    tree = _walk(decl, leaves, args, list(range(len(decl.clauses))))
+    used = set(map(itemgetter(0), leaves))
+    n = len(decl.clauses)
     warnings = [f"clause {cid + 1} of {decl.name} is never used"
-                for cid in range(len(decl.clauses)) if cid not in used]
-    if overlap:
+                for cid in range(n) if cid not in used] if len(used) < n else []
+    if max(map(len, leaves)) > 1:
         warnings.append(f"clauses of {decl.name} overlap; first match wins")
     return tree, warnings
+
+
+def _walk(decl: SurfaceDecl, leaves: list[list[int]], todo: list[_Pos],
+          live: list[int]) -> CaseTree:
+    if not todo:
+        leaves.append(live)
+        return Leaf(live[0])
+    pos, rest = todo[0], todo[1:]
+    if pos.left is None:
+        return _walk(decl, leaves, rest, live)
+    if pos.label is None:
+        return PairNode(pos, _walk(decl, leaves, [pos.left, pos.right] + rest,
+                                   live))
+    sides = []
+    for step, sub, other in (("inl", pos.left, PInrS),
+                             ("inr", pos.right, PInlS)):
+        # A clause with the other injection here cannot match.
+        live_s = [c for c in live if type(pos.pats.get(c)) is not other]
+        if not live_s:
+            raise CompileFail(Diagnostic(
+                "coverage", expected="exhaustive clauses",
+                found="missing case: " + _missing_case(
+                    decl.name, len(decl.clauses[0].lhs), pos.path, step),
+                span=decl.span))
+        sides.append(_walk(decl, leaves, [sub] + rest, live_s))
+    return SplitNode(pos, *sides)
 
 
 def _missing_case(name: str, arity: int, path: tuple, side: str) -> str:
@@ -909,6 +909,14 @@ def _missing_case(name: str, arity: int, path: tuple, side: str) -> str:
 # ---------------------------------------------------------------------------
 # Right-hand side emission
 
+def _injection(table: dict, x: Name) -> Thunk:
+    """The one eta-injection of ``x`` in a load, entered under ``x``."""
+    inj = table.get(x)
+    if inj is None:
+        inj = table[x] = eta(x)
+    return inj
+
+
 class _Emitter:
     """Emits the term of a case tree: each leaf's right-hand side under the
     names its clause binds, and each node's split or pair-let.  A name bound
@@ -916,7 +924,7 @@ class _Emitter:
     on the sides of the splits the leaf lies under."""
 
     def __init__(self, sig: Sig, mode: Mode, binds: list[dict],
-                 decl: SurfaceDecl, result: NegType):
+                 decl: SurfaceDecl, result: NegType, table: dict):
         self.sig = sig
         self.mode = mode
         # The comparison of a type with the goal it must meet.
@@ -925,6 +933,7 @@ class _Emitter:
         self.binds = binds
         self.decl = decl
         self.result = result
+        self.table = table      # the load's table, for the eta-injections
 
     def emit(self, tree: CaseTree) -> Term:
         c = type(tree)
@@ -944,7 +953,7 @@ class _Emitter:
             sub = self.emit(tree.sub)
             if self.mode is Mode.DEP:
                 return BindCut(PPair(Var(pos.left.var), Var(pos.right.var)),
-                               eta(pos.var), sub)
+                               _injection(self.table, pos.var), sub)
             return sub
         raise AssertionError(tree)
 
@@ -954,12 +963,10 @@ class _Emitter:
         ty = pos.type
         c = type(ty)
         if c is Down:
-            if pos.thunk is None:
-                if pos.var is None:
-                    # No clause binds this thunk: the rebuild binds it.
-                    pos.var = fresh("v1")
-                pos.thunk = eta(pos.var)
-            return pos.thunk
+            if pos.var is None:
+                # No clause binds this thunk: the rebuild binds it.
+                pos.var = fresh("v1")
+            return _injection(self.table, pos.var)
         elif c is Or:
             if pos.side == "left":
                 return Inl(self._recon(pos.left))
@@ -998,18 +1005,16 @@ class _Emitter:
         if b is None:
             # A name equals the plain tuple of its text and tag, so the
             # lookup of a signature name builds no Name.
-            entry = self.sig.lookup((e.head, 0))
-            if entry is None:
+            b = self.sig.lookup((e.head, 0))
+            if b is None:
                 raise CompileFail(Diagnostic(
                     "unbound", expected="bound variable or declared name",
                     found=e.head, span=e.span))
-            head, cur = entry.name, entry.type
         elif type(b) is _Pos:
             raise CompileFail(Diagnostic(
                 "type", expected="thunk-typed head",
                 found=f"{e.head} bound at {print_type(b.type)}", span=e.span))
-        else:
-            head, cur = b.core, b.type
+        head, cur = b.name, b.type
         parts: list[DataVal] = []
         for arg in e.args:
             c = type(cur)
@@ -1028,12 +1033,13 @@ class _Emitter:
             raise CompileFail(Diagnostic(
                 "type", expected=print_type(goal), found=print_type(cur),
                 span=e.span))
-        spine: Spine = Nil()
+        spine: Spine = NIL
         for d in reversed(parts):
             spine = Cons(d, spine)
         return App(head, spine)
 
     def _rhs_data(self, scope: dict, e: SExpr, p: PosType) -> DataVal:
+        c = type(p)
         if type(e) is EApp and not e.args:
             b = scope.get(e.head)
             if type(b) is _Pos:
@@ -1044,9 +1050,18 @@ class _Emitter:
                             span=e.span))
                     b.goals += (p,)
                 return self._recon(b)
-        c = type(p)
+            if c is Down and type(p.body) is not Up:
+                # A name bound at the goal's very type: the injection
+                # _app_term would build.  Other names take that path.
+                if b is None:
+                    b = self.sig.lookup((e.head, 0))
+                if b is not None and b.type is p.body:
+                    return _injection(self.table, b.name)
         if c is Down:
-            return Thunk(self._rhs_term(scope, e, p.body))
+            g = p.body
+            if type(g) is Up or type(g) is With and type(e) is EPair:
+                return Thunk(self._rhs_term(scope, e, g))
+            return Thunk(self._app_term(scope, e, g))
         elif c is Or and type(e) is EInl:
             return Inl(self._rhs_data(scope, e.body, p.left))
         elif c is Or and type(e) is EInr:
@@ -1076,10 +1091,11 @@ def _sexpr_span(e: SExpr, default: Span) -> Span:
 # Compilation entry point
 
 @record
-class CompiledDecl:
+class CompiledDecl(_Located):
     kind: str                       # "atom" | "postulate" | "def"
     name: Name
-    span: Span
+    at: int                         # its declaration's, as in SurfaceDecl
+    src: _Source
     type: Optional[NegType] = None
     term: Optional[Term] = None
     tree: Optional[CaseTree] = None
@@ -1092,12 +1108,15 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
     given, and compile its clause set into one core term via its splitting
     tree.  Raises CompileFail on type, coverage or elaboration errors."""
     assert decl.kind == "def"
+    shared = {} if shared is None else shared
     ty = polarize(decl.type, sig, mode, shared)
     if not decl.clauses:
         raise CompileFail(Diagnostic(
             "coverage", expected="at least one clause", found="none",
             span=decl.span))
-    arity = len(decl.clauses[0].lhs)   # parse gives every clause this many
+    # Each argument's patterns; parse gives every clause as many.
+    columns = list(zip(*map(attrgetter("lhs"), decl.clauses)))
+    arity = len(columns)
     args: list[_Pos] = []
     result = ty
     for i in range(arity):
@@ -1106,10 +1125,10 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
         if c is Pi:
             # A Pi binder is visible in later argument types; the
             # scrutinee variable doubles as that binder.
-            v = fresh(_var_text((cl.lhs[i] for cl in decl.clauses),
-                                f"a{i + 1}"))
+            v = fresh(_var_text(columns[i], f"a{i + 1}"))
             a = result.arg
-            result = subst_data(result.res, result.binder, eta(v))
+            result = subst_data(result.res, result.binder,
+                                _injection(shared, v))
         elif c is Imp:
             a, result = result.arg, result.res
         else:
@@ -1119,16 +1138,15 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
         args.append(_Pos((i,), a, v))
 
     binds: list[dict[str, Union[_VarB, _Pos]]] = [{} for _ in decl.clauses]
-    for i, pos in enumerate(args):
-        _fuse(mode, binds, pos,
-              {cid: cl.lhs[i] for cid, cl in enumerate(decl.clauses)})
+    for pos, column in zip(args, columns):
+        _fuse(mode, shared, binds, pos, dict(enumerate(column)))
 
     tree, warnings = _build_tree(decl, args)
-    term = _Emitter(sig, mode, binds, decl, result).emit(tree)
+    term = _Emitter(sig, mode, binds, decl, result, shared).emit(tree)
     for pos in reversed(args):
         term = Lam(Var(pos.var) if mode is Mode.DEP else _pattern(pos), term)
-    return CompiledDecl("def", Name(decl.name), decl.span, ty, term, tree,
-                        tuple(warnings))
+    return CompiledDecl("def", Name(decl.name), decl.at, decl.src, ty, term,
+                        tree, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -1170,11 +1188,12 @@ def load_program(source: str, file: str = "<surface>",
         seen.add(d.name)
         if d.kind == "atom":
             sig = sig.with_atom(Name(d.name))
-            out.append(CompiledDecl("atom", Name(d.name), d.span))
+            out.append(CompiledDecl("atom", Name(d.name), d.at, d.src))
             continue
         if d.kind == "postulate":
             ty = polarize(d.type, sig, mode, shared)
-            out.append(CompiledDecl("postulate", Name(d.name), d.span, ty))
+            out.append(CompiledDecl("postulate", Name(d.name), d.at, d.src,
+                                    ty))
         else:
             out.append(compile_clauses(d, sig, mode, shared))
             warnings.extend(out[-1].warnings)
@@ -1200,6 +1219,6 @@ def compile_argument(sig: Sig, text: str, ty: PosType,
         raise ParseError(Diagnostic("parse", expected="end of argument",
                                     found=p.texts[i],
                                     span=p.src.span(p.offs[i])))
-    shim = SurfaceDecl("def", "<arg>", Span("<arg>", 1, 1))
-    emitter = _Emitter(sig, mode, [], shim, Atom(Name("<arg>")))
+    shim = SurfaceDecl("def", "<arg>", 0, p.src)
+    emitter = _Emitter(sig, mode, [], shim, Atom(Name("<arg>")), {})
     return emitter._rhs_data({}, expr, ty)

@@ -55,7 +55,7 @@ __all__ = [
     "Term", "Done", "Lam", "App", "Pair", "Split", "BindCut", "AppCut",
     "Pattern", "Var", "PPair", "POr", "PAt", "PWild",
     "DataVal", "Thunk", "DPair", "Inl", "Inr",
-    "Spine", "Nil", "Cons", "Proj1", "Proj2", "Kappa",
+    "Spine", "Nil", "NIL", "Cons", "Proj1", "Proj2", "Kappa",
     "Sig", "SigEntry", "Ctx", "eta", "data_shape",
     "children", "with_children", "rewrite",
     "pattern_vars", "pattern_labels", "pattern_linear",
@@ -477,6 +477,10 @@ class Nil(Spine):
     pass
 
 
+# The empty spine: records are frozen, so one serves every application.
+NIL = Nil()
+
+
 @_node("arg", "rest")
 class Cons(Spine):
     arg: DataVal
@@ -504,7 +508,7 @@ class Kappa(Spine):
 
 def eta(x: Name) -> Thunk:
     """Eta-injection of a variable into data position."""
-    return Thunk(App(x, Nil()))
+    return Thunk(App(x, NIL))
 
 
 def data_shape(d: DataVal) -> str:

@@ -288,14 +288,14 @@ class TestRun:
         # hand main an unchecked one: the postulate f (left unchecked, as
         # postulates are) unfolds to a function applied to a projection.
         from seqcore import cli
-        from seqcore.diag import Span
-        from seqcore.surface import CompiledDecl, Program
+        from seqcore.surface import CompiledDecl, Program, _Source
         from seqcore.syntax import (App, AppCut, Atom, Lam, Name, Nil, Proj1,
                                     Sig, SigEntry, Var)
         f, x, a = Name("f"), Name("x"), Atom(Name("a"))
         stuck = AppCut(Lam(Var(x), App(x, Nil())), Proj1(Nil()))
         prog = Program(Sig(frozenset({a.name}), (SigEntry(f, a, stuck),)),
-                       (CompiledDecl("postulate", f, Span("p.seq", 1, 1), a),))
+                       (CompiledDecl("postulate", f, 0, _Source("", "p.seq"),
+                                     a),))
         monkeypatch.setattr(cli, "_load", lambda args, mode: prog)
         code, out, err = run(capsys, "run", "p.seq", "--entry", "f")
         assert (code, out, err) == (

@@ -325,6 +325,21 @@ class TestCompile:
         x = Name("x")
         assert alpha_eq(g.term, Lam(Var(x), App(x, Nil())))
 
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
+                             ids=["prop", "dep"])
+    def test_pair_argument_at_a_with_type(self, mode):
+        # A pair argument at a thunked conjunction is a thunked pair of
+        # terms, not an application.
+        prog = load_program("atom a\npostulate h : (a /\\ a) -> a\n"
+                            "g : a -> a\ng x = h (x, x)\n", "p.seq", mode)
+        g = prog.find("g")
+        x = Name("x")
+        pair = Pair(App(x, Nil()), App(x, Nil()))
+        assert alpha_eq(g.term, Lam(Var(x), App(Name("h"),
+                                                Cons(Thunk(pair), Nil()))))
+        check = check_term if mode is Mode.PROP else dep_check_term
+        assert check(prog.sig, [], g.term, g.type) is None
+
     def test_missing_branch_reported(self):
         src = "atom a\ng : a + a -> a\ng (inl x) = x\n"
         with pytest.raises(CompileFail) as exc:
@@ -689,6 +704,65 @@ class TestSharingWork:
         assert calls[0] == 20
 
 
+class TestFrontEndWork:
+    """Counted work, no timing: a load builds one record per declaration,
+    no span and no empty spine, and one eta-injection per name."""
+
+    @staticmethod
+    def built(monkeypatch, text: str, mode: Mode):
+        """The records of each counted class that loading ``text`` builds,
+        and the eta-injections ``Thunk(App(x, []))`` it builds of each x."""
+        counts = collections.Counter()
+        injections = collections.Counter()
+        for cls in (Span, surface.SurfaceDecl, Nil, Thunk):
+            def init(self, *args, _real=cls.__init__, _cls=cls, **kwargs):
+                counts[_cls.__name__] += 1
+                _real(self, *args, **kwargs)
+                if (_cls is Thunk and type(self.body) is App
+                        and type(self.body.spine) is Nil):
+                    injections[self.body.head] += 1
+            monkeypatch.setattr(cls, "__init__", init)
+        load_program(text, "w.seq", mode)
+        monkeypatch.undo()
+        return counts, injections
+
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
+                             ids=["prop", "dep"])
+    @pytest.mark.parametrize("workload, decls", [
+        ("library", 204), ("chain", 404)])
+    def test_counts_per_load(self, monkeypatch, mode, workload, decls):
+        w = bench_workloads()
+        text = (w.library(200, 2024)[0] if workload == "library"
+                else w.chain_source(400))
+        counts, injections = self.built(monkeypatch, text, mode)
+        # The parent built 454 and 805 spans, 404 and 805 declarations and
+        # 2,336 and 802 empty spines (propositional mode).
+        assert counts["SurfaceDecl"] == decls
+        assert counts["Span"] == counts["Nil"] == 0
+        assert injections and set(injections.values()) == {1}
+        assert counts["Thunk"] == {("library", Mode.PROP): 1544,
+                                   ("library", Mode.DEP): 1578,
+                                   ("chain", Mode.PROP): 401,
+                                   ("chain", Mode.DEP): 401}[workload, mode]
+
+    @pytest.mark.parametrize("name, mode, _structural", SUITE,
+                             ids=[e[0] for e in SUITE])
+    def test_spans_on_demand(self, name, mode, _structural):
+        text = source(name)
+        decls = parse(text, name)
+        src = _Source(text, name)
+        prog = load_program(text, name, mode)
+        assert [c.span for c in prog.decls] == [d.span for d in decls]
+        for d in decls:
+            for x in (d, *d.clauses):
+                # The name starts at the offset, and the span is its line
+                # and column, counted here from the text.
+                assert text.startswith(d.name, x.at)
+                line = text.count("\n", 0, x.at) + 1
+                col = x.at - text.rfind("\n", 0, x.at)
+                assert x.span == src.span(x.at) == Span(name, line, col)
+
+
 class TestLoadOrder:
     """``load_program`` grows one signature index in place, and each
     declaration still sees only the declarations before it."""
@@ -860,6 +934,22 @@ class TestSurfaceDiagnosticPin:
                     rules.update(re.findall(r"^ERROR (\S+)", err, re.M))
         assert rules == self.RULES
         assert (calls, h.hexdigest()) == (self.CALLS, self.DIGEST)
+
+    # A bare variable and a bare constant, each at a thunk type other than
+    # its own: a name used bare shares its injection only at its binding's
+    # very type, and these keep the diagnostic of the full path.
+    @pytest.mark.parametrize("mode", [Mode.PROP, Mode.DEP],
+                             ids=["prop", "dep"])
+    @pytest.mark.parametrize("text, line", [
+        (_HEAD + "atom b\ng : b -> a\ng y = f y\n", 6),
+        (_HEAD + "atom b\npostulate k : b\ng : a -> a\ng x = f k\n", 7),
+    ], ids=["variable", "constant"])
+    def test_bare_name_at_another_thunk_type(self, mode, text, line):
+        with pytest.raises(CompileFail) as exc:
+            load_program(text, "p.seq", mode)
+        d = exc.value.diagnostic
+        assert (d.rule, d.expected, d.found, d.span) == (
+            "type", "a", "b", Span("p.seq", line, 9))
 
 
 class TestPrettyEquations:
