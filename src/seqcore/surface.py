@@ -12,7 +12,8 @@ Types use ``->`` (right associative), one level of ``*``, ``+`` and ``/\\``
 (left associative), and ``Pi (x : T). T`` / ``Sigma (x : T). T`` in dependent
 mode.  Clause left-hand sides carry patterns (variables, ``_``, ``x@p``,
 ``(p, q)``, ``inl p``, ``inr p``); right-hand sides are applications, pairs
-and injections.  ``--`` starts a line comment.
+and injections.  ``--`` starts a line comment.  Declarations, clauses and
+named nodes keep the offset of their name, and make a span only when read.
 
 Compilation is type-directed, column by column, leftmost argument first, with
 first-match semantics.  All clause patterns for one argument fuse into a

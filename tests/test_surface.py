@@ -735,8 +735,9 @@ class TestFrontEndWork:
         text = (w.library(200, 2024)[0] if workload == "library"
                 else w.chain_source(400))
         counts, injections = self.built(monkeypatch, text, mode)
-        # The parent built 454 and 805 spans, 404 and 805 declarations and
-        # 2,336 and 802 empty spines (propositional mode).
+        # Spans made at parse time, a record per type line and a new empty
+        # spine per application came to 454 and 805 spans, 404 and 805
+        # declarations and 2,336 and 802 empty spines (propositional mode).
         assert counts["SurfaceDecl"] == decls
         assert counts["Span"] == counts["Nil"] == 0
         assert injections and set(injections.values()) == {1}
@@ -758,9 +759,8 @@ class TestFrontEndWork:
                 # The name starts at the offset, and the span is its line
                 # and column, counted here from the text.
                 assert text.startswith(d.name, x.at)
-                line = text.count("\n", 0, x.at) + 1
-                col = x.at - text.rfind("\n", 0, x.at)
-                assert x.span == src.span(x.at) == Span(name, line, col)
+                assert x.span == src.span(x.at) == Span(
+                    name, *_line_col(text, x.at))
 
 
 class TestLoadOrder:
