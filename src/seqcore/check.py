@@ -49,7 +49,7 @@ goal.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from collections.abc import Iterator
 
 from .core_text import print_data, print_pattern, print_term, print_type
 from .diag import CheckError, Diagnostic
@@ -95,7 +95,7 @@ class _Zones:
 
     __slots__ = ()
 
-    def lookup(self, x: Name) -> Optional[NegType]:
+    def lookup(self, x: Name) -> NegType | None:
         for y, n in reversed(self.stores):
             if y == x:
                 return n
@@ -198,7 +198,7 @@ def _kappa(focus: NegType) -> PosType:
     return focus.body
 
 
-def _verdict(judgment, *args) -> Optional[Diagnostic]:
+def _verdict(judgment, *args) -> Diagnostic | None:
     """Run ``judgment(*args)``: None when it holds, else the diagnostic of
     the failure it raised."""
     try:
@@ -417,7 +417,7 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
 # Left focus: consume a spine
 
 def _check_spine(st: _State, focus: NegType, k: Spine,
-                 goal: Optional[NegType]) -> Union[NegType, _Unknown, None]:
+                 goal: NegType | None) -> NegType | _Unknown | None:
     """Consume ``k`` against ``focus`` and check the result against
     ``goal``; with no goal, synthesize the result instead."""
     st = st.focus_zone()
@@ -455,7 +455,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
 # ---------------------------------------------------------------------------
 # Synthesis (three-valued: type, UNKNOWN, or failure)
 
-def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
+def _infer_term(st: _State, t: Term) -> NegType | _Unknown:
     c = type(t)
     if c is Lam:
         return UNKNOWN
@@ -481,7 +481,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     raise TypeError(t)
 
 
-def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
+def _infer_data(st: _State, d: DataVal) -> PosType | _Unknown:
     c = type(d)
     if c is Thunk:
         n = _infer_term(st.focus_zone(), d.body)
@@ -517,18 +517,18 @@ def _entered(judgment, sig: Sig, ctx: Ctx, structural: bool, *args) -> None:
 
 
 def check_term(sig: Sig, ctx: Ctx, t: Term, goal: NegType,
-               structural: bool = False) -> Optional[Diagnostic]:
+               structural: bool = False) -> Diagnostic | None:
     """Check ``t`` against ``goal`` under ``ctx``.  None means ok."""
     return _verdict(_entered, _check, sig, ctx, structural, t, goal)
 
 
 def check_data(sig: Sig, d: DataVal, goal: PosType,
-               structural: bool = False) -> Optional[Diagnostic]:
+               structural: bool = False) -> Diagnostic | None:
     return _verdict(_check_data, _State(sig, structural), d, goal)
 
 
 def check_spine(sig: Sig, focus: NegType, k: Spine, goal: NegType,
-                structural: bool = False) -> Optional[Diagnostic]:
+                structural: bool = False) -> Diagnostic | None:
     return _verdict(_check_spine, _State(sig, structural), focus, k, goal)
 
 

@@ -31,7 +31,7 @@ more ``CheckError``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from collections.abc import Iterator
 
 from .check import (UNKNOWN, _Unknown, _Zones, _clashed, _done, _fail,
                     _kappa, _spine_shape, _var_cut_reduct, _verdict,
@@ -61,7 +61,7 @@ class _State(_Zones):
     stores: tuple[tuple[Name, NegType], ...] = ()
     pending: tuple[tuple[Name, PosType], ...] = ()
 
-    def pending_index(self, x: Name) -> Optional[int]:
+    def pending_index(self, x: Name) -> int | None:
         for i in range(len(self.pending) - 1, -1, -1):
             if self.pending[i][0] == x:
                 return i
@@ -118,7 +118,7 @@ def _normalize(sig: Sig, x, budget: list[int]):
     return rewrite(x, visit)
 
 
-def convert(a, b, sig: Optional[Sig] = None, fuel: int = DEFAULT_FUEL) -> bool:
+def convert(a, b, sig: Sig | None = None, fuel: int = DEFAULT_FUEL) -> bool:
     """Definitional equality: normalize embedded data, compare up to alpha.
     Raises CheckError when the fuel bound is exhausted."""
     if alpha_eq(a, b):
@@ -245,7 +245,7 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
                     found=print_term(f))
 
 
-def _split(st: _State, x: Name, tl: Term, tr: Term, k: Optional[Spine],
+def _split(st: _State, x: Name, tl: Term, tr: Term, k: Spine | None,
            goal: NegType) -> Iterator[tuple[_State, Term, NegType]]:
     """The two judgments of ``split x`` (applied to the spine ``k`` when
     there is one): each branch re-binds ``x`` at its side of the sum, with
@@ -307,7 +307,7 @@ def _check_data(st: _State, d: DataVal, goal: PosType) -> None:
 # Left focus
 
 def _check_spine(st: _State, focus: NegType, k: Spine,
-                 goal: Optional[NegType]) -> Union[NegType, _Unknown, None]:
+                 goal: NegType | None) -> NegType | _Unknown | None:
     """Consume ``k`` against ``focus`` and check the result against ``goal``
     up to conversion; with no goal, synthesize the result instead."""
     st = st.focus_zone()
@@ -350,7 +350,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
 # ---------------------------------------------------------------------------
 # Synthesis
 
-def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
+def _infer_term(st: _State, t: Term) -> NegType | _Unknown:
     c = type(t)
     if c is BindCut and type(t.pat) is Var:
         return _infer_term(*_var_cut(st, t.pat.name, t.data, t.body))
@@ -376,7 +376,7 @@ def _infer_term(st: _State, t: Term) -> Union[NegType, _Unknown]:
     raise TypeError(t)
 
 
-def _infer_data(st: _State, d: DataVal) -> Union[PosType, _Unknown]:
+def _infer_data(st: _State, d: DataVal) -> PosType | _Unknown:
     """The type ``d`` synthesizes in the focus zone ``st``, where no
     hypothesis is pending: a thunk that applies one finds its head unbound."""
     c = type(d)
@@ -415,17 +415,17 @@ def _entered(judgment, sig: Sig, ctx: DepCtx, fuel: int, *args) -> None:
 
 
 def dep_check_term(sig: Sig, ctx: DepCtx, t: Term, goal: NegType,
-                   fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
+                   fuel: int = DEFAULT_FUEL) -> Diagnostic | None:
     return _verdict(_entered, _check, sig, ctx, fuel, t, goal)
 
 
 def dep_check_spine(sig: Sig, ctx: DepCtx, focus: NegType, k: Spine,
-                    goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
+                    goal: NegType, fuel: int = DEFAULT_FUEL) -> Diagnostic | None:
     return _verdict(_entered, _check_spine, sig, ctx, fuel, focus, k, goal)
 
 
 def dep_bind_cut(sig: Sig, ctx: DepCtx, x: Name, d: DataVal, t: Term,
-                 goal: NegType, fuel: int = DEFAULT_FUEL) -> Optional[Diagnostic]:
+                 goal: NegType, fuel: int = DEFAULT_FUEL) -> Diagnostic | None:
     """Check the dependent binding cut ``x = d in t`` against ``goal``."""
     return _verdict(_entered, _check_var_cut, sig, ctx, fuel, x, d, t, goal)
 

@@ -22,7 +22,6 @@ import gc
 import itertools
 import os
 import sys
-from typing import Optional
 
 from .check import check_term
 from .check_dep import dep_check_term
@@ -175,7 +174,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def entry(argv: Optional[list[str]] = None) -> int:
+def entry(argv: list[str] | None = None) -> int:
     try:
         ns = _parser().parse_args(argv)
     except SystemExit as e:

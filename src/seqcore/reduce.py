@@ -54,7 +54,7 @@ the parent and the grandparent again after every rewrite took 4.98 and
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .diag import SeqcoreError
 from .record import record
@@ -77,7 +77,7 @@ DEFAULT_FUEL = 10000
 class NormalizeResult:
     term: Term
     steps: int
-    stuck: Optional[str] = None
+    stuck: str | None = None
 
 
 class FuelExhausted(SeqcoreError):
@@ -87,7 +87,7 @@ class FuelExhausted(SeqcoreError):
         self.steps = steps
 
 
-def reassociated(f: Term, k: Spine) -> Optional[Term]:
+def reassociated(f: Term, k: Spine) -> Term | None:
     """R4 and R7 on the cut ``f k``: an empty spine drops (R4), an applied
     variable or a nested cut absorbs ``k`` and a binding cut commutes (R7).
     None for every other ``f``."""
@@ -103,7 +103,7 @@ def reassociated(f: Term, k: Spine) -> Optional[Term]:
     return None
 
 
-def decomposed(p: Pattern, d: DataVal, b: Term) -> Optional[Term]:
+def decomposed(p: Pattern, d: DataVal, b: Term) -> Term | None:
     """R5 on ``let p = d in b``: a pair pattern against a pair, an
     or-pattern against an injection, a contraction, a wildcard; else None."""
     cp, cd = type(p), type(d)
@@ -120,7 +120,7 @@ def decomposed(p: Pattern, d: DataVal, b: Term) -> Optional[Term]:
     return None
 
 
-def _step_root(sig: Sig, x) -> Optional[tuple[str, object]]:
+def _step_root(sig: Sig, x) -> tuple[str, object] | None:
     c = type(x)
     if c is AppCut:
         f, k = x.fun, x.spine
@@ -196,7 +196,7 @@ def trace(sig: Sig, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[list[tuple[str, 
 
 
 def _refocus(sig: Sig, t: Term, fuel: int,
-             observe: Optional[Callable[[str, Term], None]] = None
+             observe: Callable[[str, Term], None] | None = None
              ) -> NormalizeResult:
     """The reduction sequence of ``step``, found in one preorder walk.
 

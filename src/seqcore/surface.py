@@ -56,10 +56,8 @@ as long as the ``load_program`` call.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from itertools import accumulate, count, islice, repeat
-from operator import add, attrgetter, itemgetter
-from typing import Optional, Union
+from itertools import accumulate, islice, repeat
+from operator import attrgetter, itemgetter
 
 from .check_dep import convert
 from .core_text import print_type
@@ -83,22 +81,20 @@ __all__ = [
 # Surface AST
 
 class _Source:
-    """A source text's file name and line starts.  Tokens, name nodes,
-    declarations and clauses keep character offsets; a Span is made from
-    one only when asked."""
+    """A source text and its file name.  Tokens, name nodes, declarations
+    and clauses keep character offsets; a Span is made from one only when
+    asked, by counting the newlines before it."""
 
-    __slots__ = ("file", "starts")
+    __slots__ = ("text", "file")
 
     def __init__(self, text: str, file: str):
+        self.text = text
         self.file = file
-        # Line k (from 0) starts after the k newlines and the characters of
-        # the lines before it.
-        self.starts = list(map(add, accumulate(map(len, text.split("\n")),
-                                               initial=0), count()))
 
     def span(self, at: int) -> Span:
-        line = bisect_right(self.starts, at)
-        return Span(self.file, line, at - self.starts[line - 1] + 1)
+        text = self.text
+        return Span(self.file, text.count("\n", 0, at) + 1,
+                    at - text.rfind("\n", 0, at))
 
 
 class _Located:
@@ -229,7 +225,7 @@ class SurfaceDecl(_Located):
     name: str
     at: int                     # the offset of its name
     src: _Source
-    type: Optional[SType] = None
+    type: SType | None = None
     clauses: tuple[Clause, ...] = ()
 
 
@@ -483,7 +479,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
     kinds, texts, offs, src = p.kinds, p.texts, p.offs, p.src
     # Each declaration's fields, made a record once its clauses are read.
     decls: list[tuple] = []
-    open_def: Optional[tuple] = None
+    open_def: tuple | None = None
 
     # The lexer puts no NL first and never two in a row, so each
     # declaration starts right after the line end of the one before.
@@ -542,7 +538,7 @@ def parse(source: str, file: str = "<surface>") -> list[SurfaceDecl]:
 # Polarization
 
 def polarize(ty: SType, sig: Sig, mode: Mode = Mode.PROP,
-             shared: Optional[dict] = None) -> NegType:
+             shared: dict | None = None) -> NegType:
     """Insert the minimal shifts making a surface type a negative kernel type:
     atoms are negative, arrows take a positive argument, sums and products are
     positive with shifted components.
@@ -650,12 +646,6 @@ class CompileFail(DiagnosticError):
 # ---------------------------------------------------------------------------
 # Pattern fusion
 
-@record
-class _VarB:
-    name: Name          # the kernel variable; read as a SigEntry's is
-    type: NegType
-
-
 class _Pos:
     """One position of an argument (an occurrence): what fusing the clause
     patterns there found, and the side of a split sum the emitter is under.
@@ -664,26 +654,26 @@ class _Pos:
     __slots__ = ("path", "type", "var", "aliases", "label", "pats", "left",
                  "right", "side", "goals")
 
-    def __init__(self, path: tuple, ty: PosType, var: Optional[Name] = None):
+    def __init__(self, path: tuple, ty: PosType, var: Name | None = None):
         self.path = path            # argument index, then fst/snd/inl/inr
         self.type = ty
         # The kernel variable of a thunk position, and in dependent mode of
         # each scrutinee; at a thunk, one more per extra as-name.
         self.var = var
         self.aliases: tuple[Name, ...] = ()
-        self.label: Optional[Name] = None     # or-label, once split
-        self.pats: dict[int, Optional[SPat]] = {}    # under the as-names
-        self.left: Optional[_Pos] = None      # sub-positions, once split
-        self.right: Optional[_Pos] = None
-        self.side: Optional[str] = None       # "left" | "right"
+        self.label: Name | None = None     # or-label, once split
+        self.pats: dict[int, SPat | None] = {}    # under the as-names
+        self.left: _Pos | None = None      # sub-positions, once split
+        self.right: _Pos | None = None
+        self.side: str | None = None       # "left" | "right"
         # The goals found to match ``type``, compared by identity: every
         # leaf below a binding rebuilds it at the same goals, so each is
         # compared once per declaration.  A mismatch is reported at once.
         self.goals: tuple[PosType, ...] = ()
 
 
-def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
-          b: Union[_VarB, _Pos]) -> None:
+def _bind(binds: dict[str, SigEntry | _Pos], node: PAsS | PVarS,
+          b: SigEntry | _Pos) -> None:
     """Enter a name one clause binds while its patterns fuse into positions:
     a thunk name binds a kernel variable, a composite name its position."""
     if node.name in binds:
@@ -693,16 +683,16 @@ def _bind(binds: dict[str, Union[_VarB, _Pos]], node: Union[PAsS, PVarS],
     binds[node.name] = b
 
 
-def _fuse(mode: Mode, table: dict, binds: list[dict[str, Union[_VarB, _Pos]]],
-          pos: _Pos, pats: dict[int, Optional[SPat]]) -> None:
+def _fuse(mode: Mode, table: dict, binds: list[dict[str, SigEntry | _Pos]],
+          pos: _Pos, pats: dict[int, SPat | None]) -> None:
     # Each clause's nodes that name what it binds here, the as-patterns
     # outermost first and then the variable under them if there is one, and
     # its pattern under the as-names.
-    peeled: dict[int, tuple[list[Union[PAsS, PVarS]], Optional[SPat]]] = {}
+    peeled: dict[int, tuple[list[PAsS | PVarS], SPat | None]] = {}
     plain = pos.pats
     all_wild = bool(pats)
     for cid, sp in pats.items():
-        names: list[Union[PAsS, PVarS]] = []
+        names: list[PAsS | PVarS] = []
         while type(sp) is PAsS:
             names.append(sp)
             sp = sp.pat
@@ -728,8 +718,8 @@ def _fuse(mode: Mode, table: dict, binds: list[dict[str, Union[_VarB, _Pos]]],
         return
     if c is Or:
         pos.label = fresh("w")
-    left: dict[int, Optional[SPat]] = {}
-    right: dict[int, Optional[SPat]] = {}
+    left: dict[int, SPat | None] = {}
+    right: dict[int, SPat | None] = {}
     for cid, sp in plain.items():
         cs = type(sp)
         if sp is None or cs is PVarS or cs is PWildS:
@@ -771,7 +761,7 @@ def _fuse(mode: Mode, table: dict, binds: list[dict[str, Union[_VarB, _Pos]]],
             _bind(binds[cid], node, pos)
 
 
-def _fuse_down(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]],
+def _fuse_down(mode: Mode, binds: list[dict[str, SigEntry | _Pos]],
                pos: _Pos, peeled) -> None:
     # Every name any clause binds here shares the stored hypothesis; an
     # as-chain needs one extra kernel variable per extra name (contraction).
@@ -791,7 +781,7 @@ def _fuse_down(mode: Mode, binds: list[dict[str, Union[_VarB, _Pos]]],
     vars_[0] = pos.var = pos.var or vars_[0]
     for cid, (names, _) in peeled.items():
         for v, node in zip(vars_, names):
-            _bind(binds[cid], node, _VarB(v, pos.type.body))
+            _bind(binds[cid], node, SigEntry(v, pos.type.body))
     if width > 1 and mode is Mode.DEP:
         # The first name that would need an extra kernel variable.
         raise CompileFail(Diagnostic(
@@ -1097,14 +1087,14 @@ class CompiledDecl(_Located):
     name: Name
     at: int                         # its declaration's, as in SurfaceDecl
     src: _Source
-    type: Optional[NegType] = None
-    term: Optional[Term] = None
-    tree: Optional[CaseTree] = None
+    type: NegType | None = None
+    term: Term | None = None
+    tree: CaseTree | None = None
     warnings: tuple[str, ...] = ()
 
 
 def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
-                    shared: Optional[dict] = None) -> CompiledDecl:
+                    shared: dict | None = None) -> CompiledDecl:
     """Polarize a definition's declared type, with the table ``shared`` when
     given, and compile its clause set into one core term via its splitting
     tree.  Raises CompileFail on type, coverage or elaboration errors."""
@@ -1138,7 +1128,7 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
                 found=f"{arity} clause pattern(s)", span=decl.span))
         args.append(_Pos((i,), a, v))
 
-    binds: list[dict[str, Union[_VarB, _Pos]]] = [{} for _ in decl.clauses]
+    binds: list[dict[str, SigEntry | _Pos]] = [{} for _ in decl.clauses]
     for pos, column in zip(args, columns):
         _fuse(mode, shared, binds, pos, dict(enumerate(column)))
 
@@ -1159,7 +1149,7 @@ class Program:
     decls: tuple[CompiledDecl, ...]
     warnings: tuple[str, ...] = ()
 
-    def find(self, name: str) -> Optional[CompiledDecl]:
+    def find(self, name: str) -> CompiledDecl | None:
         for d in self.decls:
             if d.name.text == name:
                 return d

@@ -41,9 +41,9 @@ all operations in this module are pure functions.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from enum import Enum
 from operator import attrgetter, is_
-from typing import Callable, NamedTuple, Optional
 
 from .diag import Diagnostic
 from .record import record
@@ -69,21 +69,22 @@ __all__ = [
 _fresh_counter = itertools.count(1)
 
 
-class Name(NamedTuple):
-    """An identifier.  Parsed binders get a globally fresh integer tag so that
-    substitution can regenerate binders without capture; hand-built terms may
-    use the default tag 0.
+Name = namedtuple("Name", ("text", "tag"), defaults=(0,))
+Name.__doc__ = """An identifier.  Parsed binders get a globally fresh integer
+tag so that substitution can regenerate binders without capture; hand-built
+terms may use the default tag 0.
 
-    A named tuple, so ``==`` and the hash run in C: every layer compares and
-    hashes names.  The hash is ``hash((text, tag))``, as for a record with
-    these two fields.  A name equals the plain tuple ``(text, tag)``; no dict
-    or set in the kernel is keyed by any other tuple."""
+A named tuple, so ``==`` and the hash run in C: every layer compares and
+hashes names.  The hash is ``hash((text, tag))``, as for a record with these
+two fields.  A name equals the plain tuple ``(text, tag)``; no dict or set in
+the kernel is keyed by any other tuple."""
 
-    text: str
-    tag: int = 0
 
-    def __str__(self) -> str:
-        return self.text if self.tag == 0 else f"{self.text}#{self.tag}"
+def _name_str(self) -> str:
+    return self.text if self.tag == 0 else f"{self.text}#{self.tag}"
+
+
+Name.__str__ = _name_str
 
 
 def fresh(text: str) -> Name:
@@ -98,33 +99,27 @@ class Mode(Enum):
 # ---------------------------------------------------------------------------
 # Node layouts
 
-class Layout(NamedTuple):
-    """The fields of a node class, in order: at most one leading field
-    (``lead``), then the child fields (``kids``).  The leading field is a
-    name the node refers to (``ref``), a name a pattern binds (``bind``) or
-    the node's ``binder``: a pattern or a name whose scope is the last child.
-    ``spread`` marks a single child field that holds a tuple of children.
-    ``children`` reads the children as a tuple.
+Layout = namedtuple("Layout", ("kids", "ref", "bind", "binder", "lead",
+                               "spread", "children"))
+Layout.__doc__ = """The fields of a node class, in order: at most one leading
+field (``lead``), then the child fields (``kids``, a tuple of names).  The
+leading field is a name the node refers to (``ref``), a name a pattern binds
+(``bind``) or the node's ``binder``: a pattern or a name whose scope is the
+last child.  Each of the four is a field name or None.  ``spread`` marks a
+single child field that holds a tuple of children.  ``children`` reads the
+children as a tuple.
 
-    From the layout ``_node`` also makes two methods of the class:
-    ``_rewrite(visit, under)``, the step ``rewrite`` takes on the node's
-    children, and ``_rebuild(kids, lead)``, which ``with_children`` calls.
-    Each comes from a template for the node's shape (no, one or two
-    children, with or without a leading field or a binder over the last
-    child, or a spread tuple), closed over the class and its field getters,
-    so no source is compiled per class."""
-
-    kids: tuple[str, ...]
-    ref: Optional[str]
-    bind: Optional[str]
-    binder: Optional[str]
-    lead: Optional[str]
-    spread: bool
-    children: Callable[[object], tuple]
+From the layout ``_node`` also makes two methods of the class:
+``_rewrite(visit, under)``, the step ``rewrite`` takes on the node's
+children, and ``_rebuild(kids, lead)``, which ``with_children`` calls.  Each
+comes from a template for the node's shape (no, one or two children, with or
+without a leading field or a binder over the last child, or a spread tuple),
+closed over the class and its field getters, so no source is compiled per
+class."""
 
 
-def _node(*kids: str, ref: Optional[str] = None, bind: Optional[str] = None,
-          binder: Optional[str] = None):
+def _node(*kids: str, ref: str | None = None, bind: str | None = None,
+          binder: str | None = None):
     """Declare a node class: a frozen record with a ``layout`` and the walk
     steps made from it.  A node has at most two child fields, or one spelled
     ``*f`` that holds a tuple of children."""
@@ -523,7 +518,7 @@ def data_shape(d: DataVal) -> str:
 class SigEntry:
     name: Name
     type: NegType
-    body: Optional[Term] = None
+    body: Term | None = None
 
 
 @record
@@ -536,14 +531,14 @@ class Sig:
     entries: tuple[SigEntry, ...] = ()
     # Name -> its last entry in ``entries``; derived from ``entries`` when
     # not given, never compared, hashed or shown.
-    _index: Optional[dict] = None
+    _index: dict | None = None
 
     def __post_init__(self) -> None:
         if self._index is None:
             object.__setattr__(self, "_index",
                                {e.name: e for e in self.entries})
 
-    def lookup(self, name: Name) -> Optional[SigEntry]:
+    def lookup(self, name: Name) -> SigEntry | None:
         return self._index.get(name)
 
     def with_atom(self, name: Name) -> "Sig":
@@ -580,7 +575,7 @@ def pattern_linear(p: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # Well-formedness
 
-def _problem(problems: Optional[list], diag: Diagnostic) -> bool:
+def _problem(problems: list | None, diag: Diagnostic) -> bool:
     if problems is not None:
         problems.append(diag)
     return False
@@ -588,7 +583,7 @@ def _problem(problems: Optional[list], diag: Diagnostic) -> bool:
 
 def well_formed_neg(ty: NegType, sig: Sig, mode: Mode,
                     scope: frozenset[Name] = frozenset(),
-                    problems: Optional[list] = None) -> bool:
+                    problems: list | None = None) -> bool:
     """True iff ``ty`` respects the mode's grammar, all atoms are declared and
     all data arguments are well-scoped.  Total; failures are appended to
     ``problems`` when a list is supplied."""
@@ -631,7 +626,7 @@ def well_formed_neg(ty: NegType, sig: Sig, mode: Mode,
 
 def well_formed_pos(ty: PosType, sig: Sig, mode: Mode,
                     scope: frozenset[Name] = frozenset(),
-                    problems: Optional[list] = None) -> bool:
+                    problems: list | None = None) -> bool:
     c = type(ty)
     if c is Down:
         return well_formed_neg(ty.body, sig, mode, scope, problems)
@@ -893,17 +888,8 @@ def alpha_eq(a, b) -> bool:
     """Equality up to consistent renaming of bound variables, or-labels and
     dependent type binders.  Works across all sorts; both arguments must be of
     the same sort.  Standalone patterns compare their names as written."""
-    # Structurally equal trees are alpha-equal.  This holds for whole trees
-    # only: under a binder, equal subtrees may name different binders.  The
-    # generated ``==`` takes three stack levels per tree level and ``eq``
-    # one, so a tree too deep for ``==`` is still compared by ``eq``.
     if a is b:
         return True
-    try:
-        if a == b:
-            return True
-    except RecursionError:
-        pass
     ids = itertools.count(1)
 
     def bind(p, q, envL: dict, envR: dict) -> bool:

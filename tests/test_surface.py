@@ -762,6 +762,37 @@ class TestFrontEndWork:
                 assert x.span == src.span(x.at) == Span(
                     name, *_line_col(text, x.at))
 
+    @pytest.mark.parametrize("text, at, line, col", [
+        ("atom a\nf : a -> a\n", 0, 1, 1),
+        ("atom a\nf : a -> a\n", 6, 1, 7),      # the newline itself
+        ("atom a\nf : a -> a\n", 7, 2, 1),      # a line start
+        ("atom a\npostulate p : a", 17, 2, 11),  # a last line with no newline
+        ("atom a\npostulate p : a", 22, 2, 16),  # and its end
+    ])
+    def test_span_at_line_edges(self, text, at, line, col):
+        assert _Source(text, "s").span(at) == Span("s", line, col)
+
+    @pytest.mark.parametrize("text, line, col", [
+        ("atom a\natom b -- c", 2, 8),
+        ("atom a\n  -- c", 2, 3),
+        ("atom a\n-- c\n", 3, 1),
+    ])
+    def test_span_of_end_of_input_after_a_comment(self, text, line, col):
+        kinds, _, offs = _lex(text, "s")
+        assert kinds[-1] == "EOF"
+        assert _Source(text, "s").span(offs[-1]) == Span("s", line, col)
+
+    @pytest.mark.parametrize("text, found, line, col", [
+        ("atom a\nf : a -> a\nf x = ½", "'½'", 3, 7),
+        ("atom a\n\n$", "'$'", 3, 1),
+    ])
+    def test_span_of_a_bad_token(self, text, found, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text, "s")
+        d = exc.value.diagnostic
+        assert (d.expected, d.found, d.span) == (
+            "token", found, Span("s", line, col))
+
 
 class TestLoadOrder:
     """``load_program`` grows one signature index in place, and each

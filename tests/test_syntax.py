@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,8 +15,9 @@ import seqcore
 from seqcore.core_text import print_term
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr, Kappa, Lam,
-    Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1, Proj2, PWild,
-    Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With, alpha_eq, children,
+    Layout, Mode, Name, Nil, Or, Pair, PAt, Pi, POr, PPair, Prod, Proj1,
+    Proj2, PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With, alpha_eq,
+    children,
     eta, free_names, fresh, is_cut_free, pattern_linear, pattern_vars, rename,
     size, spine_concat, subst_data, well_formed_neg,
     well_formed_pos, with_children,
@@ -294,23 +298,6 @@ def _kappa_final(k) -> bool:
 from seqcore.syntax import AppCut  # noqa: E402
 
 
-def _compare_too_deep_for_eq(frames: int) -> None:
-    """alpha_eq, under ``frames`` more stack frames, on unshared nested sums
-    600 levels deep."""
-    def nested(leaf):
-        t = Down(leaf)
-        for _ in range(600):
-            t = Or(Down(A), t)
-        return t
-
-    def under(n, *args):
-        return under(n - 1, *args) if n else alpha_eq(*args)
-
-    a = nested(A)
-    assert under(frames, a, nested(A))
-    assert not under(frames, a, nested(NAT))
-
-
 class TestAlphaEq:
     def test_bound_renaming(self):
         x, y = Name("x"), Name("y")
@@ -343,17 +330,18 @@ class TestAlphaEq:
 
     def test_deeper_than_structural_equality_reaches(self):
         # On CPython 3.11 the generated == spends three stack levels per tree
-        # level and alpha_eq's own walk one: == on these trees overflows at
-        # the default recursion limit, and alpha_eq must still answer.
-        _compare_too_deep_for_eq(0)
+        # level and alpha_eq's own walk one: == on these unshared sums 600
+        # levels deep overflows at the default recursion limit, and alpha_eq
+        # must still answer.
+        def nested(leaf):
+            t = Down(leaf)
+            for _ in range(600):
+                t = Or(Down(A), t)
+            return t
 
-    @pytest.mark.parametrize("frames", [1, 2])
-    def test_deeper_than_structural_equality_from_deeper_stacks(self,
-                                                                frames):
-        # Which of its three levels per tree level == overflows at depends
-        # on the depth of the caller's stack: 0, 1 and 2 frames more meet
-        # each of them.
-        _compare_too_deep_for_eq(frames)
+        a = nested(A)
+        assert alpha_eq(a, nested(A))
+        assert not alpha_eq(a, nested(NAT))
 
     def test_worked_example_label_renaming(self):
         # Rename-then-compare: the compiled example vs a renamed copy.
@@ -671,6 +659,11 @@ class TestLayout:
             assert len(leads) <= 1 and tuple(leads) + lay.kids == fields, cls
             assert lay.lead == (leads[0] if leads else None), cls
 
+    def test_a_named_tuple_of_one_class(self):
+        assert Layout.__mro__ == (Layout, tuple, object)
+        assert Layout._fields == ("kids", "ref", "bind", "binder", "lead",
+                                  "spread", "children")
+
 
 _V1, _V2, _V3, _W1 = Name("v1"), Name("v2"), Name("v3"), Name("w1")
 
@@ -942,6 +935,26 @@ class TestName:
             with pytest.raises(AttributeError):
                 setattr(n, field, "y")
         assert n == Name("x")
+
+    def test_one_class_over_tuple(self):
+        assert Name.__mro__ == (Name, tuple, object)
+
+
+class TestImportsNoTyping:
+    """No module of ``seqcore`` imports ``typing``: no annotation is
+    evaluated (``from __future__ import annotations``), and ``Name`` and
+    ``Layout`` are ``collections.namedtuple`` classes.  Checked in a fresh
+    interpreter started without the ``site`` hook, which may import
+    ``typing`` on its own."""
+
+    def test_cli_imports_without_typing(self):
+        src = pathlib.Path(seqcore.__file__).parent.parent
+        code = "import sys, seqcore.cli; print('typing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout == "False\n"
 
 
 class TestAcyclic:
