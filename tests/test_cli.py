@@ -468,6 +468,26 @@ class TestCore:
         assert "f = \\" in out
 
 
+class TestIgnoredOptions:
+    """Every command accepts all six options; one that does not act on the
+    command leaves its exit code, stdout and stderr byte for byte as they
+    are without it."""
+
+    @pytest.mark.parametrize("mode", [[], ["--dependent"]],
+                             ids=["plain", "dependent"])
+    @pytest.mark.parametrize("argv, ignored", [
+        (["check"], ["--entry", "f", "--arg", "inr q", "--trace"]),
+        (["core"], ["--structural-patterns", "--fuel", "1", "--entry", "f",
+                    "--arg", "inr q", "--trace"]),
+        (["trace", "--entry", "f", "--arg", "inr q"], ["--trace"]),
+    ], ids=["check", "core", "trace"])
+    def test_output_unchanged(self, capsys, argv, ignored, mode):
+        argv = [argv[0], str(PROGRAMS / "f_run.seq"), *argv[1:], *mode]
+        without = run(capsys, *argv)
+        assert without[0] == 0
+        assert run(capsys, *argv, *ignored) == without
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
