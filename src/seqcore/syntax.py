@@ -30,9 +30,10 @@ field, then its children.  The leading field is a name the node refers to
 (``Var.name``, ``POr.label``) or a binder: the pattern of ``Lam``,
 ``BindCut`` and ``Kappa``, or the bound name of ``Pi`` and ``Sigma``.  A
 binder scopes the node's last child only, so the data of a ``BindCut`` is
-outside its pattern.  Free names, renaming, substitution, branch selection,
-alpha-equivalence, size and the reducer's traversal are derived from the
-layouts; only their real special cases are written out.
+outside its pattern.  Well-formedness of types, free names, renaming,
+substitution, spine concatenation, branch selection, alpha-equivalence, size
+and the reducer's traversal are derived from the layouts; only their real
+special cases are written out.
 
 Every value is immutable after construction and safe to share across threads;
 all operations in this module are pure functions.
@@ -58,7 +59,7 @@ __all__ = [
     "Spine", "Nil", "NIL", "Cons", "Proj1", "Proj2", "Kappa",
     "Sig", "SigEntry", "Ctx", "eta", "data_shape",
     "children", "with_children", "rewrite",
-    "pattern_vars", "pattern_labels", "pattern_linear",
+    "pattern_vars", "pattern_labels",
     "well_formed_neg", "well_formed_pos",
     "free_names", "rename", "freshen_pattern", "subst_data",
     "spine_concat", "select_branch", "alpha_eq", "size", "is_cut_free",
@@ -566,86 +567,60 @@ def pattern_labels(p: Pattern) -> list[Name]:
     return [q.label for q in _nodes(p) if isinstance(q, POr)]
 
 
-def pattern_linear(p: Pattern) -> bool:
-    """All bound variables and labels pairwise distinct."""
-    names = pattern_vars(p) + pattern_labels(p)
-    return len(names) == len(set(names))
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
-def _problem(problems: list | None, diag: Diagnostic) -> bool:
-    if problems is not None:
-        problems.append(diag)
-    return False
+# The connectives of one mode only: the mode that rejects each, and what its
+# problem expects and finds.
+_WRONG_MODE = {
+    Imp: (Mode.DEP, "Pi in dependent mode", "->"),
+    Prod: (Mode.DEP, "Sigma in dependent mode", "*"),
+    Pi: (Mode.PROP, "-> in propositional mode", "Pi"),
+    Sigma: (Mode.PROP, "* in propositional mode", "Sigma"),
+}
 
 
-def well_formed_neg(ty: NegType, sig: Sig, mode: Mode,
+def well_formed_neg(ty: NegType | PosType, sig: Sig, mode: Mode,
                     scope: frozenset[Name] = frozenset(),
                     problems: list | None = None) -> bool:
-    """True iff ``ty`` respects the mode's grammar, all atoms are declared and
-    all data arguments are well-scoped.  Total; failures are appended to
-    ``problems`` when a list is supplied."""
+    """True iff ``ty``, a type of either polarity, respects the mode's
+    grammar, all atoms are declared and all data arguments are well-scoped.
+    Failures are appended to ``problems`` when a list is supplied; a node
+    of the wrong mode is reported once, without its children."""
+    if problems is None:
+        problems = []
+    before = len(problems)
     c = type(ty)
     if c is Atom:
-        ok = True
         if ty.name not in sig.atoms:
-            ok = _problem(problems, Diagnostic(
+            problems.append(Diagnostic(
                 "atom", expected="declared atom", found=str(ty.name)))
         if ty.args and mode is Mode.PROP:
-            ok = _problem(problems, Diagnostic(
+            problems.append(Diagnostic(
                 "mode", expected="unindexed atom in propositional mode",
                 found=f"{ty.name} with {len(ty.args)} argument(s)"))
         for a in ty.args:
             for v in free_names(a):
                 if v not in scope and v not in sig._index:
-                    ok = _problem(problems, Diagnostic(
-                        "scope", expected="variable in scope",
-                        found=str(v)))
-        return ok
-    elif c is Up:
-        return well_formed_pos(ty.body, sig, mode, scope, problems)
-    elif c is Imp:
-        if mode is not Mode.PROP:
-            return _problem(problems, Diagnostic(
-                "mode", expected="Pi in dependent mode", found="->"))
-        left = well_formed_pos(ty.arg, sig, mode, scope, problems)
-        return well_formed_neg(ty.res, sig, mode, scope, problems) and left
-    elif c is With:
-        left = well_formed_neg(ty.left, sig, mode, scope, problems)
-        return well_formed_neg(ty.right, sig, mode, scope, problems) and left
-    elif c is Pi:
-        if mode is not Mode.DEP:
-            return _problem(problems, Diagnostic(
-                "mode", expected="-> in propositional mode", found="Pi"))
-        left = well_formed_pos(ty.arg, sig, mode, scope, problems)
-        return well_formed_neg(ty.res, sig, mode, scope | {ty.binder}, problems) and left
-    raise TypeError(ty)
+                    problems.append(Diagnostic(
+                        "scope", expected="variable in scope", found=str(v)))
+    elif not isinstance(ty, (NegType, PosType)):
+        raise TypeError(ty)
+    elif c in _WRONG_MODE and _WRONG_MODE[c][0] is mode:
+        _, expected, found = _WRONG_MODE[c]
+        problems.append(Diagnostic("mode", expected=expected, found=found))
+    else:
+        lay = ty.layout
+        *first, last = lay.children(ty)
+        for k in first:
+            well_formed_neg(k, sig, mode, scope, problems)
+        if lay.binder is not None:
+            scope = scope | {getattr(ty, lay.binder)}
+        well_formed_neg(last, sig, mode, scope, problems)
+    return len(problems) == before
 
 
-def well_formed_pos(ty: PosType, sig: Sig, mode: Mode,
-                    scope: frozenset[Name] = frozenset(),
-                    problems: list | None = None) -> bool:
-    c = type(ty)
-    if c is Down:
-        return well_formed_neg(ty.body, sig, mode, scope, problems)
-    elif c is Or:
-        left = well_formed_pos(ty.left, sig, mode, scope, problems)
-        return well_formed_pos(ty.right, sig, mode, scope, problems) and left
-    elif c is Prod:
-        if mode is not Mode.PROP:
-            return _problem(problems, Diagnostic(
-                "mode", expected="Sigma in dependent mode", found="*"))
-        left = well_formed_pos(ty.left, sig, mode, scope, problems)
-        return well_formed_pos(ty.right, sig, mode, scope, problems) and left
-    elif c is Sigma:
-        if mode is not Mode.DEP:
-            return _problem(problems, Diagnostic(
-                "mode", expected="* in propositional mode", found="Sigma"))
-        left = well_formed_pos(ty.first, sig, mode, scope, problems)
-        return well_formed_pos(ty.second, sig, mode, scope | {ty.binder}, problems) and left
-    raise TypeError(ty)
+well_formed_pos = well_formed_neg
 
 
 # ---------------------------------------------------------------------------
@@ -850,14 +825,12 @@ def spine_concat(front: Spine, back: Spine) -> Spine:
     c = type(front)
     if c is Nil:
         return back
-    elif c is Cons:
-        return Cons(front.arg, spine_concat(front.rest, back))
-    elif c is Proj1:
-        return Proj1(spine_concat(front.rest, back))
-    elif c is Proj2:
-        return Proj2(spine_concat(front.rest, back))
     elif c is Kappa:
         return Kappa(front.pat, AppCut(front.body, back))
+    elif isinstance(front, Spine):
+        # Cons, Proj1 and Proj2: the rest of the spine is the last child.
+        *first, rest = children(front)
+        return with_children(front, (*first, spine_concat(rest, back)))
     raise TypeError(front)
 
 

@@ -8,7 +8,11 @@ working directory, over:
   definition and on the worked example's two injections;
 * ``variants``: ``check`` and ``core`` on each clause-set variant of the
   examples (see ``suite.clause_set_variants``), in each flag set;
-* ``bench``: every call of the three benchmark workloads at one seed.
+* ``bench``: every call of the three benchmark workloads at one seed;
+* ``malformed``: ``check`` in both modes on each source text of
+  ``TestParse::test_syntax_error``, and ``run`` in both modes on
+  ``f_run.seq`` with each ``--arg`` text that
+  ``TestRun::test_argument_runs_to_the_end_of_its_text`` rejects.
 
 Prints one sha256 per group and one over all of them.  Two checkouts with
 the same digests print the same bytes and exit codes on every call, so a
@@ -82,6 +86,35 @@ def bench(seed: int):
             yield list(call.argv)
 
 
+# The source texts of test_surface.py's TestParse::test_syntax_error.
+SYNTAX_ERRORS = (
+    "atom nat extra\n",
+    "postulate p a\n",
+    "f : Pi x\n",
+    "f : Pi (x a\n",
+    "f : Pi (x : a -> a .\n",
+    "f : Pi (x : a) a\n",
+    "f : (a -> a\n",
+    "atom a\nf : a -> a\nf x = (x x\n",
+)
+
+# The --arg texts that test_cli.py's
+# TestRun::test_argument_runs_to_the_end_of_its_text rejects.
+ARG_ERRORS = ("inr q\nzzz ( (", "inr\nq", "")
+
+
+def malformed():
+    for i, text in enumerate(SYNTAX_ERRORS):
+        f = f"bad{i}.seq"
+        Path(f).write_text(text, encoding="utf-8")
+        for flags in ([], ["--dependent"]):
+            yield ["check", f, *flags]
+    for arg in ARG_ERRORS:
+        for flags in ([], ["--dependent"]):
+            yield ["run", "programs/f_run.seq", "--entry", "f", "--arg", arg,
+                   *flags]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=2024,
@@ -93,7 +126,7 @@ def main() -> None:
         os.chdir(work)
         os.symlink(PROGRAMS, "programs")
         groups = (("examples", examples()), ("variants", variants()),
-                  ("bench", bench(args.seed)))
+                  ("bench", bench(args.seed)), ("malformed", malformed()))
         for label, calls in groups:
             h, n = hashlib.sha256(), 0
             for argv in calls:
@@ -102,9 +135,9 @@ def main() -> None:
                 internal += code == 5
                 n += 1
             total.update(h.digest())
-            print(f"{label:8s} {n:5d} calls  {h.hexdigest()}")
-    print(f"{'all':8s} {'':11s} {total.hexdigest()}")
-    print(f"{'internal':8s} {internal:5d} calls  exit 5")
+            print(f"{label:9s} {n:5d} calls  {h.hexdigest()}")
+    print(f"{'all':9s} {'':11s} {total.hexdigest()}")
+    print(f"{'internal':9s} {internal:5d} calls  exit 5")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ test ran with the list ``LISTED`` below.  Each entry of the list names one
 line by module, enclosing function (its ``co_qualname``) and stripped text,
 so that moving a line does not stale its entry, and says why no tier-1 test
 runs it.  The script exits 1 when an unreached line is not listed, when a
-listed line is reached, or when the suite fails::
+listed line is reached or no longer exists, or when the suite fails::
 
     python tests/line_reach.py
 
@@ -58,7 +58,6 @@ LISTED: list[tuple[str, str, str, str]] = [
     ("core_text", "_Printer.spine", "raise TypeError(k)", _GUARD),
     ("core_text", "_type", "raise TypeError(ty)", _GUARD),
     ("syntax", "well_formed_neg", "raise TypeError(ty)", _GUARD),
-    ("syntax", "well_formed_pos", "raise TypeError(ty)", _GUARD),
     ("syntax", "spine_concat", "raise TypeError(front)", _GUARD),
     ("surface", "_neg_of", "raise TypeError(ty)", _GUARD),
     ("surface", "_Emitter._recon", "raise TypeError(ty)", _GUARD),
@@ -131,19 +130,22 @@ class Collector:
         self.arm()
 
 
-def unreached(hits: dict[str, _Lines]) -> collections.Counter:
-    """The unreached lines, keyed as ``LISTED`` keys them, with a count."""
+def unreached(hits: dict[str, _Lines]):
+    """The unreached lines and all executable lines, each keyed as
+    ``LISTED`` keys them, with a count."""
     found: collections.Counter = collections.Counter()
+    present: collections.Counter = collections.Counter()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()
         seen = hits.get(str(path), ())
         for line, qualname in sorted(executable_lines(path).items()):
+            key = (path.stem, qualname, text[line - 1].strip())
+            present[key] += 1
             if line not in seen:
-                key = (path.stem, qualname, text[line - 1].strip())
                 found[key] += 1
                 print(f"  unreached {path.name}:{line}  {qualname}: "
                       f"{key[2]}")
-    return found
+    return found, present
 
 
 def main() -> int:
@@ -156,17 +158,20 @@ def main() -> int:
     sys.settrace(None)
     total = sum(len(executable_lines(p)) for p in SRC.glob("*.py"))
     print(f"line reach over src/seqcore ({total} executable lines):")
-    found = unreached(collector.hits)
+    found, present = unreached(collector.hits)
     listed = collections.Counter(entry[:3] for entry in LISTED)
     new = found - listed
     stale = listed - found
+    gone = stale - present
     for key in sorted(new):
         print(f"NOT LISTED: {key}")
-    for key in sorted(stale):
+    for key in sorted(stale - gone):
         print(f"LISTED BUT REACHED: {key}")
+    for key in sorted(gone):
+        print(f"LISTED BUT GONE: {key}")
     print(f"{sum(found.values())} unreached, {sum(listed.values())} listed, "
-          f"{sum(new.values())} not listed, {sum(stale.values())} stale; "
-          f"pytest exit {int(code)}")
+          f"{sum(new.values())} not listed, {sum(stale.values())} stale "
+          f"({sum(gone.values())} gone); pytest exit {int(code)}")
     return 1 if new or stale or code != 0 else 0
 
 

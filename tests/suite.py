@@ -16,8 +16,9 @@ from seqcore.core_text import print_term
 from seqcore.surface import Program, load_program, parse
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl, Inr, Lam,
-    Mode, Name, NegType, Nil, Pair, Pattern, PAt, Pi, POr, PPair, PWild, Sig,
-    SigEntry, Split, Term, Thunk, Var, subst_data,
+    Mode, Name, NegType, Nil, Or, Pair, Pattern, PAt, Pi, POr, PPair, Prod,
+    PWild, Sig, SigEntry, Sigma, Split, Term, Thunk, Up, Var, With, fresh,
+    subst_data,
 )
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -138,6 +139,32 @@ def tiny_sig() -> Sig:
     return Sig(frozenset({Name("a")}),
                (SigEntry(Name("z"), a),
                 SigEntry(Name("f"), Imp(Down(a), a))))
+
+
+def embed_neg(ty):
+    """A propositional type's dependent twin: every arrow a ``Pi`` and every
+    product a ``Sigma``, each with a fresh binder that nothing uses."""
+    match ty:
+        case Atom(_, _):
+            return ty
+        case Up(p):
+            return Up(embed_pos(p))
+        case Imp(a, r):
+            return Pi(fresh("_"), embed_pos(a), embed_neg(r))
+        case With(l, r):
+            return With(embed_neg(l), embed_neg(r))
+    raise TypeError(ty)
+
+
+def embed_pos(ty):
+    match ty:
+        case Down(n):
+            return Down(embed_neg(n))
+        case Or(l, r):
+            return Or(embed_pos(l), embed_pos(r))
+        case Prod(l, r):
+            return Sigma(fresh("_"), embed_pos(l), embed_pos(r))
+    raise TypeError(ty)
 
 
 def pretty_equations(name, t: Term, ty: NegType) -> str:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from suite import embed_neg
 from seqcore.check import check_term
 from seqcore.check_dep import convert, dep_bind_cut, dep_check_spine, dep_check_term
+from seqcore.core_text import print_term, print_type
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
     Kappa, Lam, Name, NegType, Nil, Or, Pair, Pi, POr, PosType, PPair, Prod,
@@ -389,58 +391,38 @@ class TestFailureRules:
         assert (d.rule, d.expected, d.found) == expected
 
 
+def var_only(t) -> bool:
+    """No split, and no pattern other than a variable."""
+    match t:
+        case Lam(p, b) | Kappa(p, b):
+            return isinstance(p, Var) and var_only(b)
+        case BindCut(p, d, b):
+            return isinstance(p, Var) and var_only(d) and var_only(b)
+        case Split(_, _, _) | POr(_, _, _):
+            return False
+        case App(_, k):
+            return var_only(k)
+        case Done(d) | Thunk(d) | Inl(d) | Inr(d):
+            return var_only(d)
+        case Pair(l, r) | DPair(l, r):
+            return var_only(l) and var_only(r)
+        case AppCut(f, k):
+            return var_only(f) and var_only(k)
+        case Cons(d, k):
+            return var_only(d) and var_only(k)
+        case Proj1(k) | Proj2(k):
+            return var_only(k)
+        case Nil():
+            return True
+    return False
+
+
 class TestConservativity:
     def test_dependency_free_corpus(self):
         # Variable-only, split-free well-typed propositional terms are
         # accepted identically by the dependent checker after embedding
         # arrows and products into their degenerate dependent forms.
         from gen_corpus import generate_corpus
-
-        def embed_neg(ty):
-            match ty:
-                case Atom(_, _):
-                    return ty
-                case Up(p):
-                    return Up(embed_pos(p))
-                case Imp(a, r):
-                    return Pi(fresh("_"), embed_pos(a), embed_neg(r))
-                case With(l, r):
-                    return With(embed_neg(l), embed_neg(r))
-            raise TypeError(ty)
-
-        def embed_pos(ty):
-            match ty:
-                case Down(n):
-                    return Down(embed_neg(n))
-                case Or(l, r):
-                    return Or(embed_pos(l), embed_pos(r))
-                case Prod(l, r):
-                    return Sigma(fresh("_"), embed_pos(l), embed_pos(r))
-            raise TypeError(ty)
-
-        def var_only(t) -> bool:
-            match t:
-                case Lam(p, b) | Kappa(p, b):
-                    return isinstance(p, Var) and var_only(b)
-                case BindCut(p, d, b):
-                    return isinstance(p, Var) and var_only(d) and var_only(b)
-                case Split(_, _, _) | POr(_, _, _):
-                    return False
-                case App(_, k):
-                    return var_only(k)
-                case Done(d) | Thunk(d) | Inl(d) | Inr(d):
-                    return var_only(d)
-                case Pair(l, r) | DPair(l, r):
-                    return var_only(l) and var_only(r)
-                case AppCut(f, k):
-                    return var_only(f) and var_only(k)
-                case Cons(d, k):
-                    return var_only(d) and var_only(k)
-                case Proj1(k) | Proj2(k):
-                    return var_only(k)
-                case Nil():
-                    return True
-            return False
 
         sig, corpus = generate_corpus(400, 12, seed=77)
         dep_entries = tuple(
@@ -456,6 +438,44 @@ class TestConservativity:
             assert prop_ok == dep_ok, f"conservativity broke on {t}"
             assert prop_ok
         assert tested >= 30
+
+    def test_variable_only_terms_up_to_size_8(self):
+        # Every variable-only term of size <= 8 (criterion 5's enumeration,
+        # cuts included) at five goals.  The checkers differ on one shape
+        # only: a let whose variable the body never uses, bound to an
+        # injection.  The propositional checker keeps the sum hypothesis in
+        # the inversion context, where no rule discharges it; the dependent
+        # checker cannot synthesize the injection's type, so it substitutes
+        # the data into the body, which drops it.
+        from enum_all import Enumerator
+        from suite import tiny_sig
+        sig = tiny_sig()
+        dep_sig = Sig(sig.atoms, tuple(SigEntry(e.name, embed_neg(e.type))
+                                       for e in sig.entries))
+        sum_ = Or(Down(A), Down(A))
+        goals = [A, Imp(Down(A), A), Imp(sum_, A),
+                 Imp(Prod(Down(A), Down(A)), A), Up(sum_)]
+        terms = [t for t in Enumerator((Z, Name("f")), structural=False)
+                 .all_terms(8) if var_only(t)]
+        assert len(terms) == 2856
+        only = {"check": set(), "check_dep": set()}
+        for goal in goals:
+            dep_goal = embed_neg(goal)
+            for t in terms:
+                prop_ok = check_term(sig, [], t, goal) is None
+                dep_ok = dep_check_term(dep_sig, [], t, dep_goal) is None
+                if prop_ok != dep_ok:
+                    only["check" if prop_ok else "check_dep"].add(
+                        (print_term(t), print_type(goal)))
+        lets = {(f"let v1 = {inj} thunk ({h} []) in {body} []", goal)
+                for inj in ("inl", "inr") for h in ("z", "f")
+                for body, goal in (("z", "a"), ("f", "dn a -> a"))}
+        assert only == {"check": set(), "check_dep": lets}
+        # The propositional checker's reason: the hypothesis is left over.
+        d = check_term(sig, [], BindCut(Var(Name("v1")), Inl(eta(Z)),
+                                        App(Z, Nil())), A)
+        assert (d.rule, d.expected) == ("var-app",
+                                        "empty inversion context")
 
     def test_dependency_free_rejections_agree(self):
         # A few ill-typed variable-only terms: both checkers reject.
