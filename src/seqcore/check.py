@@ -39,10 +39,11 @@ with-right, done, with-left and kappa, and the variable-cut reduct
 by identity first, in both checkers: the front end shares equal polarized
 types (see ``surface.polarize``), so an application at its declared result
 type is settled without a structural walk.  The untyped cut reducts are
-``reduce``'s own rules (``reassociated`` for R4 and R7, ``decomposed`` for
-R5).  A failure gains one trail line from each judgment it passes through,
-written where the judgment is: ``check t : N`` from inversion,
-``right-focus |= d : [P]`` from right focus, and
+``reduce``'s own rules: ``applied`` gives an application cut's reduct by
+R1-R4 or R7, and ``decomposed`` a binding cut's by R5; the checker adds only
+its typing conditions.  A failure gains one trail line from each judgment
+it passes through, written where the judgment is: ``check t : N`` from
+inversion, ``right-focus |= d : [P]`` from right focus, and
 ``left-focus [N] |- spine : M`` from left focus when it checks against a
 goal.
 """
@@ -54,7 +55,7 @@ from collections.abc import Iterator
 from .core_text import print_data, print_pattern, print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
-from .reduce import decomposed, reassociated
+from .reduce import applied, decomposed
 from .syntax import (
     App, AppCut, BindCut, Clash, Cons, Ctx, DataVal, Done, Down, DPair, Imp,
     Inl, Inr, Kappa, Lam, Name, NegType, Nil, Or, Pair, Pattern, PAt, POr,
@@ -309,43 +310,30 @@ def _reducts(st: _State, t: Term) -> Iterator[tuple[_State, Term]]:
         yield _bind_cut(st, t.pat, t.data, t.body)
     elif c is AppCut:
         f, k = t.fun, t.spine
-        u = reassociated(f, k)
-        if u is not None:
-            yield st, u
-            return
         cf = type(f)
-        if cf is Lam:
-            if not isinstance(k, Cons):
-                raise _fail("app-cut",
-                            expected="argument spine for a function",
-                            found=_spine_shape(k))
-            yield st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest))
-        elif cf is Done:
+        hit = applied(f, k)
+        if cf is Done and type(k) is not Nil:
             st.discharged("done")
-            if not isinstance(k, Kappa):
-                raise _fail("app-cut",
-                            expected="kappa spine for returned data",
-                            found=_spine_shape(k))
-            yield st, BindCut(k.pat, f.data, k.body)
-        elif cf is Pair:
-            # The projected-away component must still be typeable:
-            # reject definite failures, accept when undecided.
-            ck = type(k)
-            if ck is Proj1:
-                _infer_term(st, f.right)
-                yield st, AppCut(f.left, k.rest)
-            elif ck is Proj2:
-                _infer_term(st, f.left)
-                yield st, AppCut(f.right, k.rest)
-            else:
-                raise _fail("app-cut",
-                            expected="projection spine for a pair",
-                            found=_spine_shape(k))
+        if hit is not None:
+            if hit[0] == "R3":
+                # The projected-away component must still be typeable:
+                # reject definite failures, accept when undecided.
+                _infer_term(st, f.right if type(k) is Proj1 else f.left)
+            yield st, hit[1]
         elif cf is Split:
             for st1, u in _reducts(st, f):
                 yield st1, AppCut(u, k)
+        elif cf in _SPINE_FOR:
+            raise _fail("app-cut", expected=_SPINE_FOR[cf],
+                        found=_spine_shape(k))
         else:
             raise TypeError(f)
+
+
+# The spine an application cut on a function, data or a pair needs.
+_SPINE_FOR = {Lam: "argument spine for a function",
+              Done: "kappa spine for returned data",
+              Pair: "projection spine for a pair"}
 
 
 def _bind_cut(st: _State, p: Pattern, d: DataVal,

@@ -22,25 +22,26 @@ judgment a binding cut reduces to for checking and synthesis alike, and
 ``_check_spine`` synthesizes when it has no goal.  The rules that read the
 same in both modes (the ``CheckError`` failures with their clash guard and
 verdict, zone lookup, head typing, with-right, done, with-left, kappa, the
-variable-cut reduct) come from ``check``, the untyped cut rules R4, R5 and
-R7 from ``reduce``; this module keeps the rules that differ, its own
-``discharged`` text and its trail line, ``dep-check t : N``, which inversion
-adds to a failure passing through it.  Running out of conversion fuel is one
-more ``CheckError``.
+variable-cut reduct) come from ``check``, the untyped cut rules from
+``reduce`` (``applied`` for R1-R4 and R7, ``decomposed`` for R5); this
+module keeps the rules that differ, among them the typing conditions of the
+application cut, its own ``discharged`` text and its trail line,
+``dep-check t : N``, which inversion adds to a failure passing through it.
+Running out of conversion fuel is one more ``CheckError``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .check import (UNKNOWN, _Unknown, _Zones, _clashed, _done, _fail,
-                    _kappa, _spine_shape, _var_cut_reduct, _verdict,
+from .check import (_SPINE_FOR, UNKNOWN, _Unknown, _Zones, _clashed, _done,
+                    _fail, _kappa, _spine_shape, _var_cut_reduct, _verdict,
                     _with_left, _with_right)
 from .core_text import print_term, print_type
 from .diag import CheckError, Diagnostic
 from .record import record
-from .reduce import (DEFAULT_FUEL, FuelExhausted, decomposed, normalize,
-                     reassociated)
+from .reduce import (DEFAULT_FUEL, FuelExhausted, applied, decomposed,
+                     normalize)
 from .syntax import (
     App, AppCut, BindCut, Clash, Cons, DataVal, Done, Down, DPair, Inl, Inr,
     Kappa, Lam, Name, NegType, Nil, Or, Pair, Pi, PosType, PPair, Prod, Proj1,
@@ -210,39 +211,29 @@ def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
 
 
 def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
-    u = reassociated(f, k)
-    if u is not None:
-        _check(st, u, goal)
-        return
     c = type(f)
-    if c is Lam and type(f.pat) is Var:
-        if not isinstance(k, Cons):
-            raise _fail("app-cut", expected="argument spine for a function",
-                        found=_spine_shape(k))
-        _check(st, BindCut(f.pat, k.arg, AppCut(f.body, k.rest)), goal)
-    elif c is Done:
-        st.discharged("done")
-        if not isinstance(k, Kappa) or not isinstance(k.pat, Var):
-            raise _fail("app-cut", expected="kappa x spine for returned data",
-                        found=_spine_shape(k))
-        _check(st, BindCut(k.pat, f.data, k.body), goal)
-    elif c is Pair:
-        ck = type(k)
-        if ck is Proj1:
-            _infer_term(st, f.right)
-            _check(st, AppCut(f.left, k.rest), goal)
-        elif ck is Proj2:
-            _infer_term(st, f.left)
-            _check(st, AppCut(f.right, k.rest), goal)
-        else:
-            raise _fail("app-cut", expected="projection spine for a pair",
-                        found=_spine_shape(k))
-    elif c is Split:
+    hit = applied(f, k)
+    if type(k) is not Nil:
+        if c is Lam and type(f.pat) is not Var:
+            raise _fail("app-cut", expected="applicable term under cut",
+                        found=print_term(f))
+        if c is Done:
+            st.discharged("done")
+    if hit is None and c is Split:
         for branch in _split(st, f.label, f.left, f.right, k, goal):
             _check(*branch)
+    elif hit is None or (hit[0] == "R2" and type(k.pat) is not Var):
+        if c not in _SPINE_FOR:
+            raise TypeError(f)
+        raise _fail("app-cut", expected=_SPINE_FOR[c], found=_spine_shape(k))
     else:
-        raise _fail("app-cut", expected="applicable term under cut",
-                    found=print_term(f))
+        if hit[0] == "R3":
+            _infer_term(st, f.right if type(k) is Proj1 else f.left)
+        _check(st, hit[1], goal)
+
+
+# Dependent mode's kappa binds a variable only.
+_SPINE_FOR = {**_SPINE_FOR, Done: "kappa x spine for returned data"}
 
 
 def _split(st: _State, x: Name, tl: Term, tr: Term, k: Spine | None,
@@ -371,8 +362,10 @@ def _infer_term(st: _State, t: Term) -> NegType | _Unknown:
     elif c is AppCut:
         # A lambda, done, pair or split under the cut is left undecided:
         # synthesizing through it would reject programs checking accepts.
-        u = reassociated(t.fun, t.spine)
-        return UNKNOWN if u is None else _infer_term(st, u)
+        hit = applied(t.fun, t.spine)
+        if hit is None or hit[0] not in ("R4", "R7"):
+            return UNKNOWN
+        return _infer_term(st, hit[1])
     raise TypeError(t)
 
 

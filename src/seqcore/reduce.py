@@ -20,8 +20,10 @@ R7  spine concatenation ``(x k1) k2 ~> x (k1 @ k2)`` (likewise on an inner
     application cut), the commuting cut ``(let p = d in t) k ~> let p = d in
     (t k)``, and delta-unfolding of signature definitions at applied names
 
-``reassociated`` (R4; R7 but delta-unfolding) and ``decomposed`` (R5) are
-also how both checkers judge a cut whose formula they cannot synthesize.
+The application-cut rules (R1-R4, and R7 but delta-unfolding) are stated
+once, in ``applied``, and R5 in ``decomposed``.  Both checkers take a cut's
+reduct from them when they cannot synthesize its formula, and add only their
+typing conditions.
 
 Postulate-headed applications are normal forms, not failures; a stuck result
 is reserved for evaluation states no well-typed term reaches (a function
@@ -87,19 +89,30 @@ class FuelExhausted(SeqcoreError):
         self.steps = steps
 
 
-def reassociated(f: Term, k: Spine) -> Term | None:
-    """R4 and R7 on the cut ``f k``: an empty spine drops (R4), an applied
-    variable or a nested cut absorbs ``k`` and a binding cut commutes (R7).
-    None for every other ``f``."""
-    if type(k) is Nil:
-        return f
-    c = type(f)
-    if c is App:
-        return App(f.head, spine_concat(f.spine, k))
-    elif c is AppCut:
-        return AppCut(f.fun, spine_concat(f.spine, k))
-    elif c is BindCut:
-        return BindCut(f.pat, f.data, AppCut(f.body, k))
+def applied(f: Term, k: Spine) -> tuple[str, Term] | None:
+    """The application-cut rules on ``f k``, as the rule name and the reduct:
+    R1 for a function against an argument, R2 for returned data against a
+    kappa, R3 for a pair against a projection, R4 for an empty spine, and
+    R7 for an applied variable or a nested cut absorbing ``k`` and a
+    binding cut commuting.  None for a split, and for a value against a
+    spine of another connective."""
+    cf, ck = type(f), type(k)
+    if ck is Nil:
+        return "R4", f
+    elif cf is Lam and ck is Cons:
+        return "R1", AppCut(BindCut(f.pat, k.arg, f.body), k.rest)
+    elif cf is Done and ck is Kappa:
+        return "R2", BindCut(k.pat, f.data, k.body)
+    elif cf is Pair and ck is Proj1:
+        return "R3", AppCut(f.left, k.rest)
+    elif cf is Pair and ck is Proj2:
+        return "R3", AppCut(f.right, k.rest)
+    elif cf is App:
+        return "R7", App(f.head, spine_concat(f.spine, k))
+    elif cf is AppCut:
+        return "R7", AppCut(f.fun, spine_concat(f.spine, k))
+    elif cf is BindCut:
+        return "R7", BindCut(f.pat, f.data, AppCut(f.body, k))
     return None
 
 
@@ -123,23 +136,11 @@ def decomposed(p: Pattern, d: DataVal, b: Term) -> Term | None:
 def _step_root(sig: Sig, x) -> tuple[str, object] | None:
     c = type(x)
     if c is AppCut:
-        f, k = x.fun, x.spine
-        cf, ck = type(f), type(k)
-        if cf is Lam and ck is Cons:
-            return "R1", AppCut(BindCut(f.pat, k.arg, f.body), k.rest)
-        elif cf is Done and ck is Kappa:
-            return "R2", BindCut(k.pat, f.data, k.body)
-        elif cf is Pair and ck is Proj1:
-            return "R3", AppCut(f.left, k.rest)
-        elif cf is Pair and ck is Proj2:
-            return "R3", AppCut(f.right, k.rest)
-        u = reassociated(f, k)
-        if u is not None:
-            return "R4" if ck is Nil else "R7", u
-        if cf is Lam or cf is Done or cf is Pair:
-            raise Clash(
-                f"{_term_shape(f)} applied to {_spine_shape(k)} spine")
-        return None   # a split: resolved by an enclosing or-binding
+        hit = applied(x.fun, x.spine)
+        if hit is None and type(x.fun) in (Lam, Done, Pair):
+            raise Clash(f"{_term_shape(x.fun)} applied to "
+                        f"{_spine_shape(x.spine)} spine")
+        return hit   # None for a split: resolved by an enclosing or-binding
     elif c is BindCut:
         p, d, b = x.pat, x.data, x.body
         cp = type(p)

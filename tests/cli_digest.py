@@ -10,7 +10,8 @@ working directory, over:
   examples (see ``suite.clause_set_variants``), in each flag set;
 * ``bench``: every call of the three benchmark workloads at one seed;
 * ``malformed``: ``check`` in both modes on each source text of
-  ``TestParse::test_syntax_error``, and ``run`` in both modes on
+  ``TestParse::test_syntax_error`` and on two texts the lexer rejects,
+  and ``run`` in both modes on
   ``f_run.seq`` with each ``--arg`` text that
   ``TestRun::test_argument_runs_to_the_end_of_its_text`` rejects.
 
@@ -98,13 +99,20 @@ SYNTAX_ERRORS = (
     "atom a\nf : a -> a\nf x = (x x\n",
 )
 
+# Two texts the lexer rejects: a character that starts no token, and a word
+# that starts with a character other than a letter.
+LEX_ERRORS = (
+    "atom a\nf : a -> a\nf x = x $\n",
+    "atom a\nf : a -> a\nf x = \u00bdx\n",
+)
+
 # The --arg texts that test_cli.py's
 # TestRun::test_argument_runs_to_the_end_of_its_text rejects.
 ARG_ERRORS = ("inr q\nzzz ( (", "inr\nq", "")
 
 
 def malformed():
-    for i, text in enumerate(SYNTAX_ERRORS):
+    for i, text in enumerate(SYNTAX_ERRORS + LEX_ERRORS):
         f = f"bad{i}.seq"
         Path(f).write_text(text, encoding="utf-8")
         for flags in ([], ["--dependent"]):

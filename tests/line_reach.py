@@ -48,6 +48,7 @@ LISTED: list[tuple[str, str, str, str]] = [
     ("check", "_infer_data", "raise TypeError(d)", _GUARD),
     ("check_dep", "_State.extend", "raise TypeError(ty)", _GUARD),
     ("check_dep", "_check", "raise TypeError(t)", _GUARD),
+    ("check_dep", "_check_app_cut", "raise TypeError(f)", _GUARD),
     ("check_dep", "_check_data", "raise TypeError(d)", _GUARD),
     ("check_dep", "_check_spine", "raise TypeError(k)", _GUARD),
     ("check_dep", "_infer_term", "raise TypeError(t)", _GUARD),

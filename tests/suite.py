@@ -13,6 +13,7 @@ from reference import ArgPool, enumerate_data
 from seqcore.check import check_term
 from seqcore.check_dep import dep_check_term
 from seqcore.core_text import print_term
+from seqcore.reduce import trace
 from seqcore.surface import Program, load_program, parse
 from seqcore.syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl, Inr, Lam,
@@ -139,6 +140,17 @@ def tiny_sig() -> Sig:
     return Sig(frozenset({Name("a")}),
                (SigEntry(Name("z"), a),
                 SigEntry(Name("f"), Imp(Down(a), a))))
+
+
+def cut_reducts(sig: Sig, t: Term) -> list[Term]:
+    """The terms ``reduce.trace`` reaches from ``t`` by application-cut
+    steps (R1-R4 and R7), up to its first step of another rule."""
+    out = []
+    for rule, u in trace(sig, t)[0]:
+        if rule not in ("R1", "R2", "R3", "R4", "R7"):
+            break
+        out.append(u)
+    return out
 
 
 def embed_neg(ty):

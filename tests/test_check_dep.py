@@ -300,6 +300,77 @@ class TestCutSynthesis:
             f"dep-check x [] : {found.expected}",)
 
 
+class TestApplicationCuts:
+    """The application-cut rules R1, R2 and R3 at the root of the subject,
+    as ``test_check_prop.TestApplicationCuts`` has them, plus the cuts
+    whose binder is not a variable, which dependent mode rejects."""
+
+    SIG = EMPTY.with_entry(SigEntry(Z, A))
+    ZZ = App(Z, Nil())
+    PAIR = DPair(Thunk(ZZ), Thunk(ZZ))
+    # (id, ctx, term, goal, None or (rule, expected, found, note))
+    CASES = [
+        ("R1", [], AppCut(Lam(Var(X), Lam(Var(Y), App(X, Nil()))),
+                          Cons(Thunk(ZZ), Cons(Thunk(ZZ), Nil()))), A, None),
+        ("R1 body", [], AppCut(ID, Cons(Thunk(ZZ), Nil())), Up(Down(A)),
+         ("axiom", "up (dn a)", "a", "types are not convertible")),
+        ("R1 spine", [], AppCut(ID, Kappa(Var(Y), ZZ)), A,
+         ("app-cut", "argument spine for a function", "kappa", "")),
+        ("R1 pattern", [], AppCut(Lam(PPair(Var(X), Var(Y)), ZZ),
+                                  Cons(PAIR, Nil())), A,
+         ("app-cut", "applicable term under cut", "\\(x, y). z []", "")),
+        ("R2", [], AppCut(Done(Thunk(ZZ)), Kappa(Var(X), App(X, Nil()))), A,
+         None),
+        ("R2 body", [],
+         AppCut(Done(Thunk(ZZ)), Kappa(Var(X), App(X, Proj1(Nil())))), A,
+         ("with-left-1", "conjunction under focus", "a", "")),
+        ("R2 spine", [], AppCut(Done(Thunk(ZZ)), Proj2(Nil())), A,
+         ("app-cut", "kappa x spine for returned data", ".2", "")),
+        ("R2 pattern", [],
+         AppCut(Done(PAIR), Kappa(PPair(Var(X), Var(Y)), ZZ)), A,
+         ("app-cut", "kappa x spine for returned data", "kappa", "")),
+        # The context is discharged before the spine is looked at.
+        ("R2 context", [(X, Or(Down(A), Down(A)))],
+         AppCut(Done(Thunk(ZZ)), Proj2(Nil())), A,
+         ("done", "empty inversion context", "x", "")),
+        ("R3", [], AppCut(Pair(ZZ, ID), Proj1(Nil())), A, None),
+        ("R3 body", [], AppCut(Pair(ZZ, ID), Proj2(Nil())), A,
+         ("lambda", "dependent product goal", "a", "")),
+        ("R3 spine", [], AppCut(Pair(ZZ, ZZ), Kappa(Var(X), ZZ)), A,
+         ("app-cut", "projection spine for a pair", "kappa", "")),
+        # The projected-away component must still be typeable.
+        ("R3 dropped", [],
+         AppCut(Pair(ZZ, App(Name("ghost"), Nil())), Proj1(Nil())), A,
+         ("unbound", "declared variable", "ghost", "")),
+        # A split under an empty spine drops the spine before it splits.
+        ("R4", [(X, Or(Down(A), Down(A)))],
+         AppCut(Split(X, App(X, Nil()), App(X, Nil())), Nil()), A, None),
+        ("R4 body", [(X, Or(Down(A), Down(A)))],
+         AppCut(Split(X, App(X, Nil()), App(X, Proj1(Nil()))), Nil()), A,
+         ("with-left-1", "conjunction under focus", "a", "")),
+    ]
+
+    @pytest.mark.parametrize("ctx, t, goal, expected",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_verdict(self, ctx, t, goal, expected):
+        d = dep_check_term(self.SIG, ctx, t, goal)
+        assert (d and (d.rule, d.expected, d.found, d.note)) == expected
+
+    @pytest.mark.parametrize("ctx, t, goal", [case[1:4] for case in CASES
+                                              if case[0].endswith(" body")],
+                             ids=[case[0] for case in CASES
+                                  if case[0].endswith(" body")])
+    def test_body_trail_follows_the_reducer(self, ctx, t, goal):
+        from suite import cut_reducts
+        frames = list(reversed(dep_check_term(self.SIG, ctx, t, goal).trail))
+        reducts = cut_reducts(self.SIG, t)
+        assert reducts
+        assert frames[1:1 + len(reducts)] == [
+            f"dep-check {print_term(u)} : {print_type(goal)}"
+            for u in reducts]
+
+
 class TestConvert:
     def test_reflexivity(self):
         ty = Pi(X, Down(A), Atom(Name("a")))

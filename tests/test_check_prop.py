@@ -274,6 +274,74 @@ class TestCutChecking:
         assert d is not None and d.rule == "unbound"
 
 
+class TestApplicationCuts:
+    """The application-cut rules R1, R2 and R3 at the root of the subject:
+    for each, a cut that checks, a cut whose reduct fails (``body``) and a
+    cut whose spine is of another connective (``spine``), plus the side
+    conditions of R2 and R3.  A cut is judged by its reduct, so a failing
+    body passes through the terms the reducer reaches from the cut."""
+
+    SIG = EMPTY.with_entry(SigEntry(Z, A))
+    ZZ = App(Z, Nil())
+    SUM = Or(Down(A), Down(A))
+    # (id, ctx, term, goal, None or (rule, expected, found, note))
+    CASES = [
+        ("R1", [], AppCut(Lam(Var(X), Lam(Var(Y), App(X, Nil()))),
+                          Cons(Thunk(ZZ), Cons(Thunk(ZZ), Nil()))), A, None),
+        ("R1 body", [], AppCut(ID, Cons(Thunk(ZZ), Nil())), Up(Down(A)),
+         ("axiom", "up (dn a)", "a", "unfinished spine")),
+        ("R1 spine", [], AppCut(ID, Kappa(Var(Y), ZZ)), A,
+         ("app-cut", "argument spine for a function", "kappa", "")),
+        ("R2", [], AppCut(Done(Thunk(ZZ)), Kappa(Var(X), App(X, Nil()))), A,
+         None),
+        ("R2 body", [],
+         AppCut(Done(Thunk(ZZ)), Kappa(Var(X), App(X, Proj1(Nil())))), A,
+         ("with-left-1", "conjunction under focus", "a", "")),
+        ("R2 spine", [], AppCut(Done(Thunk(ZZ)), Proj2(Nil())), A,
+         ("app-cut", "kappa spine for returned data", ".2", "")),
+        # The context is discharged before the spine is looked at.
+        ("R2 context", [(POr(W, Var(X), Var(Y)), SUM)],
+         AppCut(Done(Thunk(ZZ)), Proj2(Nil())), A,
+         ("done", "empty inversion context", "{[[x|y]_w] : (dn a) + dn a}",
+          "")),
+        ("R3", [], AppCut(Pair(ZZ, ID), Proj1(Nil())), A, None),
+        ("R3 body", [], AppCut(Pair(ZZ, ID), Proj2(Nil())), A,
+         ("lambda", "implication goal", "a", "")),
+        ("R3 spine", [], AppCut(Pair(ZZ, ZZ), Kappa(Var(X), ZZ)), A,
+         ("app-cut", "projection spine for a pair", "kappa", "")),
+        # The projected-away component must still be typeable.
+        ("R3 dropped", [],
+         AppCut(Pair(ZZ, App(Name("ghost"), Nil())), Proj1(Nil())), A,
+         ("unbound", "declared variable", "ghost", "")),
+        # A split under an empty spine drops the spine before it splits.
+        ("R4", [(POr(W, Var(X), Var(Y)), SUM)],
+         AppCut(Split(W, App(X, Nil()), App(Y, Nil())), Nil()), A, None),
+        ("R4 body", [(POr(W, Var(X), Var(Y)), SUM)],
+         AppCut(Split(W, App(X, Nil()), App(Y, Proj1(Nil()))), Nil()), A,
+         ("with-left-1", "conjunction under focus", "a", "")),
+    ]
+
+    @pytest.mark.parametrize("ctx, t, goal, expected",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_verdict(self, ctx, t, goal, expected):
+        d = check_term(self.SIG, ctx, t, goal)
+        assert (d and (d.rule, d.expected, d.found, d.note)) == expected
+
+    @pytest.mark.parametrize("ctx, t, goal", [case[1:4] for case in CASES
+                                              if case[0].endswith(" body")],
+                             ids=[case[0] for case in CASES
+                                  if case[0].endswith(" body")])
+    def test_body_trail_follows_the_reducer(self, ctx, t, goal):
+        from suite import cut_reducts
+        from seqcore.core_text import print_term, print_type
+        frames = list(reversed(check_term(self.SIG, ctx, t, goal).trail))
+        reducts = cut_reducts(self.SIG, t)
+        assert reducts
+        assert frames[1:1 + len(reducts)] == [
+            f"check {print_term(u)} : {print_type(goal)}" for u in reducts]
+
+
 class TestFailureRules:
     """One subject per failure that the other tests never reach: the rule
     that fails, what it expected and what it found.  Data ``inl c`` has no
