@@ -147,9 +147,7 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
                 _check(*branch)
         elif c is Lam:
             if not isinstance(t.pat, Var):
-                raise _fail("dep-pattern", expected="variable binder",
-                            found="deep pattern",
-                            note="dependent mode binds variables only")
+                raise _deep_binder()
             if not isinstance(goal, Pi):
                 raise _fail("lambda", expected="dependent product goal",
                             found=print_type(goal))
@@ -200,6 +198,13 @@ def _check(st: _State, t: Term, goal: NegType) -> None:
             f"dep-check {print_term(t)} : {print_type(goal)}"))
 
 
+def _deep_binder() -> CheckError:
+    """The failure at a lambda or kappa binder that is not a variable."""
+    return _fail("dep-pattern", expected="variable binder",
+                 found="deep pattern",
+                 note="dependent mode binds variables only")
+
+
 def _var_cut(st: _State, x: Name, d: DataVal, b: Term) -> tuple[_State, Term]:
     """The judgment the binding cut ``x = d in b`` reduces to: ``b`` with
     ``x`` bound at the type of ``d`` when that synthesizes, else ``b`` with
@@ -214,15 +219,15 @@ def _check_app_cut(st: _State, f: Term, k: Spine, goal: NegType) -> None:
     c = type(f)
     hit = applied(f, k)
     if type(k) is not Nil:
-        if c is Lam and type(f.pat) is not Var:
-            raise _fail("app-cut", expected="applicable term under cut",
-                        found=print_term(f))
         if c is Done:
             st.discharged("done")
+        if (c is Lam and type(f.pat) is not Var
+                or c is Done and type(k) is Kappa and type(k.pat) is not Var):
+            raise _deep_binder()
     if hit is None and c is Split:
         for branch in _split(st, f.label, f.left, f.right, k, goal):
             _check(*branch)
-    elif hit is None or (hit[0] == "R2" and type(k.pat) is not Var):
+    elif hit is None:
         if c not in _SPINE_FOR:
             raise TypeError(f)
         raise _fail("app-cut", expected=_SPINE_FOR[c], found=_spine_shape(k))
@@ -327,9 +332,7 @@ def _check_spine(st: _State, focus: NegType, k: Spine,
         if goal is None and not (isinstance(k.pat, Var) and isinstance(focus, Up)):
             return UNKNOWN
         if not isinstance(k.pat, Var):
-            raise _fail("dep-pattern", expected="variable binder",
-                        found="deep pattern",
-                        note="dependent mode binds variables only")
+            raise _deep_binder()
         st = st.extend(k.pat.name, _kappa(focus))
         if goal is None:
             return _infer_term(st, k.body)

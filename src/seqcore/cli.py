@@ -56,7 +56,7 @@ def _check_all(args: argparse.Namespace, mode: Mode, prog: Program) -> int:
         if d.kind != "def":
             continue
         if mode is Mode.DEP:
-            diag = dep_check_term(prog.sig, [], d.term, d.type, fuel=args.fuel)
+            diag = dep_check_term(prog.sig, [], d.term, d.type)
         else:
             diag = check_term(prog.sig, [], d.term, d.type,
                               structural=args.structural_patterns)

@@ -133,13 +133,22 @@ def decomposed(p: Pattern, d: DataVal, b: Term) -> Term | None:
     return None
 
 
+# What a stuck cut's message calls its function, spine or pattern, by class.
+_SHAPE = {Done: "done", Lam: "function", App: "application", Pair: "pair",
+          Split: "split", BindCut: "let", AppCut: "cut",
+          Nil: "empty", Cons: "argument", Proj1: "projection",
+          Proj2: "projection", Kappa: "kappa",
+          Var: "variable", PPair: "pair", POr: "or", PAt: "contraction",
+          PWild: "wildcard"}
+
+
 def _step_root(sig: Sig, x) -> tuple[str, object] | None:
     c = type(x)
     if c is AppCut:
         hit = applied(x.fun, x.spine)
         if hit is None and type(x.fun) in (Lam, Done, Pair):
-            raise Clash(f"{_term_shape(x.fun)} applied to "
-                        f"{_spine_shape(x.spine)} spine")
+            raise Clash(f"{_SHAPE[type(x.fun)]} applied to "
+                        f"{_SHAPE[type(x.spine)]} spine")
         return hit   # None for a split: resolved by an enclosing or-binding
     elif c is BindCut:
         p, d, b = x.pat, x.data, x.body
@@ -154,32 +163,15 @@ def _step_root(sig: Sig, x) -> tuple[str, object] | None:
             # while its head may still compute (sigma-style lets on a
             # variable); it is a definite clash otherwise.
             if isinstance(d.body, (Lam, Done, Pair, Split)):
-                raise Clash(
-                    f"{_pattern_shape(p)} pattern against thunk data")
+                raise Clash(f"{_SHAPE[cp]} pattern against thunk data")
             return None
-        raise Clash(
-            f"{_pattern_shape(p)} pattern against {data_shape(d)} data")
+        raise Clash(f"{_SHAPE[cp]} pattern against {data_shape(d)} data")
     elif c is App:
         entry = sig.lookup(x.head)
         if entry is not None and entry.body is not None:
             return "R7", AppCut(entry.body, x.spine)
         return None
     return None
-
-
-def _term_shape(t: Term) -> str:
-    return {Done: "done", Lam: "function", App: "application", Pair: "pair",
-            Split: "split", BindCut: "let", AppCut: "cut"}[type(t)]
-
-
-def _pattern_shape(p) -> str:
-    return {Var: "variable", PPair: "pair", POr: "or", PAt: "contraction",
-            PWild: "wildcard"}[type(p)]
-
-
-def _spine_shape(k: Spine) -> str:
-    return {Nil: "empty", Cons: "argument", Proj1: "projection",
-            Proj2: "projection", Kappa: "kappa"}[type(k)]
 
 
 def normalize(sig: Sig, t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:

@@ -32,7 +32,9 @@ type becomes a genuine contraction pattern; at composite types the name
 binds its position, and a use rebuilds it, binding a fresh variable at any
 thunk position under it that no clause binds.  In dependent mode arguments
 bind bare variables and the same tree is emitted as explicit pair-lets and
-splits instead of deep patterns.
+splits instead of deep patterns.  Surface types hold no data, so the
+compiler treats ``Pi`` as ``->`` and ``Sigma`` as ``*``, substitutes nothing
+into types and compares them up to alpha in both modes.
 
 Polarization is the one check of a declared type: ``polarize`` rejects an
 undeclared atom and a connective of the other mode, and builds only the
@@ -59,7 +61,6 @@ import re
 from itertools import accumulate, islice, repeat
 from operator import attrgetter, itemgetter
 
-from .check_dep import convert
 from .core_text import print_type
 from .diag import Diagnostic, DiagnosticError, ParseError, Span
 from .record import record
@@ -67,7 +68,7 @@ from .syntax import (
     App, Atom, BindCut, Cons, DataVal, Done, Down, DPair, Imp, Inl,
     Inr, Lam, Mode, Name, NegType, NIL, Or, Pair, Pattern, PAt, Pi, POr,
     PosType, PPair, Prod, PWild, Sig, SigEntry, Sigma, Spine, Split, Term,
-    Thunk, Up, Var, With, alpha_eq, children, eta, fresh, subst_data,
+    Thunk, Up, Var, With, alpha_eq, children, eta, fresh,
 )
 
 __all__ = [
@@ -683,8 +684,8 @@ def _bind(binds: dict[str, SigEntry | _Pos], node: PAsS | PVarS,
     binds[node.name] = b
 
 
-def _fuse(mode: Mode, table: dict, binds: list[dict[str, SigEntry | _Pos]],
-          pos: _Pos, pats: dict[int, SPat | None]) -> None:
+def _fuse(mode: Mode, binds: list[dict[str, SigEntry | _Pos]], pos: _Pos,
+          pats: dict[int, SPat | None]) -> None:
     # Each clause's nodes that name what it binds here, the as-patterns
     # outermost first and then the variable under them if there is one, and
     # its pattern under the as-names.
@@ -749,13 +750,8 @@ def _fuse(mode: Mode, table: dict, binds: list[dict[str, SigEntry | _Pos]],
             base = pos.var.text
             pos.left.var = fresh(_var_text(left.values(), base + "1"))
             pos.right.var = fresh(_var_text(right.values(), base + "2"))
-    _fuse(mode, table, binds, pos.left, left)
-    if c is Sigma:
-        # Only a dependent type has a Sigma: the first component's
-        # scrutinee variable stands for its binder.
-        pos.right.type = subst_data(pos.right.type, ty.binder,
-                                    _injection(table, pos.left.var))
-    _fuse(mode, table, binds, pos.right, right)
+    _fuse(mode, binds, pos.left, left)
+    _fuse(mode, binds, pos.right, right)
     for cid, (names, _) in peeled.items():
         for node in names:
             _bind(binds[cid], node, pos)
@@ -918,9 +914,6 @@ class _Emitter:
                  decl: SurfaceDecl, result: NegType, table: dict):
         self.sig = sig
         self.mode = mode
-        # The comparison of a type with the goal it must meet.
-        self.same = alpha_eq if mode is Mode.PROP else (
-            lambda a, b: convert(a, b, sig))
         self.binds = binds
         self.decl = decl
         self.result = result
@@ -1009,18 +1002,14 @@ class _Emitter:
         parts: list[DataVal] = []
         for arg in e.args:
             c = type(cur)
-            if c is Imp:
+            if c is Imp or c is Pi:
                 parts.append(self._rhs_data(scope, arg, cur.arg))
                 cur = cur.res
-            elif c is Pi:
-                d = self._rhs_data(scope, arg, cur.arg)
-                parts.append(d)
-                cur = subst_data(cur.res, cur.binder, d)
             else:
                 raise CompileFail(Diagnostic(
                     "arity", expected="function taking more arguments",
                     found=e.head, span=e.span))
-        if cur is not goal and not self.same(cur, goal):
+        if cur is not goal and not alpha_eq(cur, goal):
             raise CompileFail(Diagnostic(
                 "type", expected=print_type(goal), found=print_type(cur),
                 span=e.span))
@@ -1035,7 +1024,7 @@ class _Emitter:
             b = scope.get(e.head)
             if type(b) is _Pos:
                 if not any(g is p for g in b.goals):
-                    if not self.same(b.type, p):
+                    if not alpha_eq(b.type, p):
                         raise CompileFail(Diagnostic(
                             "type", expected=print_type(p), found=print_type(b.type),
                             span=e.span))
@@ -1057,13 +1046,10 @@ class _Emitter:
             return Inl(self._rhs_data(scope, e.body, p.left))
         elif c is Or and type(e) is EInr:
             return Inr(self._rhs_data(scope, e.body, p.right))
-        elif c is Prod and type(e) is EPair:
-            return DPair(self._rhs_data(scope, e.left, p.left),
-                         self._rhs_data(scope, e.right, p.right))
-        elif c is Sigma and type(e) is EPair:
-            da = self._rhs_data(scope, e.left, p.first)
-            return DPair(da, self._rhs_data(
-                scope, e.right, subst_data(p.second, p.binder, da)))
+        elif (c is Prod or c is Sigma) and type(e) is EPair:
+            fst_ty, snd_ty = children(p)
+            return DPair(self._rhs_data(scope, e.left, fst_ty),
+                         self._rhs_data(scope, e.right, snd_ty))
         raise CompileFail(Diagnostic(
             "type", expected=print_type(p), found=_sexpr_shape(e),
             span=_sexpr_span(e, self.decl.span)))
@@ -1114,13 +1100,10 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
         c = type(result)
         v = None
         if c is Pi:
-            # A Pi binder is visible in later argument types; the
-            # scrutinee variable doubles as that binder.
+            # The argument's scrutinee variable.  Surface types hold no
+            # data, so no later type mentions the Pi binder.
             v = fresh(_var_text(columns[i], f"a{i + 1}"))
-            a = result.arg
-            result = subst_data(result.res, result.binder,
-                                _injection(shared, v))
-        elif c is Imp:
+        if c is Pi or c is Imp:
             a, result = result.arg, result.res
         else:
             raise CompileFail(Diagnostic(
@@ -1130,7 +1113,7 @@ def compile_clauses(decl: SurfaceDecl, sig: Sig, mode: Mode = Mode.PROP,
 
     binds: list[dict[str, SigEntry | _Pos]] = [{} for _ in decl.clauses]
     for pos, column in zip(args, columns):
-        _fuse(mode, shared, binds, pos, dict(enumerate(column)))
+        _fuse(mode, binds, pos, dict(enumerate(column)))
 
     tree, warnings = _build_tree(decl, args)
     term = _Emitter(sig, mode, binds, decl, result, shared).emit(tree)

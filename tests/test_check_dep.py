@@ -9,7 +9,7 @@ from seqcore.core_text import print_term, print_type
 from seqcore.syntax import (
     App, AppCut, Atom, BindCut, Cons, Done, Down, DPair, Imp, Inl, Inr,
     Kappa, Lam, Name, NegType, Nil, Or, Pair, Pi, POr, PosType, PPair, Prod,
-    Proj1, Proj2, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
+    Proj1, Proj2, PWild, Sig, SigEntry, Sigma, Split, Thunk, Up, Var, With,
     alpha_eq, eta, fresh, pattern_vars, subst_data,
 )
 
@@ -308,6 +308,9 @@ class TestApplicationCuts:
     SIG = EMPTY.with_entry(SigEntry(Z, A))
     ZZ = App(Z, Nil())
     PAIR = DPair(Thunk(ZZ), Thunk(ZZ))
+    # A binder that is not a variable, as a lambda or a kappa reports it.
+    DEEP = ("dep-pattern", "variable binder", "deep pattern",
+            "dependent mode binds variables only")
     # (id, ctx, term, goal, None or (rule, expected, found, note))
     CASES = [
         ("R1", [], AppCut(Lam(Var(X), Lam(Var(Y), App(X, Nil()))),
@@ -317,8 +320,10 @@ class TestApplicationCuts:
         ("R1 spine", [], AppCut(ID, Kappa(Var(Y), ZZ)), A,
          ("app-cut", "argument spine for a function", "kappa", "")),
         ("R1 pattern", [], AppCut(Lam(PPair(Var(X), Var(Y)), ZZ),
-                                  Cons(PAIR, Nil())), A,
-         ("app-cut", "applicable term under cut", "\\(x, y). z []", "")),
+                                  Cons(PAIR, Nil())), A, DEEP),
+        # The binder is looked at before the spine's connective.
+        ("R1 pattern spine", [], AppCut(Lam(PWild(), ZZ), Proj1(Nil())), A,
+         DEEP),
         ("R2", [], AppCut(Done(Thunk(ZZ)), Kappa(Var(X), App(X, Nil()))), A,
          None),
         ("R2 body", [],
@@ -327,11 +332,13 @@ class TestApplicationCuts:
         ("R2 spine", [], AppCut(Done(Thunk(ZZ)), Proj2(Nil())), A,
          ("app-cut", "kappa x spine for returned data", ".2", "")),
         ("R2 pattern", [],
-         AppCut(Done(PAIR), Kappa(PPair(Var(X), Var(Y)), ZZ)), A,
-         ("app-cut", "kappa x spine for returned data", "kappa", "")),
+         AppCut(Done(PAIR), Kappa(PPair(Var(X), Var(Y)), ZZ)), A, DEEP),
         # The context is discharged before the spine is looked at.
         ("R2 context", [(X, Or(Down(A), Down(A)))],
          AppCut(Done(Thunk(ZZ)), Proj2(Nil())), A,
+         ("done", "empty inversion context", "x", "")),
+        ("R2 pattern context", [(X, Or(Down(A), Down(A)))],
+         AppCut(Done(PAIR), Kappa(PPair(Var(X), Var(Y)), ZZ)), A,
          ("done", "empty inversion context", "x", "")),
         ("R3", [], AppCut(Pair(ZZ, ID), Proj1(Nil())), A, None),
         ("R3 body", [], AppCut(Pair(ZZ, ID), Proj2(Nil())), A,

@@ -518,7 +518,7 @@ class TestDiagnosticPin:
 
     SIZE = 7
     OUTCOMES = 38569
-    DIGEST = "8c187bc0b22f295d208486d6814942e1acfe039299f867b2fadabb0917c4a71c"
+    DIGEST = "8f627556c16502b94ea0202f62def1aa53d06f15b2adc771a7a6645bc95dec1b"
 
     @staticmethod
     def _dep_sig() -> Sig:

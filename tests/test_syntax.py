@@ -988,6 +988,19 @@ class TestImportsNoTyping:
         assert proc.stdout == "False\n"
 
 
+class TestFrontEndLayering:
+    """The front end depends on no checker: surface types hold no data, so
+    the clause compiler substitutes nothing into them and compares them up
+    to alpha, with ``syntax`` alone."""
+
+    def test_surface_imports(self):
+        path = pathlib.Path(seqcore.__file__).parent / "surface.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported == {"core_text", "diag", "record", "syntax"}
+
+
 class TestAcyclic:
     """The kernel's walks leave no reference cycles: run with the cyclic
     collector paused, as ``seqcore.cli.entry`` runs them, they leave nothing
